@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClassTooSmallError,
-    DimensionMismatchError,
-    InconsistentWidthError,
-    ParseError,
-)
-from .em import CovarianceRestriction, run_em
-from .gaussians import FLOAT_FMT, log_density_batch
+from .errors import ClassTooSmallError, DimensionMismatchError, ParseError
+from .em import CovarianceRestriction, _log_joint, _model_arrays, run_em
+from .gaussians import FLOAT_FMT, _read_csv
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -73,32 +68,17 @@ class ClassMixtureModel:
 
 def ingest(path) -> LabeledDataset:
     """Read a label-first CSV: each line is `label,x1,...,xn`."""
-    points, labels = [], []
-    width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                label = int(fields[0])
-                values = [float(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(values)
-                if width == 0:
-                    raise ParseError(f"line {lineno}: no feature values")
-            elif len(values) != width:
-                raise InconsistentWidthError(
-                    f"line {lineno}: expected {width} values, got {len(values)}"
-                )
-            labels.append(label)
-            points.append(values)
-    if not points:
+    table, linenos = _read_csv(path)
+    if table.size == 0:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(points), np.array(labels))
+    if table.shape[1] < 2:
+        raise ParseError(f"{path}: line {linenos[0]}: no feature values")
+    labels = table[:, 0]
+    fractional = labels != np.round(labels)
+    if fractional.any():
+        row = int(np.argmax(fractional))
+        raise ParseError(f"{path}: line {linenos[row]}: label {labels[row]!r} is not an integer")
+    return LabeledDataset(table[:, 1:], labels.astype(int))
 
 
 def save_labeled(data: LabeledDataset, path):
@@ -150,13 +130,7 @@ def _class_scores(model: ClassMixtureModel, points, use_priors=True):
     low = project_data(model.projection, points)
     scores = np.empty((low.shape[0], len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
-        comp_scores = np.column_stack(
-            [
-                np.log(w) + log_density_batch(g, low)
-                for g, w in zip(mix.components, mix.weights)
-            ]
-        )
-        scores[:, cls] = comp_scores.max(axis=1)
+        scores[:, cls] = _log_joint(*_model_arrays(mix, low)).max(axis=1)
         if use_priors:
             scores[:, cls] += np.log(model.class_priors[cls])
     return scores

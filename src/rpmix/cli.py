@@ -23,7 +23,7 @@ from .classifier import (
     train,
 )
 from .em import CovarianceRestriction, rp_em, run_em, test_loglik
-from .errors import RpmixError
+from .errors import ConfigError, RpmixError
 from .gaussians import (
     FLOAT_FMT,
     load_dataset,
@@ -145,7 +145,14 @@ def _cmd_experiment(args):
     cfg = {}
     if args.config:
         with open(args.config) as f:
-            cfg = json.load(f)
+            try:
+                cfg = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(
+                f"{args.config}: expected a JSON object, got {type(cfg).__name__}"
+            )
     name = args.name or cfg.get("experiment")
     if not name:
         raise RpmixError("no experiment named (positional argument or config file)")

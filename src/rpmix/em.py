@@ -5,6 +5,13 @@ covariance (FULL_DISTINCT), or all components share a single pooled full
 covariance (SHARED_FULL). The hybrid projects the data randomly, runs EM
 to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
+
+Inside a fit the model is plain arrays (`_Params`): weights, means, and one
+covariance with its Cholesky factor per *distinct* covariance, so a shared
+covariance is factored, checked and solved against once per iteration
+whatever k is. Validated `Gaussian`/`Mixture` objects appear only at the
+public boundary: `init_params`, `FitResult.model`, and the `e_step`,
+`m_step` and `test_loglik` wrappers.
 """
 
 from __future__ import annotations
@@ -12,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import eigvalsh
+from scipy.linalg import cholesky, solve_triangular
 from scipy.special import logsumexp
 
 from .errors import (
@@ -21,12 +31,19 @@ from .errors import (
     DuplicatePointsError,
     EmptyComponentError,
     IllConditionedError,
+    NonFiniteError,
     NotEnoughDataError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
 )
-from .gaussians import Gaussian, Mixture, log_density_batch, radius
-from .projection import ProjectionMatrix, project_data, random_orthonormal
+from .gaussians import (
+    Gaussian,
+    Mixture,
+    _check_conditioning,
+    _condition_number,
+    radius,
+)
+from .projection import project_data, random_orthonormal
 
 EMPTY_COMPONENT_FRACTION = 1e-10
 MAX_RESCUES = 2
@@ -43,6 +60,158 @@ class FitResult:
     iterations: int
     loglik_trace: np.ndarray
     converged: bool
+
+
+class _Params(NamedTuple):
+    """A mixture as arrays; components with equal covariances share a factor."""
+
+    weights: np.ndarray  # k
+    means: np.ndarray  # k x n
+    covs: tuple  # one symmetric covariance per distinct factor
+    chols: tuple  # the lower Cholesky factor of each
+    owner: np.ndarray  # component -> factor index
+
+
+def _as_data(data):
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteError("data contains non-finite entries")
+    return data
+
+
+def _model_arrays(model: Mixture, data):
+    """Array state of `model` and the validated data it is to be applied to."""
+    data = _as_data(data)
+    if data.shape[1] != model.dim:
+        raise DimensionMismatchError(
+            f"data dimension {data.shape[1]} != model dimension {model.dim}"
+        )
+    return _from_mixture(model), data
+
+
+def _factor(covs):
+    """Lower Cholesky factors of symmetric covariances, each checked once.
+
+    Every covariance is factored before any is checked, so a matrix that is
+    not positive definite is reported ahead of an ill-conditioned one. The
+    condition number is exact (from `eigvalsh`).
+    """
+    try:
+        chols = [cholesky(cov, lower=True) for cov in covs]
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    for cov in covs:
+        _check_conditioning(_condition_number(eigvalsh(cov)))
+    return tuple(chols)
+
+
+def _from_mixture(model: Mixture) -> _Params:
+    """Array state of a Mixture, one factor per distinct covariance."""
+    covs, owner = [], []
+    for g in model.components:
+        for f, cov in enumerate(covs):
+            if np.array_equal(cov, g.covariance):
+                break
+        else:
+            f = len(covs)
+            covs.append(g.covariance)
+        owner.append(f)
+    return _Params(
+        model.weights, model.means, tuple(covs), _factor(covs), np.array(owner)
+    )
+
+
+def _to_mixture(params: _Params) -> Mixture:
+    comps = [
+        Gaussian(mu, params.covs[f]) for mu, f in zip(params.means, params.owner)
+    ]
+    return Mixture(comps, params.weights)
+
+
+def _log_joint(params: _Params, data) -> np.ndarray:
+    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i.
+
+    Per distinct factor L, the data and the means that share L, all centred
+    by the data mean, take one triangular solve; a component's quadratic
+    form is the squared norm of the difference of its solved mean and the
+    solved data.
+    """
+    m, n = data.shape
+    center = data.mean(axis=0)
+    const = -0.5 * n * np.log(2.0 * np.pi)
+    out = np.empty((m, len(params.weights)))
+    for f, chol in enumerate(params.chols):
+        comps = np.flatnonzero(params.owner == f)
+        rhs = np.concatenate([data, params.means[comps]])
+        rhs -= center
+        solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True)
+        y, mu = solved[:, :m], solved[:, m:]
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        for j, i in enumerate(comps):
+            diff = y - mu[:, j : j + 1]
+            diff *= diff
+            quad = diff.sum(axis=0)
+            out[:, i] = np.log(params.weights[i]) + (const - 0.5 * log_det - 0.5 * quad)
+    return out
+
+
+def _e_step(params: _Params, data):
+    """Responsibilities and per-point log-likelihoods (log-space normalized)."""
+    log_joint = _log_joint(params, data)
+    lse = logsumexp(log_joint, axis=1)
+    return np.exp(log_joint - lse[:, None]), lse
+
+
+def _gram(data):
+    """Column means and the Gram matrix of the mean-centred data."""
+    center = data.mean(axis=0)
+    centered = data - center
+    return center, centered.T @ centered
+
+
+def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
+    """M-step on arrays; `gram` is `_gram(data)`, reused across a fit."""
+    m, k = resp.shape
+    counts = resp.sum(axis=0)
+    dead = np.flatnonzero(counts < EMPTY_COMPONENT_FRACTION * m)
+    if dead.size and previous is None:
+        raise EmptyComponentError(dead)
+
+    weights = counts / m
+    safe_counts = np.where(counts > 0, counts, 1.0)
+    means = (resp.T @ data) / safe_counts[:, None]
+    live = np.setdiff1d(np.arange(k), dead)
+    owner = np.zeros(k, dtype=int)
+    if restriction is CovarianceRestriction.SHARED_FULL:
+        # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
+        # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
+        # components' share of G is taken out.
+        center, gram = gram if gram is not None else _gram(data)
+        for i in dead:
+            centered = data - center
+            gram = gram - (resp[:, i][:, None] * centered).T @ centered
+        delta = means[live] - center
+        pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
+        covs = [(pooled + pooled.T) / 2.0]
+    else:
+        covs = []
+        for i in live:
+            centered = data - means[i]
+            cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
+            covs.append((cov + cov.T) / 2.0)
+        owner[live] = np.arange(live.size)
+    chols = list(_factor(covs))
+    kept = {}  # previous factor index -> new factor index
+    for i in dead:
+        weights[i] = EMPTY_COMPONENT_FRACTION
+        means[i] = previous.means[i]
+        f = previous.owner[i]
+        if f not in kept:
+            kept[f] = len(covs)
+            covs.append(previous.covs[f])
+            chols.append(previous.chols[f])
+        owner[i] = kept[f]
+    return _Params(weights / weights.sum(), means, tuple(covs), tuple(chols), owner)
 
 
 def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixture:
@@ -87,19 +256,7 @@ def e_step(model: Mixture, data):
     Row normalization happens in log space so that high-dimensional
     densities cannot underflow to an all-zero row.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"data dimension {data.shape[1]} != model dimension {model.dim}"
-        )
-    log_joint = np.column_stack(
-        [
-            np.log(w) + log_density_batch(g, data)
-            for g, w in zip(model.components, model.weights)
-        ]
-    )
-    lse = logsumexp(log_joint, axis=1)
-    resp = np.exp(log_joint - lse[:, None])
+    resp, lse = _e_step(*_model_arrays(model, data))
     return resp, float(lse.sum())
 
 
@@ -117,54 +274,11 @@ def m_step(
     """
     resp = np.atleast_2d(np.asarray(resp, dtype=float))
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    m, k = resp.shape
-    if data.shape[0] != m:
+    if data.shape[0] != resp.shape[0]:
         raise ShapeMismatchError("responsibility rows != data rows")
-    counts = resp.sum(axis=0)
-    dead = np.flatnonzero(counts < EMPTY_COMPONENT_FRACTION * m)
-    if dead.size and previous is None:
-        raise EmptyComponentError(dead)
-
-    weights = counts / m
-    safe_counts = np.where(counts > 0, counts, 1.0)
-    means = (resp.T @ data) / safe_counts[:, None]
-    comps = []
-    if restriction is CovarianceRestriction.SHARED_FULL:
-        pooled = np.zeros((data.shape[1], data.shape[1]))
-        for i in range(k):
-            if i in dead:
-                continue
-            centered = data - means[i]
-            pooled += (resp[:, i][:, None] * centered).T @ centered
-        pooled /= m
-        pooled = (pooled + pooled.T) / 2.0
-        for i in range(k):
-            if i in dead:
-                comps.append(previous.components[i])
-            else:
-                comps.append(Gaussian(means[i], pooled))
-    else:
-        for i in range(k):
-            if i in dead:
-                comps.append(previous.components[i])
-                continue
-            centered = data - means[i]
-            cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
-            comps.append(Gaussian(means[i], (cov + cov.T) / 2.0))
-    for i in dead:
-        weights[i] = EMPTY_COMPONENT_FRACTION
-        means[i] = previous.components[i].mean
-    weights = weights / weights.sum()
-    return Mixture(comps, weights)
-
-
-def _rescue(model: Mixture, data, lse_per_point, dead_index: int) -> Mixture:
-    """Move a dead component's center to the lowest-density data point."""
-    worst = int(np.argmin(lse_per_point))
-    comps = list(model.components)
-    old = comps[dead_index]
-    comps[dead_index] = Gaussian(data[worst], old.covariance)
-    return Mixture(comps, model.weights)
+    if previous is not None:
+        previous = _from_mixture(previous)
+    return _to_mixture(_m_step(resp, data, restriction, previous))
 
 
 def run_em(
@@ -175,18 +289,21 @@ def run_em(
     tol: float = 1e-5,
     max_iter: int = 500,
 ) -> FitResult:
-    """EM to convergence: stop when the relative log-likelihood gain < tol."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    model = init_params(data, k, restriction, seed)
+    """EM to convergence: stop when the relative log-likelihood gain < tol.
+
+    A component that empties is moved to the worst-explained point (at most
+    MAX_RESCUES times per fit); after that it keeps its previous parameters.
+    """
+    data = _as_data(data)
+    params = _from_mixture(init_params(data, k, restriction, seed))
+    gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
     trace = []
     rescues = 0
     converged = False
     iterations = 0
     for _ in range(max_iter + 1):
-        try:
-            resp, ll = e_step(model, data)
-        except (IllConditionedError, NotPositiveDefiniteError) as exc:
-            raise type(exc)(f"iteration {iterations}: {exc}") from exc
+        resp, lse = _e_step(params, data)
+        ll = float(lse.sum())
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) <= tol * abs(ll):
             converged = True
@@ -194,25 +311,20 @@ def run_em(
         if iterations == max_iter:
             break
         try:
-            model = m_step(resp, data, restriction)
+            params = _m_step(resp, data, restriction, gram=gram)
         except EmptyComponentError as exc:
             if rescues < MAX_RESCUES:
                 rescues += 1
-                log_joint = np.column_stack(
-                    [
-                        np.log(w) + log_density_batch(g, data)
-                        for g, w in zip(model.components, model.weights)
-                    ]
-                )
-                lse = logsumexp(log_joint, axis=1)
-                model = _rescue(model, data, lse, exc.indices[0])
+                means = params.means.copy()
+                means[exc.indices[0]] = data[int(np.argmin(lse))]
+                params = params._replace(means=means)
             else:
-                model = m_step(resp, data, restriction, previous=model)
+                params = _m_step(resp, data, restriction, params, gram)
         except (IllConditionedError, NotPositiveDefiniteError) as exc:
             raise type(exc)(f"iteration {iterations}: {exc}") from exc
         iterations += 1
     return FitResult(
-        model=model,
+        model=_to_mixture(params),
         iterations=iterations,
         loglik_trace=np.array(trace),
         converged=converged,
@@ -239,23 +351,24 @@ def rp_em(
 
     Returns (high-dimensional FitResult, projection, low-dimensional FitResult).
     """
-    train = np.atleast_2d(np.asarray(train, dtype=float))
+    train = _as_data(train)
     n = train.shape[1]
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
-    resp_low, _ = e_step(fit_low.model, low_data)
-    model = m_step(resp_low, train, restriction, previous=None)
+    resp, _ = _e_step(_from_mixture(fit_low.model), low_data)
+    gram = _gram(train) if restriction is CovarianceRestriction.SHARED_FULL else None
+    params = _m_step(resp, train, restriction, gram=gram)
     trace = []
     steps = 1 + extra_high_dim_steps
     for _ in range(steps):
-        resp, ll = e_step(model, train)
-        trace.append(ll)
-        model = m_step(resp, train, restriction, previous=model)
-    _, ll_final = e_step(model, train)
-    trace.append(ll_final)
+        resp, lse = _e_step(params, train)
+        trace.append(float(lse.sum()))
+        params = _m_step(resp, train, restriction, params, gram)
+    _, lse = _e_step(params, train)
+    trace.append(float(lse.sum()))
     fit_high = FitResult(
-        model=model,
+        model=_to_mixture(params),
         iterations=steps,
         loglik_trace=np.array(trace),
         converged=False,

@@ -9,6 +9,10 @@ class DimensionMismatchError(RpmixError):
     pass
 
 
+class NonFiniteError(RpmixError, ValueError):
+    """Input data contains NaN or infinity."""
+
+
 class NotPositiveDefiniteError(RpmixError):
     pass
 

@@ -27,6 +27,7 @@ from .em import (
 from .errors import (
     BadDimsError,
     ConfigError,
+    EmptyComponentError,
     IllConditionedError,
     MissingDataError,
     NotPositiveDefiniteError,
@@ -333,6 +334,9 @@ EM_DEFAULTS = dict(
 )
 
 
+FIT_FAILURES = (IllConditionedError, NotPositiveDefiniteError, EmptyComponentError)
+
+
 def em_compare_trial(
     n,
     seed,
@@ -347,7 +351,8 @@ def em_compare_trial(
 ):
     """One head-to-head trial of regular EM vs the RP+EM hybrid.
 
-    A failed fit (ill-conditioned or singular covariances) is scored as an
+    A failed fit (ill-conditioned or singular covariances, or a component
+    that is empty when the hybrid lifts its soft labels) is scored as an
     unsuccessful run with -inf test log-likelihood, never dropped.
     """
     s_sample, s_test, s_fit = _trial_seeds(seed, 0, 3)
@@ -364,7 +369,7 @@ def em_compare_trial(
         row["reg_iterations"] = reg.iterations
         row["reg_test_loglik"] = test_loglik(reg.model, test_data)
         row["reg_failed"] = False
-    except (IllConditionedError, NotPositiveDefiniteError):
+    except FIT_FAILURES:
         row.update(
             reg_success=False,
             reg_iterations=0,
@@ -377,7 +382,7 @@ def em_compare_trial(
         row["rp_low_iterations"] = fit_low.iterations
         row["rp_test_loglik"] = test_loglik(fit_high.model, test_data)
         row["rp_failed"] = False
-    except (IllConditionedError, NotPositiveDefiniteError):
+    except FIT_FAILURES:
         row.update(
             rp_success=False,
             rp_low_iterations=0,

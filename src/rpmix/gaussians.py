@@ -18,7 +18,9 @@ from scipy.linalg import cholesky, solve_triangular
 from .errors import (
     DimensionMismatchError,
     IllConditionedError,
+    InconsistentWidthError,
     NotPositiveDefiniteError,
+    ParseError,
     TooFewComponentsError,
 )
 
@@ -90,8 +92,7 @@ class Gaussian:
 
     @property
     def condition_number(self):
-        lam = self.eigenvalues
-        return lam[-1] / lam[0] if lam[0] > 0 else np.inf
+        return _condition_number(self.eigenvalues)
 
     @property
     def log_det(self):
@@ -146,10 +147,15 @@ class SpectralSummary:
     trace: float
 
 
-def _check_conditioning(g: Gaussian):
-    if g.condition_number >= CONDITION_LIMIT:
+def _condition_number(lam):
+    """lambda_max / lambda_min from ascending eigenvalues; inf unless all > 0."""
+    return lam[-1] / lam[0] if lam[0] > 0 else np.inf
+
+
+def _check_conditioning(cond):
+    if cond >= CONDITION_LIMIT:
         raise IllConditionedError(
-            f"covariance condition number {g.condition_number:.3g} >= {CONDITION_LIMIT:g}"
+            f"covariance condition number {cond:.3g} >= {CONDITION_LIMIT:g}"
         )
 
 
@@ -158,7 +164,7 @@ def log_density(g: Gaussian, x) -> float:
     x = _as_float_array(x, "x")
     if x.shape != (g.dim,):
         raise DimensionMismatchError(f"point has shape {x.shape}, expected ({g.dim},)")
-    _check_conditioning(g)
+    _check_conditioning(g.condition_number)
     y = solve_triangular(g.chol, x - g.mean, lower=True)
     return -0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * float(y @ y)
 
@@ -170,7 +176,7 @@ def log_density_batch(g: Gaussian, points) -> np.ndarray:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, expected {g.dim}"
         )
-    _check_conditioning(g)
+    _check_conditioning(g.condition_number)
     y = solve_triangular(g.chol, (pts - g.mean).T, lower=True)
     quad = np.sum(y * y, axis=0)
     return -0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * quad
@@ -181,7 +187,7 @@ def mahalanobis(g: Gaussian, x) -> float:
     x = _as_float_array(x, "x")
     if x.shape != (g.dim,):
         raise DimensionMismatchError(f"point has shape {x.shape}, expected ({g.dim},)")
-    _check_conditioning(g)
+    _check_conditioning(g.condition_number)
     y = solve_triangular(g.chol, x - g.mean, lower=True)
     return float(np.sqrt(y @ y))
 
@@ -285,13 +291,42 @@ def save_dataset(points, path, header=None):
             f.write(",".join(FLOAT_FMT % v for v in row) + "\n")
 
 
-def load_dataset(path, skip_header=False) -> np.ndarray:
-    rows = []
+def _read_csv(path, skip_header=False):
+    """A numeric CSV file as a float array, plus each row's line number.
+
+    Blank lines are skipped. A cell that is not a finite number raises
+    ParseError, and a row narrower or wider than the first raises
+    InconsistentWidthError; both name the file and the line.
+    """
+    rows, linenos = [], []
+    width = None
     with open(path) as f:
         if skip_header:
             f.readline()
-        for line in f:
+        for lineno, line in enumerate(f, start=2 if skip_header else 1):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.array(rows, dtype=float)
+            if not line:
+                continue
+            try:
+                values = [float(v) for v in line.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise InconsistentWidthError(
+                    f"{path}: line {lineno}: expected {width} values, got {len(values)}"
+                )
+            rows.append(values)
+            linenos.append(lineno)
+    table = np.array(rows, dtype=float)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ParseError(f"{path}: line {linenos[row]}: non-finite value")
+    return table, linenos
+
+
+def load_dataset(path, skip_header=False) -> np.ndarray:
+    """Read one point per CSV row, as written by `save_dataset`."""
+    return _read_csv(path, skip_header)[0]

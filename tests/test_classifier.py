@@ -57,6 +57,13 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             ingest(path)
 
+    @pytest.mark.parametrize("row", ["1,nan,2.0", "1,1.0,-inf", "1.5,1.0,2.0"])
+    def test_non_finite_value_or_fractional_label_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1.0,2.0\n{row}\n")
+        with pytest.raises(ParseError, match="bad.csv: line 2"):
+            ingest(path)
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("0,1.0,2.0\n1,3.0\n")

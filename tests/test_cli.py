@@ -100,6 +100,18 @@ class TestEm:
         assert code == 0
         assert load_projection(proj_path).target_dim == 3
 
+    def test_bad_csv_is_clean_error(self, tmp_path, capsys):
+        for name, text, kind in (
+            ("nan.csv", "0.5,1.0\n1.5,nan\n2.0,0.0\n", "non-finite"),
+            ("ragged.csv", "0.5,1.0\n1.5\n2.0,0.0\n", "expected 2 values"),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            code = run_cli(["em", "--data", path, "--k", 2, "--out", tmp_path / "o.json"])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"{name}: line 2: {kind}" in err
+
     def test_missing_file_is_clean_error(self, tmp_path, capsys):
         code = run_cli(
             ["em", "--data", tmp_path / "absent.csv", "--k", 2,
@@ -175,6 +187,20 @@ class TestExperiment:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"experiment": "nope"}))
         return path
+
+    def test_config_not_json_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("")
+        assert run_cli(["experiment", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "empty.json: not valid JSON" in err
+
+    def test_config_not_an_object_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(["fig3-sep-vs-n"]))
+        assert run_cli(["experiment", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "list.json: expected a JSON object, got list" in err
 
     def test_help_documents_report_columns(self, capsys):
         try:

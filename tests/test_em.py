@@ -17,13 +17,17 @@ from rpmix import (
     run_em,
     sample,
 )
+from rpmix import em
+from rpmix.em import _from_mixture, _gram, _log_joint, _m_step, _to_mixture
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
     EmptyComponentError,
+    NonFiniteError,
     NotEnoughDataError,
     ShapeMismatchError,
 )
+from rpmix.gaussians import log_density_batch
 from rpmix.projection import project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
@@ -258,6 +262,133 @@ class TestRunEm:
         b = run_em(data, 2, SHARED, 4)
         assert np.array_equal(a.loglik_trace, b.loglik_trace)
         assert np.array_equal(a.model.means, b.model.means)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_raises(self, bad):
+        data = two_blob_data(m=40, seed=16)
+        data[7, 1] = bad
+        for restriction in (FULL, SHARED):
+            with pytest.raises(NonFiniteError):
+                run_em(data, 2, restriction, 0)
+        with pytest.raises(NonFiniteError):
+            rp_em(data, 2, 1, SHARED, 0)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_shared_fit_factors_once_per_m_step(self, k, monkeypatch):
+        # Whatever k is, a SHARED_FULL M-step makes one Cholesky and one
+        # eigvalsh; the initial model takes one more of each.
+        calls = {"cholesky": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(em, "cholesky", counted("cholesky", em.cholesky))
+        monkeypatch.setattr(em, "eigvalsh", counted("eigvalsh", em.eigvalsh))
+        rng = np.random.default_rng(30)
+        centers = rng.standard_normal((k, 4)) * 6
+        data = np.vstack([c + rng.standard_normal((60, 4)) for c in centers])
+        fit = run_em(data, k, SHARED, 1, max_iter=25)
+        assert fit.iterations >= 2
+        assert calls == {"cholesky": fit.iterations + 1, "eigvalsh": fit.iterations + 1}
+
+
+def _stacked_log_joint(model, data):
+    """Reference: log w_i + log N(x; mu_i, Sigma_i), one Gaussian at a time."""
+    return np.column_stack(
+        [
+            np.log(w) + log_density_batch(g, data)
+            for g, w in zip(model.components, model.weights)
+        ]
+    )
+
+
+def _old_pooled(resp, data, dead=()):
+    """Reference: the pooled scatter as one weighted Gram per live component."""
+    counts = resp.sum(axis=0)
+    means = (resp.T @ data) / counts[:, None]
+    pooled = np.zeros((data.shape[1], data.shape[1]))
+    for i in range(resp.shape[1]):
+        if i in dead:
+            continue
+        centered = data - means[i]
+        pooled += (resp[:, i][:, None] * centered).T @ centered
+    pooled /= data.shape[0]
+    return (pooled + pooled.T) / 2.0
+
+
+class TestArrayCore:
+    def _data(self, seed, m=120, n=5):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((m, n)) @ rng.standard_normal((n, n))
+        data[: m // 3] += 4.0
+        return data + 50.0
+
+    def _assert_matches_reference(self, params, data):
+        ref = _stacked_log_joint(_to_mixture(params), data)
+        rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12
+
+    def test_log_joint_shared_state(self):
+        data = self._data(31)
+        resp = np.random.default_rng(32).dirichlet(np.ones(3), size=data.shape[0])
+        params = _m_step(resp, data, SHARED)
+        assert len(params.chols) == 1
+        assert np.array_equal(params.owner, [0, 0, 0])
+        self._assert_matches_reference(params, data)
+
+    def test_log_joint_distinct_state(self):
+        data = self._data(33)
+        resp = np.random.default_rng(34).dirichlet(np.ones(3), size=data.shape[0])
+        params = _m_step(resp, data, FULL)
+        assert len(params.chols) == 3
+        self._assert_matches_reference(params, data)
+
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_log_joint_dead_component_keeps_previous_factor(self, restriction):
+        data = self._data(35)
+        rng = np.random.default_rng(36)
+        previous = _m_step(rng.dirichlet(np.ones(3), size=data.shape[0]), data, restriction)
+        resp = rng.dirichlet(np.ones(3), size=data.shape[0])
+        resp[:, 1] = 0.0
+        resp /= resp.sum(axis=1, keepdims=True)
+        params = _m_step(resp, data, restriction, previous)
+        kept = previous.owner[1]
+        assert params.chols[params.owner[1]] is previous.chols[kept]
+        assert np.array_equal(params.means[1], previous.means[1])
+        assert len(params.chols) == (2 if restriction is SHARED else 3)
+        self._assert_matches_reference(params, data)
+
+    def test_equal_covariances_share_a_factor(self):
+        a, b = np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])
+        mix = Mixture(
+            [Gaussian([0.0, 0.0], a), Gaussian([1.0, 0.0], b), Gaussian([0.0, 1.0], a.copy())],
+            [0.2, 0.3, 0.5],
+        )
+        params = _from_mixture(mix)
+        assert len(params.chols) == 2
+        assert np.array_equal(params.owner, [0, 1, 0])
+        data = np.random.default_rng(37).standard_normal((30, 2))
+        self._assert_matches_reference(params, data)
+
+    def test_pooled_covariance_from_gram_matches_k_grams(self):
+        data = self._data(38, m=200, n=6)
+        rng = np.random.default_rng(39)
+        resp = rng.dirichlet(np.ones(4), size=200)
+        pooled = _m_step(resp, data, SHARED, gram=_gram(data)).covs[0]
+        ref = _old_pooled(resp, data)
+        assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # With a dead component its (tiny) responsibility share leaves the
+        # pooled scatter, as in the per-component sum.
+        resp[:, 2] *= 5e-11
+        resp /= resp.sum(axis=1, keepdims=True)
+        previous = _m_step(rng.dirichlet(np.ones(4), size=200), data, SHARED)
+        pooled = _m_step(resp, data, SHARED, previous, _gram(data)).covs[0]
+        ref = _old_pooled(resp, data, dead=(2,))
+        assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRpEm:

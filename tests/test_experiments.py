@@ -8,6 +8,7 @@ from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
     ConfigError,
+    EmptyComponentError,
     MissingDataError,
 )
 from rpmix.experiments import (
@@ -265,6 +266,19 @@ class TestEmComparison:
         assert isinstance(row["reg_success"], bool)
         assert row["exact_match"] in (True, False)
         assert not (row["exact_match"] and row["rp_beats"])
+
+    def test_dead_component_at_lift_is_a_failed_trial(self, monkeypatch):
+        def dead_at_lift(*args, **kwargs):
+            raise EmptyComponentError((1,))
+
+        monkeypatch.setattr(experiments, "rp_em", dead_at_lift)
+        row = em_compare_trial(10, 0, k=2, d=3, train_size=100, test_size=50)
+        assert row["rp_failed"] is True
+        assert row["rp_success"] is False
+        assert row["rp_test_loglik"] == -np.inf
+        assert row["rp_low_iterations"] == 0
+        assert row["reg_failed"] is False and np.isfinite(row["reg_test_loglik"])
+        assert row["rp_beats"] is False
 
     def test_small_batch_runs(self):
         report = fig8_body(0, trials=2, n_values=(50,))

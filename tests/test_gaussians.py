@@ -24,7 +24,9 @@ from rpmix import (
 from rpmix.errors import (
     DimensionMismatchError,
     IllConditionedError,
+    InconsistentWidthError,
     NotPositiveDefiniteError,
+    ParseError,
     TooFewComponentsError,
 )
 from rpmix.gaussians import log_density_batch
@@ -321,3 +323,16 @@ class TestSerialization:
         save_dataset(data, path, header=["a", "b", "c"])
         back = load_dataset(path, skip_header=True)
         assert np.array_equal(back, data)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x", ""])
+    def test_dataset_bad_cell_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ParseError, match="data.csv: line 3"):
+            load_dataset(path, skip_header=True)
+
+    def test_dataset_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0,5.0\n")
+        with pytest.raises(InconsistentWidthError, match="line 3: expected 2 values, got 3"):
+            load_dataset(path)
