@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import experiments
+from ._blas import single_blas_thread
 from .classifier import (
     cluster_analysis,
     evaluate,
@@ -157,7 +158,14 @@ def _cmd_experiment(args):
     if not name:
         raise RpmixError("no experiment named (positional argument or config file)")
     overrides = dict(cfg.get("overrides", {}))
-    if args.threads != 1 and "threads" in experiments.EXPERIMENTS.get(name, (None, set()))[1]:
+    if args.threads is not None:
+        takes_threads = sorted(
+            e for e, (_, allowed) in experiments.EXPERIMENTS.items() if "threads" in allowed
+        )
+        if name not in takes_threads:
+            raise ConfigError(
+                f"--threads does not apply to {name}; it applies to {takes_threads}"
+            )
         overrides["threads"] = args.threads
     config = experiments.ExperimentConfig(
         experiment=name,
@@ -241,7 +249,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None, help="base seed (trial t uses seed+t)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", help="directory for the report CSV")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for the trials, in experiments that "
+                        "take a threads override (default 1)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -251,7 +261,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with single_blas_thread():
+            args.func(args)
     except (RpmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ by aggregate rows (mean, sd, min, max, median) per parameter group.
 
 from __future__ import annotations
 
+import inspect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .classifier import LabeledDataset, evaluate, ingest, train
 from .em import (
     CovarianceRestriction,
@@ -140,6 +142,7 @@ def _trial_seeds(base_seed, trial, count):
 # ---------------------------------------------------------------------------
 # Separation experiments (projected-pair geometry)
 
+@single_blas_thread()
 def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20):
     """Projected separation of a 1-separated spherical pair vs original dim."""
     rows = []
@@ -154,6 +157,7 @@ def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20):
     return _report(("n",), ("separation",), rows)
 
 
+@single_blas_thread()
 def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
     """Projected separation of maximally packed mixtures at d = 10 ln k."""
     rows = []
@@ -173,6 +177,7 @@ def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
 # ---------------------------------------------------------------------------
 # Eccentricity experiments
 
+@single_blas_thread()
 def fig5_body(
     base_seed,
     trials=40,
@@ -198,6 +203,7 @@ def fig5_body(
     return _report(("E", "n"), ("eccentricity",), rows)
 
 
+@single_blas_thread()
 def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24, -1))):
     """One fixed eccentric Gaussian projected to successively lower dims."""
     cov = eccentric_covariance(
@@ -253,6 +259,7 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     return table(pca_map), table(rp_map)
 
 
+@single_blas_thread()
 def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     rows = []
     for t in range(trials):
@@ -273,6 +280,7 @@ def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1
     return _report(("method", "i", "j"), ("separation",), rows)
 
 
+@single_blas_thread()
 def pca_collapse_body(base_seed, k=10, samples=10000):
     """Symmetric arrangement where PCA to k/2 - 1 dims collapses a pair.
 
@@ -420,11 +428,15 @@ def _run_trials(worker_args, threads=1):
     return [_em_trial_star(args) for args in worker_args]
 
 
+# Scoped per trial as well as per body: a worker started by spawn or
+# forkserver does not inherit the parent's thread count.
+@single_blas_thread()
 def _em_trial_star(args):
     n, seed, params = args
     return em_compare_trial(n, seed, **params)
 
 
+@single_blas_thread()
 def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=1, **overrides):
     """Regular EM vs RP+EM on 1-separated spherical five-component mixtures."""
     params = dict(EM_DEFAULTS)
@@ -436,6 +448,7 @@ def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=1, **
     return _report(("n",), EM_COMPARE_METRICS, rows)
 
 
+@single_blas_thread()
 def second_em_body(base_seed, trials=100, n=100, threads=1):
     """Three 0.8-separated eccentricity-25 Gaussians, unrestricted covariances."""
     params = dict(
@@ -499,6 +512,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     return draw(train_size, s_train), draw(test_size, s_test)
 
 
+@single_blas_thread()
 def fig9_body(
     base_seed,
     trials=3,
@@ -559,6 +573,9 @@ class ExperimentConfig:
                     f"override {key!r} not valid for {self.experiment}; "
                     f"allowed: {sorted(allowed)}"
                 )
+        threads = self.overrides.get("threads", 1)
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+            raise ConfigError(f"threads must be an int >= 1, got {threads!r}")
 
 
 EXPERIMENTS = {
@@ -590,6 +607,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     if config.trials is not None and config.experiment not in NO_TRIALS:
         kwargs["trials"] = config.trials
     try:
-        return body(config.base_seed, **kwargs)
+        inspect.signature(body).bind(config.base_seed, **kwargs)
     except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{config.experiment}: {exc}") from exc
+    return body(config.base_seed, **kwargs)

@@ -1,0 +1,116 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+import numpy
+import pytest
+import scipy
+
+from rpmix import _blas, cli, experiments
+from rpmix._blas import openblas_controls, single_blas_thread
+from rpmix.experiments import fig3_body
+
+needs_openblas = pytest.mark.skipif(
+    not openblas_controls(), reason="no OpenBLAS mapped into this process"
+)
+
+
+def thread_counts():
+    return [get() for get, _ in openblas_controls()]
+
+
+@single_blas_thread()
+def counts_in_scope():
+    return thread_counts()
+
+
+@pytest.fixture
+def two_threads():
+    """Every OpenBLAS at 2 threads for the test; the original counts after."""
+    original = thread_counts()
+    for _, set_ in openblas_controls():
+        set_(2)
+    yield
+    for (_, set_), count in zip(openblas_controls(), original):
+        set_(count)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc")
+def test_finds_the_openblas_bundled_with_numpy_and_scipy():
+    bundled = {
+        path.resolve()
+        for pkg in (numpy, scipy)
+        for path in (Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs").glob("*openblas*")
+    }
+    mapped = {Path(p).resolve() for p in _blas._mapped_openblas_paths()}
+    assert bundled <= mapped
+    assert len(openblas_controls()) >= len(bundled)
+
+
+@needs_openblas
+def test_body_runs_on_one_thread_and_restores(monkeypatch, two_threads):
+    seen = []
+    separation = experiments.mixture_separation
+
+    def recording(mix):
+        seen.append(thread_counts())
+        return separation(mix)
+
+    monkeypatch.setattr(experiments, "mixture_separation", recording)
+    fig3_body(0, trials=2, n_values=(50,))
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert thread_counts() == [2] * len(seen[0])
+
+
+@needs_openblas
+def test_counts_restored_when_the_body_raises(monkeypatch, two_threads):
+    def failing(mix):
+        raise RuntimeError("inside the body")
+
+    monkeypatch.setattr(experiments, "mixture_separation", failing)
+    with pytest.raises(RuntimeError, match="inside the body"):
+        fig3_body(0, trials=1, n_values=(50,))
+    assert thread_counts() == [2] * len(openblas_controls())
+
+
+@needs_openblas
+def test_nested_scopes_restore_the_outer_value(two_threads):
+    ones = [1] * len(openblas_controls())
+    with single_blas_thread():
+        assert thread_counts() == ones
+        for _, set_ in openblas_controls():
+            set_(3)
+        with single_blas_thread():
+            assert thread_counts() == ones
+        assert thread_counts() == [3] * len(ones)
+    assert thread_counts() == [2] * len(ones)
+
+
+def test_nothing_found_runs_the_body_unchanged(monkeypatch):
+    expected = fig3_body(4, trials=3, n_values=(50,))
+    monkeypatch.setattr(_blas, "openblas_controls", lambda: ())
+    assert fig3_body(4, trials=3, n_values=(50,)) == expected
+
+
+@needs_openblas
+def test_trial_worker_enters_the_scope_itself(monkeypatch, two_threads):
+    monkeypatch.setattr(experiments, "em_compare_trial", lambda n, seed, **kw: thread_counts())
+    assert experiments._em_trial_star((50, 0, {})) == [1] * len(openblas_controls())
+
+
+@needs_openblas
+def test_spawned_worker_runs_on_one_thread():
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+        counts = pool.submit(counts_in_scope).result(timeout=120)
+    assert counts and counts == [1] * len(counts)
+
+
+@needs_openblas
+def test_cli_command_runs_on_one_thread(monkeypatch, two_threads):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_synth", lambda args: seen.append(thread_counts()))
+    code = cli.main(["synth", "--n", "3", "--k", "2", "--c", "1", "--out", "unused.json"])
+    assert code == 0
+    assert seen == [[1] * len(openblas_controls())]
+    assert thread_counts() == [2] * len(openblas_controls())

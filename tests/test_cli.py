@@ -202,6 +202,26 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "list.json: expected a JSON object, got list" in err
 
+    def test_threads_below_one_rejected(self, capsys):
+        code = run_cli(["experiment", "second-em-compare", "--trials", 1, "--threads", 0])
+        assert code == 1
+        assert "threads must be an int >= 1, got 0" in capsys.readouterr().err
+
+    def test_threads_for_experiment_without_workers_rejected(self, capsys):
+        code = run_cli(["experiment", "fig3-sep-vs-n", "--trials", 1, "--threads", 2])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--threads does not apply to fig3-sep-vs-n" in err
+        assert "['fig8-em-compare', 'second-em-compare']" in err
+
+    def test_threads_string_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"experiment": "second-em-compare", "overrides": {"threads": "2"}})
+        )
+        assert run_cli(["experiment", "--config", path]) == 1
+        assert "threads must be an int >= 1, got '2'" in capsys.readouterr().err
+
     def test_help_documents_report_columns(self, capsys):
         try:
             run_cli(["experiment", "--help"])

@@ -280,6 +280,22 @@ class TestEmComparison:
         assert row["reg_failed"] is False and np.isfinite(row["reg_test_loglik"])
         assert row["rp_beats"] is False
 
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("fig8-em-compare", {"n_values": (50,)}), ("second-em-compare", {})],
+    )
+    def test_worker_pool_report_byte_identical(self, tmp_path, name, overrides):
+        def csv(threads):
+            config = ExperimentConfig(
+                experiment=name, trials=4, base_seed=11,
+                overrides={**overrides, "threads": threads},
+            )
+            path = tmp_path / f"{threads}.csv"
+            run(config).to_csv(path)
+            return path.read_bytes()
+
+        assert csv(2) == csv(1)
+
     def test_small_batch_runs(self):
         report = fig8_body(0, trials=2, n_values=(50,))
         assert len(report.rows) == 2
@@ -345,6 +361,27 @@ class TestConfig:
     def test_bad_trial_count(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fig3-sep-vs-n", trials=0)
+
+    @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True, None])
+    def test_bad_threads_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads must be an int >= 1"):
+            ExperimentConfig(experiment="fig8-em-compare", overrides={"threads": threads})
+
+    def test_keyword_the_body_does_not_take_is_config_error(self, monkeypatch):
+        def body(base_seed, trials=1):
+            return base_seed
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "fig3-sep-vs-n", (body, {"d"}))
+        with pytest.raises(ConfigError, match="fig3-sep-vs-n: .*'d'"):
+            run(ExperimentConfig(experiment="fig3-sep-vs-n", overrides={"d": 3}))
+
+    def test_type_error_inside_body_propagates(self, monkeypatch):
+        def body(base_seed, trials=1, d=2):
+            return len(d)
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "fig3-sep-vs-n", (body, {"d"}))
+        with pytest.raises(TypeError, match="has no len"):
+            run(ExperimentConfig(experiment="fig3-sep-vs-n", overrides={"d": 3}))
 
     def test_dispatch_runs_named_experiment(self):
         report = run(
