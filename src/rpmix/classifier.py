@@ -83,9 +83,8 @@ def ingest(path) -> LabeledDataset:
 
 def save_labeled(data: LabeledDataset, path):
     """Write the label-first CSV format read by `ingest` (round-trips exactly)."""
-    with open(path, "w") as f:
-        for label, row in zip(data.labels, data.points):
-            f.write(str(int(label)) + "," + ",".join(FLOAT_FMT % v for v in row) + "\n")
+    table = np.column_stack((data.labels, data.points))
+    np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",")
 
 
 def train(
@@ -207,8 +206,6 @@ def cluster_analysis(
 def save_cluster_analysis(analysis: ClusterAnalysis, path):
     """CSV: class x class separation table with a trailing eccentricity column."""
     k = analysis.separations.shape[0]
-    with open(path, "w") as f:
-        f.write("class," + ",".join(str(j) for j in range(k)) + ",eccentricity\n")
-        for i in range(k):
-            row = ",".join(FLOAT_FMT % v for v in analysis.separations[i])
-            f.write(f"{i},{row}," + FLOAT_FMT % analysis.eccentricities[i] + "\n")
+    table = np.column_stack((np.arange(k), analysis.separations, analysis.eccentricities))
+    header = ",".join(["class", *map(str, range(k)), "eccentricity"])
+    np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")

@@ -8,6 +8,7 @@ runs can be diffed and replayed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -90,6 +91,8 @@ def _cmd_project(args):
         data = load_dataset(args.data)
         proj = pca(data, args.d)
     else:
+        if args.n is None:
+            raise RpmixError(f"--n is required for kind={args.kind}")
         gen = random_orthonormal if args.kind == "orthonormal" else random_uniform
         proj = gen(args.n, args.d, args.seed)
     save_projection(proj, args.out)
@@ -115,10 +118,9 @@ def _cmd_em(args):
     print(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
           f"train loglik {fit.loglik_trace[-1]:.6f}")
     if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write("iteration,train_loglik\n")
-            for i, ll in enumerate(fit.loglik_trace):
-                f.write(f"{i},{FLOAT_FMT % ll}\n")
+        table = np.column_stack((np.arange(len(fit.loglik_trace)), fit.loglik_trace))
+        np.savetxt(args.trace_out, table, fmt=FLOAT_FMT, delimiter=",",
+                   header="iteration,train_loglik", comments="")
     if args.test:
         test = load_dataset(args.test)
         print(f"test loglik {test_loglik(fit.model, test):.6f}")
@@ -157,7 +159,12 @@ def _cmd_experiment(args):
     name = args.name or cfg.get("experiment")
     if not name:
         raise RpmixError("no experiment named (positional argument or config file)")
-    overrides = dict(cfg.get("overrides", {}))
+    config = experiments.ExperimentConfig(
+        experiment=name,
+        trials=args.trials if args.trials is not None else cfg.get("trials"),
+        base_seed=args.seed if args.seed is not None else cfg.get("base_seed", 0),
+        overrides=cfg.get("overrides", {}),
+    )
     if args.threads is not None:
         takes_threads = sorted(
             e for e, (_, allowed) in experiments.EXPERIMENTS.items() if "threads" in allowed
@@ -166,13 +173,9 @@ def _cmd_experiment(args):
             raise ConfigError(
                 f"--threads does not apply to {name}; it applies to {takes_threads}"
             )
-        overrides["threads"] = args.threads
-    config = experiments.ExperimentConfig(
-        experiment=name,
-        trials=args.trials if args.trials is not None else cfg.get("trials"),
-        base_seed=args.seed if args.seed is not None else cfg.get("base_seed", 0),
-        overrides=overrides,
-    )
+        config = dataclasses.replace(
+            config, overrides={**config.overrides, "threads": args.threads}
+        )
     report = experiments.run(config)
     for line in report.summary_lines():
         print(line)

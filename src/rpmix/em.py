@@ -31,6 +31,7 @@ from .errors import (
     DuplicatePointsError,
     EmptyComponentError,
     IllConditionedError,
+    InvalidParameterError,
     NonFiniteError,
     NotEnoughDataError,
     NotPositiveDefiniteError,
@@ -224,6 +225,8 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     m, n = data.shape
+    if k < 1:
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
     if m < k:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
     rng = np.random.default_rng(seed)

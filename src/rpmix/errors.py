@@ -13,6 +13,10 @@ class NonFiniteError(RpmixError, ValueError):
     """Input data contains NaN or infinity."""
 
 
+class InvalidParameterError(RpmixError, ValueError):
+    """A parameter lies outside its valid range."""
+
+
 class NotPositiveDefiniteError(RpmixError):
     pass
 
@@ -26,10 +30,6 @@ class TooFewComponentsError(RpmixError):
 
 
 class BadDimsError(RpmixError):
-    pass
-
-
-class DegenerateDrawError(RpmixError):
     pass
 
 

@@ -38,12 +38,13 @@ from .gaussians import (
     FLOAT_FMT,
     Gaussian,
     Mixture,
+    _labelled_draw,
     mixture_separation,
     pairwise_separation,
     sample,
     spectral_summary,
 )
-from .projection import pca, project_data, project_mixture, random_orthonormal
+from .projection import _haar_orthogonal, pca, project_mixture, random_orthonormal
 from .synthesis import (
     CovarianceMode,
     MixtureSpec,
@@ -486,8 +487,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     roots = np.maximum(E * spectrum_decay ** np.arange(n), 1.0)
     covs = []
     for _ in range(num_classes):
-        q, r = np.linalg.qr(rng.standard_normal((n, n)))
-        q = q * np.sign(np.diag(r))
+        q = _haar_orthogonal(rng.standard_normal((n, n)))
         covs.append((q * roots**2) @ q.T)
     radii = np.sqrt([np.trace(cov) for cov in covs])
     centers = packed_centers(num_classes, n, c, radii, rng.integers(0, 2**63))
@@ -499,12 +499,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
 
     def draw(size, seed):
         draw_rng = np.random.default_rng(seed)
-        labels = draw_rng.choice(num_classes, size=size)
-        pts = np.empty((size, n))
-        z = draw_rng.standard_normal((size, n))
-        for i, g in enumerate(mix.components):
-            sel = labels == i
-            pts[sel] = z[sel] @ g.chol.T + g.mean
+        labels, pts = _labelled_draw(mix, size, draw_rng)
         flip = draw_rng.random(size) < label_noise
         labels[flip] = draw_rng.choice(num_classes, size=int(flip.sum()))
         return LabeledDataset(pts, labels)
@@ -564,8 +559,12 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {sorted(EXPERIMENTS)}"
             )
-        if self.trials is not None and self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.trials is not None and not _is_int_at_least(self.trials, 1):
+            raise ConfigError(f"trials must be an int >= 1, got {self.trials!r}")
+        if not _is_int_at_least(self.base_seed, 0):
+            raise ConfigError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
+        if not isinstance(self.overrides, dict):
+            raise ConfigError(f"overrides must be a dict, got {self.overrides!r}")
         allowed = EXPERIMENTS[self.experiment][1]
         for key in self.overrides:
             if key not in allowed:
@@ -574,8 +573,12 @@ class ExperimentConfig:
                     f"allowed: {sorted(allowed)}"
                 )
         threads = self.overrides.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        if not _is_int_at_least(threads, 1):
             raise ConfigError(f"threads must be an int >= 1, got {threads!r}")
+
+
+def _is_int_at_least(value, low):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 EXPERIMENTS = {

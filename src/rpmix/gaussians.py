@@ -19,6 +19,8 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     InconsistentWidthError,
+    InvalidParameterError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     ParseError,
     TooFewComponentsError,
@@ -27,13 +29,13 @@ from .errors import (
 SYMMETRY_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
 
-FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"  # round-trips doubles; prints integers below 2**53 without a point
 
 
 def _as_float_array(x, name="array"):
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return a
 
 
@@ -233,11 +235,10 @@ def mixture_separation(m: Mixture) -> float:
     )
 
 
-def sample(m: Mixture, count: int, seed) -> np.ndarray:
-    """Draw `count` i.i.d. points from the mixture; deterministic in `seed`."""
+def _labelled_draw(m: Mixture, count: int, rng):
+    """Component indices and `count` i.i.d. points drawn with the generator `rng`."""
     if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+        raise InvalidParameterError(f"count must be >= 1, got {count}")
     comps = rng.choice(m.k, size=count, p=m.weights)
     z = rng.standard_normal((count, m.dim))
     out = np.empty((count, m.dim))
@@ -245,7 +246,12 @@ def sample(m: Mixture, count: int, seed) -> np.ndarray:
         rows = comps == i
         if np.any(rows):
             out[rows] = z[rows] @ g.chol.T + g.mean
-    return out
+    return comps, out
+
+
+def sample(m: Mixture, count: int, seed) -> np.ndarray:
+    """Draw `count` i.i.d. points from the mixture; deterministic in `seed`."""
+    return _labelled_draw(m, count, np.random.default_rng(seed))[1]
 
 
 def norm_tail_bound(n: int, eps: float) -> float:
@@ -284,11 +290,8 @@ def load_mixture(path) -> Mixture:
 def save_dataset(points, path, header=None):
     """Write one point per CSV row at full double precision."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w") as f:
-        if header is not None:
-            f.write(",".join(header) + "\n")
-        for row in points:
-            f.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+    header = "" if header is None else ",".join(header)
+    np.savetxt(path, points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
 def _read_csv(path, skip_header=False):

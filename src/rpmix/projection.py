@@ -1,9 +1,9 @@
 """Linear dimension-reduction maps: random projections and PCA.
 
 A projection is a d x n matrix applied on the left (x -> A x). The
-orthonormal generator draws i.i.d. N(0,1) entries and orthonormalizes the
-rows; the cheaper uniform generator draws entries from [-1, 1] and skips
-orthonormalization. PCA picks the top variance directions of a dataset.
+orthonormal generator orthonormalizes i.i.d. N(0,1) rows by sign-fixed
+Householder QR (a Haar-random span); the cheaper uniform generator draws
+entries from [-1, 1] and skips that. PCA picks the top variance directions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadDimsError,
-    DegenerateDrawError,
     DimensionMismatchError,
     NotEnoughDataError,
 )
@@ -61,30 +60,23 @@ class ProjectionMatrix:
         return self.rows.shape[0]
 
 
-def _modified_gram_schmidt(mat):
-    """Orthonormalize rows in place; returns None on a near-zero residual."""
-    q = mat.copy()
-    d, n = q.shape
-    for i in range(d):
-        for j in range(i):
-            q[i] -= (q[j] @ q[i]) * q[j]
-        norm = np.linalg.norm(q[i])
-        if norm < 1e-12 * np.sqrt(n):
-            return None
-        q[i] /= norm
-    return q
+def _haar_orthogonal(gauss):
+    """Q of the Householder QR of `gauss`, column signs set so R's diagonal is
+    positive: for i.i.d. N(0,1) entries Q is then Haar-distributed (Mezzadri,
+    "How to generate random matrices from the classical compact groups", 2007).
+    """
+    q, r = np.linalg.qr(gauss)
+    return q * np.sign(np.diag(r))
 
 
 def random_orthonormal(n: int, d: int, seed) -> ProjectionMatrix:
-    """Gaussian-entry matrix with rows orthonormalized by modified Gram-Schmidt."""
+    """Rows spanning a Haar-random d-dimensional subspace of R^n: the rows of
+    a d x n N(0,1) draw, orthonormalized as Gram-Schmidt would, by QR."""
     if d < 1 or d > n:
         raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        q = _modified_gram_schmidt(rng.standard_normal((d, n)))
-        if q is not None:
-            return ProjectionMatrix(q, ProjectionKind.ORTHONORMAL_RP)
-    raise DegenerateDrawError("Gram-Schmidt hit a near-zero residual three times")
+    rows = _haar_orthogonal(rng.standard_normal((d, n)).T).T
+    return ProjectionMatrix(rows, ProjectionKind.ORTHONORMAL_RP)
 
 
 def random_uniform(n: int, d: int, seed) -> ProjectionMatrix:

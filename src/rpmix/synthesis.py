@@ -17,11 +17,12 @@ import numpy as np
 from .errors import (
     BadDimsError,
     BadSeparationError,
+    InvalidParameterError,
     PackingError,
     TooManyComponentsError,
 )
 from .gaussians import Gaussian, Mixture
-from .projection import random_orthonormal
+from .projection import _haar_orthogonal, random_orthonormal
 
 
 class CovarianceMode(Enum):
@@ -42,11 +43,11 @@ class MixtureSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.E < 1:
-            raise ValueError("eccentricity must be >= 1")
-        if self.c < 0:
-            raise ValueError("separation must be >= 0")
+            raise InvalidParameterError(f"k must be >= 2, got {self.k}")
+        if not 1 <= self.E < np.inf:
+            raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E}")
+        if not 0 <= self.c < np.inf:
+            raise InvalidParameterError(f"separation must be finite and >= 0, got {self.c}")
 
 
 def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.ndarray:
@@ -71,10 +72,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     eigs = roots**2
     if mode is CovarianceMode.DIAGONAL_DISTINCT:
         return np.diag(eigs)
-    # Random orthogonal basis via QR of a Gaussian matrix, R-diagonal signs
-    # fixed positive so the distribution is Haar and the output seeded.
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
+    q = _haar_orthogonal(rng.standard_normal((n, n)))
     return (q * eigs) @ q.T
 
 
@@ -138,7 +136,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
 def mixing_weights(k: int, seed) -> np.ndarray:
     """Near-uniform weights: i.i.d. uniform on [1/2k, 3/2k], renormalized."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParameterError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(1.0 / (2 * k), 3.0 / (2 * k), size=k)
     return w / w.sum()
@@ -165,8 +163,8 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
     covariance draw from their own children of it. Returns (mixture,
     long_axes), the latter the sorted indices of the shared long axes.
     """
-    if E < 1:
-        raise ValueError("eccentricity must be >= 1")
+    if not 1 <= E < np.inf:
+        raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {E}")
     if not 1 <= d <= n - 2:
         raise BadDimsError(f"need 1 <= d <= n - 2 long axes, got d={d}, n={n}")
     if not isinstance(seed, np.random.SeedSequence):

@@ -11,6 +11,7 @@ import sys
 from itertools import permutations
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 from scipy.stats import beta
 
@@ -33,6 +34,8 @@ from rpmix.experiments import (
     pca_collapse_body,
     second_em_body,
 )
+
+pytestmark = pytest.mark.slow
 
 
 VERDICTS = []

@@ -98,6 +98,7 @@ def test_trial_worker_enters_the_scope_itself(monkeypatch, two_threads):
     assert experiments._em_trial_star((50, 0, {})) == [1] * len(openblas_controls())
 
 
+@pytest.mark.slow
 @needs_openblas
 def test_spawned_worker_runs_on_one_thread():
     ctx = multiprocessing.get_context("spawn")

@@ -13,9 +13,11 @@ from rpmix import (
 )
 from rpmix.classifier import (
     ClassMixtureModel,
+    ClusterAnalysis,
     LabeledDataset,
     _class_scores,
     predict_batch,
+    save_cluster_analysis,
 )
 from rpmix.errors import (
     ClassTooSmallError,
@@ -77,6 +79,12 @@ class TestIngest:
         back = ingest(path)
         assert np.array_equal(back.points, data.points)
         assert np.array_equal(back.labels, data.labels)
+
+    def test_saved_text_exact(self, tmp_path):
+        data = LabeledDataset(np.array([[-0.0, np.pi], [1e-300, 2.0]]), np.array([3, 0]))
+        path = tmp_path / "dump.csv"
+        save_labeled(data, path)
+        assert path.read_text() == "3,-0,3.1415926535897931\n0,1e-300,2\n"
 
 
 class TestTrainPredict:
@@ -227,3 +235,17 @@ class TestClusterAnalysis:
         low = cluster_analysis(train_set, proj)
         assert np.all(low.eccentricities < raw.eccentricities)
         assert not np.any(low.rank_deficient)
+
+    def test_saved_text_exact(self, tmp_path):
+        analysis = ClusterAnalysis(
+            separations=np.array([[0.0, 1 / 3], [1 / 3, 0.0]]),
+            eccentricities=np.array([np.pi, np.inf]),
+            rank_deficient=np.array([False, True]),
+        )
+        path = tmp_path / "analysis.csv"
+        save_cluster_analysis(analysis, path)
+        assert path.read_text() == (
+            "class,0,1,eccentricity\n"
+            "0,0,0.33333333333333331,3.1415926535897931\n"
+            "1,0.33333333333333331,0,inf\n"
+        )

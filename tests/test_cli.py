@@ -1,9 +1,19 @@
 import json
 
 import numpy as np
+import pytest
 
-from rpmix import cli, load_dataset, load_mixture, load_projection, save_labeled
+from rpmix import (
+    Gaussian,
+    Mixture,
+    cli,
+    load_dataset,
+    load_mixture,
+    load_projection,
+    save_labeled,
+)
 from rpmix.classifier import LabeledDataset
+from rpmix.em import FitResult
 
 
 def run_cli(args):
@@ -36,6 +46,29 @@ class TestSynth:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "--n", 5, "--k", 1, "--c", 1.0],
+        ["synth", "--n", 5, "--k", 2, "--c", 1.0, "-E", 0.5],
+        ["synth", "--n", 5, "--k", 2, "--c", "nan"],
+        ["synth", "--n", 5, "--k", 2, "--c", 1.0, "--samples", -3],
+        ["project", "--kind", "orthonormal", "--d", 2],
+        ["project", "--kind", "uniform", "--d", 2],
+        ["em", "--k", 0],
+    ],
+    ids=["synth-k", "synth-E", "synth-c-nan", "synth-samples", "orthonormal-n", "uniform-n", "em-k"],
+)
+def test_bad_parameter_is_clean_error(tmp_path, capsys, args):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("0,1\n1,0\n")
+    if args[0] == "em":
+        args = [*args, "--data", data_path]
+    code = run_cli([*args, "--out", tmp_path / "out.json"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 class TestProject:
@@ -99,6 +132,26 @@ class TestEm:
         )
         assert code == 0
         assert load_projection(proj_path).target_dim == 3
+
+    def test_trace_text_exact(self, tmp_path, monkeypatch):
+        data_path = tmp_path / "train.csv"
+        data_path.write_text("0,1\n1,0\n")
+        fit = FitResult(
+            model=Mixture([Gaussian(np.zeros(2), np.eye(2))], [1.0]),
+            iterations=2,
+            loglik_trace=np.array([-np.pi, -1e-300, -0.0]),
+            converged=True,
+        )
+        monkeypatch.setattr(cli, "run_em", lambda *args: fit)
+        trace_path = tmp_path / "trace.csv"
+        code = run_cli(
+            ["em", "--data", data_path, "--k", 1, "--out", tmp_path / "fit.json",
+             "--trace-out", trace_path]
+        )
+        assert code == 0
+        assert trace_path.read_text() == (
+            "iteration,train_loglik\n0,-3.1415926535897931\n1,-1e-300\n2,-0\n"
+        )
 
     def test_bad_csv_is_clean_error(self, tmp_path, capsys):
         for name, text, kind in (
@@ -221,6 +274,16 @@ class TestExperiment:
         )
         assert run_cli(["experiment", "--config", path]) == 1
         assert "threads must be an int >= 1, got '2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", "3"), ("base_seed", "x"), ("base_seed", -1), ("overrides", [1])],
+    )
+    def test_bad_config_value_rejected(self, tmp_path, capsys, field, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "fig3-sep-vs-n", field: value}))
+        assert run_cli(["experiment", "--config", path]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
 
     def test_help_documents_report_columns(self, capsys):
         try:

@@ -280,6 +280,7 @@ class TestEmComparison:
         assert row["reg_failed"] is False and np.isfinite(row["reg_test_loglik"])
         assert row["rp_beats"] is False
 
+    @pytest.mark.slow
     @pytest.mark.parametrize(
         "name, overrides",
         [("fig8-em-compare", {"n_values": (50,)}), ("second-em-compare", {})],
@@ -361,6 +362,22 @@ class TestConfig:
     def test_bad_trial_count(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fig3-sep-vs-n", trials=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", "3"),
+            ("trials", True),
+            ("trials", 1.5),
+            ("base_seed", "x"),
+            ("base_seed", -1),
+            ("base_seed", None),
+            ("overrides", [1]),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ExperimentConfig(experiment="fig3-sep-vs-n", **{field: value})
 
     @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True, None])
     def test_bad_threads_rejected(self, threads):

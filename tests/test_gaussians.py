@@ -25,6 +25,7 @@ from rpmix.errors import (
     DimensionMismatchError,
     IllConditionedError,
     InconsistentWidthError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     ParseError,
     TooFewComponentsError,
@@ -51,6 +52,13 @@ class TestGaussianConstruction:
     def test_rejects_indefinite_covariance(self):
         with pytest.raises(NotPositiveDefiniteError):
             Gaussian([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(NonFiniteError, match="mean contains non-finite"):
+            Gaussian([0.0, bad], np.eye(2))
+        with pytest.raises(NonFiniteError, match="covariance contains non-finite"):
+            Gaussian([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -323,6 +331,15 @@ class TestSerialization:
         save_dataset(data, path, header=["a", "b", "c"])
         back = load_dataset(path, skip_header=True)
         assert np.array_equal(back, data)
+
+    def test_dataset_text_exact(self, tmp_path):
+        data = [[-0.0, 1e-300, np.pi], [1.0, -2.5, 1 / 3]]
+        rows = "-0,1e-300,3.1415926535897931\n1,-2.5,0.33333333333333331\n"
+        path = tmp_path / "data.csv"
+        save_dataset(data, path)
+        assert path.read_text() == rows
+        save_dataset(data, path, header=["a", "b", "c"])
+        assert path.read_text() == "a,b,c\n" + rows
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x", ""])
     def test_dataset_bad_cell_names_its_line(self, tmp_path, cell):

@@ -69,6 +69,16 @@ class TestRandomOrthonormal:
         c = random_orthonormal(30, 5, 12)
         assert not np.array_equal(a.rows, c.rows)
 
+    @pytest.mark.parametrize("n, d", [(5, 1), (7, 7), (50, 49), (200, 25)])
+    def test_rows_are_the_sign_fixed_qr_of_the_seeded_draw(self, n, d):
+        # The rows A orthonormalize the draw G = R^T A with R upper-triangular
+        # and positive on its diagonal, so G A^T = R^T. This pins the stream
+        # the rows come from and the sign of every row.
+        gauss = np.random.default_rng(8).standard_normal((d, n))
+        low = gauss @ random_orthonormal(n, d, 8).rows.T
+        assert np.max(np.abs(np.triu(low, 1))) <= 1e-10
+        assert np.all(np.diag(low) > 0)
+
     def test_dim_validation(self):
         with pytest.raises(BadDimsError):
             random_orthonormal(10, 11, 0)
