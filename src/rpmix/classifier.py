@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassTooSmallError, DimensionMismatchError, ParseError
+from .errors import (
+    ClassTooSmallError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonFiniteError,
+    ParseError,
+)
 from .em import CovarianceRestriction, _log_joint, _model_arrays, run_em
 from .gaussians import FLOAT_FMT, _read_csv
 from .projection import ProjectionMatrix, project_data, random_orthonormal
@@ -26,11 +32,11 @@ class LabeledDataset:
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
         labels = np.asarray(self.labels, dtype=int)
         if labels.shape != (points.shape[0],):
-            raise ValueError("one label per point required")
+            raise InvalidParameterError("one label per point required")
         if not np.all(np.isfinite(points)):
-            raise ValueError("points contain non-finite coordinates")
+            raise NonFiniteError("points contain non-finite coordinates")
         if labels.size and labels.min() < 0:
-            raise ValueError("labels must be non-negative")
+            raise InvalidParameterError("labels must be non-negative")
         points.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -64,6 +70,16 @@ class ClassMixtureModel:
         priors.setflags(write=False)
         object.__setattr__(self, "per_class", tuple(self.per_class))
         object.__setattr__(self, "class_priors", priors)
+
+
+def _check_no_empty_class(data: LabeledDataset):
+    """Raise ClassTooSmallError for the first class in [0, num_classes) that
+    has no point. Found from the distinct labels, before anything is sized by
+    num_classes, which one stray large label can make huge."""
+    present = np.unique(data.labels)
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    if gaps.size:
+        raise ClassTooSmallError(f"class {gaps[0]} has no points")
 
 
 def ingest(path) -> LabeledDataset:
@@ -100,6 +116,7 @@ def train(
     Each class gets a shared-covariance mixture of `per_class_k` Gaussians
     fit in the projected space; no high-dimensional parameters are kept.
     """
+    _check_no_empty_class(data)
     num_classes = data.num_classes
     proj = random_orthonormal(data.dim, d, seed)
     projected = project_data(proj, data.points)
@@ -172,6 +189,7 @@ def cluster_analysis(
     strictly positive eigenvalue instead of crashing; raw digit-style data
     is expected to be this degenerate.
     """
+    _check_no_empty_class(data)
     points = data.points if projection is None else project_data(projection, data.points)
     num_classes = data.num_classes
     n = points.shape[1]
@@ -181,8 +199,6 @@ def cluster_analysis(
     deficient = np.zeros(num_classes, dtype=bool)
     for cls in range(num_classes):
         cls_points = points[data.labels == cls]
-        if cls_points.shape[0] == 0:
-            raise ClassTooSmallError(f"class {cls} has no points")
         means[cls] = cls_points.mean(axis=0)
         centered = cls_points - means[cls]
         cov = centered.T @ centered / cls_points.shape[0]

@@ -29,14 +29,12 @@ from .errors import ConfigError, RpmixError
 from .gaussians import (
     FLOAT_FMT,
     load_dataset,
-    load_mixture,
     mixture_separation,
     sample,
     save_dataset,
     save_mixture,
 )
 from .projection import (
-    load_projection,
     pca,
     project_data,
     random_orthonormal,
@@ -85,10 +83,10 @@ def _cmd_synth(args):
 
 
 def _cmd_project(args):
+    data = load_dataset(args.data) if args.data else None
     if args.kind == "pca":
-        if not args.data:
+        if data is None:
             raise RpmixError("--data is required for kind=pca")
-        data = load_dataset(args.data)
         proj = pca(data, args.d)
     else:
         if args.n is None:
@@ -97,8 +95,7 @@ def _cmd_project(args):
         proj = gen(args.n, args.d, args.seed)
     save_projection(proj, args.out)
     print(f"wrote {proj.kind.value} projection {proj.target_dim}x{proj.source_dim} to {args.out}")
-    if args.data and args.data_out:
-        data = load_dataset(args.data)
+    if data is not None and args.data_out:
         save_dataset(project_data(proj, data), args.data_out)
         print(f"wrote projected data to {args.data_out}")
 

@@ -17,7 +17,6 @@ public boundary: `init_params`, `FitResult.model`, and the `e_step`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import permutations
 from typing import NamedTuple
 
@@ -36,6 +35,7 @@ from .errors import (
     NotEnoughDataError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
+    _ParameterEnum,
 )
 from .gaussians import (
     Gaussian,
@@ -50,7 +50,7 @@ EMPTY_COMPONENT_FRACTION = 1e-10
 MAX_RESCUES = 2
 
 
-class CovarianceRestriction(Enum):
+class CovarianceRestriction(_ParameterEnum):
     FULL_DISTINCT = "full-distinct"
     SHARED_FULL = "shared-full"
 
@@ -223,6 +223,7 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     Under the shared restriction the smallest of these variances is used
     for every component.
     """
+    restriction = CovarianceRestriction(restriction)
     data = np.atleast_2d(np.asarray(data, dtype=float))
     m, n = data.shape
     if k < 1:
@@ -275,6 +276,7 @@ def m_step(
     `previous` model is given, in which case the dead component keeps its
     previous parameters and the run continues.
     """
+    restriction = CovarianceRestriction(restriction)
     resp = np.atleast_2d(np.asarray(resp, dtype=float))
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] != resp.shape[0]:
@@ -297,6 +299,7 @@ def run_em(
     A component that empties is moved to the worst-explained point (at most
     MAX_RESCUES times per fit); after that it keeps its previous parameters.
     """
+    restriction = CovarianceRestriction(restriction)
     data = _as_data(data)
     params = _from_mixture(init_params(data, k, restriction, seed))
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
@@ -354,6 +357,7 @@ def rp_em(
 
     Returns (high-dimensional FitResult, projection, low-dimensional FitResult).
     """
+    restriction = CovarianceRestriction(restriction)
     train = _as_data(train)
     n = train.shape[1]
     proj = random_orthonormal(n, d, seed)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+from enum import Enum
+
 
 class RpmixError(Exception):
     """Base class for all library errors."""
@@ -15,6 +17,18 @@ class NonFiniteError(RpmixError, ValueError):
 
 class InvalidParameterError(RpmixError, ValueError):
     """A parameter lies outside its valid range."""
+
+
+class _ParameterEnum(Enum):
+    """An Enum parameter: `Cls(value)` takes a member or its string value, and
+    an unknown value raises InvalidParameterError listing the valid ones."""
+
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(repr(member.value) for member in cls)
+        raise InvalidParameterError(
+            f"{value!r} is not a valid {cls.__name__}; choose from {valid}"
+        )
 
 
 class NotPositiveDefiniteError(RpmixError):

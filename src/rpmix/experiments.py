@@ -331,18 +331,6 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
 # ---------------------------------------------------------------------------
 # EM comparison experiments
 
-EM_DEFAULTS = dict(
-    k=5,
-    c=1.0,
-    E=1.0,
-    mode=CovarianceMode.SPHERICAL_SHARED,
-    restriction=CovarianceRestriction.SHARED_FULL,
-    d=25,
-    train_size=1000,
-    test_size=1000,
-)
-
-
 FIT_FAILURES = (IllConditionedError, NotPositiveDefiniteError, EmptyComponentError)
 
 
@@ -439,11 +427,12 @@ def _em_trial_star(args):
 
 @single_blas_thread()
 def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=1, **overrides):
-    """Regular EM vs RP+EM on 1-separated spherical five-component mixtures."""
-    params = dict(EM_DEFAULTS)
-    params.update(overrides)
+    """Regular EM vs RP+EM on 1-separated spherical five-component mixtures.
+
+    `overrides` are passed on to `em_compare_trial`.
+    """
     args = [
-        (n, base_seed + t, params) for n in n_values for t in range(trials)
+        (n, base_seed + t, overrides) for n in n_values for t in range(trials)
     ]
     rows = _run_trials(args, threads=threads)
     return _report(("n",), EM_COMPARE_METRICS, rows)
@@ -453,7 +442,6 @@ def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=1, **
 def second_em_body(base_seed, trials=100, n=100, threads=1):
     """Three 0.8-separated eccentricity-25 Gaussians, unrestricted covariances."""
     params = dict(
-        EM_DEFAULTS,
         k=3,
         c=0.8,
         E=25.0,
@@ -520,12 +508,19 @@ def fig9_body(
     """Classifier accuracy vs projected dimension.
 
     Supply label-first CSVs (`label,x1,...,xn` per line) for the real digit
-    data; without them a synthetic surrogate with the same gross statistics
-    is generated (unless surrogate=False, which raises MissingDataError).
+    data, both or neither; without them a synthetic surrogate with the same
+    gross statistics is generated (unless surrogate=False, which raises
+    MissingDataError).
     """
     if train_path is not None and test_path is not None:
         train_set = ingest(train_path)
         test_set = ingest(test_path)
+    elif train_path is not None or test_path is not None:
+        missing = "test_path" if test_path is None else "train_path"
+        raise MissingDataError(
+            f"{missing} is not set: supply train_path and test_path together, "
+            "or neither for the synthetic surrogate"
+        )
     elif not surrogate:
         raise MissingDataError(
             "supply train_path and test_path pointing to label-first CSV files "
@@ -581,36 +576,40 @@ def _is_int_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
-EXPERIMENTS = {
-    "fig3-sep-vs-n": (fig3_body, {"n_values", "d"}),
-    "fig4-sep-vs-k": (fig4_body, {"k_values", "n", "c"}),
-    "fig5-ecc-table": (fig5_body, {"E_values", "n_values", "d"}),
-    "fig6-ecc-vs-d": (fig6_body, {"n", "E", "d_values"}),
-    "fig7-pca-vs-rp": (fig7_body, {"n", "k", "c", "E", "d", "samples"}),
-    "fig8-em-compare": (
-        fig8_body,
-        {"n_values", "threads", "k", "c", "E", "mode", "restriction", "d",
-         "train_size", "test_size"},
-    ),
-    "second-em-compare": (second_em_body, {"n", "threads"}),
-    "fig9-digit-sweep": (
-        fig9_body,
-        {"d_values", "train_path", "test_path", "per_class_k", "surrogate"},
-    ),
-    "pca-collapse": (pca_collapse_body, {"k", "samples"}),
-}
+def _overrides(body, *passed_on):
+    """The names a config may override: the defaulted parameters of `body`
+    and of the functions it passes its extra keywords on to, less `trials`,
+    which is a field of `ExperimentConfig` itself."""
+    params = [
+        p for f in (body, *passed_on) for p in inspect.signature(f).parameters.values()
+    ]
+    return {p.name for p in params if p.default is not p.empty} - {"trials"}
 
-# pca-collapse is a single deterministic construction; trials do not apply.
-NO_TRIALS = {"pca-collapse"}
+
+EXPERIMENTS = {
+    name: (body, _overrides(body, *passed_on))
+    for name, body, *passed_on in (
+        ("fig3-sep-vs-n", fig3_body),
+        ("fig4-sep-vs-k", fig4_body),
+        ("fig5-ecc-table", fig5_body),
+        ("fig6-ecc-vs-d", fig6_body),
+        ("fig7-pca-vs-rp", fig7_body),
+        ("fig8-em-compare", fig8_body, em_compare_trial),
+        ("second-em-compare", second_em_body),
+        ("fig9-digit-sweep", fig9_body),
+        ("pca-collapse", pca_collapse_body),
+    )
+}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     body, _ = EXPERIMENTS[config.experiment]
+    signature = inspect.signature(body)
     kwargs = dict(config.overrides)
-    if config.trials is not None and config.experiment not in NO_TRIALS:
+    if config.trials is not None and "trials" in signature.parameters:
         kwargs["trials"] = config.trials
     try:
-        inspect.signature(body).bind(config.base_seed, **kwargs)
+        signature.bind(config.base_seed, **kwargs)
     except TypeError as exc:
         raise ConfigError(f"{config.experiment}: {exc}") from exc
     return body(config.base_seed, **kwargs)

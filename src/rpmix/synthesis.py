@@ -9,7 +9,6 @@ allows: a regular simplex with every pairwise constraint tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 import numpy as np
@@ -20,12 +19,13 @@ from .errors import (
     InvalidParameterError,
     PackingError,
     TooManyComponentsError,
+    _ParameterEnum,
 )
 from .gaussians import Gaussian, Mixture
 from .projection import _haar_orthogonal, random_orthonormal
 
 
-class CovarianceMode(Enum):
+class CovarianceMode(_ParameterEnum):
     SPHERICAL_SHARED = "spherical-shared"
     DIAGONAL_DISTINCT = "diagonal-distinct"
     ROTATED_DISTINCT = "rotated-distinct"
@@ -42,6 +42,7 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "covariance_mode", CovarianceMode(self.covariance_mode))
         if self.k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {self.k}")
         if not 1 <= self.E < np.inf:
@@ -58,6 +59,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     them on the diagonal in random order; rotated/full modes conjugate by a
     random orthogonal matrix.
     """
+    mode = CovarianceMode(mode)
     rng = np.random.default_rng(seed)
     if E == 1.0 or mode is CovarianceMode.SPHERICAL_SHARED:
         if E != 1.0:
@@ -65,6 +67,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
         return np.eye(n)
     if n < 2:
         raise BadDimsError("eccentricity > 1 needs dimension >= 2")
+    _check_eccentricity(E, n)
     roots = rng.uniform(1.0, E, size=n)
     pin = rng.choice(n, size=2, replace=False)
     roots[pin[0]] = 1.0
@@ -74,6 +77,15 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
         return np.diag(eigs)
     q = _haar_orthogonal(rng.standard_normal((n, n)))
     return (q * eigs) @ q.T
+
+
+def _check_eccentricity(E, n):
+    """Reject an E below 1, or one so large that n * E**2, which bounds the
+    trace of an n-dim covariance of eccentricity E, is not finite."""
+    if not 1 <= E <= np.sqrt(np.finfo(float).max / n):
+        raise InvalidParameterError(
+            f"eccentricity E must be >= 1 and keep n * E**2 finite (n={n}), got {E}"
+        )
 
 
 def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
@@ -163,10 +175,9 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
     covariance draw from their own children of it. Returns (mixture,
     long_axes), the latter the sorted indices of the shared long axes.
     """
-    if not 1 <= E < np.inf:
-        raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {E}")
     if not 1 <= d <= n - 2:
         raise BadDimsError(f"need 1 <= d <= n - 2 long axes, got d={d}, n={n}")
+    _check_eccentricity(E, n)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     axes_seed, center_seed, weight_seed, *cov_seeds = seed.spawn(k + 3)

@@ -23,6 +23,8 @@ from rpmix.errors import (
     ClassTooSmallError,
     DimensionMismatchError,
     InconsistentWidthError,
+    InvalidParameterError,
+    NonFiniteError,
     ParseError,
 )
 from rpmix.projection import ProjectionKind, ProjectionMatrix
@@ -37,6 +39,30 @@ def labeled_blobs(num_classes=2, per_class=100, n=10, dist=8.0, seed=0):
         points.append(rng.standard_normal((per_class, n)) + center)
         labels.extend([cls] * per_class)
     return LabeledDataset(np.vstack(points), np.array(labels))
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize(
+        "points, labels, error",
+        [
+            ([[1.0], [2.0]], [0, -1], InvalidParameterError),
+            ([[1.0], [2.0]], [0], InvalidParameterError),
+            ([[1.0], [np.nan]], [0, 1], NonFiniteError),
+        ],
+        ids=["negative-label", "label-count", "non-finite"],
+    )
+    def test_bad_input_is_typed(self, points, labels, error):
+        with pytest.raises(error):
+            LabeledDataset(np.array(points), np.array(labels))
+
+    @pytest.mark.parametrize("analyze", [False, True], ids=["train", "cluster_analysis"])
+    def test_huge_label_names_the_first_empty_class(self, analyze):
+        data = labeled_blobs(num_classes=2, per_class=10)
+        labels = data.labels.copy()
+        labels[-1] = 10**12
+        data = LabeledDataset(data.points, labels)
+        with pytest.raises(ClassTooSmallError, match="class 2 has no points"):
+            cluster_analysis(data) if analyze else train(data, 2, per_class_k=1)
 
 
 class TestIngest:

@@ -47,6 +47,16 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_eccentricity_is_named(self, tmp_path, capsys):
+        code = run_cli(
+            [
+                "synth", "--n", 5, "--k", 2, "--c", 1.0, "-E", 1e300,
+                "--mode", "diagonal-distinct", "--out", tmp_path / "mix.json",
+            ]
+        )
+        assert code == 1
+        assert "error: eccentricity E" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "args",
@@ -199,6 +209,19 @@ class TestClassify:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [(-1, "labels must be non-negative"), (10**12, "class 1 has no points")],
+        ids=["negative", "huge"],
+    )
+    def test_bad_label_is_clean_error(self, tmp_path, capsys, label, message):
+        train_path = tmp_path / "train.csv"
+        train_path.write_text(f"0,1.0,2.0\n0,2.0,1.0\n{label},3.0,3.0\n")
+        code = run_cli(["classify", "--train", train_path, "--d", 1])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 class TestExperiment:
     def test_named_experiment_writes_report(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"
@@ -284,6 +307,22 @@ class TestExperiment:
         path.write_text(json.dumps({"experiment": "fig3-sep-vs-n", field: value}))
         assert run_cli(["experiment", "--config", path]) == 1
         assert f"error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["mode", "restriction"])
+    def test_unknown_enum_value_in_config_rejected(self, tmp_path, capsys, name):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "experiment": "fig8-em-compare",
+                    "trials": 1,
+                    "overrides": {"n_values": [20], name: "nonsense"},
+                }
+            )
+        )
+        assert run_cli(["experiment", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: 'nonsense' is not a valid" in err
 
     def test_help_documents_report_columns(self, capsys):
         try:

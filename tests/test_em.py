@@ -23,6 +23,7 @@ from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
     EmptyComponentError,
+    InvalidParameterError,
     NonFiniteError,
     NotEnoughDataError,
     ShapeMismatchError,
@@ -76,6 +77,31 @@ class TestInitParams:
             init_params(np.zeros((2, 3)), 5, FULL, 0)
         with pytest.raises(DuplicatePointsError):
             init_params(np.zeros((4, 3)), 2, FULL, 0)
+
+
+FITS_BY_RESTRICTION = {
+    "init_params": lambda data, r: init_params(data, 3, r, 0),
+    "m_step": lambda data, r: m_step(
+        np.random.default_rng(0).dirichlet(np.ones(3), len(data)), data, r
+    ),
+    "run_em": lambda data, r: run_em(data, 3, r, 0).model,
+    "rp_em": lambda data, r: rp_em(data, 3, 2, r, 0)[0].model,
+}
+
+
+@pytest.mark.parametrize("fit", sorted(FITS_BY_RESTRICTION))
+class TestRestrictionGivenAsString:
+    def test_string_selects_its_member(self, fit):
+        data = two_blob_data(m=200, n=3, seed=5)
+        by_string = FITS_BY_RESTRICTION[fit](data, "shared-full")
+        by_member = FITS_BY_RESTRICTION[fit](data, SHARED)
+        for a, b in zip(by_string.components, by_member.components):
+            assert np.array_equal(a.covariance, b.covariance)
+
+    def test_unknown_string_lists_the_valid_ones(self, fit):
+        data = two_blob_data(m=200, n=3, seed=5)
+        with pytest.raises(InvalidParameterError, match="'full-distinct', 'shared-full'"):
+            FITS_BY_RESTRICTION[fit](data, "nonsense")
 
 
 class TestEStep:

@@ -26,7 +26,8 @@ from rpmix.experiments import (
     run,
     surrogate_digit_data,
 )
-from rpmix.synthesis import long_axis_mixture
+from rpmix.em import CovarianceRestriction
+from rpmix.synthesis import CovarianceMode, long_axis_mixture
 
 
 def rows_of_type(path, row_type):
@@ -297,6 +298,21 @@ class TestEmComparison:
 
         assert csv(2) == csv(1)
 
+    @pytest.mark.parametrize(
+        "name, member, extra",
+        [
+            ("restriction", CovarianceRestriction.SHARED_FULL, {}),
+            ("mode", CovarianceMode.DIAGONAL_DISTINCT, {"E": 4.0}),
+        ],
+    )
+    def test_string_value_runs_the_same_model_as_its_member(self, name, member, extra):
+        # A JSON config can only give the string; it must not select
+        # another covariance model.
+        kwargs = dict(k=2, d=5, train_size=200, test_size=100, **extra)
+        by_member = em_compare_trial(20, 3, **{name: member}, **kwargs)
+        by_string = em_compare_trial(20, 3, **{name: member.value}, **kwargs)
+        assert by_string == by_member
+
     def test_small_batch_runs(self):
         report = fig8_body(0, trials=2, n_values=(50,))
         assert len(report.rows) == 2
@@ -325,6 +341,11 @@ class TestDigitSweep:
     def test_missing_real_data_raises_with_schema_hint(self):
         with pytest.raises(MissingDataError, match="label"):
             fig9_body(0, surrogate=False)
+
+    @pytest.mark.parametrize("given, missing", [("train_path", "test_path"), ("test_path", "train_path")])
+    def test_one_data_path_alone_is_an_error(self, tmp_path, given, missing):
+        with pytest.raises(MissingDataError, match=missing):
+            fig9_body(0, trials=1, d_values=(5,), **{given: tmp_path / "data.csv"})
 
     def test_real_data_path_used_when_supplied(self, tmp_path):
         from rpmix import save_labeled
@@ -409,3 +430,30 @@ class TestConfig:
             )
         )
         assert len(report.rows) == 2
+
+
+class TestRegistry:
+    OVERRIDES = {
+        "fig3-sep-vs-n": {"n_values", "d"},
+        "fig4-sep-vs-k": {"k_values", "n", "c"},
+        "fig5-ecc-table": {"E_values", "n_values", "d"},
+        "fig6-ecc-vs-d": {"n", "E", "d_values"},
+        "fig7-pca-vs-rp": {"n", "k", "c", "E", "d", "samples"},
+        "fig8-em-compare": {
+            "n_values", "threads", "k", "c", "E", "mode", "restriction", "d",
+            "train_size", "test_size",
+        },
+        "second-em-compare": {"n", "threads"},
+        "fig9-digit-sweep": {
+            "d_values", "train_path", "test_path", "per_class_k", "surrogate",
+        },
+        "pca-collapse": {"k", "samples"},
+    }
+
+    def test_override_sets(self):
+        got = {name: set(allowed) for name, (_, allowed) in experiments.EXPERIMENTS.items()}
+        assert got == self.OVERRIDES
+
+    def test_trials_ignored_by_an_experiment_without_trials(self):
+        report = run(ExperimentConfig("pca-collapse", trials=5))
+        assert [row["method"] for row in report.rows] == ["pca_collapse", "pca_full", "rp"]

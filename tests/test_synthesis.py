@@ -14,10 +14,11 @@ from rpmix import (
     spectral_summary,
 )
 from rpmix.gaussians import mixture_to_dict
-from rpmix.synthesis import CovarianceMode, MixtureSpec
+from rpmix.synthesis import CovarianceMode, MixtureSpec, long_axis_mixture
 from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
+    InvalidParameterError,
     TooManyComponentsError,
 )
 
@@ -55,6 +56,24 @@ class TestEccentricCovariance:
     def test_dimension_too_small(self):
         with pytest.raises(BadDimsError):
             eccentric_covariance(1, 10.0, CovarianceMode.DIAGONAL_DISTINCT, 0)
+
+    @pytest.mark.parametrize("mode", [CovarianceMode.DIAGONAL_DISTINCT, CovarianceMode.ROTATED_DISTINCT])
+    def test_eccentricity_whose_trace_overflows_rejected(self, mode):
+        with pytest.raises(InvalidParameterError, match="eccentricity E"):
+            eccentric_covariance(5, 1e300, mode, 0)
+
+    def test_long_axes_whose_variance_overflows_rejected(self):
+        with pytest.raises(InvalidParameterError, match="eccentricity E"):
+            long_axis_mixture(10, 2, 0.5, 1e155, 2, 0)
+
+    def test_mode_given_as_its_string(self):
+        a = eccentric_covariance(8, 9.0, "diagonal-distinct", 2)
+        b = eccentric_covariance(8, 9.0, CovarianceMode.DIAGONAL_DISTINCT, 2)
+        assert np.array_equal(a, b)
+
+    def test_unknown_mode_lists_the_valid_strings(self):
+        with pytest.raises(InvalidParameterError, match="'rotated-distinct'"):
+            eccentric_covariance(8, 9.0, "nonsense", 2)
 
     def test_deterministic(self):
         a = eccentric_covariance(8, 9.0, CovarianceMode.ROTATED_DISTINCT, 2)
