@@ -7,10 +7,10 @@ hand-off than they save, so experiment bodies and CLI commands run inside
 one thread and restores each library's previous count on exit.
 
 numpy and scipy each bundle their own OpenBLAS, and EM uses both (scipy's
-for `cholesky`/`solve_triangular`, numpy's for matmul and `eigvalsh`), so
-each mapped copy is set. The copies are found on first use from
-`/proc/self/maps`; rpmix imports numpy and scipy.linalg at import time, so
-both are mapped by then. Where none is found (another BLAS, or no `/proc`),
+for `cholesky`, `solve_triangular` and `dtrtri`, numpy's for matmul and
+`eigvalsh`), so each mapped copy is set. The copies are found on first use
+from `/proc/self/maps`; rpmix imports numpy and scipy.linalg at import time,
+so both are mapped by then. Where none is found (another BLAS, or no `/proc`),
 the scope changes nothing.
 """
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 from scipy.special import logsumexp
 
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
     _ParameterEnum,
 )
 from .gaussians import (
+    CONDITION_LIMIT,
     Gaussian,
     Mixture,
     _check_conditioning,
@@ -94,16 +96,32 @@ def _factor(covs):
     """Lower Cholesky factors of symmetric covariances, each checked once.
 
     Every covariance is factored before any is checked, so a matrix that is
-    not positive definite is reported ahead of an ill-conditioned one. The
-    condition number is exact (from `eigvalsh`).
+    not positive definite is reported ahead of an ill-conditioned one.
+
+    The check starts from a cheap upper bound: for SPD Sigma = L L^T,
+    kappa_2(Sigma) <= tr(Sigma) tr(Sigma^-1) = tr(Sigma) ||L^-1||_F^2, and
+    L^-1 is one `dtrtri`, several times cheaper than `eigvalsh`. The exact
+    condition number (from `eigvalsh`) is computed only when the bound
+    reaches CONDITION_LIMIT / 10, is not finite, or `dtrtri` fails. A
+    covariance that could reach the limit therefore always gets the exact
+    check, and the factor 10 leaves room for the rounding of the bound, so
+    no verdict depends on it.
     """
     try:
         chols = [cholesky(cov, lower=True) for cov in covs]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    for cov in covs:
-        _check_conditioning(_condition_number(eigvalsh(cov)))
+    for cov, chol in zip(covs, chols):
+        if not _condition_bound(cov, chol) < CONDITION_LIMIT / 10:
+            _check_conditioning(_condition_number(eigvalsh(cov)))
     return tuple(chols)
+
+
+def _condition_bound(cov, chol):
+    """tr(Sigma) ||L^-1||_F^2, an upper bound on kappa_2(Sigma); inf if
+    `dtrtri` fails."""
+    inv, info = dtrtri(chol, lower=1)
+    return np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
 
 
 def _from_mixture(model: Mixture) -> _Params:
@@ -133,9 +151,14 @@ def _log_joint(params: _Params, data) -> np.ndarray:
     """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i.
 
     Per distinct factor L, the data and the means that share L, all centred
-    by the data mean, take one triangular solve; a component's quadratic
-    form is the squared norm of the difference of its solved mean and the
-    solved data.
+    by the data mean, take one triangular solve, giving solved points y_j and
+    solved means m_i. The quadratic form is expanded as
+    ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one norm pass over
+    the solved data and one (points x n)(n x components) product per factor,
+    not one difference pass per component. The expansion loses about
+    eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the data mean
+    keeps both norms of the order of the quadratic forms themselves; data
+    far from the origin would make them arbitrarily larger.
     """
     m, n = data.shape
     center = data.mean(axis=0)
@@ -145,14 +168,12 @@ def _log_joint(params: _Params, data) -> np.ndarray:
         comps = np.flatnonzero(params.owner == f)
         rhs = np.concatenate([data, params.means[comps]])
         rhs -= center
-        solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True)
-        y, mu = solved[:, :m], solved[:, m:]
+        solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True).T
+        y, mu = solved[:m], solved[m:]
         log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        for j, i in enumerate(comps):
-            diff = y - mu[:, j : j + 1]
-            diff *= diff
-            quad = diff.sum(axis=0)
-            out[:, i] = np.log(params.weights[i]) + (const - 0.5 * log_det - 0.5 * quad)
+        quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T)
+        quad += np.einsum("ij,ij->i", mu, mu)
+        out[:, comps] = np.log(params.weights[comps]) + (const - 0.5 * log_det - 0.5 * quad)
     return out
 
 

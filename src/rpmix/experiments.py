@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -570,20 +573,50 @@ class ExperimentConfig:
         threads = self.overrides.get("threads", 1)
         if not _is_int_at_least(threads, 1):
             raise ConfigError(f"threads must be an int >= 1, got {threads!r}")
+        # `allowed` maps each name to its default; a plain name set carries
+        # no defaults, and its names take any value.
+        defaults = allowed if isinstance(allowed, dict) else {}
+        for key, value in self.overrides.items():
+            if not _has_type_of(value, defaults.get(key)):
+                raise ConfigError(
+                    f"{self.experiment}: override {key!r} must have the type of its "
+                    f"default {defaults[key]!r}, got {value!r}"
+                )
 
 
 def _is_int_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
+def _has_type_of(value, default):
+    """Whether an override `value` fits the type of its parameter's `default`:
+    an int, a real (an int included), a bool, an enum member or its string,
+    or a sequence of values that fit the default's first element. A default
+    of None admits any value."""
+    if default is None:
+        return True
+    if isinstance(default, Enum):
+        return isinstance(value, (type(default), str))
+    if isinstance(default, tuple):
+        return (
+            isinstance(value, (Sequence, np.ndarray))
+            and not isinstance(value, str)
+            and all(_has_type_of(v, default[0]) for v in value)
+        )
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    return isinstance(value, Integral if isinstance(default, int) else Real)
+
+
 def _overrides(body, *passed_on):
-    """The names a config may override: the defaulted parameters of `body`
-    and of the functions it passes its extra keywords on to, less `trials`,
-    which is a field of `ExperimentConfig` itself."""
+    """The names a config may override, each with its default: the
+    defaulted parameters of `body` and of the functions it passes its extra
+    keywords on to, less `trials`, which is a field of `ExperimentConfig`
+    itself."""
     params = [
         p for f in (body, *passed_on) for p in inspect.signature(f).parameters.values()
     ]
-    return {p.name for p in params if p.default is not p.empty} - {"trials"}
+    return {p.name: p.default for p in params if p.default is not p.empty and p.name != "trials"}
 
 
 EXPERIMENTS = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +44,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "covariance_mode", CovarianceMode(self.covariance_mode))
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
+            raise InvalidParameterError(f"dimension n must be an int >= 1, got {self.n!r}")
         if self.k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {self.k}")
         if not 1 <= self.E < np.inf:

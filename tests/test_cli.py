@@ -65,11 +65,16 @@ class TestSynth:
         ["synth", "--n", 5, "--k", 2, "--c", 1.0, "-E", 0.5],
         ["synth", "--n", 5, "--k", 2, "--c", "nan"],
         ["synth", "--n", 5, "--k", 2, "--c", 1.0, "--samples", -3],
+        ["synth", "--n", -3, "--k", 2, "--c", 1.0],
+        ["synth", "--n", 0, "--k", 2, "--c", 1.0],
         ["project", "--kind", "orthonormal", "--d", 2],
         ["project", "--kind", "uniform", "--d", 2],
         ["em", "--k", 0],
     ],
-    ids=["synth-k", "synth-E", "synth-c-nan", "synth-samples", "orthonormal-n", "uniform-n", "em-k"],
+    ids=[
+        "synth-k", "synth-E", "synth-c-nan", "synth-samples", "synth-n-negative", "synth-n-zero",
+        "orthonormal-n", "uniform-n", "em-k",
+    ],
 )
 def test_bad_parameter_is_clean_error(tmp_path, capsys, args):
     data_path = tmp_path / "data.csv"
@@ -323,6 +328,16 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "error: 'nonsense' is not a valid" in err
+
+    def test_override_of_the_wrong_type_in_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"experiment": "fig3-sep-vs-n", "overrides": {"n_values": "abc"}})
+        )
+        assert run_cli(["experiment", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: fig3-sep-vs-n: override 'n_values' must" in err
+        assert "Traceback" not in err
 
     def test_help_documents_report_columns(self, capsys):
         try:

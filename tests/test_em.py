@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from rpmix import (
     CovarianceRestriction,
@@ -23,12 +24,13 @@ from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
     EmptyComponentError,
+    IllConditionedError,
     InvalidParameterError,
     NonFiniteError,
     NotEnoughDataError,
     ShapeMismatchError,
 )
-from rpmix.gaussians import log_density_batch
+from rpmix.gaussians import CONDITION_LIMIT, log_density_batch
 from rpmix.projection import project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
@@ -302,8 +304,9 @@ class TestRunEm:
     @pytest.mark.parametrize("k", [2, 5])
     def test_shared_fit_factors_once_per_m_step(self, k, monkeypatch):
         # Whatever k is, a SHARED_FULL M-step makes one Cholesky and one
-        # eigvalsh; the initial model takes one more of each.
-        calls = {"cholesky": 0, "eigvalsh": 0}
+        # trace bound; the initial model takes one more of each. On this
+        # well-conditioned data no bound reaches the exact check.
+        calls = {"cholesky": 0, "dtrtri": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -313,13 +316,16 @@ class TestRunEm:
             return wrapper
 
         monkeypatch.setattr(em, "cholesky", counted("cholesky", em.cholesky))
+        monkeypatch.setattr(em, "dtrtri", counted("dtrtri", em.dtrtri))
         monkeypatch.setattr(em, "eigvalsh", counted("eigvalsh", em.eigvalsh))
         rng = np.random.default_rng(30)
         centers = rng.standard_normal((k, 4)) * 6
         data = np.vstack([c + rng.standard_normal((60, 4)) for c in centers])
         fit = run_em(data, k, SHARED, 1, max_iter=25)
         assert fit.iterations >= 2
-        assert calls == {"cholesky": fit.iterations + 1, "eigvalsh": fit.iterations + 1}
+        assert calls == {
+            "cholesky": fit.iterations + 1, "dtrtri": fit.iterations + 1, "eigvalsh": 0
+        }
 
 
 def _stacked_log_joint(model, data):
@@ -415,6 +421,107 @@ class TestArrayCore:
         pooled = _m_step(resp, data, SHARED, previous, _gram(data)).covs[0]
         ref = _old_pooled(resp, data, dead=(2,))
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _spd(n, kappa, seed):
+    """Symmetric matrix with eigenvalues geometric from 1 to kappa in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    cov = (q * np.geomspace(1.0, kappa, n)) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+def _data_with_covariance(cov, m, seed):
+    """m points whose sample covariance (normalised by m) is `cov`."""
+    z = np.random.default_rng(seed).standard_normal((m, cov.shape[0]))
+    z -= z.mean(axis=0)
+    z = solve_triangular(np.linalg.cholesky(z.T @ z / m), z.T, lower=True).T
+    return z @ np.linalg.cholesky(cov).T
+
+
+class TestConditionBound:
+    @pytest.mark.parametrize("n", [2, 25, 200])
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9, 1e11, 1e12, 1e13])
+    def test_bound_is_at_least_the_exact_condition_number(self, n, kappa):
+        for seed in range(3):
+            cov = _spd(n, kappa, seed)
+            lam = np.linalg.eigvalsh(cov)
+            exact = lam[-1] / lam[0]
+            bound = em._condition_bound(cov, np.linalg.cholesky(cov))
+            # Both sides round by about eps * kappa (2e-3 at 1e13); the
+            # exact check starts a factor 10 below the limit.
+            assert bound >= (1.0 - 1e-2) * exact
+
+    # At n = 200 the bound exceeds kappa about 70-fold, so at kappa = 1e11
+    # it is past the limit: only the exact check can pass that covariance.
+    @pytest.mark.parametrize("kappa, ill", [(2e12, True), (1e11, False)])
+    def test_verdict_is_the_exact_one(self, kappa, ill):
+        cov = _spd(200, kappa, 7)
+        assert em._condition_bound(cov, np.linalg.cholesky(cov)) >= CONDITION_LIMIT
+        data = _data_with_covariance(cov, 400, 8)
+        if ill:
+            with pytest.raises(IllConditionedError):
+                em._factor([cov])
+            with pytest.raises(IllConditionedError, match="iteration 0"):
+                run_em(data, 1, FULL, 0)
+        else:
+            em._factor([cov])
+            assert run_em(data, 1, FULL, 0).converged
+
+    def _count_eigvalsh(self, monkeypatch):
+        calls = []
+
+        def counted(cov):
+            calls.append(cov)
+            return np.linalg.eigvalsh(cov)
+
+        monkeypatch.setattr(em, "eigvalsh", counted)
+        return calls
+
+    def test_exact_check_once_per_factor_whose_bound_clears(self, monkeypatch):
+        calls = self._count_eigvalsh(monkeypatch)
+        well, near = _spd(200, 10.0, 9), _spd(200, 1e11, 10)
+        assert em._condition_bound(near, np.linalg.cholesky(near)) >= CONDITION_LIMIT / 10
+        em._factor([well, near, well.copy(), near.copy()])
+        assert len(calls) == 2
+        assert calls[0] is near
+
+    @pytest.mark.parametrize(
+        "dtrtri",
+        [lambda chol, lower: (chol, 1), lambda chol, lower: (np.full_like(chol, np.nan), 0)],
+        ids=["info", "nan"],
+    )
+    def test_failed_or_non_finite_bound_takes_the_exact_check(self, monkeypatch, dtrtri):
+        calls = self._count_eigvalsh(monkeypatch)
+        monkeypatch.setattr(em, "dtrtri", dtrtri)
+        em._factor([_spd(5, 10.0, 11)])
+        assert len(calls) == 1
+
+
+class TestLogJointAccuracy:
+    def test_far_means_under_ill_conditioned_shared_factor(self):
+        # kappa = 1e6, data far from the origin, and means 10 sigma
+        # (Mahalanobis) from the data mean. Components 0, 1 and 3 share a
+        # factor; component 2 is dead and keeps the factor of its previous
+        # model, as `_m_step` leaves it.
+        n = 20
+        cov, previous = _spd(n, 1e6, 40), _spd(n, 30.0, 41)
+        rng = np.random.default_rng(42)
+        chol = np.linalg.cholesky(cov)
+        data = 1e3 + rng.standard_normal((300, n)) @ chol.T
+        dirs = rng.standard_normal((4, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        means = data.mean(axis=0) + 10.0 * dirs @ chol.T
+        weights = np.array([0.3, 0.3, em.EMPTY_COMPONENT_FRACTION, 0.4])
+        params = em._Params(
+            weights / weights.sum(),
+            means,
+            (cov, previous),
+            em._factor([cov, previous]),
+            np.array([0, 0, 1, 0]),
+        )
+        ref = _stacked_log_joint(_to_mixture(params), data)
+        rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12
 
 
 class TestRpEm:

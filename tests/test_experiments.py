@@ -400,6 +400,42 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be"):
             ExperimentConfig(experiment="fig3-sep-vs-n", **{field: value})
 
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("fig3-sep-vs-n", "n_values", "abc"),
+            ("fig3-sep-vs-n", "n_values", 50),
+            ("fig3-sep-vs-n", "n_values", [50, 2.5]),
+            ("fig3-sep-vs-n", "n_values", [True]),
+            ("fig3-sep-vs-n", "d", "20"),
+            ("fig3-sep-vs-n", "d", 20.0),
+            ("fig4-sep-vs-k", "c", "1"),
+            ("fig4-sep-vs-k", "c", False),
+            ("fig8-em-compare", "mode", 3),
+            ("fig8-em-compare", "restriction", CovarianceMode.SPHERICAL_SHARED),
+            ("fig9-digit-sweep", "surrogate", 1),
+        ],
+    )
+    def test_override_of_the_wrong_type_rejected(self, experiment, key, value):
+        with pytest.raises(ConfigError, match=f"{experiment}: override '{key}' must"):
+            ExperimentConfig(experiment=experiment, overrides={key: value})
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("fig3-sep-vs-n", {"n_values": [50], "d": np.int64(5)}),
+            ("fig3-sep-vs-n", {"n_values": range(50, 52)}),
+            ("fig4-sep-vs-k", {"c": 2, "k_values": (3,)}),
+            ("fig6-ecc-vs-d", {"E": 10, "d_values": np.array([20, 30])}),
+            ("fig8-em-compare", {"mode": "diagonal-distinct", "restriction": "full-distinct"}),
+            ("fig8-em-compare", {"mode": CovarianceMode.FULL_SHARED}),
+            ("fig9-digit-sweep", {"train_path": "a.csv", "test_path": "b.csv"}),
+            ("fig9-digit-sweep", {"surrogate": False}),
+        ],
+    )
+    def test_override_of_the_default_type_accepted(self, experiment, overrides):
+        assert ExperimentConfig(experiment=experiment, overrides=overrides).overrides == overrides
+
     @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True, None])
     def test_bad_threads_rejected(self, threads):
         with pytest.raises(ConfigError, match="threads must be an int >= 1"):

@@ -197,6 +197,11 @@ class TestMakeMixture:
         with pytest.raises(BadSeparationError):
             make_mixture(MixtureSpec(n=10, k=2, c=0.0))
 
+    @pytest.mark.parametrize("n", [-3, 0, 2.5, True, "5"])
+    def test_dimension_must_be_a_positive_int(self, n):
+        with pytest.raises(InvalidParameterError, match="dimension n must be an int >= 1"):
+            MixtureSpec(n=n, k=2, c=1.0)
+
     def test_unequal_radii_still_meet_separation(self):
         # Distinct eccentric covariances give distinct trace-radii; every
         # pair must still sit at exactly c times the larger radius.
