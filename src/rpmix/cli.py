@@ -251,7 +251,8 @@ def build_parser():
     p.add_argument("--out", help="directory for the report CSV")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for the trials, in experiments that "
-                        "take a threads override (default 1)")
+                        "take a threads override (default: one per core, at "
+                        "most one per trial; 1 runs them in this process)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

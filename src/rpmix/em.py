@@ -111,10 +111,15 @@ def _factor(covs):
         chols = [cholesky(cov, lower=True) for cov in covs]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
+    _check_factored(covs, chols)
+    return tuple(chols)
+
+
+def _check_factored(covs, chols):
+    """The condition check of `_factor` on covariances factored already."""
     for cov, chol in zip(covs, chols):
         if not _condition_bound(cov, chol) < CONDITION_LIMIT / 10:
             _check_conditioning(_condition_number(eigvalsh(cov)))
-    return tuple(chols)
 
 
 def _condition_bound(cov, chol):
@@ -125,8 +130,12 @@ def _condition_bound(cov, chol):
 
 
 def _from_mixture(model: Mixture) -> _Params:
-    """Array state of a Mixture, one factor per distinct covariance."""
-    covs, owner = [], []
+    """Array state of a Mixture, one factor per distinct covariance.
+
+    Each `Gaussian` holds its Cholesky factor already; only the condition
+    check of `_factor` runs here.
+    """
+    covs, chols, owner = [], [], []
     for g in model.components:
         for f, cov in enumerate(covs):
             if np.array_equal(cov, g.covariance):
@@ -134,15 +143,19 @@ def _from_mixture(model: Mixture) -> _Params:
         else:
             f = len(covs)
             covs.append(g.covariance)
+            chols.append(g.chol)
         owner.append(f)
+    _check_factored(covs, chols)
     return _Params(
-        model.weights, model.means, tuple(covs), _factor(covs), np.array(owner)
+        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner)
     )
 
 
 def _to_mixture(params: _Params) -> Mixture:
+    """The Mixture of an array state, reusing its factors."""
     comps = [
-        Gaussian(mu, params.covs[f]) for mu, f in zip(params.means, params.owner)
+        Gaussian._factored(mu, params.covs[f], params.chols[f])
+        for mu, f in zip(params.means, params.owner)
     ]
     return Mixture(comps, params.weights)
 

@@ -68,6 +68,18 @@ class Gaussian:
             chol = cholesky(cov, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(str(exc)) from exc
+        self._set(mean, cov, chol)
+
+    @classmethod
+    def _factored(cls, mean, covariance, chol):
+        """A Gaussian from a finite mean, an exactly symmetric covariance and
+        its lower Cholesky factor, all checked by the caller (EM, which has
+        already factored every covariance it builds)."""
+        g = cls.__new__(cls)
+        g._set(mean, covariance, chol)
+        return g
+
+    def _set(self, mean, cov, chol):
         self.mean = mean
         self.covariance = cov
         self._chol = chol

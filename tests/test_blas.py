@@ -98,6 +98,17 @@ def test_trial_worker_enters_the_scope_itself(monkeypatch, two_threads):
     assert experiments._em_trial_star((50, 0, {})) == [1] * len(openblas_controls())
 
 
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+def test_digit_trial_worker_enters_the_scope_itself(monkeypatch, two_threads, threads):
+    # A forked worker inherits the parent's thread count (2 here).
+    monkeypatch.setattr(experiments, "train", lambda data, d, **kw: None)
+    monkeypatch.setattr(experiments, "evaluate", lambda model, test: thread_counts())
+    tasks = [(20, 0), (20, 1)]
+    rows = experiments._run_trials(experiments._digit_trial, tasks, threads, (None, None, 5))
+    assert [row["accuracy"] for row in rows] == [[1] * len(openblas_controls())] * 2
+
+
 @pytest.mark.slow
 @needs_openblas
 def test_spawned_worker_runs_on_one_thread():

@@ -293,7 +293,7 @@ class TestExperiment:
         assert code == 1
         err = capsys.readouterr().err
         assert "--threads does not apply to fig3-sep-vs-n" in err
-        assert "['fig8-em-compare', 'second-em-compare']" in err
+        assert "['fig8-em-compare', 'fig9-digit-sweep', 'second-em-compare']" in err
 
     def test_threads_string_in_config_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -338,6 +338,21 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "error: fig3-sep-vs-n: override 'n_values' must" in err
         assert "Traceback" not in err
+
+    def test_data_path_override_that_is_an_int_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "experiment": "fig9-digit-sweep",
+                    "overrides": {"train_path": 987, "test_path": 988},
+                }
+            )
+        )
+        assert run_cli(["experiment", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: fig9-digit-sweep: override 'train_path' must be a path" in err
+        assert "Bad file descriptor" not in err
 
     def test_help_documents_report_columns(self, capsys):
         try:

@@ -18,7 +18,7 @@ from rpmix import (
     run_em,
     sample,
 )
-from rpmix import em
+from rpmix import em, gaussians
 from rpmix.em import _from_mixture, _gram, _log_joint, _m_step, _to_mixture
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
@@ -30,6 +30,7 @@ from rpmix.errors import (
     NotEnoughDataError,
     ShapeMismatchError,
 )
+from rpmix.experiments import em_compare_trial
 from rpmix.gaussians import CONDITION_LIMIT, log_density_batch
 from rpmix.projection import project_data, random_orthonormal
 
@@ -301,12 +302,11 @@ class TestRunEm:
         with pytest.raises(NonFiniteError):
             rp_em(data, 2, 1, SHARED, 0)
 
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_shared_fit_factors_once_per_m_step(self, k, monkeypatch):
-        # Whatever k is, a SHARED_FULL M-step makes one Cholesky and one
-        # trace bound; the initial model takes one more of each. On this
-        # well-conditioned data no bound reaches the exact check.
-        calls = {"cholesky": 0, "dtrtri": 0, "eigvalsh": 0}
+    @staticmethod
+    def _count_factor_calls(monkeypatch):
+        """Count the Cholesky factorizations EM and `Gaussian` make, and the
+        trace bounds and exact condition numbers of EM's checks."""
+        calls = {"cholesky": 0, "dtrtri": 0, "eigvalsh": 0, "Gaussian cholesky": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -318,13 +318,50 @@ class TestRunEm:
         monkeypatch.setattr(em, "cholesky", counted("cholesky", em.cholesky))
         monkeypatch.setattr(em, "dtrtri", counted("dtrtri", em.dtrtri))
         monkeypatch.setattr(em, "eigvalsh", counted("eigvalsh", em.eigvalsh))
+        monkeypatch.setattr(
+            gaussians, "cholesky", counted("Gaussian cholesky", gaussians.cholesky)
+        )
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_shared_fit_factors_once_per_m_step(self, k, monkeypatch):
+        # Whatever k is, a SHARED_FULL M-step makes one Cholesky and one
+        # trace bound. The initial model's k Gaussians factor their own
+        # covariances, and EM checks the shared one with one more bound. The
+        # fitted model reuses EM's factor. On this well-conditioned data no
+        # bound reaches the exact check.
+        calls = self._count_factor_calls(monkeypatch)
         rng = np.random.default_rng(30)
         centers = rng.standard_normal((k, 4)) * 6
         data = np.vstack([c + rng.standard_normal((60, 4)) for c in centers])
         fit = run_em(data, k, SHARED, 1, max_iter=25)
         assert fit.iterations >= 2
         assert calls == {
-            "cholesky": fit.iterations + 1, "dtrtri": fit.iterations + 1, "eigvalsh": 0
+            "cholesky": fit.iterations,
+            "dtrtri": fit.iterations + 1,
+            "eigvalsh": 0,
+            "Gaussian cholesky": k,
+        }
+
+    def test_comparison_trial_factors_each_covariance_once(self, monkeypatch):
+        # A whole SHARED_FULL trial: the truth and the two initial models
+        # are k Gaussians each. EM factors once per M-step: the plain fit's,
+        # the projected fit's, and the hybrid's lift and one high-dimensional
+        # step. The five models EM reads back (two initial, the projected fit
+        # for the lift, and the two fits for their test log-likelihoods) take
+        # a bound each and no new factor.
+        calls = self._count_factor_calls(monkeypatch)
+        k = 3
+        row = em_compare_trial(
+            20, 1, k=k, c=2.0, d=5, restriction=SHARED, train_size=300, test_size=100
+        )
+        assert not row["reg_failed"] and not row["rp_failed"]
+        m_steps = row["reg_iterations"] + row["rp_low_iterations"] + 2
+        assert calls == {
+            "cholesky": m_steps,
+            "dtrtri": m_steps + 5,
+            "eigvalsh": 0,
+            "Gaussian cholesky": 3 * k,
         }
 
 
@@ -466,6 +503,16 @@ class TestConditionBound:
         else:
             em._factor([cov])
             assert run_em(data, 1, FULL, 0).converged
+
+    def test_supplied_mixture_is_checked(self):
+        # A Gaussian factors any positive definite covariance; EM reuses its
+        # factor but still runs the condition check on it.
+        model = Mixture([Gaussian(np.zeros(2), np.diag([1.0, 1e-13]))], [1.0])
+        data = np.ones((3, 2))
+        with pytest.raises(IllConditionedError):
+            e_step(model, data)
+        with pytest.raises(IllConditionedError):
+            held_out_loglik(model, data)
 
     def _count_eigvalsh(self, monkeypatch):
         calls = []

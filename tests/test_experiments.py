@@ -1,4 +1,9 @@
+import multiprocessing
+import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,19 +289,26 @@ class TestEmComparison:
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "name, overrides",
-        [("fig8-em-compare", {"n_values": (50,)}), ("second-em-compare", {})],
+        [
+            ("fig8-em-compare", {"n_values": (50,)}),
+            ("second-em-compare", {}),
+            ("fig9-digit-sweep", {"d_values": (20,)}),
+        ],
     )
     def test_worker_pool_report_byte_identical(self, tmp_path, name, overrides):
+        # threads=None is the default: one worker per core.
         def csv(threads):
             config = ExperimentConfig(
                 experiment=name, trials=4, base_seed=11,
-                overrides={**overrides, "threads": threads},
+                overrides={**overrides, **({} if threads is None else {"threads": threads})},
             )
             path = tmp_path / f"{threads}.csv"
             run(config).to_csv(path)
             return path.read_bytes()
 
-        assert csv(2) == csv(1)
+        serial = csv(1)
+        assert csv(2) == serial
+        assert csv(None) == serial
 
     @pytest.mark.parametrize(
         "name, member, extra",
@@ -321,6 +333,67 @@ class TestEmComparison:
                 assert np.isfinite(row["reg_test_loglik"])
             if not row["rp_failed"]:
                 assert np.isfinite(row["rp_test_loglik"])
+
+
+SMALL_TRIAL = dict(n_values=(20,), k=3, c=2.0, d=5, train_size=300, test_size=100)
+
+
+class TestTrialPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The keyword arguments of every executor `_run_trials` builds, on a
+        machine with three cores in the affinity mask."""
+        built = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        return built
+
+    @pytest.mark.parametrize("trials, workers", [(2, 2), (4, 3)])
+    def test_default_is_one_forked_worker_per_core_at_most_one_per_trial(
+        self, pools, trials, workers
+    ):
+        # Python 3.14 makes forkserver the Linux default; set another default
+        # here to show the pool does not follow it.
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            report = fig8_body(0, trials=trials, **SMALL_TRIAL)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert len(report.rows) == trials
+        assert len(pools) == 1
+        assert pools[0]["mp_context"].get_start_method() == "fork"
+        assert pools[0]["max_workers"] == workers
+
+    def test_explicit_threads_is_the_worker_count(self, pools):
+        fig8_body(0, trials=2, threads=4, **SMALL_TRIAL)
+        assert [kwargs["max_workers"] for kwargs in pools] == [4]
+
+    @pytest.mark.parametrize("trials, threads", [(1, None), (3, 1)])
+    def test_one_trial_or_one_thread_builds_no_pool(self, pools, trials, threads):
+        report = fig8_body(0, trials=trials, threads=threads, **SMALL_TRIAL)
+        assert len(report.rows) == trials
+        assert pools == []
+
+    def test_shared_arguments_reach_the_workers(self, pools):
+        def worker(task, offset):
+            return task + offset, os.getpid()
+
+        rows = experiments._run_trials(worker, [1, 2, 3], 2, (10,))
+        assert [value for value, _ in rows] == [11, 12, 13]
+        assert os.getpid() not in {pid for _, pid in rows}
+
+    def test_pooled_sweep_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fig8_body(0, trials=2, threads=2, **SMALL_TRIAL)
+        assert len(report.rows) == 2
 
 
 class TestDigitSweep:
@@ -430,11 +503,27 @@ class TestConfig:
             ("fig8-em-compare", {"mode": "diagonal-distinct", "restriction": "full-distinct"}),
             ("fig8-em-compare", {"mode": CovarianceMode.FULL_SHARED}),
             ("fig9-digit-sweep", {"train_path": "a.csv", "test_path": "b.csv"}),
+            ("fig9-digit-sweep", {"train_path": Path("a.csv"), "test_path": None}),
             ("fig9-digit-sweep", {"surrogate": False}),
         ],
     )
     def test_override_of_the_default_type_accepted(self, experiment, overrides):
         assert ExperimentConfig(experiment=experiment, overrides=overrides).overrides == overrides
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"train_path": 987, "test_path": "b.csv"},
+            {"train_path": "a.csv", "test_path": 988},
+            {"train_path": b"a.csv", "test_path": "b.csv"},
+            {"train_path": ["a.csv"], "test_path": "b.csv"},
+        ],
+    )
+    def test_data_path_that_is_not_a_path_rejected(self, overrides):
+        # `open` would read an int as a file descriptor.
+        key = next(k for k, v in overrides.items() if not isinstance(v, str))
+        with pytest.raises(ConfigError, match=f"fig9-digit-sweep: override '{key}' must be a path"):
+            ExperimentConfig(experiment="fig9-digit-sweep", overrides=overrides)
 
     @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True, None])
     def test_bad_threads_rejected(self, threads):
@@ -481,7 +570,7 @@ class TestRegistry:
         },
         "second-em-compare": {"n", "threads"},
         "fig9-digit-sweep": {
-            "d_values", "train_path", "test_path", "per_class_k", "surrogate",
+            "d_values", "train_path", "test_path", "per_class_k", "surrogate", "threads",
         },
         "pca-collapse": {"k", "samples"},
     }
