@@ -15,11 +15,10 @@ from .errors import (
     ClassTooSmallError,
     DimensionMismatchError,
     InvalidParameterError,
-    NonFiniteError,
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, _model_arrays, run_em
-from .gaussians import FLOAT_FMT, _read_csv
+from .gaussians import FLOAT_FMT, _as_float_array, _read_csv
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -29,12 +28,10 @@ class LabeledDataset:
     labels: np.ndarray  # m integers in [0, num_classes)
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        points = _as_float_array(self.points, "points", ndmin=2)
         labels = np.asarray(self.labels, dtype=int)
         if labels.shape != (points.shape[0],):
             raise InvalidParameterError("one label per point required")
-        if not np.all(np.isfinite(points)):
-            raise NonFiniteError("points contain non-finite coordinates")
         if labels.size and labels.min() < 0:
             raise InvalidParameterError("labels must be non-negative")
         points.setflags(write=False)
@@ -58,7 +55,7 @@ class ClassMixtureModel:
     class_priors: np.ndarray
 
     def __post_init__(self):
-        priors = np.asarray(self.class_priors, dtype=float)
+        priors = _as_float_array(self.class_priors, "class_priors")
         if abs(priors.sum() - 1.0) > 1e-9:
             raise ValueError("class priors must sum to 1")
         d = self.projection.target_dim
@@ -85,8 +82,6 @@ def _check_no_empty_class(data: LabeledDataset):
 def ingest(path) -> LabeledDataset:
     """Read a label-first CSV: each line is `label,x1,...,xn`."""
     table, linenos = _read_csv(path)
-    if table.size == 0:
-        raise ParseError(f"{path}: no data rows")
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]
@@ -159,7 +154,7 @@ def predict_batch(model: ClassMixtureModel, points, use_priors=True) -> np.ndarr
 
 
 def predict(model: ClassMixtureModel, x, use_priors=True) -> int:
-    x = np.asarray(x, dtype=float)
+    x = _as_float_array(x, "x")
     if x.shape != (model.projection.source_dim,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, expected ({model.projection.source_dim},)"

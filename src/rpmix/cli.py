@@ -73,11 +73,11 @@ def _cmd_synth(args):
         seed=args.seed,
     )
     mix = make_mixture(spec)
+    data = sample(mix, args.samples, args.seed) if args.samples else None
     save_mixture(mix, args.out)
     print(f"wrote mixture (k={mix.k}, n={mix.dim}, separation="
           f"{mixture_separation(mix):.6g}) to {args.out}")
-    if args.samples:
-        data = sample(mix, args.samples, args.seed)
+    if data is not None:
         save_dataset(data, args.data_out)
         print(f"wrote {args.samples} samples to {args.data_out}")
 

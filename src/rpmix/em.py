@@ -17,13 +17,14 @@ public boundary: `init_params`, `FitResult.model`, and the `e_step`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtri
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.special import logsumexp
 
 from .errors import (
@@ -32,7 +33,6 @@ from .errors import (
     EmptyComponentError,
     IllConditionedError,
     InvalidParameterError,
-    NonFiniteError,
     NotEnoughDataError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
@@ -42,6 +42,7 @@ from .gaussians import (
     CONDITION_LIMIT,
     Gaussian,
     Mixture,
+    _as_float_array,
     _check_conditioning,
     _condition_number,
     radius,
@@ -75,16 +76,9 @@ class _Params(NamedTuple):
     owner: np.ndarray  # component -> factor index
 
 
-def _as_data(data):
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError("data contains non-finite entries")
-    return data
-
-
 def _model_arrays(model: Mixture, data):
     """Array state of `model` and the validated data it is to be applied to."""
-    data = _as_data(data)
+    data = _as_float_array(data, "data", ndmin=2)
     if data.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != model dimension {model.dim}"
@@ -258,7 +252,7 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     for every component.
     """
     restriction = CovarianceRestriction(restriction)
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_float_array(data, "data", ndmin=2)
     m, n = data.shape
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -311,8 +305,8 @@ def m_step(
     previous parameters and the run continues.
     """
     restriction = CovarianceRestriction(restriction)
-    resp = np.atleast_2d(np.asarray(resp, dtype=float))
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    resp = _as_float_array(resp, "resp", ndmin=2)
+    data = _as_float_array(data, "data", ndmin=2)
     if data.shape[0] != resp.shape[0]:
         raise ShapeMismatchError("responsibility rows != data rows")
     if previous is not None:
@@ -334,7 +328,7 @@ def run_em(
     MAX_RESCUES times per fit); after that it keeps its previous parameters.
     """
     restriction = CovarianceRestriction(restriction)
-    data = _as_data(data)
+    data = _as_float_array(data, "data", ndmin=2)
     params = _from_mixture(init_params(data, k, restriction, seed))
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
     trace = []
@@ -392,7 +386,7 @@ def rp_em(
     Returns (high-dimensional FitResult, projection, low-dimensional FitResult).
     """
     restriction = CovarianceRestriction(restriction)
-    train = _as_data(train)
+    train = _as_float_array(train, "train", ndmin=2)
     n = train.shape[1]
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
@@ -419,15 +413,29 @@ def rp_em(
 
 def test_loglik(model: Mixture, test) -> float:
     """Log-likelihood of held-out data under the model (0 for no data)."""
-    test = np.asarray(test, dtype=float)
+    test = _as_float_array(test, "test", ndmin=2)
     if test.size == 0:
         return 0.0
-    _, ll = e_step(model, np.atleast_2d(test))
+    _, ll = e_step(model, test)
     return ll
+
+
+def _has_perfect_matching(adjacency):
+    """Whether a square boolean biadjacency matrix has a perfect matching."""
+    match = maximum_bipartite_matching(csr_array(adjacency), perm_type="column")
+    return bool(np.all(match >= 0))
 
 
 def centers_recovered(model: Mixture, truth: Mixture):
     """Bottleneck-match estimated centers to true ones and score the fit.
+
+    The matching minimizes the largest center distance, and among the
+    matchings that do, it is the lexicographically first in truth order:
+    truth 0 takes the lowest model index that still completes one, then
+    truth 1, and so on. The bound is found by binary search over the
+    distinct distances, testing each for a perfect matching (Garfinkel,
+    "An improved algorithm for the bottleneck assignment problem", 1971),
+    so the cost is polynomial in k.
 
     Success requires every matched center to lie within a third of the true
     component's trace-radius. Returns (success, errors in truth order).
@@ -438,13 +446,23 @@ def centers_recovered(model: Mixture, truth: Mixture):
     dists = np.linalg.norm(
         model.means[:, None, :] - truth.means[None, :, :], axis=-1
     )
-    best_perm = None
-    best_max = np.inf
-    for perm in permutations(range(k)):
-        worst = max(dists[perm[j], j] for j in range(k))
-        if worst < best_max:
-            best_max = worst
-            best_perm = perm
-    errors = np.array([dists[best_perm[j], j] for j in range(k)])
+    values = np.unique(dists)
+    lo, hi = 0, values.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dists.T <= values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    allowed = dists.T <= values[lo]  # truth x model
+    for j in range(k):
+        for i in np.flatnonzero(allowed[j]):
+            fixed = allowed.copy()
+            fixed[j], fixed[:, i] = False, False
+            fixed[j, i] = True
+            if _has_perfect_matching(fixed):
+                allowed = fixed
+                break
+    errors = dists[np.argmax(allowed, axis=1), np.arange(k)]
     thresholds = np.array([radius(g) / 3.0 for g in truth.components])
     return bool(np.all(errors <= thresholds)), errors

@@ -32,8 +32,12 @@ CONDITION_LIMIT = 1e12
 FLOAT_FMT = "%.17g"  # round-trips doubles; prints integers below 2**53 without a point
 
 
-def _as_float_array(x, name="array"):
-    a = np.asarray(x, dtype=float)
+def _as_float_array(x, name, ndmin=0):
+    """The one way an array argument enters the library: `x` as floats with
+    at least `ndmin` axes (leading ones added, as `np.atleast_2d` adds them,
+    without a copy). NaN or infinity raises NonFiniteError naming `name`."""
+    # After asarray no copy is needed, so copy=False means the same in NumPy 1 and 2.
+    a = np.array(np.asarray(x, dtype=float), copy=False, ndmin=ndmin)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
@@ -57,13 +61,7 @@ class Gaussian:
             raise DimensionMismatchError(
                 f"covariance shape {cov.shape} does not match dimension {n}"
             )
-        scale = np.max(np.abs(cov)) if cov.size else 0.0
-        asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
-        if scale > 0 and asym > SYMMETRY_RTOL * scale:
-            raise NotPositiveDefiniteError(
-                f"covariance is not symmetric (asymmetry {asym:.3g} at scale {scale:.3g})"
-            )
-        cov = (cov + cov.T) / 2.0
+        cov = _symmetrized(cov)
         try:
             chol = cholesky(cov, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -161,6 +159,18 @@ class SpectralSummary:
     trace: float
 
 
+def _symmetrized(cov):
+    """(cov + cov^T) / 2 of a square matrix symmetric within SYMMETRY_RTOL of
+    its largest entry; NotPositiveDefiniteError otherwise."""
+    scale = np.max(np.abs(cov)) if cov.size else 0.0
+    asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
+    if scale > 0 and asym > SYMMETRY_RTOL * scale:
+        raise NotPositiveDefiniteError(
+            f"covariance is not symmetric (asymmetry {asym:.3g} at scale {scale:.3g})"
+        )
+    return (cov + cov.T) / 2.0
+
+
 def _condition_number(lam):
     """lambda_max / lambda_min from ascending eigenvalues; inf unless all > 0."""
     return lam[-1] / lam[0] if lam[0] > 0 else np.inf
@@ -185,7 +195,7 @@ def log_density(g: Gaussian, x) -> float:
 
 def log_density_batch(g: Gaussian, points) -> np.ndarray:
     """Log-density at every row of a dataset; one triangular solve batch."""
-    pts = np.atleast_2d(_as_float_array(points, "points"))
+    pts = _as_float_array(points, "points", ndmin=2)
     if pts.shape[1] != g.dim:
         raise DimensionMismatchError(
             f"points have dimension {pts.shape[1]}, expected {g.dim}"
@@ -209,12 +219,9 @@ def mahalanobis(g: Gaussian, x) -> float:
 def spectral_summary(cov) -> SpectralSummary:
     """Eigenvalues, eccentricity sqrt(l_max/l_min), and trace of a PD matrix."""
     cov = _as_float_array(cov, "covariance")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be square")
-    scale = np.max(np.abs(cov))
-    if scale > 0 and np.max(np.abs(cov - cov.T)) > SYMMETRY_RTOL * scale:
-        raise NotPositiveDefiniteError("matrix is not symmetric")
-    lam = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+        raise ValueError("covariance must be a non-empty square matrix")
+    lam = np.linalg.eigvalsh(_symmetrized(cov))
     if lam[0] <= 0:
         raise NotPositiveDefiniteError(f"smallest eigenvalue {lam[0]!r} <= 0")
     lam.setflags(write=False)
@@ -301,7 +308,7 @@ def load_mixture(path) -> Mixture:
 
 def save_dataset(points, path, header=None):
     """Write one point per CSV row at full double precision."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_float_array(points, "points", ndmin=2)
     header = "" if header is None else ",".join(header)
     np.savetxt(path, points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
@@ -309,9 +316,10 @@ def save_dataset(points, path, header=None):
 def _read_csv(path, skip_header=False):
     """A numeric CSV file as a float array, plus each row's line number.
 
-    Blank lines are skipped. A cell that is not a finite number raises
-    ParseError, and a row narrower or wider than the first raises
-    InconsistentWidthError; both name the file and the line.
+    Blank lines are skipped. A file with no data row raises ParseError. A
+    cell that is not a finite number raises ParseError, and a row narrower or
+    wider than the first raises InconsistentWidthError; both name the file
+    and the line.
     """
     rows, linenos = [], []
     width = None
@@ -334,6 +342,8 @@ def _read_csv(path, skip_header=False):
                 )
             rows.append(values)
             linenos.append(lineno)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
     bad = ~np.isfinite(table)
     if bad.any():

@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatchError,
     NotEnoughDataError,
 )
-from .gaussians import Gaussian, Mixture
+from .gaussians import Gaussian, Mixture, _as_float_array
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -30,18 +30,22 @@ class ProjectionKind(Enum):
     PCA = "pca"
 
 
+def _check_target_dim(d, n):
+    if d < 1 or d > n:
+        raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
+
+
 @dataclass(frozen=True)
 class ProjectionMatrix:
     rows: np.ndarray  # d x n
     kind: ProjectionKind
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = _as_float_array(self.rows, "rows")
         if rows.ndim != 2:
             raise BadDimsError("projection rows must form a 2-D matrix")
         d, n = rows.shape
-        if d < 1 or d > n:
-            raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
+        _check_target_dim(d, n)
         if self.kind in (ProjectionKind.ORTHONORMAL_RP, ProjectionKind.PCA):
             gram_err = np.max(np.abs(rows @ rows.T - np.eye(d)))
             if gram_err > ORTHONORMALITY_TOL:
@@ -72,8 +76,7 @@ def _haar_orthogonal(gauss):
 def random_orthonormal(n: int, d: int, seed) -> ProjectionMatrix:
     """Rows spanning a Haar-random d-dimensional subspace of R^n: the rows of
     a d x n N(0,1) draw, orthonormalized as Gram-Schmidt would, by QR."""
-    if d < 1 or d > n:
-        raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_target_dim(d, n)
     rng = np.random.default_rng(seed)
     rows = _haar_orthogonal(rng.standard_normal((d, n)).T).T
     return ProjectionMatrix(rows, ProjectionKind.ORTHONORMAL_RP)
@@ -85,8 +88,7 @@ def random_uniform(n: int, d: int, seed) -> ProjectionMatrix:
     The scaling makes E||Av||^2 = d/n for unit v, matching the orthonormal
     generator; no orthonormalization is performed.
     """
-    if d < 1 or d > n:
-        raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_target_dim(d, n)
     rng = np.random.default_rng(seed)
     entries = rng.uniform(-1.0, 1.0, size=(d, n)) * np.sqrt(3.0 / n)
     return ProjectionMatrix(entries, ProjectionKind.UNIFORM_RP)
@@ -98,10 +100,9 @@ def pca(data, d: int) -> ProjectionMatrix:
     Rows are ordered by descending captured variance; each row's first
     nonzero coordinate is made positive so outputs are reproducible.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_float_array(data, "data", ndmin=2)
     m, n = data.shape
-    if d < 1 or d > n:
-        raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_target_dim(d, n)
     if m < d + 1:
         raise NotEnoughDataError(f"PCA to {d} dims needs at least {d + 1} rows, got {m}")
     centered = data - data.mean(axis=0)
@@ -115,7 +116,7 @@ def pca(data, d: int) -> ProjectionMatrix:
 
 
 def project_data(p: ProjectionMatrix, data) -> np.ndarray:
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_float_array(data, "data", ndmin=2)
     if data.shape[1] != p.source_dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != source dimension {p.source_dim}"
@@ -148,7 +149,7 @@ def projection_to_dict(p: ProjectionMatrix) -> dict:
 
 
 def projection_from_dict(doc: dict) -> ProjectionMatrix:
-    p = ProjectionMatrix(np.array(doc["rows"], dtype=float), ProjectionKind(doc["kind"]))
+    p = ProjectionMatrix(doc["rows"], ProjectionKind(doc["kind"]))
     if p.source_dim != doc["source_dim"] or p.target_dim != doc["target_dim"]:
         raise BadDimsError("declared dims do not match the stored matrix")
     return p

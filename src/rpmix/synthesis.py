@@ -22,7 +22,7 @@ from .errors import (
     TooManyComponentsError,
     _ParameterEnum,
 )
-from .gaussians import Gaussian, Mixture
+from .gaussians import Gaussian, Mixture, _as_float_array
 from .projection import _haar_orthogonal, random_orthonormal
 
 
@@ -104,7 +104,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
         raise TooManyComponentsError(
             f"simplex packing needs k <= n+1, got k={k}, n={n}"
         )
-    radii = np.asarray(radii, dtype=float)
+    radii = _as_float_array(radii, "radii")
     if radii.shape != (k,):
         raise ValueError("need one radius per component")
     targets = np.zeros((k, k))

@@ -57,6 +57,18 @@ class TestSynth:
         assert code == 1
         assert "error: eccentricity E" in capsys.readouterr().err
 
+    def test_bad_sample_count_writes_nothing(self, tmp_path, capsys):
+        mix_path, data_path = tmp_path / "mix.json", tmp_path / "data.csv"
+        code = run_cli(
+            [
+                "synth", "--n", 5, "--k", 2, "--c", 1.0, "--samples", -3,
+                "--out", mix_path, "--data-out", data_path,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: count must be >= 1, got -3\n"
+        assert not mix_path.exists() and not data_path.exists()
+
 
 @pytest.mark.parametrize(
     "args",
@@ -84,6 +96,19 @@ def test_bad_parameter_is_clean_error(tmp_path, capsys, args):
     code = run_cli([*args, "--out", tmp_path / "out.json"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize(
+    "command", [["em", "--k", 2], ["project", "--kind", "pca", "--d", 1]], ids=["em", "project"]
+)
+def test_csv_without_data_rows_is_a_parse_error(tmp_path, capsys, command, text):
+    data_path = tmp_path / "empty.csv"
+    data_path.write_text(text)
+    code = run_cli([*command, "--data", data_path, "--out", tmp_path / "out.json"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {data_path}: no data rows\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestProject:

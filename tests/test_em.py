@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -680,6 +681,52 @@ class TestCentersRecovered:
                     for p in permutations(range(k))
                 )
                 assert errors.max() == pytest.approx(best, rel=1e-12)
+
+    @staticmethod
+    def _scan(model, truth):
+        """Oracle: the first permutation, in lexicographic order, whose
+        largest center distance is the smallest over all k! of them."""
+        k = truth.k
+        dists = np.linalg.norm(model.means[:, None, :] - truth.means[None, :, :], axis=-1)
+        best_perm, best_max = None, np.inf
+        for perm in permutations(range(k)):
+            worst = max(dists[perm[j], j] for j in range(k))
+            if worst < best_max:
+                best_perm, best_max = perm, worst
+        errors = np.array([dists[best_perm[j], j] for j in range(k)])
+        thresholds = np.array([radius(g) / 3.0 for g in truth.components])
+        return bool(np.all(errors <= thresholds)), errors
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tied"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_agrees_with_the_permutation_scan(self, k, ties):
+        rng = np.random.default_rng([22, k, int(ties)])
+        for _ in range(25):
+            if ties:  # integer grid points: many equal distances
+                truth_means = rng.integers(-2, 3, (k, 2)).astype(float)
+                est_means = rng.integers(-2, 3, (k, 2)).astype(float)
+            else:
+                truth_means = rng.standard_normal((k, 2)) * 4
+                est_means = truth_means[rng.permutation(k)] + rng.standard_normal((k, 2))
+            scales = rng.uniform(0.5, 20.0, k)  # unequal per-component radii
+            truth = Mixture(
+                [Gaussian(mu, s * np.eye(2)) for mu, s in zip(truth_means, scales)],
+                np.full(k, 1.0 / k),
+            )
+            est = self._mixture(est_means)
+            ok, errors = centers_recovered(est, truth)
+            ok_scan, errors_scan = self._scan(est, truth)
+            assert ok == ok_scan
+            assert np.array_equal(errors, errors_scan)
+
+    def test_large_k_is_polynomial(self):
+        rng = np.random.default_rng(23)
+        truth_means = rng.standard_normal((12, 5)) * 10
+        est = self._mixture(truth_means[rng.permutation(12)] + rng.standard_normal((12, 5)))
+        start = time.perf_counter()
+        _, errors = centers_recovered(est, self._mixture(truth_means))
+        assert time.perf_counter() - start < 1.0
+        assert errors.shape == (12,)
 
     def test_shape_mismatch(self):
         a = self._mixture(np.zeros((2, 2)) + np.array([[0.0, 0.0], [5.0, 0.0]]))

@@ -167,6 +167,11 @@ class TestSpectralSummary:
         with pytest.raises(NotPositiveDefiniteError):
             spectral_summary(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)])
+    def test_rejects_empty_or_non_square(self, shape):
+        with pytest.raises(ValueError, match="non-empty square matrix"):
+            spectral_summary(np.ones(shape))
+
     def test_eccentricity_at_least_one(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -347,6 +352,13 @@ class TestSerialization:
         path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
         with pytest.raises(ParseError, match="data.csv: line 3"):
             load_dataset(path, skip_header=True)
+
+    @pytest.mark.parametrize("text, skip_header", [("", False), ("\n", False), ("a,b\n", True)])
+    def test_dataset_without_rows_is_a_parse_error(self, tmp_path, text, skip_header):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="data.csv: no data rows"):
+            load_dataset(path, skip_header=skip_header)
 
     def test_dataset_ragged_row_names_its_line(self, tmp_path):
         path = tmp_path / "data.csv"

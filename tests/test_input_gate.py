@@ -1,0 +1,109 @@
+"""Every public function that takes an array rejects NaN and infinity with a
+NonFiniteError that names the argument, before it computes or writes
+anything."""
+
+import json
+
+import numpy as np
+import pytest
+
+from rpmix import (
+    CovarianceRestriction,
+    Gaussian,
+    Mixture,
+    e_step,
+    init_params,
+    log_density,
+    m_step,
+    mahalanobis,
+    pca,
+    project_data,
+    rp_em,
+    run_em,
+    save_dataset,
+    spectral_summary,
+)
+from rpmix.classifier import ClassMixtureModel, LabeledDataset
+from rpmix.em import test_loglik as held_out_loglik
+from rpmix.errors import NonFiniteError
+from rpmix.gaussians import _as_float_array, log_density_batch
+from rpmix.projection import (
+    ProjectionKind,
+    ProjectionMatrix,
+    load_projection,
+    random_orthonormal,
+)
+from rpmix.synthesis import packed_centers
+
+FULL = CovarianceRestriction.FULL_DISTINCT
+
+DATA = np.random.default_rng(0).standard_normal((40, 3))
+DATA[20:] += 6.0
+MODEL = init_params(DATA, 2, FULL, 0)
+G = MODEL.components[0]
+RESP = np.tile([0.5, 0.5], (40, 1))
+PROJ = random_orthonormal(3, 2, 0)
+
+
+def poisoned(a, bad):
+    """A float copy of `a` with its entry at flat index 1 set to `bad`."""
+    a = np.array(a, dtype=float)
+    a.flat[1] = bad
+    return a
+
+
+def write_projection(path, bad):
+    rows = poisoned(PROJ.rows, bad).tolist()
+    doc = {"kind": "orthonormal-rp", "source_dim": 3, "target_dim": 2, "rows": rows}
+    path.write_text(json.dumps(doc))  # as the JSON literals NaN and Infinity
+    return path
+
+
+# case -> (argument name, call with the bad value and a scratch directory)
+CASES = {
+    "Gaussian-mean": ("mean", lambda b, tmp: Gaussian(poisoned([0, 0], b), np.eye(2))),
+    "Gaussian-covariance": ("covariance", lambda b, tmp: Gaussian([0, 0], poisoned(np.eye(2), b))),
+    "Mixture": ("weights", lambda b, tmp: Mixture(MODEL.components, poisoned([0.5, 0.5], b))),
+    "log_density": ("x", lambda b, tmp: log_density(G, poisoned(DATA[0], b))),
+    "log_density_batch": ("points", lambda b, tmp: log_density_batch(G, poisoned(DATA, b))),
+    "mahalanobis": ("x", lambda b, tmp: mahalanobis(G, poisoned(DATA[0], b))),
+    "spectral_summary": ("covariance", lambda b, tmp: spectral_summary(poisoned(np.eye(2), b))),
+    "init_params": ("data", lambda b, tmp: init_params(poisoned(DATA, b), 2, FULL, 0)),
+    "e_step": ("data", lambda b, tmp: e_step(MODEL, poisoned(DATA, b))),
+    "m_step-resp": ("resp", lambda b, tmp: m_step(poisoned(RESP, b), DATA, FULL)),
+    "m_step-data": ("data", lambda b, tmp: m_step(RESP, poisoned(DATA, b), FULL)),
+    "run_em": ("data", lambda b, tmp: run_em(poisoned(DATA, b), 2, FULL, 0)),
+    "rp_em": ("train", lambda b, tmp: rp_em(poisoned(DATA, b), 2, 2, FULL, 0)),
+    "test_loglik": ("test", lambda b, tmp: held_out_loglik(MODEL, poisoned(DATA, b))),
+    "pca": ("data", lambda b, tmp: pca(poisoned(DATA, b), 2)),
+    "project_data": ("data", lambda b, tmp: project_data(PROJ, poisoned(DATA, b))),
+    "ProjectionMatrix": (
+        "rows",
+        lambda b, tmp: ProjectionMatrix(poisoned(PROJ.rows, b), ProjectionKind.UNIFORM_RP),
+    ),
+    "load_projection": ("rows", lambda b, tmp: load_projection(write_projection(tmp / "p.json", b))),
+    "LabeledDataset": ("points", lambda b, tmp: LabeledDataset(poisoned(DATA, b), [0] * 40)),
+    "ClassMixtureModel": (
+        "class_priors",
+        lambda b, tmp: ClassMixtureModel(PROJ, (), poisoned([0.5, 0.5], b)),
+    ),
+    "packed_centers": ("radii", lambda b, tmp: packed_centers(2, 3, 2, poisoned([1, 1], b), 0)),
+    "save_dataset": ("points", lambda b, tmp: save_dataset(poisoned(DATA, b), tmp / "out.csv")),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_non_finite_array_is_named(tmp_path, case, bad):
+    name, call = CASES[case]
+    with pytest.raises(NonFiniteError, match=f"^{name} contains non-finite entries$"):
+        call(bad, tmp_path)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("x", [2.0, [1.0, 2.0], [[1.0], [2.0]]], ids=["scalar", "vector", "matrix"])
+def test_gate_adds_leading_axes_without_a_copy(x):
+    a = np.asarray(x, dtype=float)
+    out = _as_float_array(a, "x", ndmin=2)
+    assert out.shape == np.atleast_2d(a).shape
+    assert np.shares_memory(out, a)
