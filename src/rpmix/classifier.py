@@ -18,12 +18,15 @@ from .errors import (
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, _model_arrays, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _read_csv
+from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _read_csv
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
+    """Points with one class label each, held as read-only views: the
+    dataset shares memory with the arrays passed in, which stay writable."""
+
     points: np.ndarray  # m x n
     labels: np.ndarray  # m integers in [0, num_classes)
 
@@ -34,10 +37,8 @@ class LabeledDataset:
             raise InvalidParameterError("one label per point required")
         if labels.size and labels.min() < 0:
             raise InvalidParameterError("labels must be non-negative")
-        points.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", _frozen(points))
+        object.__setattr__(self, "labels", _frozen(labels))
 
     @property
     def num_classes(self):
@@ -57,16 +58,15 @@ class ClassMixtureModel:
     def __post_init__(self):
         priors = _as_float_array(self.class_priors, "class_priors")
         if abs(priors.sum() - 1.0) > 1e-9:
-            raise ValueError("class priors must sum to 1")
+            raise InvalidParameterError("class priors must sum to 1")
         d = self.projection.target_dim
         for mix in self.per_class:
             if mix.dim != d:
                 raise DimensionMismatchError(
                     "per-class mixture dimension != projection target dimension"
                 )
-        priors.setflags(write=False)
         object.__setattr__(self, "per_class", tuple(self.per_class))
-        object.__setattr__(self, "class_priors", priors)
+        object.__setattr__(self, "class_priors", _frozen(priors))
 
 
 def _check_no_empty_class(data: LabeledDataset):

@@ -60,8 +60,6 @@ _RESTRICTIONS = {
     "full": CovarianceRestriction.FULL_DISTINCT,
 }
 
-_MODES = {m.value: m for m in CovarianceMode}
-
 
 def _cmd_synth(args):
     spec = MixtureSpec(
@@ -69,7 +67,7 @@ def _cmd_synth(args):
         k=args.k,
         c=args.c,
         E=args.eccentricity,
-        covariance_mode=_MODES[args.mode],
+        covariance_mode=args.mode,
         seed=args.seed,
     )
     mix = make_mixture(spec)
@@ -197,7 +195,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True, help="number of components")
     p.add_argument("--c", type=float, required=True, help="pairwise separation")
     p.add_argument("--eccentricity", "-E", type=float, default=1.0)
-    p.add_argument("--mode", choices=sorted(_MODES), default="spherical-shared")
+    p.add_argument("--mode", choices=sorted(m.value for m in CovarianceMode), default="spherical-shared")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="mixture JSON output path")
     p.add_argument("--samples", type=int, default=0, help="also draw this many points")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -45,6 +45,7 @@ from .gaussians import (
     _as_float_array,
     _check_conditioning,
     _condition_number,
+    _quad_forms,
     radius,
 )
 from .projection import project_data, random_orthonormal
@@ -155,31 +156,14 @@ def _to_mixture(params: _Params) -> Mixture:
 
 
 def _log_joint(params: _Params, data) -> np.ndarray:
-    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i.
-
-    Per distinct factor L, the data and the means that share L, all centred
-    by the data mean, take one triangular solve, giving solved points y_j and
-    solved means m_i. The quadratic form is expanded as
-    ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one norm pass over
-    the solved data and one (points x n)(n x components) product per factor,
-    not one difference pass per component. The expansion loses about
-    eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the data mean
-    keeps both norms of the order of the quadratic forms themselves; data
-    far from the origin would make them arbitrarily larger.
-    """
+    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i."""
     m, n = data.shape
-    center = data.mean(axis=0)
     const = -0.5 * n * np.log(2.0 * np.pi)
     out = np.empty((m, len(params.weights)))
     for f, chol in enumerate(params.chols):
         comps = np.flatnonzero(params.owner == f)
-        rhs = np.concatenate([data, params.means[comps]])
-        rhs -= center
-        solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True).T
-        y, mu = solved[:m], solved[m:]
+        quad = _quad_forms(chol, data, params.means[comps])
         log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T)
-        quad += np.einsum("ij,ij->i", mu, mu)
         out[:, comps] = np.log(params.weights[comps]) + (const - 0.5 * log_det - 0.5 * quad)
     return out
 

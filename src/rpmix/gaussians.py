@@ -43,19 +43,28 @@ def _as_float_array(x, name, ndmin=0):
     return a
 
 
+def _frozen(a):
+    """A read-only view of `a`. The object that keeps it shares memory with
+    the array passed in, which stays writable for its owner."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
 class Gaussian:
     """An n-dimensional Gaussian N(mean, covariance).
 
     The covariance must be symmetric (within 1e-9 relative, max-abs scale)
     and positive definite; it is symmetrized once on construction and both
-    arrays are frozen, so instances are safe to share across threads.
+    arrays are read-only views, so instances are safe to share across
+    threads. The mean shares memory with the array passed in.
     """
 
     def __init__(self, mean, covariance):
         mean = _as_float_array(mean, "mean")
         cov = _as_float_array(covariance, "covariance")
         if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
+            raise InvalidParameterError("mean must be a vector")
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise DimensionMismatchError(
@@ -78,12 +87,10 @@ class Gaussian:
         return g
 
     def _set(self, mean, cov, chol):
-        self.mean = mean
-        self.covariance = cov
-        self._chol = chol
+        self.mean = _frozen(mean)
+        self.covariance = _frozen(cov)
+        self._chol = _frozen(chol)
         self._eigs = None
-        for a in (self.mean, self.covariance, self._chol):
-            a.setflags(write=False)
 
     @property
     def dim(self):
@@ -115,26 +122,26 @@ class Gaussian:
 
 
 class Mixture:
-    """A weighted mixture of Gaussians of a common dimension."""
+    """A weighted mixture of Gaussians of a common dimension. The weights are
+    a read-only view sharing memory with the array passed in."""
 
     def __init__(self, components, weights):
         components = list(components)
         if not components:
-            raise ValueError("mixture needs at least one component")
+            raise InvalidParameterError("mixture needs at least one component")
         n = components[0].dim
         for g in components:
             if g.dim != n:
                 raise DimensionMismatchError("components have differing dimensions")
         w = _as_float_array(weights, "weights")
         if w.shape != (len(components),):
-            raise ValueError("one weight per component required")
+            raise InvalidParameterError("one weight per component required")
         if np.any(w <= 0):
-            raise ValueError("weights must all be positive")
+            raise InvalidParameterError("weights must all be positive")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise InvalidParameterError(f"weights sum to {w.sum()!r}, not 1")
         self.components = tuple(components)
-        self.weights = w
-        self.weights.setflags(write=False)
+        self.weights = _frozen(w)
 
     @property
     def k(self):
@@ -183,44 +190,58 @@ def _check_conditioning(cond):
         )
 
 
+def _quad_forms(chol, points, means):
+    """||L^-1 (x_j - mu_i)||^2 for each point x_j and each mean mu_i sharing L.
+
+    The points and the means, all centred by the points' mean, take one
+    triangular solve, giving solved points y_j and solved means m_i. The
+    quadratic form is expanded as
+    ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one norm pass over
+    the solved points and one (points x n)(n x means) product, not one
+    difference pass per mean. The expansion loses about
+    eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the points'
+    mean keeps both norms of the order of the quadratic forms themselves;
+    points far from the origin would make them arbitrarily larger.
+    """
+    rhs = np.concatenate([points, means])
+    rhs -= points.mean(axis=0)
+    solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True).T
+    y, mu = np.split(solved, [len(points)])
+    return np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
+
+
+def _quad_to_mean(g: Gaussian, x, name, ndmin):
+    """`g`'s quadratic form at the point (ndmin 0) or rows (ndmin 2) of `x`,
+    gated as `name`, dimension-checked and after `g`'s condition check."""
+    pts = _as_float_array(x, name, ndmin=ndmin)
+    if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
+        raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
+    _check_conditioning(g.condition_number)
+    return _quad_forms(g.chol, pts.reshape(-1, g.dim), g.mean[None])[:, 0]
+
+
 def log_density(g: Gaussian, x) -> float:
     """Log of the Gaussian density at a single point x."""
-    x = _as_float_array(x, "x")
-    if x.shape != (g.dim,):
-        raise DimensionMismatchError(f"point has shape {x.shape}, expected ({g.dim},)")
-    _check_conditioning(g.condition_number)
-    y = solve_triangular(g.chol, x - g.mean, lower=True)
-    return -0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * float(y @ y)
+    quad = _quad_to_mean(g, x, "x", 0)[0]
+    return float(-0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * quad)
 
 
 def log_density_batch(g: Gaussian, points) -> np.ndarray:
     """Log-density at every row of a dataset; one triangular solve batch."""
-    pts = _as_float_array(points, "points", ndmin=2)
-    if pts.shape[1] != g.dim:
-        raise DimensionMismatchError(
-            f"points have dimension {pts.shape[1]}, expected {g.dim}"
-        )
-    _check_conditioning(g.condition_number)
-    y = solve_triangular(g.chol, (pts - g.mean).T, lower=True)
-    quad = np.sum(y * y, axis=0)
+    quad = _quad_to_mean(g, points, "points", 2)
     return -0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * quad
 
 
 def mahalanobis(g: Gaussian, x) -> float:
     """Distance from the center in the Gaussian's own metric."""
-    x = _as_float_array(x, "x")
-    if x.shape != (g.dim,):
-        raise DimensionMismatchError(f"point has shape {x.shape}, expected ({g.dim},)")
-    _check_conditioning(g.condition_number)
-    y = solve_triangular(g.chol, x - g.mean, lower=True)
-    return float(np.sqrt(y @ y))
+    return float(np.sqrt(_quad_to_mean(g, x, "x", 0)[0]))
 
 
 def spectral_summary(cov) -> SpectralSummary:
     """Eigenvalues, eccentricity sqrt(l_max/l_min), and trace of a PD matrix."""
     cov = _as_float_array(cov, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
-        raise ValueError("covariance must be a non-empty square matrix")
+        raise InvalidParameterError("covariance must be a non-empty square matrix")
     lam = np.linalg.eigvalsh(_symmetrized(cov))
     if lam[0] <= 0:
         raise NotPositiveDefiniteError(f"smallest eigenvalue {lam[0]!r} <= 0")

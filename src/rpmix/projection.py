@@ -19,7 +19,7 @@ from .errors import (
     DimensionMismatchError,
     NotEnoughDataError,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array
+from .gaussians import Gaussian, Mixture, _as_float_array, _frozen
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -37,6 +37,9 @@ def _check_target_dim(d, n):
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
+    """A d x n projection. Its rows are a read-only view: the matrix shares
+    memory with the array passed in, which stays writable."""
+
     rows: np.ndarray  # d x n
     kind: ProjectionKind
 
@@ -52,8 +55,7 @@ class ProjectionMatrix:
                 raise BadDimsError(
                     f"rows are not orthonormal (max |AA^T - I| = {gram_err:.3g})"
                 )
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _frozen(rows))
 
     @property
     def source_dim(self):

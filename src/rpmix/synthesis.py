@@ -106,7 +106,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
         )
     radii = _as_float_array(radii, "radii")
     if radii.shape != (k,):
-        raise ValueError("need one radius per component")
+        raise InvalidParameterError("need one radius per component")
     targets = np.zeros((k, k))
     for i, j in combinations(range(k), 2):
         targets[i, j] = targets[j, i] = c * max(radii[i], radii[j])

@@ -50,6 +50,14 @@ def _verdict(num, name, ok, detail):
     assert ok, line
 
 
+def _wilson(rate, trials, z=1.96):
+    """A 95% Wilson score interval for a success rate over `trials`, as text."""
+    z2n = z * z / trials
+    center = (rate + z2n / 2.0) / (1.0 + z2n)
+    half = z * math.sqrt(rate * (1.0 - rate) / trials + z2n / (4.0 * trials)) / (1.0 + z2n)
+    return f"95% Wilson [{center - half:.3f}, {center + half:.3f}]"
+
+
 def _means(report, metric):
     out = {}
     for agg in report.aggregates():
@@ -138,7 +146,8 @@ def test_criterion_2_pca_vs_rp_separation_tables():
 
 
 def test_criterion_3_em_comparison_across_dimension():
-    report = fig8_body(0, trials=150, n_values=(50, 200))
+    trials = 150
+    report = fig8_body(0, trials=trials, n_values=(50, 200))
     reg = _means(report, "reg_success")
     rp = _means(report, "rp_success")
     beats = _means(report, "rp_beats")
@@ -152,12 +161,13 @@ def test_criterion_3_em_comparison_across_dimension():
         ok,
         f"plain success {reg[(50,)]:.3f}->{reg[(200,)]:.3f} (drop {drop:.3f} "
         f">=0.15), hybrid spread {spread:.3f} <=0.10, hybrid beat rate at "
-        f"n=200 {beat200:.3f} >0.50",
+        f"n=200 {beat200:.3f} {_wilson(beat200, trials)} >0.50",
     )
 
 
 def test_criterion_4_eccentric_unrestricted_comparison():
-    report = second_em_body(0, trials=100)
+    trials = 100
+    report = second_em_body(0, trials=trials)
     reg = _means(report, "reg_success")[(100,)]
     rp = _means(report, "rp_success")[(100,)]
     beat = _means(report, "rp_beats")[(100,)]
@@ -166,7 +176,8 @@ def test_criterion_4_eccentric_unrestricted_comparison():
         4,
         "hybrid wins on eccentric unrestricted mixtures",
         ok,
-        f"success {rp:.3f} vs {reg:.3f} (gap >=0.20), beat rate {beat:.3f} >=0.55",
+        f"success {rp:.3f} vs {reg:.3f} (gap >=0.20), beat rate {beat:.3f} "
+        f"{_wilson(beat, trials)} >=0.55",
     )
 
 

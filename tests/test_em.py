@@ -32,7 +32,7 @@ from rpmix.errors import (
     ShapeMismatchError,
 )
 from rpmix.experiments import em_compare_trial
-from rpmix.gaussians import CONDITION_LIMIT, log_density_batch
+from rpmix.gaussians import CONDITION_LIMIT
 from rpmix.projection import project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
@@ -367,13 +367,15 @@ class TestRunEm:
 
 
 def _stacked_log_joint(model, data):
-    """Reference: log w_i + log N(x; mu_i, Sigma_i), one Gaussian at a time."""
-    return np.column_stack(
-        [
-            np.log(w) + log_density_batch(g, data)
-            for g, w in zip(model.components, model.weights)
-        ]
-    )
+    """Reference: log w_i + log N(x; mu_i, Sigma_i), one Gaussian at a time,
+    with the quadratic form in difference form, ||L^-1 (x - mu_i)||^2."""
+    n = data.shape[1]
+    columns = []
+    for g, w in zip(model.components, model.weights):
+        y = solve_triangular(g.chol, (data - g.mean).T, lower=True)
+        log_det = 2.0 * np.sum(np.log(np.diag(g.chol)))
+        columns.append(np.log(w) - 0.5 * (n * np.log(2.0 * np.pi) + log_det + np.sum(y * y, axis=0)))
+    return np.column_stack(columns)
 
 
 def _old_pooled(resp, data, dead=()):

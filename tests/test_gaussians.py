@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
 from rpmix import (
     Gaussian,
@@ -30,7 +33,7 @@ from rpmix.errors import (
     ParseError,
     TooFewComponentsError,
 )
-from rpmix.gaussians import log_density_batch
+from rpmix.gaussians import _quad_forms, log_density_batch
 
 
 def random_rotation(n, seed):
@@ -118,6 +121,43 @@ class TestLogDensity:
         g = Gaussian(np.zeros(2), np.diag([1.0, 1e13]))
         with pytest.raises(IllConditionedError):
             log_density(g, np.zeros(2))
+
+
+def _solved_norms(chol, rows, center):
+    """||L^-1 (r - center)||^2 of every row r, in difference form."""
+    return np.sum(solve_triangular(chol, (rows - center).T, lower=True) ** 2, axis=0)
+
+
+class TestQuadFormKernel:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 30),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        offset_exp=st.integers(0, 9),
+        scale_exp=st.integers(-3, 3),
+    )
+    def test_expansion_within_cancellation_bound(self, n, m, k, seed, offset_exp, scale_exp):
+        """The kernel agrees with the difference form ||L^-1 (x_j - mu_i)||^2
+        within c * eps * (||y_j||^2 + ||m_i||^2), the documented cancellation
+        of the expansion, for data up to 1e9 from the origin."""
+        rng = np.random.default_rng(seed)
+        q = random_rotation(n, [seed, 1])  # a stream apart from rng's
+        lam = 10.0 ** (rng.uniform(0.0, 2.0, n) + scale_exp)  # SPD, condition <= 100
+        chol = np.linalg.cholesky((q * lam) @ q.T)
+        offset = 10.0**offset_exp * rng.standard_normal(n)
+        points = offset + rng.standard_normal((m, n)) @ chol.T
+        means = offset + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
+
+        got = _quad_forms(chol, points, means)
+
+        ref = np.column_stack([_solved_norms(chol, points, mu) for mu in means])
+        center = points.mean(axis=0)
+        scale = _solved_norms(chol, points, center)[:, None] + _solved_norms(chol, means, center)
+        # Each term of the expansion is an n-term sum; the slack covers the solves.
+        c = 4 * (n + 2)
+        assert np.all(np.abs(got - ref) <= c * np.finfo(float).eps * scale)
 
 
 class TestMahalanobis:

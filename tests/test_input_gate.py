@@ -1,6 +1,7 @@
 """Every public function that takes an array rejects NaN and infinity with a
 NonFiniteError that names the argument, before it computes or writes
-anything."""
+anything. A bad parameter value ends in an RpmixError, and an object that
+keeps an array argument leaves the caller's array writable."""
 
 import json
 
@@ -13,6 +14,7 @@ from rpmix import (
     Mixture,
     e_step,
     init_params,
+    load_mixture,
     log_density,
     m_step,
     mahalanobis,
@@ -25,7 +27,7 @@ from rpmix import (
 )
 from rpmix.classifier import ClassMixtureModel, LabeledDataset
 from rpmix.em import test_loglik as held_out_loglik
-from rpmix.errors import NonFiniteError
+from rpmix.errors import InvalidParameterError, NonFiniteError, RpmixError
 from rpmix.gaussians import _as_float_array, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -107,3 +109,54 @@ def test_gate_adds_leading_axes_without_a_copy(x):
     out = _as_float_array(a, "x", ndmin=2)
     assert out.shape == np.atleast_2d(a).shape
     assert np.shares_memory(out, a)
+
+
+# case -> call that passes a finite but invalid parameter
+INVALID = {
+    "Gaussian-mean-not-vector": lambda: Gaussian(np.zeros((2, 2)), np.eye(2)),
+    "Mixture-no-component": lambda: Mixture([], []),
+    "Mixture-weight-count": lambda: Mixture(MODEL.components, [1.0]),
+    "Mixture-negative-weight": lambda: Mixture(MODEL.components, [1.5, -0.5]),
+    "Mixture-weight-sum": lambda: Mixture(MODEL.components, [0.5, 0.6]),
+    "spectral_summary-not-square": lambda: spectral_summary(np.ones((2, 3))),
+    "ClassMixtureModel-prior-sum": lambda: ClassMixtureModel(PROJ, (), [0.5, 0.6]),
+    "packed_centers-radius-count": lambda: packed_centers(2, 3, 2, [1.0], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_parameter_is_typed(case):
+    with pytest.raises(InvalidParameterError):
+        INVALID[case]()
+
+
+def test_negative_weight_in_mixture_file_is_an_rpmix_error(tmp_path):
+    path = tmp_path / "m.json"
+    doc = {"weights": [1.5, -0.5], "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[1.0]]]}
+    path.write_text(json.dumps(doc))
+    try:
+        load_mixture(path)
+    except RpmixError as exc:
+        assert "positive" in str(exc)
+    else:
+        pytest.fail("load_mixture accepted a negative weight")
+
+
+# case -> (constructor, attribute that keeps the array, array passed in)
+KEEPERS = {
+    "LabeledDataset-points": (lambda a: LabeledDataset(a, [0, 1, 1]), "points", np.ones((3, 2))),
+    "LabeledDataset-labels": (lambda a: LabeledDataset(np.ones((3, 2)), a), "labels", np.array([0, 1, 1])),
+    "ProjectionMatrix": (lambda a: ProjectionMatrix(a, ProjectionKind.UNIFORM_RP), "rows", np.ones((2, 3))),
+    "Gaussian": (lambda a: Gaussian(a, np.eye(2)), "mean", np.ones(2)),
+    "Mixture": (lambda a: Mixture(MODEL.components, a), "weights", np.array([0.25, 0.75])),
+    "ClassMixtureModel": (lambda a: ClassMixtureModel(PROJ, (), a), "class_priors", np.array([0.25, 0.75])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEEPERS))
+def test_kept_array_is_a_read_only_view(case):
+    make, attr, a = KEEPERS[case]
+    kept = getattr(make(a), attr)
+    a.flat[0] = 5
+    assert kept.flat[0] == 5  # shared memory, not a copy
+    assert not kept.flags.writeable
