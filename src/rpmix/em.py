@@ -7,11 +7,19 @@ to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
 
 Inside a fit the model is plain arrays (`_Params`): weights, means, and one
-covariance with its Cholesky factor per *distinct* covariance, so a shared
-covariance is factored, checked and solved against once per iteration
-whatever k is. Validated `Gaussian`/`Mixture` objects appear only at the
-public boundary: `init_params`, `FitResult.model`, and the `e_step`,
-`m_step` and `test_loglik` wrappers.
+covariance with its Cholesky factor L per *distinct* covariance, so a shared
+covariance is factored and checked once per iteration whatever k is; the
+check forms L^-1, and the state keeps it. While a SHARED_FULL state has one
+factor, its E-step solves against no point (`_shared_e_step`): the part of
+the quadratic form that every component shares cancels in the
+responsibilities and sums to a trace over the data's Gram matrix. Per-point
+log-likelihoods come from `_log_joint`, which solves: for distinct
+covariances, for a state with a dead component (which keeps its previous
+factor), for the rescue of an empty component, and at the public boundary.
+
+Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
+`init_params`, `FitResult.model`, and the `e_step`, `m_step` and
+`test_loglik` wrappers.
 """
 
 from __future__ import annotations
@@ -22,10 +30,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import cholesky
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dlauum, dtrtri
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -75,6 +82,9 @@ class _Params(NamedTuple):
     covs: tuple  # one symmetric covariance per distinct factor
     chols: tuple  # the lower Cholesky factor of each
     owner: np.ndarray  # component -> factor index
+    # L^-1 of each factor this state checked, None where it is not usable;
+    # factors kept from a previous state come after these and have none.
+    invs: tuple = ()
 
 
 def _model_arrays(model: Mixture, data):
@@ -88,7 +98,13 @@ def _model_arrays(model: Mixture, data):
 
 
 def _factor(covs):
-    """Lower Cholesky factors of symmetric covariances, each checked once.
+    """The lower Cholesky factors of `_factor_and_invert`."""
+    return _factor_and_invert(covs)[0]
+
+
+def _factor_and_invert(covs):
+    """Lower Cholesky factors of symmetric covariances, each checked once,
+    and their inverses from the check.
 
     Every covariance is factored before any is checked, so a matrix that is
     not positive definite is reported ahead of an ill-conditioned one.
@@ -103,25 +119,39 @@ def _factor(covs):
     no verdict depends on it.
     """
     try:
-        chols = [cholesky(cov, lower=True) for cov in covs]
+        chols = tuple(cholesky(cov, lower=True) for cov in covs)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    _check_factored(covs, chols)
-    return tuple(chols)
+    return chols, _check_factored(covs, chols)
 
 
 def _check_factored(covs, chols):
-    """The condition check of `_factor` on covariances factored already."""
+    """The condition check of `_factor_and_invert` on covariances factored
+    already; returns the L^-1 of each (None where it is not usable)."""
+    invs = []
     for cov, chol in zip(covs, chols):
-        if not _condition_bound(cov, chol) < CONDITION_LIMIT / 10:
+        inv, bound = _inverse_and_bound(cov, chol)
+        if not bound < CONDITION_LIMIT / 10:
             _check_conditioning(_condition_number(eigvalsh(cov)))
+        invs.append(inv)
+    return tuple(invs)
+
+
+def _inverse_and_bound(cov, chol):
+    """L^-1 and tr(Sigma) ||L^-1||_F^2, an upper bound on kappa_2(Sigma).
+    The bound is inf if `dtrtri` fails, and L^-1 is None unless the bound
+    is finite."""
+    inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        return None, np.inf
+    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv)
+    return (inv if np.isfinite(bound) else None), bound
 
 
 def _condition_bound(cov, chol):
     """tr(Sigma) ||L^-1||_F^2, an upper bound on kappa_2(Sigma); inf if
     `dtrtri` fails."""
-    inv, info = dtrtri(chol, lower=1)
-    return np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
+    return _inverse_and_bound(cov, chol)[1]
 
 
 def _from_mixture(model: Mixture) -> _Params:
@@ -140,9 +170,9 @@ def _from_mixture(model: Mixture) -> _Params:
             covs.append(g.covariance)
             chols.append(g.chol)
         owner.append(f)
-    _check_factored(covs, chols)
+    invs = _check_factored(covs, chols)
     return _Params(
-        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner)
+        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner), invs
     )
 
 
@@ -168,18 +198,62 @@ def _log_joint(params: _Params, data) -> np.ndarray:
     return out
 
 
-def _e_step(params: _Params, data):
-    """Responsibilities and per-point log-likelihoods (log-space normalized)."""
-    log_joint = _log_joint(params, data)
-    lse = logsumexp(log_joint, axis=1)
-    return np.exp(log_joint - lse[:, None]), lse
+def _log_normalize(scores):
+    """Row-normalized exp(scores) and the log-sum-exp of each row, both
+    computed after subtracting the row maximum."""
+    top = scores.max(axis=1, keepdims=True)
+    shifted = np.exp(scores - top)
+    total = shifted.sum(axis=1, keepdims=True)
+    return shifted / total, (np.log(total) + top)[:, 0]
+
+
+def _e_step(params: _Params, data, gram=None):
+    """Responsibilities and the total log-likelihood (log-space normalized).
+
+    `gram` is `_gram(data)`, given by a SHARED_FULL fit. When the state has
+    one factor with a known inverse, no point is solved against (see
+    `_shared_e_step`); otherwise the log-joint comes from `_log_joint`.
+    """
+    inv = params.invs[0] if len(params.chols) == 1 and params.invs else None
+    if gram is not None and inv is not None:
+        return _shared_e_step(params, inv, gram)
+    resp, lse = _log_normalize(_log_joint(params, data))
+    return resp, float(lse.sum())
+
+
+def _shared_e_step(params: _Params, inv, gram):
+    """`_e_step` for one covariance Sigma = L L^T shared by every component,
+    with `inv` = L^-1.
+
+    With y_j = x_j - xbar and d_i = mu_i - xbar, the log-joint is
+    a_ji - q_j / 2 + const - log det / 2, where
+    a_ji = log w_i + y_j^T s_i - ||L^-1 d_i||^2 / 2, s_i = Sigma^-1 d_i and
+    q_j = ||L^-1 y_j||^2. The responsibilities are softmax_i(a_ji), and
+    sum_j q_j = tr(Sigma^-1 G) for the centred Gram matrix G, so the total
+    log-likelihood is
+    sum_j lse_i(a_ji) + m (const - log det / 2) - tr(Sigma^-1 G) / 2.
+    `dlauum` forms the lower triangle P of Sigma^-1 = L^-T L^-1 in a third
+    of the flops of a product with L^-1, and since both matrices are
+    symmetric, tr(Sigma^-1 G) = 2 sum(P * G) - sum(diag(P) * diag(G)).
+    """
+    center, centered, g = gram
+    m, n = centered.shape
+    whitened = inv @ (params.means - center).T  # L^-1 d_i, n x k
+    scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
+    scores = scores + centered @ (inv.T @ whitened)
+    resp, lse = _log_normalize(scores)
+    log_det = 2.0 * np.sum(np.log(np.diag(params.chols[0])))
+    const = -0.5 * n * np.log(2.0 * np.pi)
+    lower = dlauum(inv, lower=1)[0]
+    trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
+    return resp, float(lse.sum() + m * (const - 0.5 * log_det) - 0.5 * trace)
 
 
 def _gram(data):
-    """Column means and the Gram matrix of the mean-centred data."""
+    """Column means, the mean-centred data and its Gram matrix."""
     center = data.mean(axis=0)
     centered = data - center
-    return center, centered.T @ centered
+    return center, centered, centered.T @ centered
 
 
 def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
@@ -199,9 +273,8 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
         # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
         # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
         # components' share of G is taken out.
-        center, gram = gram if gram is not None else _gram(data)
+        center, centered, gram = gram if gram is not None else _gram(data)
         for i in dead:
-            centered = data - center
             gram = gram - (resp[:, i][:, None] * centered).T @ centered
         delta = means[live] - center
         pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
@@ -213,7 +286,8 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
             cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
             covs.append((cov + cov.T) / 2.0)
         owner[live] = np.arange(live.size)
-    chols = list(_factor(covs))
+    chols, invs = _factor_and_invert(covs)
+    chols = list(chols)
     kept = {}  # previous factor index -> new factor index
     for i in dead:
         weights[i] = EMPTY_COMPONENT_FRACTION
@@ -224,7 +298,7 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
             covs.append(previous.covs[f])
             chols.append(previous.chols[f])
         owner[i] = kept[f]
-    return _Params(weights / weights.sum(), means, tuple(covs), tuple(chols), owner)
+    return _Params(weights / weights.sum(), means, tuple(covs), tuple(chols), owner, invs)
 
 
 def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixture:
@@ -272,8 +346,7 @@ def e_step(model: Mixture, data):
     Row normalization happens in log space so that high-dimensional
     densities cannot underflow to an all-zero row.
     """
-    resp, lse = _e_step(*_model_arrays(model, data))
-    return resp, float(lse.sum())
+    return _e_step(*_model_arrays(model, data))
 
 
 def m_step(
@@ -320,8 +393,7 @@ def run_em(
     converged = False
     iterations = 0
     for _ in range(max_iter + 1):
-        resp, lse = _e_step(params, data)
-        ll = float(lse.sum())
+        resp, ll = _e_step(params, data, gram)
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) <= tol * abs(ll):
             converged = True
@@ -333,6 +405,7 @@ def run_em(
         except EmptyComponentError as exc:
             if rescues < MAX_RESCUES:
                 rescues += 1
+                lse = _log_normalize(_log_joint(params, data))[1]
                 means = params.means.copy()
                 means[exc.indices[0]] = data[int(np.argmin(lse))]
                 params = params._replace(means=means)
@@ -381,11 +454,10 @@ def rp_em(
     trace = []
     steps = 1 + extra_high_dim_steps
     for _ in range(steps):
-        resp, lse = _e_step(params, train)
-        trace.append(float(lse.sum()))
+        resp, ll = _e_step(params, train, gram)
+        trace.append(ll)
         params = _m_step(resp, train, restriction, params, gram)
-    _, lse = _e_step(params, train)
-    trace.append(float(lse.sum()))
+    trace.append(_e_step(params, train, gram)[1])
     fit_high = FitResult(
         model=_to_mixture(params),
         iterations=steps,

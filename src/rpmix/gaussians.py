@@ -310,7 +310,22 @@ def mixture_to_dict(m: Mixture) -> dict:
     }
 
 
+_MIXTURE_KEYS = ("weights", "means", "covariances")
+
+
 def mixture_from_dict(doc: dict) -> Mixture:
+    """The Mixture of a `mixture_to_dict` document. A document that is not a
+    dict holding the lists weights, means and covariances, all of one
+    length, raises ParseError."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a mixture document is an object, not {type(doc).__name__}")
+    missing = [key for key in _MIXTURE_KEYS if not isinstance(doc.get(key), list)]
+    if missing:
+        raise ParseError(f"a mixture document needs the lists {', '.join(missing)}")
+    lengths = [len(doc[key]) for key in _MIXTURE_KEYS]
+    if len(set(lengths)) != 1:
+        counts = ", ".join(f"{n} {key}" for n, key in zip(lengths, _MIXTURE_KEYS))
+        raise ParseError(f"a mixture document has {counts}")
     comps = [
         Gaussian(mu, cov) for mu, cov in zip(doc["means"], doc["covariances"])
     ]
@@ -323,8 +338,13 @@ def save_mixture(m: Mixture, path):
 
 
 def load_mixture(path) -> Mixture:
-    with open(path) as f:
-        return mixture_from_dict(json.load(f))
+    """The mixture saved at `path`. A file that is not JSON, or not a mixture
+    document, raises ParseError naming `path`."""
+    try:
+        with open(path) as f:
+            return mixture_from_dict(json.load(f))
+    except (json.JSONDecodeError, UnicodeDecodeError, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_dataset(points, path, header=None):

@@ -1,7 +1,8 @@
 """Every public function that takes an array rejects NaN and infinity with a
 NonFiniteError that names the argument, before it computes or writes
-anything. A bad parameter value ends in an RpmixError, and an object that
-keeps an array argument leaves the caller's array writable."""
+anything. A bad parameter value ends in an RpmixError, a malformed mixture
+file in a ParseError naming the file, and an object that keeps an array
+argument leaves the caller's array writable."""
 
 import json
 
@@ -27,7 +28,7 @@ from rpmix import (
 )
 from rpmix.classifier import ClassMixtureModel, LabeledDataset
 from rpmix.em import test_loglik as held_out_loglik
-from rpmix.errors import InvalidParameterError, NonFiniteError, RpmixError
+from rpmix.errors import InvalidParameterError, NonFiniteError, ParseError, RpmixError
 from rpmix.gaussians import _as_float_array, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -160,3 +161,22 @@ def test_kept_array_is_a_read_only_view(case):
     a.flat[0] = 5
     assert kept.flat[0] == 5  # shared memory, not a copy
     assert not kept.flags.writeable
+
+
+# case -> text of a malformed mixture file
+MALFORMED_MIXTURES = {
+    "missing-key": json.dumps({"means": [[0.0]], "covariances": [[[1.0]]]}),
+    "top-level-list": json.dumps([[0.0], [[1.0]]]),
+    "not-json": "weights: [1.0]\n",
+    "ragged-lists": json.dumps(
+        {"weights": [0.5, 0.5], "means": [[0.0], [1.0], [2.0]], "covariances": [[[1.0]], [[1.0]]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MIXTURES))
+def test_malformed_mixture_file_is_a_parse_error(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(MALFORMED_MIXTURES[case])
+    with pytest.raises(ParseError, match=f"{case}.json: "):
+        load_mixture(path)
