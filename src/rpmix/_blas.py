@@ -69,13 +69,22 @@ def single_blas_thread():
 
     Usable as a decorator (`@single_blas_thread()`). Scopes nest: each exit
     restores the counts its own entry saw.
+
+    A library already on one thread is left alone. OpenBLAS stops its
+    threads at `fork`, and its next `set_num_threads`, whatever the count,
+    starts them again; they then spin for about 0.1 s of CPU before they
+    sleep. A pool worker forked inside a scope inherits one thread, so its
+    own trial scope makes no call and starts no thread to compete with the
+    trials.
     """
-    controls = openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    changed = []
+    for get, set_ in openblas_controls():
+        count = get()
+        if count != 1:
+            set_(1)
+            changed.append((set_, count))
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
+        for set_, count in changed:
             set_(count)

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -126,3 +127,32 @@ def test_cli_command_runs_on_one_thread(monkeypatch, two_threads):
     assert code == 0
     assert seen == [[1] * len(openblas_controls())]
     assert thread_counts() == [2] * len(openblas_controls())
+
+
+def test_scope_leaves_a_library_on_one_thread_alone(monkeypatch):
+    calls = []
+    counts = {"a": 1, "b": 4}
+
+    def control(name):
+        return (lambda: counts[name]), (lambda n: calls.append((name, n)))
+
+    monkeypatch.setattr(_blas, "openblas_controls", lambda: (control("a"), control("b")))
+    with single_blas_thread():
+        assert calls == [("b", 1)]
+    assert calls == [("b", 1), ("b", 4)]
+
+
+def _worker_thread_count():
+    experiments._em_trial_star((30, 0, {"k": 2, "d": 5, "train_size": 200, "test_size": 50}))
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_openblas
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="no /proc")
+def test_forked_worker_starts_no_blas_threads():
+    # OpenBLAS stops its threads at fork and starts them again on the next
+    # set_num_threads; a worker forked inside a scope must not make that call.
+    with single_blas_thread():
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            assert pool.submit(_worker_thread_count).result(timeout=120) == 1
