@@ -73,8 +73,8 @@ def single_blas_thread():
     A library already on one thread is left alone. OpenBLAS stops its
     threads at `fork`, and its next `set_num_threads`, whatever the count,
     starts them again; they then spin for about 0.1 s of CPU before they
-    sleep. A pool worker forked inside a scope inherits one thread, so its
-    own trial scope makes no call and starts no thread to compete with the
+    sleep. A pool worker forked inside a scope inherits one thread, so a
+    scope it enters makes no call and starts no thread to compete with the
     trials.
     """
     changed = []

@@ -7,15 +7,16 @@ to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
 
 Inside a fit the model is plain arrays (`_Params`): weights, means, and one
-covariance with its Cholesky factor L per *distinct* covariance, so a shared
-covariance is factored and checked once per iteration whatever k is; the
-check forms L^-1, and the state keeps it. While a SHARED_FULL state has one
-factor, its E-step solves against no point (`_shared_e_step`): the part of
-the quadratic form that every component shares cancels in the
-responsibilities and sums to a trace over the data's Gram matrix. Per-point
-log-likelihoods come from `_log_joint`, which solves: for distinct
-covariances, for a state with a dead component (which keeps its previous
-factor), for the rescue of an empty component, and at the public boundary.
+covariance with its Cholesky factor L and L^-1 per *distinct* covariance.
+Every state, the spherical start included, is built by `_factor_and_invert`,
+so a shared covariance is factored and checked once per iteration whatever k
+is. While a SHARED_FULL state has one factor, its E-step solves against no
+point (`_shared_e_step`): the part of the quadratic form that every
+component shares cancels in the responsibilities and sums to a trace over
+the data's Gram matrix. Per-point log-likelihoods come from `_log_joint`,
+which solves: for distinct covariances, for a state with a dead component
+(which keeps its previous factor), for the rescue of an empty component,
+and at the public boundary.
 
 Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 `init_params`, `FitResult.model`, and the `e_step`, `m_step` and
@@ -52,6 +53,7 @@ from .gaussians import (
     _as_float_array,
     _check_conditioning,
     _condition_number,
+    _log_normalizer,
     _quad_forms,
     radius,
 )
@@ -82,9 +84,7 @@ class _Params(NamedTuple):
     covs: tuple  # one symmetric covariance per distinct factor
     chols: tuple  # the lower Cholesky factor of each
     owner: np.ndarray  # component -> factor index
-    # L^-1 of each factor this state checked, None where it is not usable;
-    # factors kept from a previous state come after these and have none.
-    invs: tuple = ()
+    invs: tuple  # L^-1 of each factor, None where it is not usable
 
 
 def _model_arrays(model: Mixture, data):
@@ -97,19 +97,12 @@ def _model_arrays(model: Mixture, data):
     return _from_mixture(model), data
 
 
-def _factor(covs):
-    """The lower Cholesky factors of `_factor_and_invert`."""
-    return _factor_and_invert(covs)[0]
+def _checked_inverse(cov, chol):
+    """The condition check of a covariance Sigma = L L^T: L^-1, or None where
+    `dtrtri` fails or L^-1 is not finite. IllConditionedError if
+    kappa_2(Sigma) reaches CONDITION_LIMIT.
 
-
-def _factor_and_invert(covs):
-    """Lower Cholesky factors of symmetric covariances, each checked once,
-    and their inverses from the check.
-
-    Every covariance is factored before any is checked, so a matrix that is
-    not positive definite is reported ahead of an ill-conditioned one.
-
-    The check starts from a cheap upper bound: for SPD Sigma = L L^T,
+    The check starts from a cheap upper bound: for SPD Sigma,
     kappa_2(Sigma) <= tr(Sigma) tr(Sigma^-1) = tr(Sigma) ||L^-1||_F^2, and
     L^-1 is one `dtrtri`, several times cheaper than `eigvalsh`. The exact
     condition number (from `eigvalsh`) is computed only when the bound
@@ -118,48 +111,29 @@ def _factor_and_invert(covs):
     check, and the factor 10 leaves room for the rounding of the bound, so
     no verdict depends on it.
     """
+    inv, info = dtrtri(chol, lower=1)
+    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
+    if not bound < CONDITION_LIMIT / 10:
+        _check_conditioning(_condition_number(eigvalsh(cov)))
+    return inv if np.isfinite(bound) else None
+
+
+def _factor_and_invert(covs):
+    """Lower Cholesky factors of symmetric covariances and their inverses,
+    each checked once by `_checked_inverse`. Every covariance is factored
+    before any is checked, so a matrix that is not positive definite is
+    reported ahead of an ill-conditioned one."""
     try:
         chols = tuple(cholesky(cov, lower=True) for cov in covs)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return chols, _check_factored(covs, chols)
-
-
-def _check_factored(covs, chols):
-    """The condition check of `_factor_and_invert` on covariances factored
-    already; returns the L^-1 of each (None where it is not usable)."""
-    invs = []
-    for cov, chol in zip(covs, chols):
-        inv, bound = _inverse_and_bound(cov, chol)
-        if not bound < CONDITION_LIMIT / 10:
-            _check_conditioning(_condition_number(eigvalsh(cov)))
-        invs.append(inv)
-    return tuple(invs)
-
-
-def _inverse_and_bound(cov, chol):
-    """L^-1 and tr(Sigma) ||L^-1||_F^2, an upper bound on kappa_2(Sigma).
-    The bound is inf if `dtrtri` fails, and L^-1 is None unless the bound
-    is finite."""
-    inv, info = dtrtri(chol, lower=1)
-    if info != 0:
-        return None, np.inf
-    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv)
-    return (inv if np.isfinite(bound) else None), bound
-
-
-def _condition_bound(cov, chol):
-    """tr(Sigma) ||L^-1||_F^2, an upper bound on kappa_2(Sigma); inf if
-    `dtrtri` fails."""
-    return _inverse_and_bound(cov, chol)[1]
+    return chols, tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
 
 
 def _from_mixture(model: Mixture) -> _Params:
-    """Array state of a Mixture, one factor per distinct covariance.
-
-    Each `Gaussian` holds its Cholesky factor already; only the condition
-    check of `_factor` runs here.
-    """
+    """Array state of a Mixture, one factor per distinct covariance. Each
+    `Gaussian` holds its Cholesky factor already; only the condition check
+    runs here."""
     covs, chols, owner = [], [], []
     for g in model.components:
         for f, cov in enumerate(covs):
@@ -170,7 +144,7 @@ def _from_mixture(model: Mixture) -> _Params:
             covs.append(g.covariance)
             chols.append(g.chol)
         owner.append(f)
-    invs = _check_factored(covs, chols)
+    invs = tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
     return _Params(
         model.weights, model.means, tuple(covs), tuple(chols), np.array(owner), invs
     )
@@ -187,14 +161,11 @@ def _to_mixture(params: _Params) -> Mixture:
 
 def _log_joint(params: _Params, data) -> np.ndarray:
     """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i."""
-    m, n = data.shape
-    const = -0.5 * n * np.log(2.0 * np.pi)
-    out = np.empty((m, len(params.weights)))
+    out = np.empty((data.shape[0], len(params.weights)))
     for f, chol in enumerate(params.chols):
         comps = np.flatnonzero(params.owner == f)
         quad = _quad_forms(chol, data, params.means[comps])
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, comps] = np.log(params.weights[comps]) + (const - 0.5 * log_det - 0.5 * quad)
+        out[:, comps] = np.log(params.weights[comps]) + (_log_normalizer(chol) - 0.5 * quad)
     return out
 
 
@@ -211,19 +182,18 @@ def _e_step(params: _Params, data, gram=None):
     """Responsibilities and the total log-likelihood (log-space normalized).
 
     `gram` is `_gram(data)`, given by a SHARED_FULL fit. When the state has
-    one factor with a known inverse, no point is solved against (see
+    one factor with a usable inverse, no point is solved against (see
     `_shared_e_step`); otherwise the log-joint comes from `_log_joint`.
     """
-    inv = params.invs[0] if len(params.chols) == 1 and params.invs else None
-    if gram is not None and inv is not None:
-        return _shared_e_step(params, inv, gram)
+    if gram is not None and len(params.chols) == 1 and params.invs[0] is not None:
+        return _shared_e_step(params, gram)
     resp, lse = _log_normalize(_log_joint(params, data))
     return resp, float(lse.sum())
 
 
-def _shared_e_step(params: _Params, inv, gram):
+def _shared_e_step(params: _Params, gram):
     """`_e_step` for one covariance Sigma = L L^T shared by every component,
-    with `inv` = L^-1.
+    whose L^-1 the state holds.
 
     With y_j = x_j - xbar and d_i = mu_i - xbar, the log-joint is
     a_ji - q_j / 2 + const - log det / 2, where
@@ -237,16 +207,15 @@ def _shared_e_step(params: _Params, inv, gram):
     symmetric, tr(Sigma^-1 G) = 2 sum(P * G) - sum(diag(P) * diag(G)).
     """
     center, centered, g = gram
-    m, n = centered.shape
+    inv = params.invs[0]
     whitened = inv @ (params.means - center).T  # L^-1 d_i, n x k
     scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
     scores = scores + centered @ (inv.T @ whitened)
     resp, lse = _log_normalize(scores)
-    log_det = 2.0 * np.sum(np.log(np.diag(params.chols[0])))
-    const = -0.5 * n * np.log(2.0 * np.pi)
     lower = dlauum(inv, lower=1)[0]
     trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
-    return resp, float(lse.sum() + m * (const - 0.5 * log_det) - 0.5 * trace)
+    m = centered.shape[0]
+    return resp, float(lse.sum() + m * _log_normalizer(params.chols[0]) - 0.5 * trace)
 
 
 def _gram(data):
@@ -287,18 +256,16 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
             covs.append((cov + cov.T) / 2.0)
         owner[live] = np.arange(live.size)
     chols, invs = _factor_and_invert(covs)
-    chols = list(chols)
     kept = {}  # previous factor index -> new factor index
     for i in dead:
         weights[i] = EMPTY_COMPONENT_FRACTION
         means[i] = previous.means[i]
-        f = previous.owner[i]
-        if f not in kept:
-            kept[f] = len(covs)
-            covs.append(previous.covs[f])
-            chols.append(previous.chols[f])
-        owner[i] = kept[f]
-    return _Params(weights / weights.sum(), means, tuple(covs), tuple(chols), owner, invs)
+        owner[i] = kept.setdefault(previous.owner[i], len(covs) + len(kept))
+    # Kept factors follow the new ones, in the order the dead components use them.
+    covs += [previous.covs[f] for f in kept]
+    chols += tuple(previous.chols[f] for f in kept)
+    invs += tuple(previous.invs[f] for f in kept)
+    return _Params(weights / weights.sum(), means, tuple(covs), chols, owner, invs)
 
 
 def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixture:
@@ -311,6 +278,12 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
+    return _to_mixture(_init_params(data, k, restriction, seed))
+
+
+def _init_params(data, k, restriction, seed) -> _Params:
+    """`init_params` on gated data, as an array state: one spherical factor
+    per distinct initial variance."""
     m, n = data.shape
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -334,10 +307,10 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
         variances = nearest / (2.0 * n)
         if restriction is CovarianceRestriction.SHARED_FULL:
             variances = np.full(k, variances.min())
-    comps = [
-        Gaussian(mu, var * np.eye(n)) for mu, var in zip(centers, variances)
-    ]
-    return Mixture(comps, np.full(k, 1.0 / k))
+    distinct, owner = np.unique(variances, return_inverse=True)
+    covs = tuple(var * np.eye(n) for var in distinct)
+    chols, invs = _factor_and_invert(covs)
+    return _Params(np.full(k, 1.0 / k), centers, covs, chols, owner, invs)
 
 
 def e_step(model: Mixture, data):
@@ -386,7 +359,7 @@ def run_em(
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
-    params = _from_mixture(init_params(data, k, restriction, seed))
+    params = _init_params(data, k, restriction, seed)
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
     trace = []
     rescues = 0
@@ -430,7 +403,6 @@ def rp_em(
     seed,
     tol: float = 1e-5,
     max_iter: int = 500,
-    extra_high_dim_steps: int = 0,
 ):
     """Random projection + EM hybrid.
 
@@ -438,7 +410,7 @@ def rp_em(
     2. Run EM to convergence on the projected data.
     3. Apply the final low-dimensional soft labels to the original data,
        giving high-dimensional weights, means, and covariances.
-    4. Run one high-dimensional EM step (more only if explicitly asked).
+    4. Run one high-dimensional EM step.
 
     Returns (high-dimensional FitResult, projection, low-dimensional FitResult).
     """
@@ -451,17 +423,12 @@ def rp_em(
     resp, _ = _e_step(_from_mixture(fit_low.model), low_data)
     gram = _gram(train) if restriction is CovarianceRestriction.SHARED_FULL else None
     params = _m_step(resp, train, restriction, gram=gram)
-    trace = []
-    steps = 1 + extra_high_dim_steps
-    for _ in range(steps):
-        resp, ll = _e_step(params, train, gram)
-        trace.append(ll)
-        params = _m_step(resp, train, restriction, params, gram)
-    trace.append(_e_step(params, train, gram)[1])
+    resp, ll = _e_step(params, train, gram)
+    params = _m_step(resp, train, restriction, params, gram)
     fit_high = FitResult(
         model=_to_mixture(params),
-        iterations=steps,
-        loglik_trace=np.array(trace),
+        iterations=1,
+        loglik_trace=np.array([ll, _e_step(params, train, gram)[1]]),
         converged=False,
     )
     return fit_high, proj, fit_low

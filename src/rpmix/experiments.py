@@ -453,9 +453,6 @@ def _pooled_trial(task):
     return worker(task, *shared)
 
 
-# Scoped per trial as well as per body: a pool worker sets its own thread
-# count, whatever it inherited.
-@single_blas_thread()
 def _em_trial_star(args):
     n, seed, params = args
     return em_compare_trial(n, seed, **params)
@@ -572,7 +569,6 @@ def fig9_body(
     return _report(("d",), ("accuracy",), rows)
 
 
-@single_blas_thread()
 def _digit_trial(task, train_set, test_set, per_class_k):
     d, seed = task
     model = train(train_set, d, per_class_k=per_class_k, seed=seed)

@@ -35,9 +35,14 @@ FLOAT_FMT = "%.17g"  # round-trips doubles; prints integers below 2**53 without 
 def _as_float_array(x, name, ndmin=0):
     """The one way an array argument enters the library: `x` as floats with
     at least `ndmin` axes (leading ones added, as `np.atleast_2d` adds them,
-    without a copy). NaN or infinity raises NonFiniteError naming `name`."""
+    without a copy). NaN or infinity raises NonFiniteError naming `name`, and
+    a non-numeric or ragged entry InvalidParameterError."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} is not an array of numbers: {exc}") from exc
     # After asarray no copy is needed, so copy=False means the same in NumPy 1 and 2.
-    a = np.array(np.asarray(x, dtype=float), copy=False, ndmin=ndmin)
+    a = np.array(a, copy=False, ndmin=ndmin)
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
@@ -210,6 +215,13 @@ def _quad_forms(chol, points, means):
     return np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
 
 
+def _log_normalizer(chol):
+    """-(n log 2 pi + log det Sigma) / 2 for Sigma = L L^T, the log-density's
+    constant, evaluated as -n log(2 pi) / 2 - log det Sigma / 2."""
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * chol.shape[0] * np.log(2.0 * np.pi) - 0.5 * log_det
+
+
 def _quad_to_mean(g: Gaussian, x, name, ndmin):
     """`g`'s quadratic form at the point (ndmin 0) or rows (ndmin 2) of `x`,
     gated as `name`, dimension-checked and after `g`'s condition check."""
@@ -223,13 +235,13 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
 def log_density(g: Gaussian, x) -> float:
     """Log of the Gaussian density at a single point x."""
     quad = _quad_to_mean(g, x, "x", 0)[0]
-    return float(-0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * quad)
+    return float(_log_normalizer(g.chol) - 0.5 * quad)
 
 
 def log_density_batch(g: Gaussian, points) -> np.ndarray:
     """Log-density at every row of a dataset; one triangular solve batch."""
     quad = _quad_to_mean(g, points, "points", 2)
-    return -0.5 * g.dim * np.log(2.0 * np.pi) - 0.5 * g.log_det - 0.5 * quad
+    return _log_normalizer(g.chol) - 0.5 * quad
 
 
 def mahalanobis(g: Gaussian, x) -> float:

@@ -18,6 +18,7 @@ from .errors import (
     BadDimsError,
     DimensionMismatchError,
     NotEnoughDataError,
+    ParseError,
 )
 from .gaussians import Gaussian, Mixture, _as_float_array, _frozen
 
@@ -150,8 +151,23 @@ def projection_to_dict(p: ProjectionMatrix) -> dict:
     }
 
 
+_PROJECTION_KEYS = ("kind", "source_dim", "target_dim", "rows")
+
+
 def projection_from_dict(doc: dict) -> ProjectionMatrix:
-    p = ProjectionMatrix(doc["rows"], ProjectionKind(doc["kind"]))
+    """The ProjectionMatrix of a `projection_to_dict` document. A document
+    that is not a dict holding every key, or names no known kind, raises
+    ParseError."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"a projection document is an object, not {type(doc).__name__}")
+    missing = [key for key in _PROJECTION_KEYS if key not in doc]
+    if missing:
+        raise ParseError(f"a projection document needs the keys {', '.join(missing)}")
+    try:
+        kind = ProjectionKind(doc["kind"])
+    except ValueError as exc:
+        raise ParseError(f"unknown projection kind {doc['kind']!r}") from exc
+    p = ProjectionMatrix(doc["rows"], kind)
     if p.source_dim != doc["source_dim"] or p.target_dim != doc["target_dim"]:
         raise BadDimsError("declared dims do not match the stored matrix")
     return p
@@ -163,5 +179,10 @@ def save_projection(p: ProjectionMatrix, path):
 
 
 def load_projection(path) -> ProjectionMatrix:
-    with open(path) as f:
-        return projection_from_dict(json.load(f))
+    """The projection saved at `path`. A file that is not JSON, or not a
+    projection document, raises ParseError naming `path`."""
+    try:
+        with open(path) as f:
+            return projection_from_dict(json.load(f))
+    except (json.JSONDecodeError, UnicodeDecodeError, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

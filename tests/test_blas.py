@@ -94,20 +94,16 @@ def test_nothing_found_runs_the_body_unchanged(monkeypatch):
 
 
 @needs_openblas
-def test_trial_worker_enters_the_scope_itself(monkeypatch, two_threads):
-    monkeypatch.setattr(experiments, "em_compare_trial", lambda n, seed, **kw: thread_counts())
-    assert experiments._em_trial_star((50, 0, {})) == [1] * len(openblas_controls())
-
-
-@needs_openblas
 @pytest.mark.parametrize("threads", [1, 2])
-def test_digit_trial_worker_enters_the_scope_itself(monkeypatch, two_threads, threads):
-    # A forked worker inherits the parent's thread count (2 here).
+def test_trials_run_on_one_thread(monkeypatch, two_threads, threads):
+    # Serial trials run inside the body's scope, and pool workers are forked
+    # inside it; each trial records the largest count it sees.
+    monkeypatch.setattr(experiments, "surrogate_digit_data", lambda seed: (None, None))
     monkeypatch.setattr(experiments, "train", lambda data, d, **kw: None)
-    monkeypatch.setattr(experiments, "evaluate", lambda model, test: thread_counts())
-    tasks = [(20, 0), (20, 1)]
-    rows = experiments._run_trials(experiments._digit_trial, tasks, threads, (None, None, 5))
-    assert [row["accuracy"] for row in rows] == [[1] * len(openblas_controls())] * 2
+    monkeypatch.setattr(experiments, "evaluate", lambda model, test: float(max(thread_counts())))
+    report = experiments.fig9_body(0, trials=2, d_values=(20,), threads=threads)
+    assert [row["accuracy"] for row in report.rows] == [1.0, 1.0]
+    assert thread_counts() == [2] * len(openblas_controls())
 
 
 @pytest.mark.slow

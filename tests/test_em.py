@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 from scipy.special import logsumexp
 
 from rpmix import (
@@ -330,10 +331,9 @@ class TestRunEm:
     @pytest.mark.parametrize("k", [2, 5])
     def test_shared_fit_factors_once_per_m_step(self, k, monkeypatch):
         # Whatever k is, a SHARED_FULL M-step makes one Cholesky and one
-        # trace bound. The initial model's k Gaussians factor their own
-        # covariances, and EM checks the shared one with one more bound. The
-        # fitted model reuses EM's factor. On this well-conditioned data no
-        # bound reaches the exact check.
+        # trace bound, and so does the spherical start, which builds no
+        # Gaussian. The fitted model reuses EM's factor. On this
+        # well-conditioned data no bound reaches the exact check.
         calls = self._count_factor_calls(monkeypatch)
         rng = np.random.default_rng(30)
         centers = rng.standard_normal((k, 4)) * 6
@@ -341,19 +341,19 @@ class TestRunEm:
         fit = run_em(data, k, SHARED, 1, max_iter=25)
         assert fit.iterations >= 2
         assert calls == {
-            "cholesky": fit.iterations,
+            "cholesky": fit.iterations + 1,
             "dtrtri": fit.iterations + 1,
             "eigvalsh": 0,
-            "Gaussian cholesky": k,
+            "Gaussian cholesky": 0,
         }
 
     def test_comparison_trial_factors_each_covariance_once(self, monkeypatch):
-        # A whole SHARED_FULL trial: the truth and the two initial models
-        # are k Gaussians each. EM factors once per M-step: the plain fit's,
-        # the projected fit's, and the hybrid's lift and one high-dimensional
-        # step. The five models EM reads back (two initial, the projected fit
-        # for the lift, and the two fits for their test log-likelihoods) take
-        # a bound each and no new factor.
+        # A whole SHARED_FULL trial: the truth is k Gaussians. EM factors
+        # once per M-step (the plain fit's, the projected fit's, and the
+        # hybrid's lift and one high-dimensional step) and once for each of
+        # the two spherical starts. The three models EM reads back (the
+        # projected fit for the lift, and the two fits for their test
+        # log-likelihoods) take a bound each and no new factor.
         calls = self._count_factor_calls(monkeypatch)
         k = 3
         row = em_compare_trial(
@@ -362,10 +362,10 @@ class TestRunEm:
         assert not row["reg_failed"] and not row["rp_failed"]
         m_steps = row["reg_iterations"] + row["rp_low_iterations"] + 2
         assert calls == {
-            "cholesky": m_steps,
+            "cholesky": m_steps + 2,
             "dtrtri": m_steps + 5,
             "eigvalsh": 0,
-            "Gaussian cholesky": 3 * k,
+            "Gaussian cholesky": k,
         }
 
 
@@ -433,6 +433,7 @@ class TestArrayCore:
         params = _m_step(resp, data, restriction, previous)
         kept = previous.owner[1]
         assert params.chols[params.owner[1]] is previous.chols[kept]
+        assert params.invs[params.owner[1]] is previous.invs[kept]
         assert np.array_equal(params.means[1], previous.means[1])
         assert len(params.chols) == (2 if restriction is SHARED else 3)
         self._assert_matches_reference(params, data)
@@ -481,6 +482,13 @@ def _data_with_covariance(cov, m, seed):
     return z @ np.linalg.cholesky(cov).T
 
 
+def _bound(cov):
+    """tr(Sigma) ||L^-1||_F^2, the upper bound on kappa_2(Sigma) that the
+    condition check starts from."""
+    inv = dtrtri(np.linalg.cholesky(cov), lower=1)[0]
+    return np.trace(cov) * np.einsum("ij,ij->", inv, inv)
+
+
 class TestConditionBound:
     @pytest.mark.parametrize("n", [2, 25, 200])
     @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9, 1e11, 1e12, 1e13])
@@ -489,7 +497,7 @@ class TestConditionBound:
             cov = _spd(n, kappa, seed)
             lam = np.linalg.eigvalsh(cov)
             exact = lam[-1] / lam[0]
-            bound = em._condition_bound(cov, np.linalg.cholesky(cov))
+            bound = _bound(cov)
             # Both sides round by about eps * kappa (2e-3 at 1e13); the
             # exact check starts a factor 10 below the limit.
             assert bound >= (1.0 - 1e-2) * exact
@@ -499,15 +507,15 @@ class TestConditionBound:
     @pytest.mark.parametrize("kappa, ill", [(2e12, True), (1e11, False)])
     def test_verdict_is_the_exact_one(self, kappa, ill):
         cov = _spd(200, kappa, 7)
-        assert em._condition_bound(cov, np.linalg.cholesky(cov)) >= CONDITION_LIMIT
+        assert _bound(cov) >= CONDITION_LIMIT
         data = _data_with_covariance(cov, 400, 8)
         if ill:
             with pytest.raises(IllConditionedError):
-                em._factor([cov])
+                em._factor_and_invert([cov])
             with pytest.raises(IllConditionedError, match="iteration 0"):
                 run_em(data, 1, FULL, 0)
         else:
-            em._factor([cov])
+            em._factor_and_invert([cov])
             assert run_em(data, 1, FULL, 0).converged
 
     def test_supplied_mixture_is_checked(self):
@@ -533,8 +541,8 @@ class TestConditionBound:
     def test_exact_check_once_per_factor_whose_bound_clears(self, monkeypatch):
         calls = self._count_eigvalsh(monkeypatch)
         well, near = _spd(200, 10.0, 9), _spd(200, 1e11, 10)
-        assert em._condition_bound(near, np.linalg.cholesky(near)) >= CONDITION_LIMIT / 10
-        em._factor([well, near, well.copy(), near.copy()])
+        assert _bound(near) >= CONDITION_LIMIT / 10
+        em._factor_and_invert([well, near, well.copy(), near.copy()])
         assert len(calls) == 2
         assert calls[0] is near
 
@@ -546,7 +554,8 @@ class TestConditionBound:
     def test_failed_or_non_finite_bound_takes_the_exact_check(self, monkeypatch, dtrtri):
         calls = self._count_eigvalsh(monkeypatch)
         monkeypatch.setattr(em, "dtrtri", dtrtri)
-        em._factor([_spd(5, 10.0, 11)])
+        cov = _spd(5, 10.0, 11)
+        assert em._checked_inverse(cov, np.linalg.cholesky(cov)) is None
         assert len(calls) == 1
 
 
@@ -565,12 +574,9 @@ class TestLogJointAccuracy:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         means = data.mean(axis=0) + 10.0 * dirs @ chol.T
         weights = np.array([0.3, 0.3, em.EMPTY_COMPONENT_FRACTION, 0.4])
+        chols, invs = em._factor_and_invert([cov, previous])
         params = em._Params(
-            weights / weights.sum(),
-            means,
-            (cov, previous),
-            em._factor([cov, previous]),
-            np.array([0, 0, 1, 0]),
+            weights / weights.sum(), means, (cov, previous), chols, np.array([0, 0, 1, 0]), invs
         )
         ref = _stacked_log_joint(_to_mixture(params), data)
         rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
@@ -669,7 +675,7 @@ class TestRescue:
         means = [data[:50].mean(axis=0), data[50:100].mean(axis=0), [500.0, -500.0]]
         weights = [0.5, 0.5 - far_weight, far_weight]
         start = Mixture([Gaussian(mu, cov) for mu, cov in zip(means, covs)], weights)
-        monkeypatch.setattr(em, "init_params", lambda *args: start)
+        monkeypatch.setattr(em, "_init_params", lambda *args: _from_mixture(start))
         return data, start
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
@@ -734,13 +740,6 @@ class TestRpEm:
         assert np.array_equal(a_proj.rows, b_proj.rows)
         assert np.array_equal(a_high.model.means, b_high.model.means)
         assert np.array_equal(a_low.loglik_trace, b_low.loglik_trace)
-
-    def test_extra_steps_keep_improving(self):
-        data = two_blob_data(m=100, dist=6.0, n=6, seed=19)
-        fit_high, _, _ = rp_em(data, 2, 3, FULL, 1, extra_high_dim_steps=3)
-        assert fit_high.iterations == 4
-        diffs = np.diff(fit_high.loglik_trace)
-        assert np.all(diffs >= -1e-7)
 
 
 class TestTestLoglik:

@@ -1,8 +1,9 @@
 """Every public function that takes an array rejects NaN and infinity with a
 NonFiniteError that names the argument, before it computes or writes
-anything. A bad parameter value ends in an RpmixError, a malformed mixture
-file in a ParseError naming the file, and an object that keeps an array
-argument leaves the caller's array writable."""
+anything. A non-numeric or ragged array ends in an InvalidParameterError
+naming the argument, a bad parameter value in an RpmixError, a malformed
+mixture or projection file in a ParseError naming the file, and an object
+that keeps an array argument leaves the caller's array writable."""
 
 import json
 
@@ -180,3 +181,44 @@ def test_malformed_mixture_file_is_a_parse_error(tmp_path, case):
     path.write_text(MALFORMED_MIXTURES[case])
     with pytest.raises(ParseError, match=f"{case}.json: "):
         load_mixture(path)
+
+
+# case -> text of a malformed projection file
+GOOD_PROJECTION = {"kind": "uniform-rp", "source_dim": 2, "target_dim": 1, "rows": [[0.5, 0.5]]}
+MALFORMED_PROJECTIONS = {
+    "missing-kind": json.dumps({k: v for k, v in GOOD_PROJECTION.items() if k != "kind"}),
+    "top-level-list": json.dumps([GOOD_PROJECTION]),
+    "unknown-kind": json.dumps({**GOOD_PROJECTION, "kind": "bogus"}),
+    "missing-source-dim": json.dumps({k: v for k, v in GOOD_PROJECTION.items() if k != "source_dim"}),
+    "not-json": "kind: uniform-rp\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROJECTIONS))
+def test_malformed_projection_file_is_a_parse_error(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(MALFORMED_PROJECTIONS[case])
+    with pytest.raises(ParseError, match=f"{case}.json: "):
+        load_projection(path)
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# case -> (call, the argument it names)
+NON_NUMERIC = {
+    "Gaussian-mean": (lambda tmp: Gaussian("abc", np.eye(2)), "mean"),
+    "project_data-ragged-rows": (lambda tmp: project_data(PROJ, [[1.0, 2.0, 3.0], [1.0, 2.0]]), "data"),
+    "load_mixture-mean": (lambda tmp: load_mixture(write_json(
+        tmp / "m.json", {"weights": [1.0], "means": ["abc"], "covariances": [[[1.0]]]}
+    )), "mean"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC))
+def test_non_numeric_array_is_an_invalid_parameter(tmp_path, case):
+    call, name = NON_NUMERIC[case]
+    with pytest.raises(InvalidParameterError, match=f"^{name} is not an array of numbers"):
+        call(tmp_path)
