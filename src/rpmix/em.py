@@ -10,13 +10,16 @@ Inside a fit the model is plain arrays (`_Params`): weights, means, and one
 covariance with its Cholesky factor L and L^-1 per *distinct* covariance.
 Every state, the spherical start included, is built by `_factor_and_invert`,
 so a shared covariance is factored and checked once per iteration whatever k
-is. While a SHARED_FULL state has one factor, its E-step solves against no
-point (`_shared_e_step`): the part of the quadratic form that every
-component shares cancels in the responsibilities and sums to a trace over
-the data's Gram matrix. Per-point log-likelihoods come from `_log_joint`,
-which solves: for distinct covariances, for a state with a dead component
-(which keeps its previous factor), for the rescue of an empty component,
-and at the public boundary.
+is. The check is the library's one condition check,
+`gaussians._checked_inverse`, and each `Gaussian` keeps its result: the
+models EM returns carry L^-1, so reading one back (the hybrid's lift,
+`test_loglik`) neither factors nor checks again. While a SHARED_FULL state
+has one factor, its E-step solves against no point (`_shared_e_step`): the
+part of the quadratic form that every component shares cancels in the
+responsibilities and sums to a trace over the data's Gram matrix.
+Per-point log-likelihoods come from `_log_joint`, which solves: for distinct
+covariances, for a state with a dead component (which keeps its previous
+factor), for the rescue of an empty component, and at the public boundary.
 
 Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 `init_params`, `FitResult.model`, and the `e_step`, `m_step` and
@@ -29,9 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import eigvalsh
 from scipy.linalg import cholesky
-from scipy.linalg.lapack import dlauum, dtrtri
+from scipy.linalg.lapack import dlauum
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -47,12 +49,11 @@ from .errors import (
     _ParameterEnum,
 )
 from .gaussians import (
-    CONDITION_LIMIT,
     Gaussian,
     Mixture,
     _as_float_array,
-    _check_conditioning,
-    _condition_number,
+    _checked_inverse,
+    _is_int,
     _log_normalizer,
     _quad_forms,
     radius,
@@ -97,27 +98,6 @@ def _model_arrays(model: Mixture, data):
     return _from_mixture(model), data
 
 
-def _checked_inverse(cov, chol):
-    """The condition check of a covariance Sigma = L L^T: L^-1, or None where
-    `dtrtri` fails or L^-1 is not finite. IllConditionedError if
-    kappa_2(Sigma) reaches CONDITION_LIMIT.
-
-    The check starts from a cheap upper bound: for SPD Sigma,
-    kappa_2(Sigma) <= tr(Sigma) tr(Sigma^-1) = tr(Sigma) ||L^-1||_F^2, and
-    L^-1 is one `dtrtri`, several times cheaper than `eigvalsh`. The exact
-    condition number (from `eigvalsh`) is computed only when the bound
-    reaches CONDITION_LIMIT / 10, is not finite, or `dtrtri` fails. A
-    covariance that could reach the limit therefore always gets the exact
-    check, and the factor 10 leaves room for the rounding of the bound, so
-    no verdict depends on it.
-    """
-    inv, info = dtrtri(chol, lower=1)
-    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
-    if not bound < CONDITION_LIMIT / 10:
-        _check_conditioning(_condition_number(eigvalsh(cov)))
-    return inv if np.isfinite(bound) else None
-
-
 def _factor_and_invert(covs):
     """Lower Cholesky factors of symmetric covariances and their inverses,
     each checked once by `_checked_inverse`. Every covariance is factored
@@ -132,9 +112,9 @@ def _factor_and_invert(covs):
 
 def _from_mixture(model: Mixture) -> _Params:
     """Array state of a Mixture, one factor per distinct covariance. Each
-    `Gaussian` holds its Cholesky factor already; only the condition check
-    runs here."""
-    covs, chols, owner = [], [], []
+    `Gaussian` holds its Cholesky factor and keeps its condition check, so
+    nothing is factored here, and a model EM built is not checked again."""
+    covs, chols, invs, owner = [], [], [], []
     for g in model.components:
         for f, cov in enumerate(covs):
             if np.array_equal(cov, g.covariance):
@@ -143,17 +123,17 @@ def _from_mixture(model: Mixture) -> _Params:
             f = len(covs)
             covs.append(g.covariance)
             chols.append(g.chol)
+            invs.append(g._inv)
         owner.append(f)
-    invs = tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
     return _Params(
-        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner), invs
+        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner), tuple(invs)
     )
 
 
 def _to_mixture(params: _Params) -> Mixture:
-    """The Mixture of an array state, reusing its factors."""
+    """The Mixture of an array state, reusing its factors and their checks."""
     comps = [
-        Gaussian._factored(mu, params.covs[f], params.chols[f])
+        Gaussian._factored(mu, params.covs[f], params.chols[f], params.invs[f])
         for mu, f in zip(params.means, params.owner)
     ]
     return Mixture(comps, params.weights)
@@ -285,8 +265,8 @@ def _init_params(data, k, restriction, seed) -> _Params:
     """`init_params` on gated data, as an array state: one spherical factor
     per distinct initial variance."""
     m, n = data.shape
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
     if m < k:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
     rng = np.random.default_rng(seed)
@@ -359,6 +339,8 @@ def run_em(
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
+    if not _is_int(max_iter) or max_iter < 0:
+        raise InvalidParameterError(f"max_iter must be an int >= 0, got {max_iter!r}")
     params = _init_params(data, k, restriction, seed)
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
     trace = []

@@ -44,6 +44,7 @@ from .gaussians import (
     FLOAT_FMT,
     Gaussian,
     Mixture,
+    _is_int,
     _labelled_draw,
     mixture_separation,
     pairwise_separation,
@@ -628,7 +629,7 @@ class ExperimentConfig:
 
 
 def _is_int_at_least(value, low):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return _is_int(value) and value >= low
 
 
 def _has_type_of(value, default):

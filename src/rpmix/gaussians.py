@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
+from numpy.linalg import eigvalsh
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatchError,
@@ -23,6 +27,7 @@ from .errors import (
     NonFiniteError,
     NotPositiveDefiniteError,
     ParseError,
+    RpmixError,
     TooFewComponentsError,
 )
 
@@ -48,6 +53,11 @@ def _as_float_array(x, name, ndmin=0):
     return a
 
 
+def _is_int(value):
+    """Whether `value` is an integer (a numpy integer included), not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _frozen(a):
     """A read-only view of `a`. The object that keeps it shares memory with
     the array passed in, which stays writable for its owner."""
@@ -63,6 +73,10 @@ class Gaussian:
     and positive definite; it is symmetrized once on construction and both
     arrays are read-only views, so instances are safe to share across
     threads. The mean shares memory with the array passed in.
+
+    An instance keeps the result of its condition check (`_checked_inverse`):
+    the check runs at the first density evaluation or EM read-back, and never
+    for a Gaussian EM built, which carries L^-1 from EM's own check.
     """
 
     def __init__(self, mean, covariance):
@@ -83,19 +97,20 @@ class Gaussian:
         self._set(mean, cov, chol)
 
     @classmethod
-    def _factored(cls, mean, covariance, chol):
-        """A Gaussian from a finite mean, an exactly symmetric covariance and
-        its lower Cholesky factor, all checked by the caller (EM, which has
-        already factored every covariance it builds)."""
+    def _factored(cls, mean, covariance, chol, inv):
+        """A Gaussian from a finite mean, an exactly symmetric covariance, its
+        lower Cholesky factor and `_checked_inverse` of the two, all computed
+        by the caller (EM, which has already factored and checked every
+        covariance it builds)."""
         g = cls.__new__(cls)
         g._set(mean, covariance, chol)
+        g._inv = inv
         return g
 
     def _set(self, mean, cov, chol):
         self.mean = _frozen(mean)
         self.covariance = _frozen(cov)
         self._chol = _frozen(chol)
-        self._eigs = None
 
     @property
     def dim(self):
@@ -106,21 +121,10 @@ class Gaussian:
         """Lower-triangular Cholesky factor of the covariance."""
         return self._chol
 
-    @property
-    def eigenvalues(self):
-        """Ascending covariance eigenvalues (computed once, cached)."""
-        if self._eigs is None:
-            self._eigs = np.linalg.eigvalsh(self.covariance)
-            self._eigs.setflags(write=False)
-        return self._eigs
-
-    @property
-    def condition_number(self):
-        return _condition_number(self.eigenvalues)
-
-    @property
-    def log_det(self):
-        return 2.0 * np.sum(np.log(np.diag(self._chol)))
+    @cached_property
+    def _inv(self):
+        """L^-1 from the covariance's condition check, run once."""
+        return _checked_inverse(self.covariance, self._chol)
 
     def __repr__(self):
         return f"Gaussian(dim={self.dim})"
@@ -183,16 +187,30 @@ def _symmetrized(cov):
     return (cov + cov.T) / 2.0
 
 
-def _condition_number(lam):
-    """lambda_max / lambda_min from ascending eigenvalues; inf unless all > 0."""
-    return lam[-1] / lam[0] if lam[0] > 0 else np.inf
+def _checked_inverse(cov, chol):
+    """The library's one condition check, of a covariance Sigma = L L^T: L^-1,
+    or None where `dtrtri` fails or L^-1 is not finite. IllConditionedError
+    if kappa_2(Sigma) reaches CONDITION_LIMIT.
 
-
-def _check_conditioning(cond):
-    if cond >= CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"covariance condition number {cond:.3g} >= {CONDITION_LIMIT:g}"
-        )
+    The check starts from a cheap upper bound: for SPD Sigma,
+    kappa_2(Sigma) <= tr(Sigma) tr(Sigma^-1) = tr(Sigma) ||L^-1||_F^2, and
+    L^-1 is one `dtrtri`, several times cheaper than `eigvalsh`. The exact
+    condition number (from `eigvalsh`) is computed only when the bound
+    reaches CONDITION_LIMIT / 10, is not finite, or `dtrtri` fails. A
+    covariance that could reach the limit therefore always gets the exact
+    check, and the factor 10 leaves room for the rounding of the bound, so
+    no verdict depends on it.
+    """
+    inv, info = dtrtri(chol, lower=1)
+    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
+    if not bound < CONDITION_LIMIT / 10:
+        lam = eigvalsh(cov)
+        cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
+        if cond >= CONDITION_LIMIT:
+            raise IllConditionedError(
+                f"covariance condition number {cond:.3g} >= {CONDITION_LIMIT:g}"
+            )
+    return inv if np.isfinite(bound) else None
 
 
 def _quad_forms(chol, points, means):
@@ -228,7 +246,7 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
-    _check_conditioning(g.condition_number)
+    g._inv  # the condition check, run on first use
     return _quad_forms(g.chol, pts.reshape(-1, g.dim), g.mean[None])[:, 0]
 
 
@@ -289,6 +307,8 @@ def mixture_separation(m: Mixture) -> float:
 
 def _labelled_draw(m: Mixture, count: int, rng):
     """Component indices and `count` i.i.d. points drawn with the generator `rng`."""
+    if not _is_int(count):
+        raise InvalidParameterError(f"count must be an int, got {count!r}")
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     comps = rng.choice(m.k, size=count, p=m.weights)
@@ -349,14 +369,24 @@ def save_mixture(m: Mixture, path):
         json.dump(mixture_to_dict(m), f)
 
 
-def load_mixture(path) -> Mixture:
-    """The mixture saved at `path`. A file that is not JSON, or not a mixture
-    document, raises ParseError naming `path`."""
+def _load_document(path, from_dict):
+    """`from_dict` of the JSON document at `path`. A file that is not JSON
+    raises ParseError, and an RpmixError raised while building the object is
+    raised again as its own type; both messages start with `path`."""
     try:
         with open(path) as f:
-            return mixture_from_dict(json.load(f))
-    except (json.JSONDecodeError, UnicodeDecodeError, ParseError) as exc:
+            return from_dict(json.load(f))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except RpmixError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def load_mixture(path) -> Mixture:
+    """The mixture saved at `path`. A file that is not JSON, or not a valid
+    mixture document, raises an RpmixError naming `path` (ParseError for a
+    malformed document)."""
+    return _load_document(path, mixture_from_dict)
 
 
 def save_dataset(points, path, header=None):

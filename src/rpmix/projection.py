@@ -17,10 +17,11 @@ import numpy as np
 from .errors import (
     BadDimsError,
     DimensionMismatchError,
+    InvalidParameterError,
     NotEnoughDataError,
     ParseError,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array, _frozen
+from .gaussians import Gaussian, Mixture, _as_float_array, _frozen, _is_int, _load_document
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -32,6 +33,8 @@ class ProjectionKind(Enum):
 
 
 def _check_target_dim(d, n):
+    if not (_is_int(d) and _is_int(n)):
+        raise InvalidParameterError(f"d and n must be ints, got d={d!r}, n={n!r}")
     if d < 1 or d > n:
         raise BadDimsError(f"need 1 <= d <= n, got d={d}, n={n}")
 
@@ -180,9 +183,6 @@ def save_projection(p: ProjectionMatrix, path):
 
 def load_projection(path) -> ProjectionMatrix:
     """The projection saved at `path`. A file that is not JSON, or not a
-    projection document, raises ParseError naming `path`."""
-    try:
-        with open(path) as f:
-            return projection_from_dict(json.load(f))
-    except (json.JSONDecodeError, UnicodeDecodeError, ParseError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    valid projection document, raises an RpmixError naming `path`
+    (ParseError for a malformed document)."""
+    return _load_document(path, projection_from_dict)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     TooManyComponentsError,
     _ParameterEnum,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array
+from .gaussians import Gaussian, Mixture, _as_float_array, _is_int
 from .projection import _haar_orthogonal, random_orthonormal
 
 
@@ -44,10 +43,10 @@ class MixtureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "covariance_mode", CovarianceMode(self.covariance_mode))
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InvalidParameterError(f"dimension n must be an int >= 1, got {self.n!r}")
-        if self.k < 2:
-            raise InvalidParameterError(f"k must be >= 2, got {self.k}")
+        if not _is_int(self.k) or self.k < 2:
+            raise InvalidParameterError(f"k must be an int >= 2, got {self.k!r}")
         if not 1 <= self.E < np.inf:
             raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E}")
         if not 0 <= self.c < np.inf:
@@ -150,8 +149,8 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
 
 def mixing_weights(k: int, seed) -> np.ndarray:
     """Near-uniform weights: i.i.d. uniform on [1/2k, 3/2k], renormalized."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
     rng = np.random.default_rng(seed)
     w = rng.uniform(1.0 / (2 * k), 3.0 / (2 * k), size=k)
     return w / w.sum()

@@ -36,7 +36,7 @@ from rpmix.errors import (
     ShapeMismatchError,
 )
 from rpmix.experiments import em_compare_trial
-from rpmix.gaussians import CONDITION_LIMIT
+from rpmix.gaussians import CONDITION_LIMIT, log_density, log_density_batch, mahalanobis
 from rpmix.projection import project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
@@ -310,7 +310,7 @@ class TestRunEm:
     @staticmethod
     def _count_factor_calls(monkeypatch):
         """Count the Cholesky factorizations EM and `Gaussian` make, and the
-        trace bounds and exact condition numbers of EM's checks."""
+        trace bounds and exact condition numbers of the condition checks."""
         calls = {"cholesky": 0, "dtrtri": 0, "eigvalsh": 0, "Gaussian cholesky": 0}
 
         def counted(name, fn):
@@ -321,8 +321,8 @@ class TestRunEm:
             return wrapper
 
         monkeypatch.setattr(em, "cholesky", counted("cholesky", em.cholesky))
-        monkeypatch.setattr(em, "dtrtri", counted("dtrtri", em.dtrtri))
-        monkeypatch.setattr(em, "eigvalsh", counted("eigvalsh", em.eigvalsh))
+        monkeypatch.setattr(gaussians, "dtrtri", counted("dtrtri", gaussians.dtrtri))
+        monkeypatch.setattr(gaussians, "eigvalsh", counted("eigvalsh", gaussians.eigvalsh))
         monkeypatch.setattr(
             gaussians, "cholesky", counted("Gaussian cholesky", gaussians.cholesky)
         )
@@ -353,7 +353,8 @@ class TestRunEm:
         # hybrid's lift and one high-dimensional step) and once for each of
         # the two spherical starts. The three models EM reads back (the
         # projected fit for the lift, and the two fits for their test
-        # log-likelihoods) take a bound each and no new factor.
+        # log-likelihoods) carry the inverses of EM's own checks, so they
+        # take no new factor and no new bound.
         calls = self._count_factor_calls(monkeypatch)
         k = 3
         row = em_compare_trial(
@@ -363,7 +364,7 @@ class TestRunEm:
         m_steps = row["reg_iterations"] + row["rp_low_iterations"] + 2
         assert calls == {
             "cholesky": m_steps + 2,
-            "dtrtri": m_steps + 5,
+            "dtrtri": m_steps + 2,
             "eigvalsh": 0,
             "Gaussian cholesky": k,
         }
@@ -535,7 +536,7 @@ class TestConditionBound:
             calls.append(cov)
             return np.linalg.eigvalsh(cov)
 
-        monkeypatch.setattr(em, "eigvalsh", counted)
+        monkeypatch.setattr(gaussians, "eigvalsh", counted)
         return calls
 
     def test_exact_check_once_per_factor_whose_bound_clears(self, monkeypatch):
@@ -553,10 +554,47 @@ class TestConditionBound:
     )
     def test_failed_or_non_finite_bound_takes_the_exact_check(self, monkeypatch, dtrtri):
         calls = self._count_eigvalsh(monkeypatch)
-        monkeypatch.setattr(em, "dtrtri", dtrtri)
+        monkeypatch.setattr(gaussians, "dtrtri", dtrtri)
         cov = _spd(5, 10.0, 11)
-        assert em._checked_inverse(cov, np.linalg.cholesky(cov)) is None
+        assert gaussians._checked_inverse(cov, np.linalg.cholesky(cov)) is None
         assert len(calls) == 1
+
+    @staticmethod
+    def _ill_conditioned_message(call):
+        try:
+            call()
+        except IllConditionedError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("kappa", [1e6, 5e11, 2e12])
+    def test_density_and_em_give_one_verdict(self, kappa):
+        cov = _spd(200, kappa, 12)
+        g = Gaussian(np.zeros(200), cov)
+        from_em = self._ill_conditioned_message(lambda: em._factor_and_invert([cov]))
+        from_density = self._ill_conditioned_message(lambda: log_density_batch(g, np.ones((2, 200))))
+        assert from_density == from_em
+        assert (from_em is not None) == (kappa > CONDITION_LIMIT)
+
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_fitted_model_carries_its_inverses(self, restriction, monkeypatch):
+        built = []
+        monkeypatch.setattr(em, "_to_mixture", lambda params: built.append(params) or _to_mixture(params))
+        fit = run_em(two_blob_data(seed=17), 2, restriction, 0)
+        calls = TestRunEm._count_factor_calls(monkeypatch)
+        read = _from_mixture(fit.model)
+        assert calls["dtrtri"] == 0
+        assert len(read.invs) == len(built[-1].invs)
+        assert all(a is b for a, b in zip(read.invs, built[-1].invs))
+
+    def test_gaussian_keeps_its_check(self, monkeypatch):
+        g = Gaussian(np.zeros(3), _spd(3, 10.0, 13))
+        calls = TestRunEm._count_factor_calls(monkeypatch)
+        log_density_batch(g, np.ones((4, 3)))
+        assert (calls["dtrtri"], calls["eigvalsh"]) == (1, 0)
+        log_density(g, np.ones(3))
+        mahalanobis(g, np.ones(3))
+        assert (calls["dtrtri"], calls["eigvalsh"]) == (1, 0)
 
 
 class TestLogJointAccuracy:

@@ -2,10 +2,13 @@
 NonFiniteError that names the argument, before it computes or writes
 anything. A non-numeric or ragged array ends in an InvalidParameterError
 naming the argument, a bad parameter value in an RpmixError, a malformed
-mixture or projection file in a ParseError naming the file, and an object
-that keeps an array argument leaves the caller's array writable."""
+mixture or projection file in a ParseError naming the file, any other error
+from a file's content in its own type naming the file, a non-integer size
+argument in an InvalidParameterError naming it, and an object that keeps an
+array argument leaves the caller's array writable."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +27,21 @@ from rpmix import (
     project_data,
     rp_em,
     run_em,
+    sample,
     save_dataset,
     spectral_summary,
 )
 from rpmix.classifier import ClassMixtureModel, LabeledDataset
 from rpmix.em import test_loglik as held_out_loglik
-from rpmix.errors import InvalidParameterError, NonFiniteError, ParseError, RpmixError
+from rpmix.errors import (
+    BadDimsError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+    ParseError,
+    RpmixError,
+)
 from rpmix.gaussians import _as_float_array, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -37,7 +49,7 @@ from rpmix.projection import (
     load_projection,
     random_orthonormal,
 )
-from rpmix.synthesis import packed_centers
+from rpmix.synthesis import MixtureSpec, mixing_weights, packed_centers
 
 FULL = CovarianceRestriction.FULL_DISTINCT
 
@@ -96,11 +108,22 @@ CASES = {
 }
 
 
+# case -> the file a loader case reads; a loader puts its path in front of the
+# message of an error from the file's content
+LOADED_FILES = {"load_projection": "p.json", "load_mixture-mean": "m.json"}
+
+
+def path_prefix(case, tmp_path):
+    """The pattern of the path in front of `case`'s message, if it loads a file."""
+    return re.escape(f"{tmp_path / LOADED_FILES[case]}: ") if case in LOADED_FILES else ""
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_non_finite_array_is_named(tmp_path, case, bad):
     name, call = CASES[case]
-    with pytest.raises(NonFiniteError, match=f"^{name} contains non-finite entries$"):
+    prefix = path_prefix(case, tmp_path)
+    with pytest.raises(NonFiniteError, match=f"^{prefix}{name} contains non-finite entries$"):
         call(bad, tmp_path)
     assert not (tmp_path / "out.csv").exists()
 
@@ -220,5 +243,72 @@ NON_NUMERIC = {
 @pytest.mark.parametrize("case", sorted(NON_NUMERIC))
 def test_non_numeric_array_is_an_invalid_parameter(tmp_path, case):
     call, name = NON_NUMERIC[case]
-    with pytest.raises(InvalidParameterError, match=f"^{name} is not an array of numbers"):
+    prefix = path_prefix(case, tmp_path)
+    with pytest.raises(InvalidParameterError, match=f"^{prefix}{name} is not an array of numbers"):
         call(tmp_path)
+
+
+def one_dim_mixture(**changes):
+    return {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]]], **changes}
+
+
+# case -> (loader, error its content raises, document)
+BAD_CONTENT = {
+    "mixture-non-numeric-mean": (load_mixture, InvalidParameterError, one_dim_mixture(means=["abc"])),
+    "mixture-negative-weight": (
+        load_mixture,
+        InvalidParameterError,
+        one_dim_mixture(weights=[1.5, -0.5], means=[[0.0], [1.0]], covariances=[[[1.0]], [[1.0]]]),
+    ),
+    "mixture-nan-mean": (load_mixture, NonFiniteError, one_dim_mixture(means=[[float("nan")]])),
+    "mixture-not-positive-definite": (
+        load_mixture, NotPositiveDefiniteError, one_dim_mixture(covariances=[[[-1.0]]])
+    ),
+    "mixture-dimension-mismatch": (
+        load_mixture, DimensionMismatchError, one_dim_mixture(means=[[0.0, 0.0]])
+    ),
+    "projection-declared-dims": (load_projection, BadDimsError, {**GOOD_PROJECTION, "source_dim": 3}),
+    "projection-non-numeric-row": (
+        load_projection, InvalidParameterError, {**GOOD_PROJECTION, "rows": [["a", 0.5]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTENT))
+def test_error_from_file_content_names_the_file(tmp_path, case):
+    load, error, doc = BAD_CONTENT[case]
+    path = write_json(tmp_path / f"{case}.json", doc)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as info:
+        load(path)
+    assert type(info.value) is error
+
+
+# case -> (argument name, call with a size that is not an integer)
+NON_INTEGER = {
+    "run_em-k-float": ("k", lambda: run_em(DATA, 2.5, FULL, 0)),
+    "run_em-k-bool": ("k", lambda: run_em(DATA, True, FULL, 0)),
+    "run_em-k-str": ("k", lambda: run_em(DATA, "2", FULL, 0)),
+    "run_em-max_iter": ("max_iter", lambda: run_em(DATA, 2, FULL, 0, max_iter=2.5)),
+    "rp_em-d": ("d", lambda: rp_em(DATA, 2, 2.5, FULL, 0)),
+    "random_orthonormal-d": ("d", lambda: random_orthonormal(4, 2.5, 0)),
+    "random_orthonormal-n": ("n", lambda: random_orthonormal("4", 2, 0)),
+    "pca-d": ("d", lambda: pca(DATA, 1.5)),
+    "sample-count": ("count", lambda: sample(MODEL, 2.5, 0)),
+    "mixing_weights-k": ("k", lambda: mixing_weights(2.5, 0)),
+    "MixtureSpec-k": ("k", lambda: MixtureSpec(n=4, k=2.5, c=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER))
+def test_non_integer_size_is_an_invalid_parameter(case):
+    name, call = NON_INTEGER[case]
+    with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    fit = run_em(DATA, np.int64(2), FULL, 0, max_iter=np.int32(3))
+    assert fit.iterations <= 3
+    assert random_orthonormal(np.int64(3), np.int64(2), 0).target_dim == 2
+    assert sample(MODEL, np.int64(5), 0).shape == (5, 3)
+    assert mixing_weights(np.int64(3), 0).shape == (3,)
