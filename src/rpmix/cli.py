@@ -161,9 +161,7 @@ def _cmd_experiment(args):
         overrides=cfg.get("overrides", {}),
     )
     if args.threads is not None:
-        takes_threads = sorted(
-            e for e, (_, allowed) in experiments.EXPERIMENTS.items() if "threads" in allowed
-        )
+        takes_threads = _pooled_experiments()
         if name not in takes_threads:
             raise ConfigError(
                 f"--threads does not apply to {name}; it applies to {takes_threads}"
@@ -179,6 +177,11 @@ def _cmd_experiment(args):
         path = os.path.join(args.out, f"{name}.csv")
         report.to_csv(path)
         print(f"wrote report to {path}")
+
+
+def _pooled_experiments():
+    """The experiments whose trials take a `threads` override, sorted."""
+    return sorted(e for e, (_, allowed) in experiments.EXPERIMENTS.items() if "threads" in allowed)
 
 
 def build_parser():
@@ -248,9 +251,9 @@ def build_parser():
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", help="directory for the report CSV")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the trials, in experiments that "
-                        "take a threads override (default: one per core, at "
-                        "most one per trial; 1 runs them in this process)")
+                   help="worker processes for the trials of "
+                        f"{', '.join(_pooled_experiments())} (default: one per "
+                        "core, at most one per trial; 1 runs them in this process)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -29,6 +29,7 @@ Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -334,6 +335,8 @@ def run_em(
 ) -> FitResult:
     """EM to convergence: stop when the relative log-likelihood gain < tol.
 
+    `tol` is a finite real >= 0; at 0 the fit runs all `max_iter` iterations.
+
     A component that empties is moved to the worst-explained point (at most
     MAX_RESCUES times per fit); after that it keeps its previous parameters.
     """
@@ -341,6 +344,8 @@ def run_em(
     data = _as_float_array(data, "data", ndmin=2)
     if not _is_int(max_iter) or max_iter < 0:
         raise InvalidParameterError(f"max_iter must be an int >= 0, got {max_iter!r}")
+    if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 <= tol < np.inf:
+        raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
     trace = []
@@ -350,7 +355,7 @@ def run_em(
     for _ in range(max_iter + 1):
         resp, ll = _e_step(params, data, gram)
         trace.append(ll)
-        if len(trace) > 1 and abs(ll - trace[-2]) <= tol * abs(ll):
+        if len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll):
             converged = True
             break
         if iterations == max_iter:

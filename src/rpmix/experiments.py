@@ -151,18 +151,24 @@ def _trial_seeds(base_seed, trial, count):
 # Separation experiments (projected-pair geometry)
 
 @single_blas_thread()
-def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20):
-    """Projected separation of a 1-separated spherical pair vs original dim."""
-    rows = []
-    for n in n_values:
-        for t in range(trials):
-            seed = base_seed + t
-            _, s_proj = _trial_seeds(seed, 0, 2)
-            mix = make_mixture(MixtureSpec(n=n, k=2, c=1.0, seed=seed))
-            proj = random_orthonormal(n, d, s_proj)
-            sep = mixture_separation(project_mixture(proj, mix))
-            rows.append({"n": n, "seed": seed, "separation": sep})
+def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20, threads=None):
+    """Projected separation of a 1-separated spherical pair vs original dim.
+
+    The trials run in `threads` worker processes, None for one per core
+    (see `_run_trials`).
+    """
+    tasks = [(n, base_seed + t) for n in n_values for t in range(trials)]
+    rows = _run_trials(_separation_trial, tasks, threads, (d,))
     return _report(("n",), ("separation",), rows)
+
+
+def _separation_trial(task, d):
+    n, seed = task
+    _, s_proj = _trial_seeds(seed, 0, 2)
+    mix = make_mixture(MixtureSpec(n=n, k=2, c=1.0, seed=seed))
+    proj = random_orthonormal(n, d, s_proj)
+    sep = mixture_separation(project_mixture(proj, mix))
+    return {"n": n, "seed": seed, "separation": sep}
 
 
 @single_blas_thread()
@@ -268,24 +274,25 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
 
 
 @single_blas_thread()
-def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
-    rows = []
-    for t in range(trials):
-        seed = base_seed + t
-        pca_table, rp_table = fig7_tables(seed, n=n, k=k, c=c, E=E, d=d, samples=samples)
-        for method, tab in (("pca", pca_table), ("rp", rp_table)):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    rows.append(
-                        {
-                            "method": method,
-                            "i": i,
-                            "j": j,
-                            "seed": seed,
-                            "separation": tab[i, j],
-                        }
-                    )
+def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000, threads=None):
+    """PCA vs random projection separation tables, one row per pair and map.
+
+    The trials run in `threads` worker processes, None for one per core
+    (see `_run_trials`).
+    """
+    seeds = [base_seed + t for t in range(trials)]
+    tables = _run_trials(_pca_vs_rp_trial, seeds, threads, (n, k, c, E, d, samples))
+    rows = [row for trial_rows in tables for row in trial_rows]
     return _report(("method", "i", "j"), ("separation",), rows)
+
+
+def _pca_vs_rp_trial(seed, n, k, c, E, d, samples):
+    pca_table, rp_table = fig7_tables(seed, n=n, k=k, c=c, E=E, d=d, samples=samples)
+    return [
+        {"method": method, "i": i, "j": j, "seed": seed, "separation": tab[i, j]}
+        for method, tab in (("pca", pca_table), ("rp", rp_table))
+        for i, j in combinations(range(k), 2)
+    ]
 
 
 @single_blas_thread()

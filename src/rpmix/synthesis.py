@@ -61,6 +61,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     them on the diagonal in random order; rotated/full modes conjugate by a
     random orthogonal matrix.
     """
+    _check_sizes(n=n)
     mode = CovarianceMode(mode)
     rng = np.random.default_rng(seed)
     if E == 1.0 or mode is CovarianceMode.SPHERICAL_SHARED:
@@ -81,6 +82,13 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     return (q * eigs) @ q.T
 
 
+def _check_sizes(**sizes):
+    """Reject a size argument that is not an int >= 1 (numpy integers pass)."""
+    for name, value in sizes.items():
+        if not _is_int(value) or value < 1:
+            raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def _check_eccentricity(E, n):
     """Reject an E below 1, or one so large that n * E**2, which bounds the
     trace of an n-dim covariance of eccentricity E, is not finite."""
@@ -97,6 +105,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     subspace; unequal radii are handled by iterative pairwise repair of the
     simplex shape.
     """
+    _check_sizes(k=k, n=n)
     if c <= 0:
         raise BadSeparationError("separation c must be > 0")
     if k > n + 1:
@@ -177,6 +186,7 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
     covariance draw from their own children of it. Returns (mixture,
     long_axes), the latter the sorted indices of the shared long axes.
     """
+    _check_sizes(n=n, k=k, d=d)
     if not 1 <= d <= n - 2:
         raise BadDimsError(f"need 1 <= d <= n - 2 long axes, got d={d}, n={n}")
     _check_eccentricity(E, n)

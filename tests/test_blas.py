@@ -58,7 +58,8 @@ def test_body_runs_on_one_thread_and_restores(monkeypatch, two_threads):
         return separation(mix)
 
     monkeypatch.setattr(experiments, "mixture_separation", recording)
-    fig3_body(0, trials=2, n_values=(50,))
+    # threads=1 keeps the trials in this process, where `seen` is recorded.
+    fig3_body(0, trials=2, n_values=(50,), threads=1)
     assert seen and all(counts == [1] * len(counts) for counts in seen)
     assert thread_counts() == [2] * len(seen[0])
 

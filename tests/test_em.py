@@ -733,10 +733,10 @@ class TestRescue:
     ):
         # At weight 1e-300 component 2 stays empty wherever it is moved, so
         # the first MAX_RESCUES M-steps are rescues and the next keeps it.
-        # Such a rescue leaves the log-likelihood as it was, so a negative
-        # tol keeps the fit from stopping there as converged.
+        # Such a rescue leaves the log-likelihood as it was, so a tol of 0
+        # keeps the fit from stopping there as converged.
         data, start = self._start(monkeypatch, restriction, 1e-300)
-        fit = run_em(data, 3, restriction, 0, tol=-1.0, max_iter=em.MAX_RESCUES + 1)
+        fit = run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
         assert fit.iterations == em.MAX_RESCUES + 1
         dead, live = fit.model.components[2], fit.model.components[:2]
         assert np.array_equal(dead.mean, data[self.OUTLIER])

@@ -176,6 +176,17 @@ class TestPcaVsRp:
         report = experiments.fig7_body(0, trials=2)
         assert len(report.rows) == 2 * 2 * 10  # trials x methods x pairs
 
+    def test_pooled_rows_follow_trial_then_method_then_pair(self):
+        report = experiments.fig7_body(5, trials=3, k=4, threads=2)
+        expected = []
+        for seed in (5, 6, 7):
+            pca_table, rp_table = fig7_tables(seed, k=4)
+            for method, tab in (("pca", pca_table), ("rp", rp_table)):
+                for i, j in combinations(range(4), 2):
+                    expected.append((method, i, j, seed, tab[i, j]))
+        got = [(r["method"], r["i"], r["j"], r["seed"], r["separation"]) for r in report.rows]
+        assert got == expected
+
     def test_mixture_premise_pca_keeps_long_axes(self):
         n, k, c, E, d = 100, 5, 0.5, 1000.0, 10
         # The mixture fig7_tables(0) projects.
@@ -293,6 +304,8 @@ class TestEmComparison:
             ("fig8-em-compare", {"n_values": (50,)}),
             ("second-em-compare", {}),
             ("fig9-digit-sweep", {"d_values": (20,)}),
+            ("fig3-sep-vs-n", {"n_values": [50, 200]}),
+            ("fig7-pca-vs-rp", {}),
         ],
     )
     def test_worker_pool_report_byte_identical(self, tmp_path, name, overrides):
@@ -370,6 +383,13 @@ class TestTrialPool:
         assert len(pools) == 1
         assert pools[0]["mp_context"].get_start_method() == "fork"
         assert pools[0]["max_workers"] == workers
+
+    def test_default_fig7_sweep_builds_one_fork_pool(self, pools):
+        report = experiments.fig7_body(0)
+        assert len(report.rows) == 10 * 2 * 10  # default trials x methods x pairs
+        assert len(pools) == 1
+        assert pools[0]["mp_context"].get_start_method() == "fork"
+        assert pools[0]["max_workers"] == 3
 
     def test_explicit_threads_is_the_worker_count(self, pools):
         fig8_body(0, trials=2, threads=4, **SMALL_TRIAL)
@@ -559,11 +579,11 @@ class TestConfig:
 
 class TestRegistry:
     OVERRIDES = {
-        "fig3-sep-vs-n": {"n_values", "d"},
+        "fig3-sep-vs-n": {"n_values", "d", "threads"},
         "fig4-sep-vs-k": {"k_values", "n", "c"},
         "fig5-ecc-table": {"E_values", "n_values", "d"},
         "fig6-ecc-vs-d": {"n", "E", "d_values"},
-        "fig7-pca-vs-rp": {"n", "k", "c", "E", "d", "samples"},
+        "fig7-pca-vs-rp": {"n", "k", "c", "E", "d", "samples", "threads"},
         "fig8-em-compare": {
             "n_values", "threads", "k", "c", "E", "mode", "restriction", "d",
             "train_size", "test_size",

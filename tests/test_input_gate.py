@@ -4,8 +4,9 @@ anything. A non-numeric or ragged array ends in an InvalidParameterError
 naming the argument, a bad parameter value in an RpmixError, a malformed
 mixture or projection file in a ParseError naming the file, any other error
 from a file's content in its own type naming the file, a non-integer size
-argument in an InvalidParameterError naming it, and an object that keeps an
-array argument leaves the caller's array writable."""
+argument in an InvalidParameterError naming it, a `tol` that is not a finite
+real >= 0 in an InvalidParameterError, and an object that keeps an array
+argument leaves the caller's array writable."""
 
 import json
 import re
@@ -31,7 +32,7 @@ from rpmix import (
     save_dataset,
     spectral_summary,
 )
-from rpmix.classifier import ClassMixtureModel, LabeledDataset
+from rpmix.classifier import ClassMixtureModel, LabeledDataset, train
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     BadDimsError,
@@ -49,7 +50,13 @@ from rpmix.projection import (
     load_projection,
     random_orthonormal,
 )
-from rpmix.synthesis import MixtureSpec, mixing_weights, packed_centers
+from rpmix.synthesis import (
+    MixtureSpec,
+    eccentric_covariance,
+    long_axis_mixture,
+    mixing_weights,
+    packed_centers,
+)
 
 FULL = CovarianceRestriction.FULL_DISTINCT
 
@@ -146,6 +153,9 @@ INVALID = {
     "spectral_summary-not-square": lambda: spectral_summary(np.ones((2, 3))),
     "ClassMixtureModel-prior-sum": lambda: ClassMixtureModel(PROJ, (), [0.5, 0.6]),
     "packed_centers-radius-count": lambda: packed_centers(2, 3, 2, [1.0], 0),
+    "packed_centers-no-component": lambda: packed_centers(0, 3, 1.0, [], 0),
+    "eccentric_covariance-negative-n": lambda: eccentric_covariance(-1, 1.0, "diagonal-distinct", 0),
+    "long_axis_mixture-no-component": lambda: long_axis_mixture(8, 0, 0.5, 2.0, 2, 0),
 }
 
 
@@ -296,6 +306,12 @@ NON_INTEGER = {
     "sample-count": ("count", lambda: sample(MODEL, 2.5, 0)),
     "mixing_weights-k": ("k", lambda: mixing_weights(2.5, 0)),
     "MixtureSpec-k": ("k", lambda: MixtureSpec(n=4, k=2.5, c=1.0)),
+    "long_axis_mixture-n": ("n", lambda: long_axis_mixture(8.0, 2, 1.0, 2.0, 2, 0)),
+    "long_axis_mixture-k": ("k", lambda: long_axis_mixture(8, 2.5, 1.0, 2.0, 2, 0)),
+    "long_axis_mixture-d": ("d", lambda: long_axis_mixture(8, 2, 1.0, 2.0, 1.5, 0)),
+    "eccentric_covariance-n": ("n", lambda: eccentric_covariance(2.5, 2.0, "rotated-distinct", 0)),
+    "packed_centers-k": ("k", lambda: packed_centers(2.5, 3, 1.0, [1.0, 1.0], 0)),
+    "packed_centers-n": ("n", lambda: packed_centers(2, "3", 1.0, [1.0, 1.0], 0)),
 }
 
 
@@ -312,3 +328,27 @@ def test_numpy_integer_sizes_are_accepted():
     assert random_orthonormal(np.int64(3), np.int64(2), 0).target_dim == 2
     assert sample(MODEL, np.int64(5), 0).shape == (5, 3)
     assert mixing_weights(np.int64(3), 0).shape == (3,)
+    assert eccentric_covariance(np.int64(3), 2.0, "rotated-distinct", 0).shape == (3, 3)
+    assert packed_centers(np.int64(2), np.int32(3), 1.0, [1.0, 1.0], 0).shape == (2, 3)
+    _, long_axes = long_axis_mixture(np.int64(100), np.int32(5), 0.5, 1000.0, np.int64(10), 0)
+    assert long_axes.shape == (10,)
+
+
+# caller -> call that passes `tol` on to run_em
+TOL_CALLERS = {
+    "run_em": lambda tol: run_em(DATA, 2, FULL, 0, tol=tol),
+    "rp_em": lambda tol: rp_em(DATA, 2, 2, FULL, 0, tol=tol),
+    "train": lambda tol: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(TOL_CALLERS))
+@pytest.mark.parametrize("tol", ["x", float("nan"), -1, float("inf"), True, None])
+def test_tol_must_be_a_finite_real_at_least_zero(caller, tol):
+    with pytest.raises(InvalidParameterError, match=r"^tol must be a finite real >= 0, got "):
+        TOL_CALLERS[caller](tol)
+
+
+def test_zero_tol_runs_every_iteration():
+    fit = run_em(DATA, 2, FULL, 0, tol=0, max_iter=7)
+    assert fit.iterations == 7 and not fit.converged
