@@ -3,8 +3,11 @@
 Every experiment is a pure function of its parameters and a base seed:
 trial t derives its randomness from base_seed + t, and each report row
 records the seed that produced it, so any single trial can be replayed in
-isolation. Reports are long-format CSV: one row per measurement, followed
-by aggregate rows (mean, sd, min, max, median) per parameter group.
+isolation. Each body builds a task list, one task per trial, maps a
+module-level trial function over it with `_run_trials`, and hands the
+measurements to `_report`. Reports are long-format CSV: one row per
+measurement, followed by aggregate rows (mean, sd, min, max, median) per
+parameter group.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     ConfigError,
     EmptyComponentError,
     IllConditionedError,
+    InvalidParameterError,
     MissingDataError,
     NotPositiveDefiniteError,
 )
@@ -67,7 +71,7 @@ AGGREGATE_STATS = ("mean", "sd", "min", "max", "median")
 class ExperimentReport:
     group_columns: tuple
     metric_columns: tuple
-    rows: tuple  # per-measurement dicts with group cols + "seed" + metrics
+    rows: tuple  # per-measurement dicts: "row_type", group cols, "seed", metrics
 
     def aggregates(self):
         """One dict per (group, stat): recomputable exactly from the rows."""
@@ -93,10 +97,8 @@ class ExperimentReport:
         cols = ["row_type", *self.group_columns, "seed", *self.metric_columns]
         with open(path, "w") as f:
             f.write(",".join(cols) + "\n")
-            for row in self.rows:
-                f.write(",".join(_fmt(row.get(c, "trial") if c == "row_type" else row[c]) for c in cols) + "\n")
-            for agg in self.aggregates():
-                f.write(",".join(_fmt(agg.get(c, "")) for c in cols) + "\n")
+            for row in (*self.rows, *self.aggregates()):
+                f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
     def summary_lines(self):
         lines = []
@@ -133,18 +135,24 @@ def _fmt(v):
     return str(v)
 
 
-def _report(group_columns, metric_columns, rows) -> ExperimentReport:
-    full = []
-    for r in rows:
-        row = {"row_type": "trial"}
-        row.update(r)
-        full.append(row)
-    return ExperimentReport(tuple(group_columns), tuple(metric_columns), tuple(full))
+def _report(group_columns, metric_columns, measurements) -> ExperimentReport:
+    """The report of per-trial measurements. Each row keeps, after its row
+    type, the group columns, the seed and the metrics of its measurement."""
+    cols = (*group_columns, "seed", *metric_columns)
+    rows = tuple({"row_type": "trial", **{c: m[c] for c in cols}} for m in measurements)
+    return ExperimentReport(tuple(group_columns), tuple(metric_columns), rows)
 
 
-def _trial_seeds(base_seed, trial, count):
+def _trial_seeds(seed, count):
     """Independent sub-streams for one trial, replayable from its seed."""
-    return np.random.SeedSequence([int(base_seed) + int(trial)]).spawn(count)
+    return np.random.SeedSequence([int(seed)]).spawn(count)
+
+
+def _log_dim(k, n):
+    """The paper's target dimension for k components, 10 ln k, kept in [1, n]."""
+    if not _is_int(k) or k < 2:
+        raise InvalidParameterError(f"k must be an int >= 2, got {k!r}")
+    return max(1, min(int(round(10.0 * math.log(k))), n))
 
 
 # ---------------------------------------------------------------------------
@@ -157,35 +165,25 @@ def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20, th
     The trials run in `threads` worker processes, None for one per core
     (see `_run_trials`).
     """
-    tasks = [(n, base_seed + t) for n in n_values for t in range(trials)]
-    rows = _run_trials(_separation_trial, tasks, threads, (d,))
-    return _report(("n",), ("separation",), rows)
-
-
-def _separation_trial(task, d):
-    n, seed = task
-    _, s_proj = _trial_seeds(seed, 0, 2)
-    mix = make_mixture(MixtureSpec(n=n, k=2, c=1.0, seed=seed))
-    proj = random_orthonormal(n, d, s_proj)
-    sep = mixture_separation(project_mixture(proj, mix))
-    return {"n": n, "seed": seed, "separation": sep}
+    tasks = [(n, 2, 1.0, d, base_seed + t) for n in n_values for t in range(trials)]
+    return _report(("n",), ("separation",), _run_trials(_separation_trial, tasks, threads))
 
 
 @single_blas_thread()
 def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
     """Projected separation of maximally packed mixtures at d = 10 ln k."""
-    rows = []
-    for k in k_values:
-        d = int(round(10.0 * math.log(k)))
-        d = max(1, min(d, n))
-        for t in range(trials):
-            seed = base_seed + t
-            _, s_proj = _trial_seeds(seed, 0, 2)
-            mix = make_mixture(MixtureSpec(n=n, k=k, c=c, seed=seed))
-            proj = random_orthonormal(n, d, s_proj)
-            sep = mixture_separation(project_mixture(proj, mix))
-            rows.append({"k": k, "d": d, "seed": seed, "separation": sep})
-    return _report(("k", "d"), ("separation",), rows)
+    tasks = [(n, k, c, _log_dim(k, n), base_seed + t) for k in k_values for t in range(trials)]
+    return _report(("k", "d"), ("separation",), _run_trials(_separation_trial, tasks, 1))
+
+
+def _separation_trial(task):
+    """Separation of a packed c-separated k-mixture in R^n, projected to d dims."""
+    n, k, c, d, seed = task
+    _, s_proj = _trial_seeds(seed, 2)
+    mix = make_mixture(MixtureSpec(n=n, k=k, c=c, seed=seed))
+    proj = random_orthonormal(n, d, s_proj)
+    sep = mixture_separation(project_mixture(proj, mix))
+    return {"n": n, "k": k, "d": d, "seed": seed, "separation": sep}
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +198,16 @@ def fig5_body(
     d=20,
 ):
     """Projected eccentricity E* for a grid of (E, n), projecting to d dims."""
-    rows = []
-    for E in E_values:
-        for n in n_values:
-            if d > n:
-                continue
-            for t in range(trials):
-                seed = base_seed + t
-                s_cov, s_proj = _trial_seeds(seed, 0, 2)
-                cov = eccentric_covariance(
-                    n, float(E), CovarianceMode.DIAGONAL_DISTINCT, s_cov
-                )
-                proj = random_orthonormal(n, d, s_proj)
-                ecc = spectral_summary(proj.rows @ cov @ proj.rows.T).eccentricity
-                rows.append({"E": E, "n": n, "seed": seed, "eccentricity": ecc})
-    return _report(("E", "n"), ("eccentricity",), rows)
+    grid = [(E, n) for E in E_values for n in n_values if d <= n]
+    tasks = [(E, n, base_seed + t) for E, n in grid for t in range(trials)]
+    return _report(("E", "n"), ("eccentricity",), _run_trials(_fig5_trial, tasks, 1, (d,)))
+
+
+def _fig5_trial(task, d):
+    E, n, seed = task
+    s_cov, s_proj = _trial_seeds(seed, 2)
+    cov = eccentric_covariance(n, float(E), CovarianceMode.DIAGONAL_DISTINCT, s_cov)
+    return {"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
 
 
 @single_blas_thread()
@@ -223,15 +216,20 @@ def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24,
     cov = eccentric_covariance(
         n, E, CovarianceMode.DIAGONAL_DISTINCT, np.random.SeedSequence([int(base_seed), 0])
     )
-    rows = []
-    for d in d_values:
-        for t in range(trials):
-            seed = base_seed + t
-            _, s_proj = _trial_seeds(seed, 0, 2)
-            proj = random_orthonormal(n, d, s_proj)
-            ecc = spectral_summary(proj.rows @ cov @ proj.rows.T).eccentricity
-            rows.append({"d": d, "seed": seed, "eccentricity": ecc})
-    return _report(("d",), ("eccentricity",), rows)
+    tasks = [(d, base_seed + t) for d in d_values for t in range(trials)]
+    return _report(("d",), ("eccentricity",), _run_trials(_fig6_trial, tasks, 1, (cov,)))
+
+
+def _fig6_trial(task, cov):
+    d, seed = task
+    _, s_proj = _trial_seeds(seed, 2)
+    return {"d": d, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
+
+
+def _projected_eccentricity(cov, d, seed):
+    """Eccentricity of a covariance after a random projection to d dims."""
+    proj = random_orthonormal(len(cov), d, seed).rows
+    return spectral_summary(proj @ cov @ proj.T).eccentricity
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +314,33 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
     mix = Mixture(
         [Gaussian(mu, np.eye(n)) for mu in centers], np.full(k, 1.0 / k)
     )
+    rows = _run_trials(_pca_collapse_trial, [base_seed], 1, (mix, samples))[0]
+    return _report(
+        ("method", "d"), ("min_separation", "original_min_separation"), rows
+    )
+
+
+def _pca_collapse_trial(seed, mix, samples):
+    n, k = mix.dim, mix.k
     original_min = mixture_separation(mix)
-    s_sample, s_proj = _trial_seeds(base_seed, 0, 2)
+    s_sample, s_proj = _trial_seeds(seed, 2)
     data = sample(mix, samples, s_sample)
-    d_rp = min(int(round(10.0 * math.log(k))), n)
+    d_rp = _log_dim(k, n)
     cases = (
         ("pca_collapse", pca(data, n - 1), n - 1),
         ("pca_full", pca(data, n), n),
         ("rp", random_orthonormal(n, d_rp, s_proj), d_rp),
     )
-    rows = []
-    for method, proj, d in cases:
-        sep = mixture_separation(project_mixture(proj, mix))
-        rows.append(
-            {
-                "method": method,
-                "d": d,
-                "seed": base_seed,
-                "min_separation": sep,
-                "original_min_separation": original_min,
-            }
-        )
-    return _report(
-        ("method", "d"), ("min_separation", "original_min_separation"), rows
-    )
+    return [
+        {
+            "method": method,
+            "d": d,
+            "seed": seed,
+            "min_separation": mixture_separation(project_mixture(proj, mix)),
+            "original_min_separation": original_min,
+        }
+        for method, proj, d in cases
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +367,7 @@ def em_compare_trial(
     that is empty when the hybrid lifts its soft labels) is scored as an
     unsuccessful run with -inf test log-likelihood, never dropped.
     """
-    s_sample, s_test, s_fit = _trial_seeds(seed, 0, 3)
+    s_sample, s_test, s_fit = _trial_seeds(seed, 3)
     truth = make_mixture(
         MixtureSpec(n=n, k=k, c=c, E=E, covariance_mode=mode, seed=seed)
     )
@@ -480,19 +481,12 @@ def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=None,
     return _report(("n",), EM_COMPARE_METRICS, rows)
 
 
-@single_blas_thread()
 def second_em_body(base_seed, trials=100, n=100, threads=None):
     """Three 0.8-separated eccentricity-25 Gaussians, unrestricted covariances."""
-    params = dict(
-        k=3,
-        c=0.8,
-        E=25.0,
-        mode=CovarianceMode.ROTATED_DISTINCT,
-        restriction=CovarianceRestriction.FULL_DISTINCT,
+    return fig8_body(
+        base_seed, trials, n_values=(n,), threads=threads, k=3, c=0.8, E=25.0,
+        mode=CovarianceMode.ROTATED_DISTINCT, restriction=CovarianceRestriction.FULL_DISTINCT,
     )
-    args = [(n, base_seed + t, params) for t in range(trials)]
-    rows = _run_trials(_em_trial_star, args, threads)
-    return _report(("n",), EM_COMPARE_METRICS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +519,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
         [Gaussian(mu, cov) for mu, cov in zip(centers, covs)],
         np.full(num_classes, 1.0 / num_classes),
     )
-    s_train, s_test = _trial_seeds(base_seed, 0, 2)
+    s_train, s_test = _trial_seeds(base_seed, 2)
 
     def draw(size, seed):
         draw_rng = np.random.default_rng(seed)

@@ -115,6 +115,8 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     radii = _as_float_array(radii, "radii")
     if radii.shape != (k,):
         raise InvalidParameterError("need one radius per component")
+    if k == 1:
+        return np.zeros((1, n))
     targets = np.zeros((k, k))
     for i, j in combinations(range(k), 2):
         targets[i, j] = targets[j, i] = c * max(radii[i], radii[j])
@@ -126,7 +128,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     coords = (u[:, : k - 1] * s[: k - 1]) / np.sqrt(2.0)  # unit edges
 
     rng = np.random.default_rng(seed)
-    coords = coords * targets[targets > 0].mean() if k > 1 else coords
+    coords = coords * targets[targets > 0].mean()
     if not np.allclose(radii, radii[0]):
         for _ in range(200):
             worst = 0.0
@@ -150,8 +152,6 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
                 f"pair ({i},{j}) misses its distance target by {err:.3g}"
             )
 
-    if k == 1:
-        return np.zeros((1, n))
     basis = random_orthonormal(n, k - 1, rng.integers(0, 2**63)).rows
     return coords @ basis
 

@@ -124,6 +124,16 @@ class TestSeparationBodies:
         ds = sorted({row["d"] for row in report.rows})
         assert ds == [7, 30]
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_fig4_at_two_components_is_fig3_at_its_dim(self, seed):
+        # Both bodies map one trial; at k=2, fig4 projects to round(10 ln 2) = 7.
+        fig4 = fig4_body(seed, trials=3, k_values=(2,), n=100, c=1.0)
+        fig3 = fig3_body(seed, trials=3, n_values=(100,), d=7, threads=1)
+        assert {row["d"] for row in fig4.rows} == {7}
+        assert [(r["seed"], r["separation"]) for r in fig4.rows] == [
+            (r["seed"], r["separation"]) for r in fig3.rows
+        ]
+
 
 class TestEccentricityBodies:
     def test_projected_eccentricity_shrinks_with_original_dim(self):
@@ -175,6 +185,9 @@ class TestPcaVsRp:
     def test_report_has_one_row_per_pair_and_method(self):
         report = experiments.fig7_body(0, trials=2)
         assert len(report.rows) == 2 * 2 * 10  # trials x methods x pairs
+
+    def test_one_component_has_no_pair(self):
+        assert experiments.fig7_body(0, trials=1, k=1, threads=1).rows == ()
 
     def test_pooled_rows_follow_trial_then_method_then_pair(self):
         report = experiments.fig7_body(5, trials=3, k=4, threads=2)

@@ -32,6 +32,7 @@ from rpmix import (
     save_dataset,
     spectral_summary,
 )
+from rpmix import cli
 from rpmix.classifier import ClassMixtureModel, LabeledDataset, train
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
@@ -43,6 +44,7 @@ from rpmix.errors import (
     ParseError,
     RpmixError,
 )
+from rpmix.experiments import fig4_body
 from rpmix.gaussians import _as_float_array, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -163,6 +165,16 @@ INVALID = {
 def test_invalid_parameter_is_typed(case):
     with pytest.raises(InvalidParameterError):
         INVALID[case]()
+
+
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_fig4_component_count_below_two_is_typed(tmp_path, capsys, k):
+    with pytest.raises(InvalidParameterError, match=r"^k must be an int >= 2"):
+        fig4_body(0, trials=1, k_values=(k,))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "fig4-sep-vs-k", "overrides": {"k_values": [k]}}))
+    assert cli.main(["experiment", "--config", str(path), "--trials", "1"]) == 1
+    assert "error: k must be an int >= 2" in capsys.readouterr().err
 
 
 def test_negative_weight_in_mixture_file_is_an_rpmix_error(tmp_path):

@@ -104,6 +104,10 @@ class TestPackedCenters:
         assert d02 == pytest.approx(2.0, rel=1e-6)
         assert d12 == pytest.approx(2.0, rel=1e-6)
 
+    def test_one_component_sits_at_the_origin(self):
+        centers = packed_centers(1, 3, 1.0, [2.0], 0)
+        assert np.array_equal(centers, np.zeros((1, 3)))
+
     def test_too_many_components(self):
         with pytest.raises(TooManyComponentsError):
             packed_centers(5, 3, 1.0, np.ones(5), 0)
