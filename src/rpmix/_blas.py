@@ -1,14 +1,14 @@
 """One OpenBLAS thread for the length of a scope.
 
-The experiments factor and solve small matrices (at most a few thousand rows
+The experiments factor and invert small matrices (at most a few thousand rows
 by a few hundred columns). On such sizes OpenBLAS's extra threads cost more in
 hand-off than they save, so experiment bodies and CLI commands run inside
 `single_blas_thread()`, which sets every OpenBLAS the process has loaded to
 one thread and restores each library's previous count on exit.
 
 numpy and scipy each bundle their own OpenBLAS, and EM uses both (scipy's
-for `cholesky`, `solve_triangular` and `dtrtri`, numpy's for matmul and
-`eigvalsh`), so each mapped copy is set. The copies are found on first use
+for `cholesky`, `dtrtri` and `dlauum`, numpy's for matmul and `eigvalsh`),
+so each mapped copy is set. The copies are found on first use
 from `/proc/self/maps`; rpmix imports numpy and scipy.linalg at import time,
 so both are mapped by then. Where none is found (another BLAS, or no `/proc`),
 the scope changes nothing.

@@ -14,12 +14,10 @@ is. The check is the library's one condition check,
 `gaussians._checked_inverse`, and each `Gaussian` keeps its result: the
 models EM returns carry L^-1, so reading one back (the hybrid's lift,
 `test_loglik`) neither factors nor checks again. While a SHARED_FULL state
-has one factor, its E-step solves against no point (`_shared_e_step`): the
-part of the quadratic form that every component shares cancels in the
-responsibilities and sums to a trace over the data's Gram matrix.
-Per-point log-likelihoods come from `_log_joint`, which solves: for distinct
-covariances, for a state with a dead component (which keeps its previous
-factor), for the rescue of an empty component, and at the public boundary.
+has one factor, its E-step whitens no point (`_shared_e_step`): the part of
+the form every component shares cancels in the responsibilities and sums to
+a trace over the data's Gram matrix. Elsewhere (distinct covariances, a dead
+component's kept factor, a rescue, the public boundary) `_log_joint` whitens.
 
 Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 `init_params`, `FitResult.model`, and the `e_step`, `m_step` and
@@ -29,7 +27,6 @@ Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +41,7 @@ from .errors import (
     EmptyComponentError,
     IllConditionedError,
     InvalidParameterError,
+    NonFiniteError,
     NotEnoughDataError,
     NotPositiveDefiniteError,
     ShapeMismatchError,
@@ -55,6 +53,7 @@ from .gaussians import (
     _as_float_array,
     _checked_inverse,
     _is_int,
+    _is_real,
     _log_normalizer,
     _quad_forms,
     radius,
@@ -86,7 +85,7 @@ class _Params(NamedTuple):
     covs: tuple  # one symmetric covariance per distinct factor
     chols: tuple  # the lower Cholesky factor of each
     owner: np.ndarray  # component -> factor index
-    invs: tuple  # L^-1 of each factor, None where it is not usable
+    invs: tuple  # L^-1 of each factor
 
 
 def _model_arrays(model: Mixture, data):
@@ -103,11 +102,14 @@ def _factor_and_invert(covs):
     """Lower Cholesky factors of symmetric covariances and their inverses,
     each checked once by `_checked_inverse`. Every covariance is factored
     before any is checked, so a matrix that is not positive definite is
-    reported ahead of an ill-conditioned one."""
+    reported ahead of an ill-conditioned one. A covariance whose computation
+    overflowed raises NonFiniteError."""
     try:
         chols = tuple(cholesky(cov, lower=True) for cov in covs)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
+    except ValueError as exc:  # `cholesky`'s finite check
+        raise NonFiniteError("covariance overflows") from exc
     return chols, tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
 
 
@@ -145,7 +147,7 @@ def _log_joint(params: _Params, data) -> np.ndarray:
     out = np.empty((data.shape[0], len(params.weights)))
     for f, chol in enumerate(params.chols):
         comps = np.flatnonzero(params.owner == f)
-        quad = _quad_forms(chol, data, params.means[comps])
+        quad = _quad_forms(params.invs[f], data, params.means[comps])
         out[:, comps] = np.log(params.weights[comps]) + (_log_normalizer(chol) - 0.5 * quad)
     return out
 
@@ -162,11 +164,10 @@ def _log_normalize(scores):
 def _e_step(params: _Params, data, gram=None):
     """Responsibilities and the total log-likelihood (log-space normalized).
 
-    `gram` is `_gram(data)`, given by a SHARED_FULL fit. When the state has
-    one factor with a usable inverse, no point is solved against (see
-    `_shared_e_step`); otherwise the log-joint comes from `_log_joint`.
+    `gram` is `_gram(data)`, given by a SHARED_FULL fit. A state with one
+    factor then takes `_shared_e_step`; any other takes `_log_joint`.
     """
-    if gram is not None and len(params.chols) == 1 and params.invs[0] is not None:
+    if gram is not None and len(params.chols) == 1:
         return _shared_e_step(params, gram)
     resp, lse = _log_normalize(_log_joint(params, data))
     return resp, float(lse.sum())
@@ -200,10 +201,13 @@ def _shared_e_step(params: _Params, gram):
 
 
 def _gram(data):
-    """Column means, the mean-centred data and its Gram matrix."""
+    """Column means, the mean-centred data and its Gram matrix. A Gram matrix
+    that overflows makes the pooled covariance overflow, which
+    `_factor_and_invert` reports."""
     center = data.mean(axis=0)
     centered = data - center
-    return center, centered, centered.T @ centered
+    with np.errstate(over="ignore"):
+        return center, centered, centered.T @ centered
 
 
 def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
@@ -219,23 +223,25 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
     means = (resp.T @ data) / safe_counts[:, None]
     live = np.setdiff1d(np.arange(k), dead)
     owner = np.zeros(k, dtype=int)
-    if restriction is CovarianceRestriction.SHARED_FULL:
-        # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
-        # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
-        # components' share of G is taken out.
-        center, centered, gram = gram if gram is not None else _gram(data)
-        for i in dead:
-            gram = gram - (resp[:, i][:, None] * centered).T @ centered
-        delta = means[live] - center
-        pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
-        covs = [(pooled + pooled.T) / 2.0]
-    else:
-        covs = []
-        for i in live:
-            centered = data - means[i]
-            cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
-            covs.append((cov + cov.T) / 2.0)
-        owner[live] = np.arange(live.size)
+    # An overflow leaves a covariance that `_factor_and_invert` reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if restriction is CovarianceRestriction.SHARED_FULL:
+            # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
+            # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
+            # components' share of G is taken out.
+            center, centered, gram = gram if gram is not None else _gram(data)
+            for i in dead:
+                gram = gram - (resp[:, i][:, None] * centered).T @ centered
+            delta = means[live] - center
+            pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
+            covs = [(pooled + pooled.T) / 2.0]
+        else:
+            covs = []
+            for i in live:
+                centered = data - means[i]
+                cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
+                covs.append((cov + cov.T) / 2.0)
+            owner[live] = np.arange(live.size)
     chols, invs = _factor_and_invert(covs)
     kept = {}  # previous factor index -> new factor index
     for i in dead:
@@ -272,24 +278,26 @@ def _init_params(data, k, restriction, seed) -> _Params:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
     rng = np.random.default_rng(seed)
     centers = data[rng.choice(m, size=k, replace=False)]
-    if k == 1:
-        # No pairwise distances exist; fall back to the data's mean squared
-        # spread so a single component still gets a sane spherical start.
-        var = float(np.mean(np.sum((data - data.mean(axis=0)) ** 2, axis=1))) / n
-        if var <= 0:
-            raise DuplicatePointsError("all points coincide")
-        variances = np.array([var])
-    else:
-        sq = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(sq, np.inf)
-        nearest = sq.min(axis=1)
-        if np.any(nearest == 0):
-            raise DuplicatePointsError("two initial centers coincide")
-        variances = nearest / (2.0 * n)
-        if restriction is CovarianceRestriction.SHARED_FULL:
-            variances = np.full(k, variances.min())
-    distinct, owner = np.unique(variances, return_inverse=True)
-    covs = tuple(var * np.eye(n) for var in distinct)
+    # A distance that overflows leaves a covariance that `_factor_and_invert` reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 1:
+            # No pairwise distances exist; fall back to the data's mean squared
+            # spread so a single component still gets a sane spherical start.
+            var = float(np.mean(np.sum((data - data.mean(axis=0)) ** 2, axis=1))) / n
+            if var <= 0:
+                raise DuplicatePointsError("all points coincide")
+            variances = np.array([var])
+        else:
+            sq = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+            np.fill_diagonal(sq, np.inf)
+            nearest = sq.min(axis=1)
+            if np.any(nearest == 0):
+                raise DuplicatePointsError("two initial centers coincide")
+            variances = nearest / (2.0 * n)
+            if restriction is CovarianceRestriction.SHARED_FULL:
+                variances = np.full(k, variances.min())
+        distinct, owner = np.unique(variances, return_inverse=True)
+        covs = tuple(var * np.eye(n) for var in distinct)
     chols, invs = _factor_and_invert(covs)
     return _Params(np.full(k, 1.0 / k), centers, covs, chols, owner, invs)
 
@@ -344,7 +352,7 @@ def run_em(
     data = _as_float_array(data, "data", ndmin=2)
     if not _is_int(max_iter) or max_iter < 0:
         raise InvalidParameterError(f"max_iter must be an int >= 0, got {max_iter!r}")
-    if not isinstance(tol, Real) or isinstance(tol, bool) or not 0 <= tol < np.inf:
+    if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)
     gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
@@ -371,7 +379,7 @@ def run_em(
                 params = params._replace(means=means)
             else:
                 params = _m_step(resp, data, restriction, params, gram)
-        except (IllConditionedError, NotPositiveDefiniteError) as exc:
+        except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
             raise type(exc)(f"iteration {iterations}: {exc}") from exc
         iterations += 1
     return FitResult(

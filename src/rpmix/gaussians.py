@@ -12,11 +12,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky
 from scipy.linalg.lapack import dtrtri
 
 from .errors import (
@@ -58,6 +58,11 @@ def _is_int(value):
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """Whether `value` is a real number (numpy's included), not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _frozen(a):
     """A read-only view of `a`. The object that keeps it shares memory with
     the array passed in, which stays writable for its owner."""
@@ -74,9 +79,9 @@ class Gaussian:
     arrays are read-only views, so instances are safe to share across
     threads. The mean shares memory with the array passed in.
 
-    An instance keeps the result of its condition check (`_checked_inverse`):
-    the check runs at the first density evaluation or EM read-back, and never
-    for a Gaussian EM built, which carries L^-1 from EM's own check.
+    An instance keeps L^-1 from its condition check (`_checked_inverse`): the
+    check runs at the first density evaluation or EM read-back, and never for
+    a Gaussian EM built, which carries L^-1 from EM's own check.
     """
 
     def __init__(self, mean, covariance):
@@ -177,32 +182,41 @@ class SpectralSummary:
 
 def _symmetrized(cov):
     """(cov + cov^T) / 2 of a square matrix symmetric within SYMMETRY_RTOL of
-    its largest entry; NotPositiveDefiniteError otherwise."""
+    its largest entry; NotPositiveDefiniteError otherwise, and NonFiniteError
+    where the sum overflows."""
     scale = np.max(np.abs(cov)) if cov.size else 0.0
-    asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
+        sym = (cov + cov.T) / 2.0
     if scale > 0 and asym > SYMMETRY_RTOL * scale:
         raise NotPositiveDefiniteError(
             f"covariance is not symmetric (asymmetry {asym:.3g} at scale {scale:.3g})"
         )
-    return (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise NonFiniteError("covariance overflows when symmetrized")
+    return sym
 
 
 def _checked_inverse(cov, chol):
-    """The library's one condition check, of a covariance Sigma = L L^T: L^-1,
-    or None where `dtrtri` fails or L^-1 is not finite. IllConditionedError
-    if kappa_2(Sigma) reaches CONDITION_LIMIT.
+    """The library's one condition check, of a covariance Sigma = L L^T: L^-1.
+    IllConditionedError if kappa_2(Sigma) reaches CONDITION_LIMIT, or if
+    `dtrtri` fails or tr(Sigma^-1) = ||L^-1||_F^2 is not finite.
 
     The check starts from a cheap upper bound: for SPD Sigma,
     kappa_2(Sigma) <= tr(Sigma) tr(Sigma^-1) = tr(Sigma) ||L^-1||_F^2, and
     L^-1 is one `dtrtri`, several times cheaper than `eigvalsh`. The exact
     condition number (from `eigvalsh`) is computed only when the bound
-    reaches CONDITION_LIMIT / 10, is not finite, or `dtrtri` fails. A
+    reaches CONDITION_LIMIT / 10 or overflows through tr(Sigma). A
     covariance that could reach the limit therefore always gets the exact
     check, and the factor 10 leaves room for the rounding of the bound, so
     no verdict depends on it.
     """
     inv, info = dtrtri(chol, lower=1)
-    bound = np.trace(cov) * np.einsum("ij,ij->", inv, inv) if info == 0 else np.inf
+    inv_sq = np.einsum("ij,ij->", inv, inv)
+    if info != 0 or not np.isfinite(inv_sq):
+        raise IllConditionedError("covariance inverse has a non-finite trace")
+    with np.errstate(over="ignore"):  # tr(Sigma) * tr(Sigma^-1)
+        bound = np.trace(cov) * inv_sq
     if not bound < CONDITION_LIMIT / 10:
         lam = eigvalsh(cov)
         cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
@@ -210,17 +224,17 @@ def _checked_inverse(cov, chol):
             raise IllConditionedError(
                 f"covariance condition number {cond:.3g} >= {CONDITION_LIMIT:g}"
             )
-    return inv if np.isfinite(bound) else None
+    return inv
 
 
-def _quad_forms(chol, points, means):
+def _quad_forms(inv, points, means):
     """||L^-1 (x_j - mu_i)||^2 for each point x_j and each mean mu_i sharing L.
 
-    The points and the means, all centred by the points' mean, take one
-    triangular solve, giving solved points y_j and solved means m_i. The
-    quadratic form is expanded as
+    The points and the means, centred by the points' mean, take one product
+    with L^-1, giving y_j and m_i; like a solve, it errs with kappa(L) =
+    sqrt(kappa(Sigma)) (Higham 2002, ch. 8 and 14). The form is expanded as
     ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one norm pass over
-    the solved points and one (points x n)(n x means) product, not one
+    the points and one (points x n)(n x means) product, not one
     difference pass per mean. The expansion loses about
     eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the points'
     mean keeps both norms of the order of the quadratic forms themselves;
@@ -228,8 +242,7 @@ def _quad_forms(chol, points, means):
     """
     rhs = np.concatenate([points, means])
     rhs -= points.mean(axis=0)
-    solved = solve_triangular(chol, rhs.T, lower=True, overwrite_b=True).T
-    y, mu = np.split(solved, [len(points)])
+    y, mu = np.split(rhs @ inv.T, [len(points)])
     return np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
 
 
@@ -246,8 +259,7 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
-    g._inv  # the condition check, run on first use
-    return _quad_forms(g.chol, pts.reshape(-1, g.dim), g.mean[None])[:, 0]
+    return _quad_forms(g._inv, pts.reshape(-1, g.dim), g.mean[None])[:, 0]
 
 
 def log_density(g: Gaussian, x) -> float:
@@ -257,7 +269,7 @@ def log_density(g: Gaussian, x) -> float:
 
 
 def log_density_batch(g: Gaussian, points) -> np.ndarray:
-    """Log-density at every row of a dataset; one triangular solve batch."""
+    """Log-density at every row of a dataset; one product with L^-1."""
     quad = _quad_to_mean(g, points, "points", 2)
     return _log_normalizer(g.chol) - 0.5 * quad
 

@@ -21,7 +21,7 @@ from .errors import (
     TooManyComponentsError,
     _ParameterEnum,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array, _is_int
+from .gaussians import Gaussian, Mixture, _as_float_array, _is_int, _is_real
 from .projection import _haar_orthogonal, random_orthonormal
 
 
@@ -47,10 +47,10 @@ class MixtureSpec:
             raise InvalidParameterError(f"dimension n must be an int >= 1, got {self.n!r}")
         if not _is_int(self.k) or self.k < 2:
             raise InvalidParameterError(f"k must be an int >= 2, got {self.k!r}")
-        if not 1 <= self.E < np.inf:
-            raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E}")
-        if not 0 <= self.c < np.inf:
-            raise InvalidParameterError(f"separation must be finite and >= 0, got {self.c}")
+        if not _is_real(self.E) or not 1 <= self.E < np.inf:
+            raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E!r}")
+        if not _is_real(self.c) or not 0 <= self.c < np.inf:
+            raise InvalidParameterError(f"separation must be finite and >= 0, got {self.c!r}")
 
 
 def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.ndarray:
@@ -92,7 +92,7 @@ def _check_sizes(**sizes):
 def _check_eccentricity(E, n):
     """Reject an E below 1, or one so large that n * E**2, which bounds the
     trace of an n-dim covariance of eccentricity E, is not finite."""
-    if not 1 <= E <= np.sqrt(np.finfo(float).max / n):
+    if not _is_real(E) or not 1 <= E <= np.sqrt(np.finfo(float).max / n):
         raise InvalidParameterError(
             f"eccentricity E must be >= 1 and keep n * E**2 finite (n={n}), got {E}"
         )
@@ -106,8 +106,8 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     simplex shape.
     """
     _check_sizes(k=k, n=n)
-    if c <= 0:
-        raise BadSeparationError("separation c must be > 0")
+    if not _is_real(c) or not 0 < c < np.inf:
+        raise BadSeparationError(f"separation c must be finite and > 0, got {c!r}")
     if k > n + 1:
         raise TooManyComponentsError(
             f"simplex packing needs k <= n+1, got k={k}, n={n}"

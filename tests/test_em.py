@@ -552,12 +552,31 @@ class TestConditionBound:
         [lambda chol, lower: (chol, 1), lambda chol, lower: (np.full_like(chol, np.nan), 0)],
         ids=["info", "nan"],
     )
-    def test_failed_or_non_finite_bound_takes_the_exact_check(self, monkeypatch, dtrtri):
-        calls = self._count_eigvalsh(monkeypatch)
+    def test_failed_or_non_finite_inverse_is_ill_conditioned(self, monkeypatch, dtrtri):
         monkeypatch.setattr(gaussians, "dtrtri", dtrtri)
         cov = _spd(5, 10.0, 11)
-        assert gaussians._checked_inverse(cov, np.linalg.cholesky(cov)) is None
+        with pytest.raises(IllConditionedError, match="inverse has a non-finite trace"):
+            gaussians._checked_inverse(cov, np.linalg.cholesky(cov))
+
+    def test_bound_overflowing_through_the_trace_takes_the_exact_check(self, monkeypatch):
+        # tr(Sigma) = 3.6e308 overflows; tr(Sigma^-1) and kappa = 8 do not.
+        calls = self._count_eigvalsh(monkeypatch)
+        cov = 1e307 * np.diag(np.arange(1.0, 9.0))
+        chol = np.linalg.cholesky(cov)
+        inv = gaussians._checked_inverse(cov, chol)
         assert len(calls) == 1
+        assert np.array_equal(inv, dtrtri(chol, lower=1)[0])
+
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_inverse_that_overflows_is_ill_conditioned(self, restriction):
+        # Sigma = 1e-310 diag(1, 2, 3) has kappa = 3, but ||L^-1||_F^2 = tr(Sigma^-1)
+        # overflows, so no point can be whitened by it.
+        g = Gaussian(np.zeros(3), 1e-310 * np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(IllConditionedError, match="inverse has a non-finite trace"):
+            log_density_batch(g, np.zeros((2, 3)))
+        data = np.sqrt(1e-310 * np.array([1.0, 2.0, 3.0])) * np.random.default_rng(14).standard_normal((30, 3))
+        with pytest.raises(IllConditionedError, match="inverse has a non-finite trace"):
+            run_em(data, 2, restriction, 0)
 
     @staticmethod
     def _ill_conditioned_message(call):
@@ -670,14 +689,14 @@ class TestSharedEStep:
         assert np.all(np.abs(resp - np.exp(log_joint - lse[:, None])) <= resp_bound)
         assert abs(ll - lse.sum()) <= c * eps * (np.abs(lse).sum() + n * kappa * s.sum())
 
-    def test_shared_fit_solves_against_no_point(self, monkeypatch):
+    def test_shared_fit_whitens_no_point(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return solve_triangular(*args, **kwargs)
+            return gaussians._quad_forms(*args, **kwargs)
 
-        monkeypatch.setattr(gaussians, "solve_triangular", counted)
+        monkeypatch.setattr(em, "_quad_forms", counted)
         rng = np.random.default_rng(60)
         centers = rng.standard_normal((3, 6)) * 6
         data = np.vstack([c + rng.standard_normal((80, 6)) for c in centers])

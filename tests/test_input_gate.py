@@ -5,8 +5,10 @@ naming the argument, a bad parameter value in an RpmixError, a malformed
 mixture or projection file in a ParseError naming the file, any other error
 from a file's content in its own type naming the file, a non-integer size
 argument in an InvalidParameterError naming it, a `tol` that is not a finite
-real >= 0 in an InvalidParameterError, and an object that keeps an array
-argument leaves the caller's array writable."""
+real >= 0 in an InvalidParameterError, a separation or eccentricity that is
+not a finite real in an RpmixError, a covariance that overflows from finite
+input in a NonFiniteError naming the covariance, and an object that keeps an
+array argument leaves the caller's array writable."""
 
 import json
 import re
@@ -37,6 +39,7 @@ from rpmix.classifier import ClassMixtureModel, LabeledDataset, train
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     BadDimsError,
+    BadSeparationError,
     DimensionMismatchError,
     InvalidParameterError,
     NonFiniteError,
@@ -158,6 +161,13 @@ INVALID = {
     "packed_centers-no-component": lambda: packed_centers(0, 3, 1.0, [], 0),
     "eccentric_covariance-negative-n": lambda: eccentric_covariance(-1, 1.0, "diagonal-distinct", 0),
     "long_axis_mixture-no-component": lambda: long_axis_mixture(8, 0, 0.5, 2.0, 2, 0),
+    "MixtureSpec-c-str": lambda: MixtureSpec(n=5, k=2, c="1"),
+    "MixtureSpec-c-none": lambda: MixtureSpec(n=5, k=2, c=None),
+    "MixtureSpec-c-bool": lambda: MixtureSpec(n=5, k=2, c=True),
+    "MixtureSpec-E-str": lambda: MixtureSpec(n=5, k=2, c=1.0, E="2"),
+    "MixtureSpec-E-bool": lambda: MixtureSpec(n=5, k=2, c=1.0, E=True),
+    "eccentric_covariance-E-str": lambda: eccentric_covariance(3, "2", "diagonal-distinct", 0),
+    "long_axis_mixture-E-str": lambda: long_axis_mixture(8, 2, 1.0, "2", 2, 0),
 }
 
 
@@ -364,3 +374,38 @@ def test_tol_must_be_a_finite_real_at_least_zero(caller, tol):
 def test_zero_tol_runs_every_iteration():
     fit = run_em(DATA, 2, FULL, 0, tol=0, max_iter=7)
     assert fit.iterations == 7 and not fit.converged
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, "1"], ids=["nan", "inf", "str"])
+def test_separation_that_is_not_a_finite_real_is_a_bad_separation(c):
+    with pytest.raises(BadSeparationError, match="finite"):
+        packed_centers(3, 4, c, [1, 1, 2], 0)
+
+
+def test_numpy_reals_are_accepted_as_separation_and_eccentricity():
+    spec = MixtureSpec(n=5, k=2, c=np.float32(1.0), E=np.int64(2))
+    assert (spec.c, spec.E) == (1.0, 2)
+
+
+# An overflow below ends in NonFiniteError, not in scipy's ValueError, and
+# emits no RuntimeWarning: the test configuration turns one into an error.
+
+
+def test_covariance_that_overflows_when_symmetrized_is_non_finite():
+    with pytest.raises(NonFiniteError, match="^covariance overflows"):
+        Gaussian(np.zeros(2), np.diag([1e308, 1.7e308]))
+
+
+# seed -> where the fit's first covariance overflows: with seed 0 the two
+# initial centers share a blob, with seed 1 their squared distance overflows.
+OVERFLOW_AT = {0: "iteration 0: covariance overflows", 1: "covariance overflows"}
+
+
+@pytest.mark.parametrize("seed", sorted(OVERFLOW_AT))
+@pytest.mark.parametrize("restriction", list(CovarianceRestriction))
+def test_fit_covariance_that_overflows_is_non_finite(restriction, seed):
+    # Finite points whose covariance about each mean passes 1e308.
+    z = np.random.default_rng(0).standard_normal((100, 3))
+    data = np.sqrt(1e307) * np.vstack([6.0 + z[:50], -6.0 + z[50:]])
+    with pytest.raises(NonFiniteError, match=f"^{OVERFLOW_AT[seed]}$"):
+        run_em(data, 2, restriction, seed)
