@@ -154,10 +154,13 @@ def _log_joint(params: _Params, data) -> np.ndarray:
 
 def _log_normalize(scores):
     """Row-normalized exp(scores) and the log-sum-exp of each row, both
-    computed after subtracting the row maximum."""
+    computed after subtracting the row maximum. A row that is -inf under
+    every component has a log-sum of -inf and responsibilities of zero."""
     top = scores.max(axis=1, keepdims=True)
-    shifted = np.exp(scores - top)
+    dead = np.isneginf(top)
+    shifted = np.exp(scores - np.where(dead, 0.0, top))
     total = shifted.sum(axis=1, keepdims=True)
+    total[dead] = 1.0  # not 0, so no 0/0; the row's log-sum is top = -inf
     return shifted / total, (np.log(total) + top)[:, 0]
 
 
@@ -170,6 +173,12 @@ def _e_step(params: _Params, data, gram=None):
     if gram is not None and len(params.chols) == 1:
         return _shared_e_step(params, gram)
     resp, lse = _log_normalize(_log_joint(params, data))
+    dead = np.flatnonzero(np.isneginf(lse))
+    if dead.size:
+        raise NonFiniteError(
+            f"point {dead[0]} has log-density -inf under every component, "
+            "so its responsibilities are undefined"
+        )
     return resp, float(lse.sum())
 
 
@@ -306,7 +315,9 @@ def e_step(model: Mixture, data):
     """Posterior responsibilities and train log-likelihood.
 
     Row normalization happens in log space so that high-dimensional
-    densities cannot underflow to an all-zero row.
+    densities cannot underflow to an all-zero row. A point whose log-density
+    is -inf under every component has no responsibilities and raises
+    NonFiniteError naming its row.
     """
     return _e_step(*_model_arrays(model, data))
 
@@ -430,12 +441,13 @@ def rp_em(
 
 
 def test_loglik(model: Mixture, test) -> float:
-    """Log-likelihood of held-out data under the model (0 for no data)."""
+    """Log-likelihood of held-out data under the model (0 for no data, -inf
+    where a point's log-density is -inf under every component)."""
     test = _as_float_array(test, "test", ndmin=2)
     if test.size == 0:
         return 0.0
-    _, ll = e_step(model, test)
-    return ll
+    params, test = _model_arrays(model, test)
+    return float(_log_normalize(_log_joint(params, test))[1].sum())
 
 
 def _has_perfect_matching(adjacency):

@@ -241,6 +241,7 @@ def fig7_streams(seed):
     return dict(zip(roles, np.random.SeedSequence(int(seed)).spawn(len(roles))))
 
 
+@single_blas_thread()
 def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     """Separation tables after PCA vs random projection of one eccentric mixture.
 
@@ -254,6 +255,9 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     through both maps; PCA is fit on a fresh sample. The mixture, the sample
     and the projection draw from disjoint streams (`fig7_streams`). Returns
     (pca_table, rp_table), each k x k.
+
+    The tables are computed on one BLAS thread, as inside every body: the
+    last bits of PCA's Gram product depend on the thread count.
     """
     streams = fig7_streams(seed)
     mix, _ = long_axis_mixture(n, k, c, E, d, streams["truth"])

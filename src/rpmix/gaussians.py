@@ -305,7 +305,12 @@ def pairwise_separation(g1: Gaussian, g2: Gaussian) -> float:
     if g1.dim != g2.dim:
         raise DimensionMismatchError("Gaussians have differing dimensions")
     denom = np.sqrt(max(np.trace(g1.covariance), np.trace(g2.covariance)))
-    return float(np.linalg.norm(g1.mean - g2.mean) / denom)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(g1.mean - g2.mean)
+    if not np.isfinite(dist):  # the squares overflowed: rescale by the largest coordinate
+        scale = max(np.max(np.abs(g1.mean)), np.max(np.abs(g2.mean)))
+        return float(scale / denom * np.linalg.norm(g1.mean / scale - g2.mean / scale))
+    return float(dist / denom)
 
 
 def mixture_separation(m: Mixture) -> float:

@@ -3,7 +3,11 @@
 A projection is a d x n matrix applied on the left (x -> A x). The
 orthonormal generator orthonormalizes i.i.d. N(0,1) rows by sign-fixed
 Householder QR (a Haar-random span); the cheaper uniform generator draws
-entries from [-1, 1] and skips that. PCA picks the top variance directions.
+entries from [-1, 1] and skips that. PCA picks the top variance directions:
+the top-d eigenvectors of the centered data's Gram matrix, of which `eigh`
+computes just those d (a thin SVD would also build the m x n left factor,
+which PCA discards). The data is first divided by its largest absolute
+entry, so the Gram matrix cannot overflow.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     BadDimsError,
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteError,
     NotEnoughDataError,
     ParseError,
 )
@@ -101,19 +107,29 @@ def random_uniform(n: int, d: int, seed) -> ProjectionMatrix:
 
 
 def pca(data, d: int) -> ProjectionMatrix:
-    """Top-d principal directions of the (centered) data, via SVD.
+    """Top-d principal directions of the (centered) data: the eigenvectors of
+    the d largest eigenvalues of its Gram matrix X^T X, from `eigh`.
 
-    Rows are ordered by descending captured variance; each row's first
-    nonzero coordinate is made positive so outputs are reproducible.
+    The centered data is first divided by its largest absolute entry. That
+    leaves the eigenvectors unchanged and every Gram entry at most m in size,
+    so the Gram matrix is finite for any finite data; data whose centering
+    overflows raises NonFiniteError. Rows are ordered by descending captured
+    variance; each row's first nonzero coordinate is made positive so outputs
+    are reproducible.
     """
     data = _as_float_array(data, "data", ndmin=2)
     m, n = data.shape
     _check_target_dim(d, n)
     if m < d + 1:
         raise NotEnoughDataError(f"PCA to {d} dims needs at least {d + 1} rows, got {m}")
-    centered = data - data.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    rows = vt[:d].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+    scale = np.max(np.abs(centered))
+    if not np.isfinite(scale):
+        raise NonFiniteError("data overflows when centred")
+    centered /= scale or 1.0  # constant data centers to zero
+    _, vecs = eigh(centered.T @ centered, subset_by_index=[n - d, n - 1])
+    rows = vecs[:, ::-1].T.copy()
     for row in rows:
         nz = np.flatnonzero(np.abs(row) > 1e-12)
         if nz.size and row[nz[0]] < 0:

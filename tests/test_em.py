@@ -171,6 +171,26 @@ class TestEStep:
         assert np.isfinite(ll)
         assert resp[0].sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_point_with_no_density_is_non_finite(self):
+        # Each point's quadratic form overflows to inf under both components.
+        mix = init_params(np.random.default_rng(4).standard_normal((50, 3)), 2, FULL, 2)
+        with pytest.raises(NonFiniteError, match="^point 0 has log-density -inf under every component"):
+            e_step(mix, 1e160 * np.ones((3, 3)))
+
+    def test_normalizing_a_dead_row_leaves_the_others_bits(self):
+        scores = np.random.default_rng(5).standard_normal((6, 3)) * 50.0
+        dead = scores.copy()
+        dead[2] = -np.inf
+        resp, lse = em._log_normalize(dead)
+        # The max-shifted normalization the finite rows had before.
+        top = scores.max(axis=1, keepdims=True)
+        shifted = np.exp(scores - top)
+        total = shifted.sum(axis=1, keepdims=True)
+        live = [0, 1, 3, 4, 5]
+        assert np.array_equal(resp[live], (shifted / total)[live])
+        assert np.array_equal(lse[live], (np.log(total) + top)[live, 0])
+        assert lse[2] == -np.inf and np.all(resp[2] == 0.0)
+
 
 class TestMStep:
     def test_hard_labels_give_cluster_stats(self):
@@ -823,6 +843,11 @@ class TestTestLoglik:
     def test_empty_is_zero(self):
         mix = Mixture([Gaussian(np.zeros(2), np.eye(2))], [1.0])
         assert held_out_loglik(mix, np.empty((0, 2))) == 0.0
+
+    def test_point_with_no_density_gives_minus_inf(self):
+        # As a failed fit's cell reads; the quadratic forms overflow to inf.
+        mix = init_params(np.random.default_rng(4).standard_normal((50, 3)), 2, FULL, 2)
+        assert held_out_loglik(mix, 1e160 * np.ones((3, 3))) == -np.inf
 
 
 class TestCentersRecovered:

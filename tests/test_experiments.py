@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rpmix import experiments, pairwise_separation, spectral_summary
+from rpmix._blas import single_blas_thread
 from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
@@ -188,6 +189,15 @@ class TestPcaVsRp:
 
     def test_one_component_has_no_pair(self):
         assert experiments.fig7_body(0, trials=1, k=1, threads=1).rows == ()
+
+    def test_tables_do_not_follow_the_callers_blas_threads(self):
+        # The last bits of PCA's Gram product depend on the BLAS thread
+        # count, so fig7_tables runs on one thread wherever it is called.
+        outside = fig7_tables(0)
+        with single_blas_thread():
+            inside = fig7_tables(0)
+        for a, b in zip(outside, inside):
+            assert np.array_equal(a, b)
 
     def test_pooled_rows_follow_trial_then_method_then_pair(self):
         report = experiments.fig7_body(5, trials=3, k=4, threads=2)

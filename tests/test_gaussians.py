@@ -293,6 +293,21 @@ class TestSeparation:
             h2 = Gaussian(g2.mean * s, g2.covariance * s * s)
             assert pairwise_separation(h1, h2) == pytest.approx(base, rel=1e-12)
 
+    def test_means_whose_squared_distance_overflows(self):
+        # ||mu1 - mu2||^2 passes 1e308; the distance and the separation do not.
+        unit = np.eye(2)
+        far = Gaussian([1e200, 1e200], unit)
+        assert pairwise_separation(Gaussian(np.zeros(2), unit), far) == pytest.approx(1e200, rel=1e-15)
+        # The difference of the means itself overflows.
+        wide = Gaussian(np.full(2, 1e308), 1e300 * unit)
+        assert pairwise_separation(Gaussian(np.full(2, -1e308), unit), wide) == pytest.approx(2e158, rel=1e-15)
+
+    def test_finite_distance_is_not_rescaled(self):
+        g1 = Gaussian(np.zeros(3), np.eye(3))
+        g2 = Gaussian([1e150, -3e149, 7e149], 2.0 * np.eye(3))
+        expected = np.linalg.norm(g1.mean - g2.mean) / np.sqrt(6.0)
+        assert pairwise_separation(g1, g2) == expected
+
     def test_mixture_separation_is_min_pair(self):
         g1 = Gaussian(np.zeros(2), np.eye(2))
         g2 = Gaussian([3.0, 0.0], np.eye(2))

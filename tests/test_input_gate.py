@@ -7,8 +7,9 @@ from a file's content in its own type naming the file, a non-integer size
 argument in an InvalidParameterError naming it, a `tol` that is not a finite
 real >= 0 in an InvalidParameterError, a separation or eccentricity that is
 not a finite real in an RpmixError, a covariance that overflows from finite
-input in a NonFiniteError naming the covariance, and an object that keeps an
-array argument leaves the caller's array writable."""
+input in a NonFiniteError naming the covariance, data whose centering
+overflows in PCA in a NonFiniteError, and an object that keeps an array
+argument leaves the caller's array writable."""
 
 import json
 import re
@@ -409,3 +410,21 @@ def test_fit_covariance_that_overflows_is_non_finite(restriction, seed):
     data = np.sqrt(1e307) * np.vstack([6.0 + z[:50], -6.0 + z[50:]])
     with pytest.raises(NonFiniteError, match=f"^{OVERFLOW_AT[seed]}$"):
         run_em(data, 2, restriction, seed)
+
+
+# 50 finite points near 1e308 in R^4: every column sum, and so the mean,
+# overflows.
+CENTERING_OVERFLOWS = 1e307 * (10.0 + np.random.default_rng(0).standard_normal((50, 4)))
+
+
+def test_pca_of_data_whose_centering_overflows_is_non_finite():
+    with pytest.raises(NonFiniteError, match="^data overflows when centred$"):
+        pca(CENTERING_OVERFLOWS, 2)
+
+
+def test_pca_command_on_data_whose_centering_overflows_is_typed(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    save_dataset(CENTERING_OVERFLOWS, path)
+    argv = ["project", "--kind", "pca", "--d", "2", "--data", str(path), "--out", str(tmp_path / "p.json")]
+    assert cli.main(argv) == 1
+    assert "error: data overflows when centred" in capsys.readouterr().err

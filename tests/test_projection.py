@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rpmix import (
@@ -164,6 +166,40 @@ class TestPca:
             pca(np.zeros((3, 5)), 3)
         with pytest.raises(BadDimsError):
             pca(np.zeros((10, 5)), 6)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        nd=st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+        extra_rows=st.integers(1, 40),
+        scale_exp=st.floats(-150.0, 150.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spans_the_top_singular_subspace(self, nd, extra_rows, scale_exp, seed):
+        """For centred data with sigma_d >= 2 sigma_(d+1), at scales 1e-150 to
+        1e150, the rows' projector R^T R matches that of the top d right
+        singular vectors from an SVD within 1e-10; the rows are orthonormal
+        and each one's first nonzero coordinate is positive."""
+        n, d = nd
+        m = n + extra_rows
+        rng = np.random.default_rng(seed)
+        # Centred columns are orthogonal to the ones vector, and so is their
+        # Q: the data below centres to exactly U diag(sigma) V^T.
+        z = rng.standard_normal((m, n))
+        u, _ = np.linalg.qr(z - z.mean(axis=0))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        top = np.sort(rng.uniform(1.0, 10.0, d))[::-1]
+        rest = top[-1] * rng.uniform(0.0, 0.5, n - d)
+        scale = 10.0**scale_exp
+        data = scale * (10.0 * rng.standard_normal(n) + (u * np.concatenate([top, rest])) @ v.T)
+
+        rows = pca(data, d).rows
+
+        _, _, vt = np.linalg.svd(data - data.mean(axis=0))
+        oracle = vt[:d]
+        assert np.max(np.abs(rows.T @ rows - oracle.T @ oracle)) <= 1e-10
+        assert np.max(np.abs(rows @ rows.T - np.eye(d))) <= 1e-12
+        for row in rows:
+            assert row[np.flatnonzero(np.abs(row) > 1e-12)[0]] > 0
 
     def test_deterministic_orientation(self):
         rng = np.random.default_rng(21)
