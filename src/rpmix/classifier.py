@@ -40,6 +40,11 @@ class LabeledDataset:
         object.__setattr__(self, "points", _frozen(points))
         object.__setattr__(self, "labels", _frozen(labels))
 
+    def __reduce__(self):
+        # Unpickled through the constructor, so a dataset a worker process
+        # sends back is read-only too; pickle alone drops the flag.
+        return LabeledDataset, (self.points, self.labels)
+
     @property
     def num_classes(self):
         return int(self.labels.max()) + 1 if self.labels.size else 0

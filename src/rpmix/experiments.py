@@ -551,12 +551,12 @@ def fig9_body(
     Supply label-first CSVs (`label,x1,...,xn` per line) for the real digit
     data, both or neither; without them a synthetic surrogate with the same
     gross statistics is generated (unless surrogate=False, which raises
-    MissingDataError). The d x trials points run in `threads` worker
-    processes, None for one per core (see `_run_trials`).
+    MissingDataError). The two files are read, and then the d x trials
+    points run, in `threads` worker processes, None for one per core (see
+    `_run_trials`).
     """
     if train_path is not None and test_path is not None:
-        train_set = ingest(train_path)
-        test_set = ingest(test_path)
+        train_set, test_set = _run_trials(ingest, [train_path, test_path], threads)
     elif train_path is not None or test_path is not None:
         missing = "test_path" if test_path is None else "train_path"
         raise MissingDataError(

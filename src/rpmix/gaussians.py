@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from numbers import Integral, Real
 
 import numpy as np
@@ -239,11 +239,23 @@ def _quad_forms(inv, points, means):
     eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the points'
     mean keeps both norms of the order of the quadratic forms themselves;
     points far from the origin would make them arbitrarily larger.
+
+    One point about 1e154 or more from the others makes every y_j overflow,
+    and the expansion inf - inf. Only the entries that come out non-finite
+    are computed again, directly from L^-1 (x_j - mu_i): those of the
+    points near the means become finite again, and those of the far points
+    +inf.
     """
-    rhs = np.concatenate([points, means])
-    rhs -= points.mean(axis=0)
-    y, mu = np.split(rhs @ inv.T, [len(points)])
-    return np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.concatenate([points, means])
+        rhs -= points.mean(axis=0)
+        y, mu = np.split(rhs @ inv.T, [len(points)])
+        quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
+        j, i = np.nonzero(~np.isfinite(quad))
+        if j.size:
+            w = (points[j] - means[i]) @ inv.T
+            quad[j, i] = np.einsum("ij,ij->i", w, w)
+    return quad
 
 
 def _log_normalizer(chol):
@@ -413,38 +425,60 @@ def save_dataset(points, path, header=None):
     np.savetxt(path, points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
-def _read_csv(path, skip_header=False):
-    """A numeric CSV file as a float array, plus each row's line number.
-
-    Blank lines are skipped. A file with no data row raises ParseError. A
-    cell that is not a finite number raises ParseError, and a row narrower or
-    wider than the first raises InconsistentWidthError; both name the file
-    and the line.
-    """
-    rows, linenos = [], []
-    width = None
+def _data_lines(path, skip_header, linenos):
+    """The lines of `path` that hold data: every line after the header (when
+    `skip_header`) that is not blank or whitespace-only. The number of each
+    line is appended to `linenos` as it is yielded. A line with another
+    comma count than the first raises InconsistentWidthError naming it."""
+    commas = None
     with open(path) as f:
         if skip_header:
             f.readline()
         for lineno, line in enumerate(f, start=2 if skip_header else 1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
-            try:
-                values = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+            if commas is None:
+                commas = line.count(",")
+            elif line.count(",") != commas:
                 raise InconsistentWidthError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(values)}"
+                    f"{path}: line {lineno}: expected {commas + 1} values, "
+                    f"got {line.count(',') + 1}"
                 )
-            rows.append(values)
             linenos.append(lineno)
-    if not rows:
+            yield line
+
+
+def _parse_lines(lines):
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _read_csv(path, skip_header=False):
+    """A numeric CSV file as a float array, plus each row's line number.
+
+    numpy's `loadtxt` parses the lines of `_data_lines` as they are read, so
+    blank and whitespace-only lines are skipped and a row narrower or wider
+    than the first raises InconsistentWidthError. A file with no data row
+    raises ParseError. So does a cell that is not a finite number in
+    numpy's syntax: `1_000` and non-ASCII digits are not numbers, and `#`
+    starts no comment. When `loadtxt` fails, the lines are parsed again one
+    at a time, only to name the failing one; every error names the file and
+    the line.
+    """
+    linenos = []
+    lines = _data_lines(path, skip_header, linenos)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: no data rows")
-    table = np.array(rows, dtype=float)
+    try:
+        table = _parse_lines(chain([first], lines))
+    except ValueError as exc:
+        retry = []
+        for line in _data_lines(path, skip_header, retry):
+            try:
+                _parse_lines([line])
+            except ValueError as line_exc:
+                raise ParseError(f"{path}: line {retry[-1]}: {line_exc}") from line_exc
+        raise ParseError(f"{path}: {exc}") from exc
     bad = ~np.isfinite(table)
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))

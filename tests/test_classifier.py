@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,22 @@ class TestIngest:
         path = tmp_path / "dump.csv"
         save_labeled(data, path)
         assert path.read_text() == "3,-0,3.1415926535897931\n0,1e-300,2\n"
+
+    def test_surrogate_file_reads_as_float_reads_it(self, tmp_path):
+        from rpmix.experiments import surrogate_digit_data
+
+        data, _ = surrogate_digit_data(0, train_size=200, test_size=10)
+        path = tmp_path / "train.csv"
+        save_labeled(data, path)
+        cells = np.array([[float(v) for v in line.split(",")] for line in path.read_text().splitlines()])
+        back = ingest(path)
+        assert back.points.tobytes() == cells[:, 1:].tobytes()
+        assert np.array_equal(back.labels, cells[:, 0].astype(int))
+
+    def test_unpickled_dataset_is_read_only(self):
+        data = pickle.loads(pickle.dumps(labeled_blobs(num_classes=2, per_class=3)))
+        assert not data.points.flags.writeable
+        assert not data.labels.flags.writeable
 
 
 class TestTrainPredict:

@@ -177,6 +177,24 @@ class TestEStep:
         with pytest.raises(NonFiniteError, match="^point 0 has log-density -inf under every component"):
             e_step(mix, 1e160 * np.ones((3, 3)))
 
+    def test_far_point_leaves_the_near_points_forms_finite(self):
+        # Centred by the points' mean, every row overflows in the expanded
+        # form; the near rows are computed again from x - mu.
+        data = np.random.default_rng(4).standard_normal((50, 3))
+        mix = init_params(data, 2, FULL, 0)
+        points = np.vstack([data[:2], 1e160 * np.ones((3, 3))])
+        params, _ = em._model_arrays(mix, points)
+        quad = np.column_stack(
+            [gaussians._quad_forms(params.invs[f], points, params.means[[i]])[:, 0]
+             for i, f in enumerate(params.owner)]
+        )
+        near = [[mahalanobis(g, x) ** 2 for g in mix.components] for x in data[:2]]
+        assert quad[:2] == pytest.approx(np.array(near), rel=1e-12)
+        assert np.all(quad[2:] == np.inf)
+        assert held_out_loglik(mix, points) == -np.inf
+        with pytest.raises(NonFiniteError, match="^point 2 has log-density -inf under every component"):
+            e_step(mix, points)
+
     def test_normalizing_a_dead_row_leaves_the_others_bits(self):
         scores = np.random.default_rng(5).standard_normal((6, 3)) * 50.0
         dead = scores.copy()

@@ -15,6 +15,7 @@ from rpmix.errors import (
     BadSeparationError,
     ConfigError,
     EmptyComponentError,
+    InconsistentWidthError,
     MissingDataError,
 )
 from rpmix.experiments import (
@@ -485,6 +486,62 @@ class TestDigitSweep:
             per_class_k=2,
         )
         assert report.rows[0]["accuracy"] > 0.95
+
+
+    @pytest.fixture
+    def digit_files(self, tmp_path):
+        from rpmix import save_labeled
+        from rpmix.classifier import LabeledDataset
+
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.standard_normal((60, 12)), rng.standard_normal((60, 12)) + 8.0])
+        paths = tmp_path / "train.csv", tmp_path / "test.csv"
+        for path, part in zip(paths, (slice(None), slice(None, None, 3))):
+            save_labeled(LabeledDataset(pts[part], np.repeat([0, 1], 60)[part]), path)
+        return paths
+
+    def test_report_from_files_byte_identical_across_threads(self, tmp_path, digit_files):
+        # threads=None is the default: one worker per core.
+        def csv(threads):
+            report = fig9_body(
+                3, trials=2, d_values=(4, 6), train_path=digit_files[0],
+                test_path=digit_files[1], per_class_k=2, threads=threads,
+            )
+            path = tmp_path / f"{threads}.csv"
+            report.to_csv(path)
+            return path.read_bytes()
+
+        serial = csv(1)
+        assert csv(2) == serial
+        assert csv(None) == serial
+
+    def test_pooled_reads_hand_read_only_datasets_to_the_trials(self, monkeypatch, digit_files):
+        from rpmix import ingest
+
+        shared = []
+        run_trials = experiments._run_trials
+
+        def recording(worker, tasks, threads=None, shared_args=()):
+            shared.append(shared_args)
+            return run_trials(worker, tasks, threads, shared_args)
+
+        monkeypatch.setattr(experiments, "_run_trials", recording)
+        fig9_body(0, trials=1, d_values=(4,), train_path=digit_files[0],
+                  test_path=digit_files[1], per_class_k=2, threads=2)
+        assert shared[0] == ()  # the reads
+        for data, path in zip(shared[1][:2], digit_files):
+            assert not data.points.flags.writeable
+            assert not data.labels.flags.writeable
+            assert np.array_equal(data.points, ingest(path).points)
+
+    def test_ragged_file_read_in_a_worker_names_its_line(self, digit_files):
+        test_path = digit_files[1]
+        lines = test_path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        test_path.write_text("".join(lines))
+        with pytest.raises(InconsistentWidthError, match=r"test\.csv: line 3: expected 13 values, got 12"):
+            fig9_body(0, trials=1, d_values=(4,), train_path=digit_files[0],
+                      test_path=test_path, per_class_k=2, threads=2)
 
 
 class TestConfig:

@@ -456,3 +456,33 @@ class TestSerialization:
         path.write_text("1.0,2.0\n\n3.0,4.0,5.0\n")
         with pytest.raises(InconsistentWidthError, match="line 3: expected 2 values, got 3"):
             load_dataset(path)
+
+
+class TestCsvParser:
+    def test_whitespace_only_and_crlf_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1.0,2.0\r\n \t \r\n\r\n3.0,4.0\r\n   \n5.0,x\r\n")
+        with pytest.raises(ParseError, match="data.csv: line 6: "):
+            load_dataset(path)
+        path.write_bytes(b"1.0,2.0\r\n \t \r\n\r\n3.0,4.0\r\n   \n")
+        assert np.array_equal(load_dataset(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "#3.0,4.0",  # `#` starts no comment
+            "3.0,1_000",  # float() accepts the underscore
+            "3.0,١",  # nor are non-ASCII digits numbers (ARABIC-INDIC DIGIT ONE)
+        ],
+    )
+    def test_cell_outside_numpys_syntax_names_its_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1.0,2.0\n\n{row}\n5.0,6.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="data.csv: line 3: "):
+            load_dataset(path)
+
+    def test_bad_cell_in_the_last_of_many_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,3.0\n" * 2999 + "1.0,y,3.0\n")
+        with pytest.raises(ParseError, match="data.csv: line 3000: "):
+            load_dataset(path)
