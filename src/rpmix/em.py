@@ -19,6 +19,12 @@ the form every component shares cancels in the responsibilities and sums to
 a trace over the data's Gram matrix. Elsewhere (distinct covariances, a dead
 component's kept factor, a rescue, the public boundary) `_log_joint` whitens.
 
+Each fit, and the high-dimensional steps of the hybrid, work in one
+`_Workspace` on their data: it centres the data once and holds the buffers
+of the whitening product and of the M-step's temporaries, so no step
+allocates an m x n array. Responsibilities below the smallest normal double
+are exactly 0 (`_log_normalize`).
+
 Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
 `init_params`, `FitResult.model`, and the `e_step`, `m_step` and
 `test_loglik` wrappers.
@@ -56,6 +62,7 @@ from .gaussians import (
     _is_real,
     _log_normalizer,
     _quad_forms,
+    _Whitening,
     radius,
 )
 from .projection import project_data, random_orthonormal
@@ -142,12 +149,32 @@ def _to_mixture(params: _Params) -> Mixture:
     return Mixture(comps, params.weights)
 
 
-def _log_joint(params: _Params, data) -> np.ndarray:
-    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i."""
+class _Workspace(_Whitening):
+    """A `_Whitening` on one fit's data, plus the M-step's buffers: `diff`
+    and `weighted` take x_j - mu_i and r_ji (x_j - mu_i), so that no step
+    of the fit allocates an m x n array. For SHARED_FULL, `gram` is the
+    centred data's Gram matrix, reused across the fit (None otherwise); one
+    that overflows makes the pooled covariance overflow, which
+    `_factor_and_invert` reports.
+    """
+
+    def __init__(self, data, k, restriction):
+        super().__init__(data, k)
+        self.diff = np.empty(data.shape)
+        self.weighted = np.empty(data.shape)
+        self.gram = None
+        if restriction is CovarianceRestriction.SHARED_FULL:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.gram = self.centered.T @ self.centered
+
+
+def _log_joint(params: _Params, data, work=None) -> np.ndarray:
+    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i;
+    `work` is a `_Workspace` on `data` with a spare row per mean of a factor."""
     out = np.empty((data.shape[0], len(params.weights)))
     for f, chol in enumerate(params.chols):
         comps = np.flatnonzero(params.owner == f)
-        quad = _quad_forms(params.invs[f], data, params.means[comps])
+        quad = _quad_forms(params.invs[f], data, params.means[comps], work)
         out[:, comps] = np.log(params.weights[comps]) + (_log_normalizer(chol) - 0.5 * quad)
     return out
 
@@ -155,24 +182,33 @@ def _log_joint(params: _Params, data) -> np.ndarray:
 def _log_normalize(scores):
     """Row-normalized exp(scores) and the log-sum-exp of each row, both
     computed after subtracting the row maximum. A row that is -inf under
-    every component has a log-sum of -inf and responsibilities of zero."""
+    every component has a log-sum of -inf and responsibilities of zero.
+
+    A responsibility below the smallest normal double is set to exactly 0:
+    as a subnormal it would slow every product of an M-step that weights the
+    data with it, several times over. It is flushed after the division, so
+    no value in (0, tiny) is left, and the row totals are summed as before,
+    so the log-sums keep their bits.
+    """
     top = scores.max(axis=1, keepdims=True)
     dead = np.isneginf(top)
     shifted = np.exp(scores - np.where(dead, 0.0, top))
     total = shifted.sum(axis=1, keepdims=True)
     total[dead] = 1.0  # not 0, so no 0/0; the row's log-sum is top = -inf
-    return shifted / total, (np.log(total) + top)[:, 0]
+    resp = shifted / total
+    resp[resp < np.finfo(float).tiny] = 0.0
+    return resp, (np.log(total) + top)[:, 0]
 
 
-def _e_step(params: _Params, data, gram=None):
+def _e_step(params: _Params, data, work=None):
     """Responsibilities and the total log-likelihood (log-space normalized).
 
-    `gram` is `_gram(data)`, given by a SHARED_FULL fit. A state with one
-    factor then takes `_shared_e_step`; any other takes `_log_joint`.
+    `work` is the fit's `_Workspace` on `data`. In a SHARED_FULL fit a state
+    with one factor takes `_shared_e_step`; any other takes `_log_joint`.
     """
-    if gram is not None and len(params.chols) == 1:
-        return _shared_e_step(params, gram)
-    resp, lse = _log_normalize(_log_joint(params, data))
+    if work is not None and work.gram is not None and len(params.chols) == 1:
+        return _shared_e_step(params, work)
+    resp, lse = _log_normalize(_log_joint(params, data, work))
     dead = np.flatnonzero(np.isneginf(lse))
     if dead.size:
         raise NonFiniteError(
@@ -182,7 +218,7 @@ def _e_step(params: _Params, data, gram=None):
     return resp, float(lse.sum())
 
 
-def _shared_e_step(params: _Params, gram):
+def _shared_e_step(params: _Params, work):
     """`_e_step` for one covariance Sigma = L L^T shared by every component,
     whose L^-1 the state holds.
 
@@ -197,30 +233,22 @@ def _shared_e_step(params: _Params, gram):
     of the flops of a product with L^-1, and since both matrices are
     symmetric, tr(Sigma^-1 G) = 2 sum(P * G) - sum(diag(P) * diag(G)).
     """
-    center, centered, g = gram
     inv = params.invs[0]
-    whitened = inv @ (params.means - center).T  # L^-1 d_i, n x k
+    whitened = inv @ (params.means - work.center).T  # L^-1 d_i, n x k
     scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
-    scores = scores + centered @ (inv.T @ whitened)
+    scores = scores + work.centered @ (inv.T @ whitened)
     resp, lse = _log_normalize(scores)
     lower = dlauum(inv, lower=1)[0]
+    g = work.gram
     trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
-    m = centered.shape[0]
+    m = work.centered.shape[0]
     return resp, float(lse.sum() + m * _log_normalizer(params.chols[0]) - 0.5 * trace)
 
 
-def _gram(data):
-    """Column means, the mean-centred data and its Gram matrix. A Gram matrix
-    that overflows makes the pooled covariance overflow, which
-    `_factor_and_invert` reports."""
-    center = data.mean(axis=0)
-    centered = data - center
-    with np.errstate(over="ignore"):
-        return center, centered, centered.T @ centered
-
-
-def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
-    """M-step on arrays; `gram` is `_gram(data)`, reused across a fit."""
+def _m_step(resp, data, restriction, previous=None, work=None) -> _Params:
+    """M-step on arrays; `work` is the fit's `_Workspace` on `data`. Without
+    one, a SHARED_FULL step builds one, and a FULL_DISTINCT step allocates
+    its two m x n temporaries once."""
     m, k = resp.shape
     counts = resp.sum(axis=0)
     dead = np.flatnonzero(counts < EMPTY_COMPONENT_FRACTION * m)
@@ -238,17 +266,22 @@ def _m_step(resp, data, restriction, previous=None, gram=None) -> _Params:
             # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
             # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
             # components' share of G is taken out.
-            center, centered, gram = gram if gram is not None else _gram(data)
+            if work is None:
+                work = _Workspace(data, 0, restriction)
+            gram = work.gram
             for i in dead:
-                gram = gram - (resp[:, i][:, None] * centered).T @ centered
-            delta = means[live] - center
+                weighted = np.multiply(resp[:, i][:, None], work.centered, out=work.weighted)
+                gram = gram - weighted.T @ work.centered
+            delta = means[live] - work.center
             pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
             covs = [(pooled + pooled.T) / 2.0]
         else:
             covs = []
+            diff, weighted = (None, None) if work is None else (work.diff, work.weighted)
             for i in live:
-                centered = data - means[i]
-                cov = (resp[:, i][:, None] * centered).T @ centered / counts[i]
+                diff = np.subtract(data, means[i], out=diff)
+                weighted = np.multiply(resp[:, i][:, None], diff, out=weighted)
+                cov = weighted.T @ diff / counts[i]
                 covs.append((cov + cov.T) / 2.0)
             owner[live] = np.arange(live.size)
     chols, invs = _factor_and_invert(covs)
@@ -315,9 +348,11 @@ def e_step(model: Mixture, data):
     """Posterior responsibilities and train log-likelihood.
 
     Row normalization happens in log space so that high-dimensional
-    densities cannot underflow to an all-zero row. A point whose log-density
-    is -inf under every component has no responsibilities and raises
-    NonFiniteError naming its row.
+    densities cannot underflow to an all-zero row. A responsibility below
+    the smallest normal double, `np.finfo(float).tiny`, is exactly 0 (it used
+    to be subnormal); the log-likelihood does not change. A point whose
+    log-density is -inf under every component has no responsibilities and
+    raises NonFiniteError naming its row.
     """
     return _e_step(*_model_arrays(model, data))
 
@@ -366,13 +401,13 @@ def run_em(
     if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)
-    gram = _gram(data) if restriction is CovarianceRestriction.SHARED_FULL else None
+    work = _Workspace(data, k, restriction)
     trace = []
     rescues = 0
     converged = False
     iterations = 0
     for _ in range(max_iter + 1):
-        resp, ll = _e_step(params, data, gram)
+        resp, ll = _e_step(params, data, work)
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll):
             converged = True
@@ -380,16 +415,16 @@ def run_em(
         if iterations == max_iter:
             break
         try:
-            params = _m_step(resp, data, restriction, gram=gram)
+            params = _m_step(resp, data, restriction, work=work)
         except EmptyComponentError as exc:
             if rescues < MAX_RESCUES:
                 rescues += 1
-                lse = _log_normalize(_log_joint(params, data))[1]
+                lse = _log_normalize(_log_joint(params, data, work))[1]
                 means = params.means.copy()
                 means[exc.indices[0]] = data[int(np.argmin(lse))]
                 params = params._replace(means=means)
             else:
-                params = _m_step(resp, data, restriction, params, gram)
+                params = _m_step(resp, data, restriction, params, work)
         except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
             raise type(exc)(f"iteration {iterations}: {exc}") from exc
         iterations += 1
@@ -427,14 +462,14 @@ def rp_em(
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
     resp, _ = _e_step(_from_mixture(fit_low.model), low_data)
-    gram = _gram(train) if restriction is CovarianceRestriction.SHARED_FULL else None
-    params = _m_step(resp, train, restriction, gram=gram)
-    resp, ll = _e_step(params, train, gram)
-    params = _m_step(resp, train, restriction, params, gram)
+    work = _Workspace(train, k, restriction)
+    params = _m_step(resp, train, restriction, work=work)
+    resp, ll = _e_step(params, train, work)
+    params = _m_step(resp, train, restriction, params, work)
     fit_high = FitResult(
         model=_to_mixture(params),
         iterations=1,
-        loglik_trace=np.array([ll, _e_step(params, train, gram)[1]]),
+        loglik_trace=np.array([ll, _e_step(params, train, work)[1]]),
         converged=False,
     )
     return fit_high, proj, fit_low

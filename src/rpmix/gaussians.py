@@ -227,7 +227,27 @@ def _checked_inverse(cov, chol):
     return inv
 
 
-def _quad_forms(inv, points, means):
+class _Whitening:
+    """The buffers in which `_quad_forms` whitens `points` and up to k means.
+
+    `stacked` holds the points centred by their column mean `center` in its
+    first m rows (`centered`), and k spare rows below them, where
+    `_quad_forms` centres the means of one factor; `product` takes their
+    product with L^-1. Built once on a fit's data, it lets every step of
+    the fit whiten with no new m x n array. It belongs to that one call:
+    two calls never share one.
+    """
+
+    def __init__(self, points, k):
+        m, n = points.shape
+        self.stacked = np.empty((m + k, n))
+        self.product = np.empty((m + k, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.center = points.mean(axis=0)
+            self.centered = np.subtract(points, self.center, out=self.stacked[:m])
+
+
+def _quad_forms(inv, points, means, work=None):
     """||L^-1 (x_j - mu_i)||^2 for each point x_j and each mean mu_i sharing L.
 
     The points and the means, centred by the points' mean, take one product
@@ -245,11 +265,18 @@ def _quad_forms(inv, points, means):
     are computed again, directly from L^-1 (x_j - mu_i): those of the
     points near the means become finite again, and those of the far points
     +inf.
+
+    `work` is a `_Whitening` on `points` with a spare row per mean, kept by
+    a caller that whitens the same points again; without one, a new one is
+    built for this call.
     """
+    if work is None:
+        work = _Whitening(points, len(means))
+    m = len(points)
+    rhs = work.stacked[: m + len(means)]
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = np.concatenate([points, means])
-        rhs -= points.mean(axis=0)
-        y, mu = np.split(rhs @ inv.T, [len(points)])
+        np.subtract(means, work.center, out=rhs[m:])
+        y, mu = np.split(np.matmul(rhs, inv.T, out=work.product[: len(rhs)]), [m])
         quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
         j, i = np.nonzero(~np.isfinite(quad))
         if j.size:
@@ -452,6 +479,18 @@ def _parse_lines(lines):
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
+def _parses(text):
+    """Whether numpy reads `text`, one line or one cell, as numbers; a blank
+    cell is not a number."""
+    if text.isspace() or not text:
+        return False
+    try:
+        _parse_lines([text])
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path, skip_header=False):
     """A numeric CSV file as a float array, plus each row's line number.
 
@@ -461,8 +500,8 @@ def _read_csv(path, skip_header=False):
     raises ParseError. So does a cell that is not a finite number in
     numpy's syntax: `1_000` and non-ASCII digits are not numbers, and `#`
     starts no comment. When `loadtxt` fails, the lines are parsed again one
-    at a time, only to name the failing one; every error names the file and
-    the line.
+    at a time, and the cells of the failing one, only to name the line and
+    the column; every error names the file and the line.
     """
     linenos = []
     lines = _data_lines(path, skip_header, linenos)
@@ -474,10 +513,14 @@ def _read_csv(path, skip_header=False):
     except ValueError as exc:
         retry = []
         for line in _data_lines(path, skip_header, retry):
-            try:
-                _parse_lines([line])
-            except ValueError as line_exc:
-                raise ParseError(f"{path}: line {retry[-1]}: {line_exc}") from line_exc
+            if _parses(line):
+                continue
+            for column, cell in enumerate(line.split(","), start=1):
+                if not _parses(cell):
+                    raise ParseError(
+                        f"{path}: line {retry[-1]}: column {column}: "
+                        f"{cell.strip()!r} is not a number"
+                    ) from exc
         raise ParseError(f"{path}: {exc}") from exc
     bad = ~np.isfinite(table)
     if bad.any():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 from itertools import permutations
 
@@ -24,7 +26,7 @@ from rpmix import (
     sample,
 )
 from rpmix import em, gaussians
-from rpmix.em import _from_mixture, _gram, _log_joint, _m_step, _to_mixture
+from rpmix.em import _Workspace, _from_mixture, _log_joint, _m_step, _to_mixture
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
@@ -208,6 +210,22 @@ class TestEStep:
         assert np.array_equal(resp[live], (shifted / total)[live])
         assert np.array_equal(lse[live], (np.log(total) + top)[live, 0])
         assert lse[2] == -np.inf and np.all(resp[2] == 0.0)
+
+    def test_subnormal_responsibilities_are_exactly_zero(self):
+        tiny = np.finfo(float).tiny
+        # exp(-720) is subnormal and exp(-800) underflows to 0. In the second
+        # row exp(-707.9) is normal, but its share of a total of 2 is not.
+        scores = np.array([[0.0, -720.0, -800.0], [0.0, 0.0, np.log(1.5 * tiny)], [-1.0, -2.0, 0.0]])
+        resp, lse = em._log_normalize(scores)
+        top = scores.max(axis=1, keepdims=True)
+        shifted = np.exp(scores - top)
+        total = shifted.sum(axis=1, keepdims=True)
+        assert 0.0 < shifted[0, 1] < tiny and 0.0 < (shifted / total)[1, 2] < tiny
+        assert np.array_equal(resp[:2], [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        assert not np.any((resp > 0.0) & (resp < tiny))
+        assert np.array_equal(resp[2], (shifted / total)[2])
+        # The unflushed formula's log-sums, bit for bit.
+        assert np.array_equal(lse, (np.log(total) + top)[:, 0])
 
 
 class TestMStep:
@@ -493,7 +511,7 @@ class TestArrayCore:
         data = self._data(38, m=200, n=6)
         rng = np.random.default_rng(39)
         resp = rng.dirichlet(np.ones(4), size=200)
-        pooled = _m_step(resp, data, SHARED, gram=_gram(data)).covs[0]
+        pooled = _m_step(resp, data, SHARED, work=_Workspace(data, 4, SHARED)).covs[0]
         ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
         # With a dead component its (tiny) responsibility share leaves the
@@ -501,7 +519,7 @@ class TestArrayCore:
         resp[:, 2] *= 5e-11
         resp /= resp.sum(axis=1, keepdims=True)
         previous = _m_step(rng.dirichlet(np.ones(4), size=200), data, SHARED)
-        pooled = _m_step(resp, data, SHARED, previous, _gram(data)).covs[0]
+        pooled = _m_step(resp, data, SHARED, previous, _Workspace(data, 4, SHARED)).covs[0]
         ref = _old_pooled(resp, data, dead=(2,))
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -713,7 +731,7 @@ class TestSharedEStep:
         params = _from_mixture(model)
         assert len(params.chols) == 1
 
-        resp, ll = em._e_step(params, data, _gram(data))
+        resp, ll = em._e_step(params, data, _Workspace(data, k, SHARED))
 
         log_joint = _log_joint(params, data)
         lse = logsumexp(log_joint, axis=1)
@@ -808,6 +826,97 @@ class TestRescue:
             assert not np.array_equal(live[0].covariance, dead.covariance)
         else:
             assert len(params.chols) == 3
+
+
+def _assert_same_state(a, b):
+    for x, y in zip(a, b):
+        if isinstance(x, tuple):
+            assert len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+        else:
+            assert np.array_equal(x, y)
+
+
+class TestWorkspace:
+    """The `_Workspace` of a fit changes no bit of a step: every log-joint
+    and M-step of the fit equals the one computed without it."""
+
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_every_step_of_a_rescued_fit_matches_the_plain_route(self, monkeypatch, restriction):
+        # The fit of TestRescue: two rescues, then a dead component that
+        # keeps its factor, so that a SHARED_FULL state has two factors.
+        data, _ = TestRescue()._start(monkeypatch, restriction, 1e-300)
+        log_joint, m_step = em._log_joint, em._m_step
+        spaces = []
+
+        def checked_log_joint(params, points, work=None):
+            out = log_joint(params, points, work)
+            spaces.append(work)
+            assert np.array_equal(out, log_joint(params, points))
+            return out
+
+        def checked_m_step(resp, points, restriction, previous=None, work=None):
+            out = m_step(resp, points, restriction, previous, work)
+            spaces.append(work)
+            _assert_same_state(out, m_step(resp, points, restriction, previous))
+            return out
+
+        monkeypatch.setattr(em, "_log_joint", checked_log_joint)
+        monkeypatch.setattr(em, "_m_step", checked_m_step)
+        fit = run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
+        assert fit.iterations == em.MAX_RESCUES + 1
+        assert len(_from_mixture(fit.model).chols) == (2 if restriction is SHARED else 3)
+        # The rescues' log-joints, and in FULL_DISTINCT every E-step's.
+        log_joints = em.MAX_RESCUES + (0 if restriction is SHARED else fit.iterations + 1)
+        assert len(spaces) > log_joints
+        assert all(isinstance(work, _Workspace) for work in spaces)
+        assert len({id(work) for work in spaces}) == 1
+
+    def test_distinct_fit_whitens_through_quad_forms(self, monkeypatch):
+        # The workspace route is still `em._quad_forms`, so that counting
+        # it (as `test_shared_fit_whitens_no_point` does) sees every whitening.
+        works = []
+
+        def counted(inv, points, means, work=None):
+            works.append(work)
+            return gaussians._quad_forms(inv, points, means, work)
+
+        monkeypatch.setattr(em, "_quad_forms", counted)
+        data = two_blob_data(m=120, dist=6.0, n=3, seed=62)
+        fit = run_em(data, 3, FULL, 4, max_iter=5)
+        # At least one factor per E-step; the start may share one.
+        assert len(works) >= fit.iterations + 1
+        assert all(isinstance(work, _Workspace) for work in works)
+
+
+class TestReentrancy:
+    def test_concurrent_fits_match_serial_ones(self):
+        """Fits that run at once in threads, each on its own data, return
+        the arrays they return one after the other: no buffer is shared."""
+        jobs = [
+            (two_blob_data(m=300, dist=5.0, n=6, seed=70 + i), FULL if i % 3 else SHARED)
+            for i in range(6)
+        ]
+        serial = [run_em(data, 3, restriction, 1, tol=0.0, max_iter=30) for data, restriction in jobs]
+        results = [None] * len(jobs)
+
+        def fit(i):
+            results[i] = run_em(jobs[i][0], 3, jobs[i][1], 1, tol=0.0, max_iter=30)
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert got.iterations == want.iterations and got.converged == want.converged
+            assert np.array_equal(got.loglik_trace, want.loglik_trace)
+            _assert_same_state(_from_mixture(got.model), _from_mixture(want.model))
 
 
 class TestRpEm:

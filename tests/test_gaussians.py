@@ -34,7 +34,7 @@ from rpmix.errors import (
     ParseError,
     TooFewComponentsError,
 )
-from rpmix.gaussians import _quad_forms, log_density_batch
+from rpmix.gaussians import _quad_forms, _Whitening, log_density_batch
 
 
 def random_rotation(n, seed):
@@ -194,6 +194,22 @@ class TestQuadFormKernel:
         scale = _solved_norms(chol, points, center)[:, None] + _solved_norms(chol, means, center)
         c = 4 * (n + 2)
         assert np.all(np.abs(got - ref) <= c * np.finfo(float).eps * (1.0 + np.sqrt(lam[-1])) * scale)
+
+    def test_kept_whitening_gives_the_bits_of_a_new_one(self):
+        # One `_Whitening` on the points, reused by factors with fewer means
+        # than its spare rows and with means that overflow, as a fit reuses it.
+        rng = np.random.default_rng(63)
+        points = rng.standard_normal((50, 4))
+        work = _Whitening(points, 3)
+        centered = work.centered.copy()
+        for k in (3, 1, 2, 3):
+            chol = np.linalg.cholesky(np.eye(4) + 0.3 * np.ones((4, 4)))
+            inv = dtrtri(chol, lower=1)[0]
+            means = rng.standard_normal((k, 4))
+            if k == 2:
+                means[1] = 1e160
+            assert np.array_equal(_quad_forms(inv, points, means, work), _quad_forms(inv, points, means))
+        assert np.array_equal(work.centered, centered)
 
 
 class TestMahalanobis:
@@ -480,6 +496,14 @@ class TestCsvParser:
         path.write_text(f"1.0,2.0\n\n{row}\n5.0,6.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match="data.csv: line 3: "):
             load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["x", "1_000"])
+    def test_bad_cell_names_its_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n\n3,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: line 3: column 2: {cell!r} is not a number"
 
     def test_bad_cell_in_the_last_of_many_rows_names_its_line(self, tmp_path):
         path = tmp_path / "data.csv"
