@@ -17,8 +17,8 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-from .em import CovarianceRestriction, _log_joint, _model_arrays, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _read_csv
+from .em import CovarianceRestriction, _log_joint, _model_data, run_em
+from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _read_csv, _separations
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -146,7 +146,7 @@ def _class_scores(model: ClassMixtureModel, points, use_priors=True):
     low = project_data(model.projection, points)
     scores = np.empty((low.shape[0], len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
-        scores[:, cls] = _log_joint(*_model_arrays(mix, low)).max(axis=1)
+        scores[:, cls] = _log_joint(mix, _model_data(mix, low)).max(axis=1)
         if use_priors:
             scores[:, cls] += np.log(model.class_priors[cls])
     return scores
@@ -209,14 +209,7 @@ def cluster_analysis(
         if lam[0] <= floor or cls_points.shape[0] <= n:
             deficient[cls] = True
         eccs[cls] = np.sqrt(lam[-1] / positive[0]) if positive.size else np.inf
-    seps = np.zeros((num_classes, num_classes))
-    for i in range(num_classes):
-        for j in range(i + 1, num_classes):
-            sep = np.linalg.norm(means[i] - means[j]) / np.sqrt(
-                max(traces[i], traces[j])
-            )
-            seps[i, j] = seps[j, i] = sep
-    return ClusterAnalysis(seps, eccs, deficient)
+    return ClusterAnalysis(_separations(means, np.sqrt(traces)), eccs, deficient)
 
 
 def save_cluster_analysis(analysis: ClusterAnalysis, path):

@@ -184,6 +184,13 @@ def _pooled_experiments():
     return sorted(e for e, (_, allowed) in experiments.EXPERIMENTS.items() if "threads" in allowed)
 
 
+def _seed(text):
+    """An argparse type: a seed is an int >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rpmix",
@@ -199,7 +206,7 @@ def build_parser():
     p.add_argument("--c", type=float, required=True, help="pairwise separation")
     p.add_argument("--eccentricity", "-E", type=float, default=1.0)
     p.add_argument("--mode", choices=sorted(m.value for m in CovarianceMode), default="spherical-shared")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="mixture JSON output path")
     p.add_argument("--samples", type=int, default=0, help="also draw this many points")
     p.add_argument("--data-out", default="samples.csv", help="sample CSV output path")
@@ -209,7 +216,7 @@ def build_parser():
     p.add_argument("--kind", choices=("orthonormal", "uniform", "pca"), default="orthonormal")
     p.add_argument("--n", type=int, help="source dimension (random kinds)")
     p.add_argument("--d", type=int, required=True, help="target dimension")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--data", help="input dataset CSV (required for pca)")
     p.add_argument("--data-out", help="projected dataset CSV output")
     p.add_argument("--out", required=True, help="projection JSON output path")
@@ -219,7 +226,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="training dataset CSV")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--restriction", choices=("shared", "full"), default="full")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rp-dim", type=int, default=0,
                    help="if set, use the RP+EM hybrid with this projected dim")
     p.add_argument("--test", help="held-out dataset CSV for test log-likelihood")
@@ -233,7 +240,7 @@ def build_parser():
     p.add_argument("--test", help="label-first CSV test data")
     p.add_argument("--d", type=int, required=True, help="projected dimension")
     p.add_argument("--per-class-k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--analysis-out", help="projected-space separation/eccentricity CSV")
     p.add_argument("--raw-analysis-out", help="raw-space separation/eccentricity CSV")
     p.set_defaults(func=_cmd_classify)
@@ -247,7 +254,7 @@ def build_parser():
     p.add_argument("name", nargs="?", choices=sorted(experiments.EXPERIMENTS),
                    help="experiment to run (or set it in --config)")
     p.add_argument("--config", help="JSON config: experiment, trials, base_seed, overrides")
-    p.add_argument("--seed", type=int, default=None, help="base seed (trial t uses seed+t)")
+    p.add_argument("--seed", type=_seed, default=None, help="base seed (trial t uses seed+t)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--out", help="directory for the report CSV")
     p.add_argument("--threads", type=int, default=None,

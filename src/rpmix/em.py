@@ -6,35 +6,29 @@ covariance (SHARED_FULL). The hybrid projects the data randomly, runs EM
 to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
 
-Inside a fit the model is plain arrays (`_Params`): weights, means, and one
-covariance with its Cholesky factor L and L^-1 per *distinct* covariance.
-Every state, the spherical start included, is built by `_factor_and_invert`,
-so a shared covariance is factored and checked once per iteration whatever k
-is. The check is the library's one condition check,
-`gaussians._checked_inverse`, and each `Gaussian` keeps its result: the
-models EM returns carry L^-1, so reading one back (the hybrid's lift,
-`test_loglik`) neither factors nor checks again. While a SHARED_FULL state
-has one factor, its E-step whitens no point (`_shared_e_step`): the part of
-the form every component shares cancels in the responsibilities and sums to
-a trace over the data's Gram matrix. Elsewhere (distinct covariances, a dead
-component's kept factor, a rescue, the public boundary) `_log_joint` whitens.
+Each state of a fit is a `Mixture`, whose arrays are the weights, the means,
+and one covariance with its Cholesky factor L and L^-1 per *distinct*
+covariance. Every state, the spherical start included, is built by
+`_factor_and_invert`, so a shared covariance is factored and checked once per
+iteration whatever k is, by the library's one condition check,
+`gaussians._checked_inverse`. A fit's model is its last state, so reading it
+back (the hybrid's lift, `test_loglik`) neither factors nor checks again.
+While a SHARED_FULL state has one factor, its E-step whitens no point
+(`_shared_e_step`): the part of the form every component shares cancels in
+the responsibilities and sums to a trace over the data's Gram matrix.
+Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
+the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
 Each fit, and the high-dimensional steps of the hybrid, work in one
 `_Workspace` on their data: it centres the data once and holds the buffers
 of the whitening product and of the M-step's temporaries, so no step
 allocates an m x n array. Responsibilities below the smallest normal double
 are exactly 0 (`_log_normalize`).
-
-Validated `Gaussian`/`Mixture` objects appear only at the public boundary:
-`init_params`, `FitResult.model`, and the `e_step`, `m_step` and
-`test_loglik` wrappers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dlauum
@@ -54,7 +48,6 @@ from .errors import (
     _ParameterEnum,
 )
 from .gaussians import (
-    Gaussian,
     Mixture,
     _as_float_array,
     _checked_inverse,
@@ -62,8 +55,8 @@ from .gaussians import (
     _is_real,
     _log_normalizer,
     _quad_forms,
+    _radii,
     _Whitening,
-    radius,
 )
 from .projection import project_data, random_orthonormal
 
@@ -84,25 +77,14 @@ class FitResult:
     converged: bool
 
 
-class _Params(NamedTuple):
-    """A mixture as arrays; components with equal covariances share a factor."""
-
-    weights: np.ndarray  # k
-    means: np.ndarray  # k x n
-    covs: tuple  # one symmetric covariance per distinct factor
-    chols: tuple  # the lower Cholesky factor of each
-    owner: np.ndarray  # component -> factor index
-    invs: tuple  # L^-1 of each factor
-
-
-def _model_arrays(model: Mixture, data):
-    """Array state of `model` and the validated data it is to be applied to."""
+def _model_data(model: Mixture, data):
+    """`data` gated, and checked to have the dimension of `model`."""
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != model dimension {model.dim}"
         )
-    return _from_mixture(model), data
+    return data
 
 
 def _factor_and_invert(covs):
@@ -118,35 +100,6 @@ def _factor_and_invert(covs):
     except ValueError as exc:  # `cholesky`'s finite check
         raise NonFiniteError("covariance overflows") from exc
     return chols, tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
-
-
-def _from_mixture(model: Mixture) -> _Params:
-    """Array state of a Mixture, one factor per distinct covariance. Each
-    `Gaussian` holds its Cholesky factor and keeps its condition check, so
-    nothing is factored here, and a model EM built is not checked again."""
-    covs, chols, invs, owner = [], [], [], []
-    for g in model.components:
-        for f, cov in enumerate(covs):
-            if np.array_equal(cov, g.covariance):
-                break
-        else:
-            f = len(covs)
-            covs.append(g.covariance)
-            chols.append(g.chol)
-            invs.append(g._inv)
-        owner.append(f)
-    return _Params(
-        model.weights, model.means, tuple(covs), tuple(chols), np.array(owner), tuple(invs)
-    )
-
-
-def _to_mixture(params: _Params) -> Mixture:
-    """The Mixture of an array state, reusing its factors and their checks."""
-    comps = [
-        Gaussian._factored(mu, params.covs[f], params.chols[f], params.invs[f])
-        for mu, f in zip(params.means, params.owner)
-    ]
-    return Mixture(comps, params.weights)
 
 
 class _Workspace(_Whitening):
@@ -168,13 +121,13 @@ class _Workspace(_Whitening):
                 self.gram = self.centered.T @ self.centered
 
 
-def _log_joint(params: _Params, data, work=None) -> np.ndarray:
+def _log_joint(params: Mixture, data, work=None) -> np.ndarray:
     """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i;
     `work` is a `_Workspace` on `data` with a spare row per mean of a factor."""
     out = np.empty((data.shape[0], len(params.weights)))
-    for f, chol in enumerate(params.chols):
-        comps = np.flatnonzero(params.owner == f)
-        quad = _quad_forms(params.invs[f], data, params.means[comps], work)
+    for f, chol in enumerate(params._chols):
+        comps = np.flatnonzero(params._owner == f)
+        quad = _quad_forms(params._invs[f], data, params.means[comps], work)
         out[:, comps] = np.log(params.weights[comps]) + (_log_normalizer(chol) - 0.5 * quad)
     return out
 
@@ -200,13 +153,13 @@ def _log_normalize(scores):
     return resp, (np.log(total) + top)[:, 0]
 
 
-def _e_step(params: _Params, data, work=None):
+def _e_step(params: Mixture, data, work=None):
     """Responsibilities and the total log-likelihood (log-space normalized).
 
     `work` is the fit's `_Workspace` on `data`. In a SHARED_FULL fit a state
     with one factor takes `_shared_e_step`; any other takes `_log_joint`.
     """
-    if work is not None and work.gram is not None and len(params.chols) == 1:
+    if work is not None and work.gram is not None and len(params._chols) == 1:
         return _shared_e_step(params, work)
     resp, lse = _log_normalize(_log_joint(params, data, work))
     dead = np.flatnonzero(np.isneginf(lse))
@@ -218,7 +171,7 @@ def _e_step(params: _Params, data, work=None):
     return resp, float(lse.sum())
 
 
-def _shared_e_step(params: _Params, work):
+def _shared_e_step(params: Mixture, work):
     """`_e_step` for one covariance Sigma = L L^T shared by every component,
     whose L^-1 the state holds.
 
@@ -233,7 +186,7 @@ def _shared_e_step(params: _Params, work):
     of the flops of a product with L^-1, and since both matrices are
     symmetric, tr(Sigma^-1 G) = 2 sum(P * G) - sum(diag(P) * diag(G)).
     """
-    inv = params.invs[0]
+    inv = params._invs[0]
     whitened = inv @ (params.means - work.center).T  # L^-1 d_i, n x k
     scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
     scores = scores + work.centered @ (inv.T @ whitened)
@@ -242,10 +195,10 @@ def _shared_e_step(params: _Params, work):
     g = work.gram
     trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
     m = work.centered.shape[0]
-    return resp, float(lse.sum() + m * _log_normalizer(params.chols[0]) - 0.5 * trace)
+    return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
 
 
-def _m_step(resp, data, restriction, previous=None, work=None) -> _Params:
+def _m_step(resp, data, restriction, previous=None, work=None) -> Mixture:
     """M-step on arrays; `work` is the fit's `_Workspace` on `data`. Without
     one, a SHARED_FULL step builds one, and a FULL_DISTINCT step allocates
     its two m x n temporaries once."""
@@ -289,12 +242,12 @@ def _m_step(resp, data, restriction, previous=None, work=None) -> _Params:
     for i in dead:
         weights[i] = EMPTY_COMPONENT_FRACTION
         means[i] = previous.means[i]
-        owner[i] = kept.setdefault(previous.owner[i], len(covs) + len(kept))
+        owner[i] = kept.setdefault(previous._owner[i], len(covs) + len(kept))
     # Kept factors follow the new ones, in the order the dead components use them.
-    covs += [previous.covs[f] for f in kept]
-    chols += tuple(previous.chols[f] for f in kept)
-    invs += tuple(previous.invs[f] for f in kept)
-    return _Params(weights / weights.sum(), means, tuple(covs), chols, owner, invs)
+    covs += [previous._covs[f] for f in kept]
+    chols += tuple(previous._chols[f] for f in kept)
+    invs += tuple(previous._invs[f] for f in kept)
+    return Mixture._of(weights / weights.sum(), means, covs, chols, owner, invs)
 
 
 def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixture:
@@ -307,12 +260,12 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
-    return _to_mixture(_init_params(data, k, restriction, seed))
+    return _init_params(data, k, restriction, seed)
 
 
-def _init_params(data, k, restriction, seed) -> _Params:
-    """`init_params` on gated data, as an array state: one spherical factor
-    per distinct initial variance."""
+def _init_params(data, k, restriction, seed) -> Mixture:
+    """`init_params` on gated data: one spherical factor per distinct
+    initial variance."""
     m, n = data.shape
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
@@ -341,7 +294,7 @@ def _init_params(data, k, restriction, seed) -> _Params:
         distinct, owner = np.unique(variances, return_inverse=True)
         covs = tuple(var * np.eye(n) for var in distinct)
     chols, invs = _factor_and_invert(covs)
-    return _Params(np.full(k, 1.0 / k), centers, covs, chols, owner, invs)
+    return Mixture._of(np.full(k, 1.0 / k), centers, covs, chols, owner, invs)
 
 
 def e_step(model: Mixture, data):
@@ -354,7 +307,7 @@ def e_step(model: Mixture, data):
     log-density is -inf under every component has no responsibilities and
     raises NonFiniteError naming its row.
     """
-    return _e_step(*_model_arrays(model, data))
+    return _e_step(model, _model_data(model, data))
 
 
 def m_step(
@@ -374,9 +327,7 @@ def m_step(
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[0] != resp.shape[0]:
         raise ShapeMismatchError("responsibility rows != data rows")
-    if previous is not None:
-        previous = _from_mixture(previous)
-    return _to_mixture(_m_step(resp, data, restriction, previous))
+    return _m_step(resp, data, restriction, previous)
 
 
 def run_em(
@@ -422,14 +373,15 @@ def run_em(
                 lse = _log_normalize(_log_joint(params, data, work))[1]
                 means = params.means.copy()
                 means[exc.indices[0]] = data[int(np.argmin(lse))]
-                params = params._replace(means=means)
+                layout = (params._covs, params._chols, params._owner, params._invs)
+                params = Mixture._of(params.weights, means, *layout)
             else:
                 params = _m_step(resp, data, restriction, params, work)
         except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
             raise type(exc)(f"iteration {iterations}: {exc}") from exc
         iterations += 1
     return FitResult(
-        model=_to_mixture(params),
+        model=params,
         iterations=iterations,
         loglik_trace=np.array(trace),
         converged=converged,
@@ -461,13 +413,13 @@ def rp_em(
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
-    resp, _ = _e_step(_from_mixture(fit_low.model), low_data)
+    resp, _ = _e_step(fit_low.model, low_data)
     work = _Workspace(train, k, restriction)
     params = _m_step(resp, train, restriction, work=work)
     resp, ll = _e_step(params, train, work)
     params = _m_step(resp, train, restriction, params, work)
     fit_high = FitResult(
-        model=_to_mixture(params),
+        model=params,
         iterations=1,
         loglik_trace=np.array([ll, _e_step(params, train, work)[1]]),
         converged=False,
@@ -481,8 +433,7 @@ def test_loglik(model: Mixture, test) -> float:
     test = _as_float_array(test, "test", ndmin=2)
     if test.size == 0:
         return 0.0
-    params, test = _model_arrays(model, test)
-    return float(_log_normalize(_log_joint(params, test))[1].sum())
+    return float(_log_normalize(_log_joint(model, _model_data(model, test)))[1].sum())
 
 
 def _has_perfect_matching(adjacency):
@@ -529,5 +480,5 @@ def centers_recovered(model: Mixture, truth: Mixture):
                 allowed = fixed
                 break
     errors = dists[np.argmax(allowed, axis=1), np.arange(k)]
-    thresholds = np.array([radius(g) / 3.0 for g in truth.components])
+    thresholds = _radii(truth) / 3.0
     return bool(np.all(errors <= thresholds)), errors

@@ -46,12 +46,12 @@ from .errors import (
 )
 from .gaussians import (
     FLOAT_FMT,
-    Gaussian,
-    Mixture,
+    _checked_mixture,
     _is_int,
     _labelled_draw,
+    _radii,
+    _separations,
     mixture_separation,
-    pairwise_separation,
     sample,
     spectral_summary,
 )
@@ -264,15 +264,8 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     data = sample(mix, samples, streams["sample"])
     pca_map = pca(data, d)
     rp_map = random_orthonormal(n, d, streams["projection"])
-
-    def table(proj):
-        projected = project_mixture(proj, mix).components
-        out = np.zeros((k, k))
-        for i, j in combinations(range(k), 2):
-            out[i, j] = out[j, i] = pairwise_separation(projected[i], projected[j])
-        return out
-
-    return table(pca_map), table(rp_map)
+    projected = [project_mixture(proj, mix) for proj in (pca_map, rp_map)]
+    return tuple(_separations(p.means, _radii(p)) for p in projected)
 
 
 @single_blas_thread()
@@ -310,14 +303,9 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
     n = k // 2
     if n < 2:
         raise BadDimsError("need k >= 4 so the ambient space has >= 2 dims")
-    centers = []
-    for j in range(1, n + 1):
-        v = np.zeros(n)
-        v[j - 1] = j
-        centers.extend([v, -v])
-    mix = Mixture(
-        [Gaussian(mu, np.eye(n)) for mu in centers], np.full(k, 1.0 / k)
-    )
+    axes = np.diag(np.arange(1.0, n + 1))
+    centers = np.stack([axes, -axes], axis=1).reshape(k, n)  # j e_j, then -j e_j
+    mix = _checked_mixture(np.full(k, 1.0 / k), centers, [np.eye(n)], np.zeros(k, dtype=int))
     rows = _run_trials(_pca_collapse_trial, [base_seed], 1, (mix, samples))[0]
     return _report(
         ("method", "d"), ("min_separation", "original_min_separation"), rows
@@ -519,9 +507,8 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
         covs.append((q * roots**2) @ q.T)
     radii = np.sqrt([np.trace(cov) for cov in covs])
     centers = packed_centers(num_classes, n, c, radii, rng.integers(0, 2**63))
-    mix = Mixture(
-        [Gaussian(mu, cov) for mu, cov in zip(centers, covs)],
-        np.full(num_classes, 1.0 / num_classes),
+    mix = _checked_mixture(
+        np.full(num_classes, 1.0 / num_classes), centers, covs, np.arange(num_classes)
     )
     s_train, s_test = _trial_seeds(base_seed, 2)
 

@@ -79,43 +79,17 @@ class Gaussian:
     arrays are read-only views, so instances are safe to share across
     threads. The mean shares memory with the array passed in.
 
-    An instance keeps L^-1 from its condition check (`_checked_inverse`): the
-    check runs at the first density evaluation or EM read-back, and never for
-    a Gaussian EM built, which carries L^-1 from EM's own check.
+    An instance keeps L^-1 from its condition check (`_checked_inverse`),
+    which runs at its first density evaluation.
     """
 
     def __init__(self, mean, covariance):
         mean = _as_float_array(mean, "mean")
-        cov = _as_float_array(covariance, "covariance")
         if mean.ndim != 1:
             raise InvalidParameterError("mean must be a vector")
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise DimensionMismatchError(
-                f"covariance shape {cov.shape} does not match dimension {n}"
-            )
-        cov = _symmetrized(cov)
-        try:
-            chol = cholesky(cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        self._set(mean, cov, chol)
-
-    @classmethod
-    def _factored(cls, mean, covariance, chol, inv):
-        """A Gaussian from a finite mean, an exactly symmetric covariance, its
-        lower Cholesky factor and `_checked_inverse` of the two, all computed
-        by the caller (EM, which has already factored and checked every
-        covariance it builds)."""
-        g = cls.__new__(cls)
-        g._set(mean, covariance, chol)
-        g._inv = inv
-        return g
-
-    def _set(self, mean, cov, chol):
+        one = _checked_mixture([1.0], mean[None], [covariance], [0])
         self.mean = _frozen(mean)
-        self.covariance = _frozen(cov)
-        self._chol = _frozen(chol)
+        self.covariance, self._chol = _frozen(one._covs[0]), _frozen(one._chols[0])
 
     @property
     def dim(self):
@@ -136,41 +110,108 @@ class Gaussian:
 
 
 class Mixture:
-    """A weighted mixture of Gaussians of a common dimension. The weights are
-    a read-only view sharing memory with the array passed in."""
+    """A weighted mixture of k Gaussians in R^n, held in the array layout EM
+    iterates on: read-only `weights` (k) and `means` (k x n), and for each
+    distinct covariance f, `_covs[f]` symmetrized, `_chols[f]` its lower
+    Cholesky factor L and `_invs[f]` its L^-1 from the condition check, which
+    EM's states carry and other mixtures compute at first use; `_owner[i]`
+    is the factor of component i. `components` are built on first read.
+    """
 
     def __init__(self, components, weights):
         components = list(components)
         if not components:
             raise InvalidParameterError("mixture needs at least one component")
-        n = components[0].dim
-        for g in components:
-            if g.dim != n:
-                raise DimensionMismatchError("components have differing dimensions")
-        w = _as_float_array(weights, "weights")
-        if w.shape != (len(components),):
-            raise InvalidParameterError("one weight per component required")
-        if np.any(w <= 0):
-            raise InvalidParameterError("weights must all be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidParameterError(f"weights sum to {w.sum()!r}, not 1")
-        self.components = tuple(components)
-        self.weights = _frozen(w)
+        for i, g in enumerate(components):
+            if not isinstance(g, Gaussian):
+                raise InvalidParameterError(f"component {i} is not a Gaussian: {g!r}")
+        if any(g.dim != components[0].dim for g in components):
+            raise DimensionMismatchError("components have differing dimensions")
+        weights = _checked_weights(weights, len(components))
+        firsts, owner = _distinct([g.covariance for g in components])
+        means = np.array([g.mean for g in components])
+        kept = [components[i] for i in firsts]
+        self._keep(weights, means, [g.covariance for g in kept], [g.chol for g in kept], owner)
+
+    @classmethod
+    def _of(cls, *layout):
+        """The Mixture of arrays its caller built and checked (see `_keep`)."""
+        return cls.__new__(cls)._keep(*layout)
+
+    def _keep(self, weights, means, covs, chols, owner, invs=None):
+        self.weights, self.means = _frozen(weights), _frozen(means)
+        self._covs, self._chols, self._owner = tuple(covs), tuple(chols), owner
+        if invs is not None:  # else the check runs at the first use of `_invs`
+            self._invs = tuple(invs)
+        return self
+
+    @cached_property
+    def _invs(self):
+        return tuple(_checked_inverse(cov, chol) for cov, chol in zip(self._covs, self._chols))
+
+    @cached_property
+    def components(self):
+        return tuple(Gaussian(mu, self._covs[f]) for mu, f in zip(self.means, self._owner))
 
     @property
     def k(self):
-        return len(self.components)
+        return len(self.weights)
 
     @property
     def dim(self):
-        return self.components[0].dim
-
-    @property
-    def means(self):
-        return np.array([g.mean for g in self.components])
+        return self.means.shape[1]
 
     def __repr__(self):
         return f"Mixture(k={self.k}, dim={self.dim})"
+
+
+def _checked_weights(weights, k):
+    w = _as_float_array(weights, "weights")
+    if w.shape != (k,):
+        raise InvalidParameterError("one weight per component required")
+    if np.any(w <= 0):
+        raise InvalidParameterError("weights must all be positive")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise InvalidParameterError(f"weights sum to {w.sum()!r}, not 1")
+    return w
+
+
+def _distinct(arrays):
+    """The index of the first of each distinct array (equal as by
+    `np.array_equal`), and for every array the position of its own among
+    them. Only arrays of one shape and sum are compared, not every pair."""
+    firsts, owner, seen = [], [], {}
+    for i, a in enumerate(arrays):
+        with np.errstate(over="ignore", invalid="ignore"):
+            same = seen.setdefault((a.shape, float(a.sum())), [])
+        f = next((f for f in same if np.array_equal(arrays[firsts[f]], a)), len(firsts))
+        if f == len(firsts):
+            firsts.append(i)
+            same.append(f)
+        owner.append(f)
+    return firsts, np.array(owner)
+
+
+def _checked_mixture(weights, means, covs, owner):
+    """The Mixture whose component i has mean `means[i]` and covariance
+    `covs[owner[i]]`, with the checks of `Gaussian` and `Mixture`: finite
+    vectors of one dimension, symmetric positive definite covariances and
+    valid weights. Each covariance in `covs` is symmetrized and factored once."""
+    owner = np.asarray(owner)
+    means = _as_float_array(means, "mean")
+    if means.ndim != 2 or not owner.size:
+        raise InvalidParameterError("a mixture needs at least one mean, and each is a vector")
+    n = means.shape[1]
+    covs = [_as_float_array(cov, "covariance") for cov in covs]
+    for cov in covs:
+        if cov.shape != (n, n):
+            raise DimensionMismatchError(f"covariance shape {cov.shape} does not match dimension {n}")
+    covs = [_symmetrized(cov) for cov in covs]
+    try:
+        chols = [cholesky(cov, lower=True) for cov in covs]
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    return Mixture._of(_checked_weights(weights, owner.size), means, covs, chols, owner)
 
 
 @dataclass(frozen=True)
@@ -339,26 +380,39 @@ def radius(g: Gaussian) -> float:
     return float(np.sqrt(np.trace(g.covariance)))
 
 
+def _radii(m: Mixture) -> np.ndarray:
+    """The trace-radius of each component of `m`, one trace per factor."""
+    return np.sqrt([np.trace(cov) for cov in m._covs])[m._owner]
+
+
+def _separations(means, radii) -> np.ndarray:
+    """The table of ||mu_i - mu_j|| / max(r_i, r_j) over the rows of `means`,
+    zero on the diagonal: one norm per pair."""
+    out = np.zeros((len(means), len(means)))
+    for i, j in combinations(range(len(means)), 2):
+        a, b, denom = means[i], means[j], max(radii[i], radii[j])
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(a - b)
+        if not np.isfinite(dist):  # the squares overflowed: rescale by the largest coordinate
+            scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+            out[i, j] = out[j, i] = scale / denom * np.linalg.norm(a / scale - b / scale)
+        else:
+            out[i, j] = out[j, i] = dist / denom
+    return out
+
+
 def pairwise_separation(g1: Gaussian, g2: Gaussian) -> float:
     """Mean distance in units of the larger trace-radius."""
     if g1.dim != g2.dim:
         raise DimensionMismatchError("Gaussians have differing dimensions")
-    denom = np.sqrt(max(np.trace(g1.covariance), np.trace(g2.covariance)))
-    with np.errstate(over="ignore"):
-        dist = np.linalg.norm(g1.mean - g2.mean)
-    if not np.isfinite(dist):  # the squares overflowed: rescale by the largest coordinate
-        scale = max(np.max(np.abs(g1.mean)), np.max(np.abs(g2.mean)))
-        return float(scale / denom * np.linalg.norm(g1.mean / scale - g2.mean / scale))
-    return float(dist / denom)
+    return float(_separations([g1.mean, g2.mean], [radius(g1), radius(g2)])[0, 1])
 
 
 def mixture_separation(m: Mixture) -> float:
     """Minimum pairwise separation over all component pairs."""
     if m.k < 2:
         raise TooFewComponentsError("separation needs at least two components")
-    return min(
-        pairwise_separation(a, b) for a, b in combinations(m.components, 2)
-    )
+    return float(_separations(m.means, _radii(m))[np.triu_indices(m.k, 1)].min())
 
 
 def _labelled_draw(m: Mixture, count: int, rng):
@@ -370,10 +424,10 @@ def _labelled_draw(m: Mixture, count: int, rng):
     comps = rng.choice(m.k, size=count, p=m.weights)
     z = rng.standard_normal((count, m.dim))
     out = np.empty((count, m.dim))
-    for i, g in enumerate(m.components):
+    for i, (mu, f) in enumerate(zip(m.means, m._owner)):
         rows = comps == i
         if np.any(rows):
-            out[rows] = z[rows] @ g.chol.T + g.mean
+            out[rows] = z[rows] @ m._chols[f].T + mu
     return comps, out
 
 
@@ -393,8 +447,8 @@ def norm_tail_bound(n: int, eps: float) -> float:
 def mixture_to_dict(m: Mixture) -> dict:
     return {
         "weights": m.weights.tolist(),
-        "means": [g.mean.tolist() for g in m.components],
-        "covariances": [g.covariance.tolist() for g in m.components],
+        "means": m.means.tolist(),
+        "covariances": [m._covs[f].tolist() for f in m._owner],
     }
 
 
@@ -404,7 +458,7 @@ _MIXTURE_KEYS = ("weights", "means", "covariances")
 def mixture_from_dict(doc: dict) -> Mixture:
     """The Mixture of a `mixture_to_dict` document. A document that is not a
     dict holding the lists weights, means and covariances, all of one
-    length, raises ParseError."""
+    length, raises ParseError. Equal covariances are factored once."""
     if not isinstance(doc, dict):
         raise ParseError(f"a mixture document is an object, not {type(doc).__name__}")
     missing = [key for key in _MIXTURE_KEYS if not isinstance(doc.get(key), list)]
@@ -414,10 +468,9 @@ def mixture_from_dict(doc: dict) -> Mixture:
     if len(set(lengths)) != 1:
         counts = ", ".join(f"{n} {key}" for n, key in zip(lengths, _MIXTURE_KEYS))
         raise ParseError(f"a mixture document has {counts}")
-    comps = [
-        Gaussian(mu, cov) for mu, cov in zip(doc["means"], doc["covariances"])
-    ]
-    return Mixture(comps, doc["weights"])
+    covs = [_as_float_array(cov, "covariance") for cov in doc["covariances"]]
+    firsts, owner = _distinct(covs)
+    return _checked_mixture(doc["weights"], doc["means"], [covs[i] for i in firsts], owner)
 
 
 def save_mixture(m: Mixture, path):

@@ -27,7 +27,9 @@ from .errors import (
     NotEnoughDataError,
     ParseError,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array, _frozen, _is_int, _load_document
+from .gaussians import (
+    Gaussian, Mixture, _as_float_array, _checked_mixture, _frozen, _is_int, _load_document
+)
 
 ORTHONORMALITY_TOL = 1e-9
 
@@ -155,7 +157,15 @@ def project_gaussian(p: ProjectionMatrix, g: Gaussian) -> Gaussian:
 
 
 def project_mixture(p: ProjectionMatrix, m: Mixture) -> Mixture:
-    return Mixture([project_gaussian(p, g) for g in m.components], m.weights)
+    """The image of `m` under `p`: each mean mapped on its own, and each
+    distinct covariance mapped and factored once."""
+    if m.dim != p.source_dim:
+        raise DimensionMismatchError(
+            f"mixture dimension {m.dim} != source dimension {p.source_dim}"
+        )
+    means = np.array([p.rows @ mu for mu in m.means])
+    covs = [p.rows @ cov @ p.rows.T for cov in m._covs]
+    return _checked_mixture(m.weights, means, covs, m._owner)
 
 
 # ---------------------------------------------------------------------------

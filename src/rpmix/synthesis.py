@@ -21,7 +21,7 @@ from .errors import (
     TooManyComponentsError,
     _ParameterEnum,
 )
-from .gaussians import Gaussian, Mixture, _as_float_array, _is_int, _is_real
+from .gaussians import Mixture, _as_float_array, _checked_mixture, _is_int, _is_real
 from .projection import _haar_orthogonal, random_orthonormal
 
 
@@ -51,6 +51,8 @@ class MixtureSpec:
             raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E!r}")
         if not _is_real(self.c) or not 0 <= self.c < np.inf:
             raise InvalidParameterError(f"separation must be finite and >= 0, got {self.c!r}")
+        if not (_is_int(self.seed) and self.seed >= 0 or isinstance(self.seed, np.random.SeedSequence)):
+            raise InvalidParameterError(f"seed must be an int >= 0 or a SeedSequence, got {self.seed!r}")
 
 
 def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.ndarray:
@@ -221,24 +223,20 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
         )
     centers = np.zeros((k, n))
     centers[:, short_axes] = short_centers
-    comps = [Gaussian(mu, np.diag(v)) for mu, v in zip(centers, variances)]
-    return Mixture(comps, weights), long_axes
+    covs = [np.diag(v) for v in variances]
+    return _checked_mixture(weights, centers, covs, np.arange(k)), long_axes
 
 
 def make_mixture(spec: MixtureSpec) -> Mixture:
     """Assemble the full synthetic mixture described by `spec`."""
-    ss = np.random.SeedSequence(spec.seed)
+    ss = spec.seed if isinstance(spec.seed, np.random.SeedSequence) else np.random.SeedSequence(spec.seed)
     cov_seeds, center_seed, weight_seed = ss.spawn(spec.k), *ss.spawn(2)
     mode = spec.covariance_mode
     if mode in (CovarianceMode.SPHERICAL_SHARED, CovarianceMode.FULL_SHARED):
-        shared = eccentric_covariance(spec.n, spec.E, mode, cov_seeds[0])
-        covs = [shared] * spec.k
-    else:
-        covs = [
-            eccentric_covariance(spec.n, spec.E, mode, s) for s in cov_seeds
-        ]
-    radii = np.sqrt([np.trace(cov) for cov in covs])
+        cov_seeds = cov_seeds[:1]
+    covs = [eccentric_covariance(spec.n, spec.E, mode, s) for s in cov_seeds]
+    owner = np.arange(spec.k) % len(covs)  # one shared covariance, or one each
+    radii = np.sqrt([np.trace(cov) for cov in covs])[owner]
     centers = packed_centers(spec.k, spec.n, spec.c, radii, center_seed)
     weights = mixing_weights(spec.k, weight_seed)
-    comps = [Gaussian(mu, cov) for mu, cov in zip(centers, covs)]
-    return Mixture(comps, weights)
+    return _checked_mixture(weights, centers, covs, owner)

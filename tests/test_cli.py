@@ -98,6 +98,28 @@ def test_bad_parameter_is_clean_error(tmp_path, capsys, args):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--n", 4, "--k", 2, "--c", 1.0, "--samples", 5, "--out", "m.json"],
+        ["project", "--n", 4, "--d", 2, "--out", "p.json"],
+        ["em", "--data", "data.csv", "--k", 2, "--out", "m.json"],
+        ["classify", "--train", "train.csv", "--d", 2],
+    ],
+    ids=["synth", "project", "em", "classify"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # numpy's generators reject a negative seed; the parser rejects it first.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("0,1\n1,0\n2,1\n")
+    save_labeled(LabeledDataset(np.eye(4)[[0, 1, 2, 3] * 3], [0, 1] * 6), tmp_path / "train.csv")
+    with pytest.raises(SystemExit) as info:
+        run_cli([*command, "--seed", -1])
+    assert info.value.code == 2
+    assert "argument --seed: expected an int >= 0, got '-1'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "train.csv"]
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
 @pytest.mark.parametrize(
     "command", [["em", "--k", 2], ["project", "--kind", "pca", "--d", 1]], ids=["em", "project"]

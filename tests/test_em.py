@@ -26,7 +26,7 @@ from rpmix import (
     sample,
 )
 from rpmix import em, gaussians
-from rpmix.em import _Workspace, _from_mixture, _log_joint, _m_step, _to_mixture
+from rpmix.em import _Workspace, _log_joint, _m_step
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
@@ -185,10 +185,9 @@ class TestEStep:
         data = np.random.default_rng(4).standard_normal((50, 3))
         mix = init_params(data, 2, FULL, 0)
         points = np.vstack([data[:2], 1e160 * np.ones((3, 3))])
-        params, _ = em._model_arrays(mix, points)
         quad = np.column_stack(
-            [gaussians._quad_forms(params.invs[f], points, params.means[[i]])[:, 0]
-             for i, f in enumerate(params.owner)]
+            [gaussians._quad_forms(mix._invs[f], points, mix.means[[i]])[:, 0]
+             for i, f in enumerate(mix._owner)]
         )
         near = [[mahalanobis(g, x) ** 2 for g in mix.components] for x in data[:2]]
         assert quad[:2] == pytest.approx(np.array(near), rel=1e-12)
@@ -404,7 +403,8 @@ class TestRunEm:
         }
 
     def test_comparison_trial_factors_each_covariance_once(self, monkeypatch):
-        # A whole SHARED_FULL trial: the truth is k Gaussians. EM factors
+        # A whole SHARED_FULL trial. The truth's one shared covariance is
+        # factored once, by `make_mixture`, whatever k is. EM factors
         # once per M-step (the plain fit's, the projected fit's, and the
         # hybrid's lift and one high-dimensional step) and once for each of
         # the two spherical starts. The three models EM reads back (the
@@ -422,7 +422,7 @@ class TestRunEm:
             "cholesky": m_steps + 2,
             "dtrtri": m_steps + 2,
             "eigvalsh": 0,
-            "Gaussian cholesky": k,
+            "Gaussian cholesky": 1,
         }
 
 
@@ -460,7 +460,7 @@ class TestArrayCore:
         return data + 50.0
 
     def _assert_matches_reference(self, params, data):
-        ref = _stacked_log_joint(_to_mixture(params), data)
+        ref = _stacked_log_joint(params, data)
         rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
@@ -468,15 +468,15 @@ class TestArrayCore:
         data = self._data(31)
         resp = np.random.default_rng(32).dirichlet(np.ones(3), size=data.shape[0])
         params = _m_step(resp, data, SHARED)
-        assert len(params.chols) == 1
-        assert np.array_equal(params.owner, [0, 0, 0])
+        assert len(params._chols) == 1
+        assert np.array_equal(params._owner, [0, 0, 0])
         self._assert_matches_reference(params, data)
 
     def test_log_joint_distinct_state(self):
         data = self._data(33)
         resp = np.random.default_rng(34).dirichlet(np.ones(3), size=data.shape[0])
         params = _m_step(resp, data, FULL)
-        assert len(params.chols) == 3
+        assert len(params._chols) == 3
         self._assert_matches_reference(params, data)
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
@@ -488,11 +488,11 @@ class TestArrayCore:
         resp[:, 1] = 0.0
         resp /= resp.sum(axis=1, keepdims=True)
         params = _m_step(resp, data, restriction, previous)
-        kept = previous.owner[1]
-        assert params.chols[params.owner[1]] is previous.chols[kept]
-        assert params.invs[params.owner[1]] is previous.invs[kept]
+        kept = previous._owner[1]
+        assert params._chols[params._owner[1]] is previous._chols[kept]
+        assert params._invs[params._owner[1]] is previous._invs[kept]
         assert np.array_equal(params.means[1], previous.means[1])
-        assert len(params.chols) == (2 if restriction is SHARED else 3)
+        assert len(params._chols) == (2 if restriction is SHARED else 3)
         self._assert_matches_reference(params, data)
 
     def test_equal_covariances_share_a_factor(self):
@@ -501,17 +501,16 @@ class TestArrayCore:
             [Gaussian([0.0, 0.0], a), Gaussian([1.0, 0.0], b), Gaussian([0.0, 1.0], a.copy())],
             [0.2, 0.3, 0.5],
         )
-        params = _from_mixture(mix)
-        assert len(params.chols) == 2
-        assert np.array_equal(params.owner, [0, 1, 0])
+        assert len(mix._chols) == 2
+        assert np.array_equal(mix._owner, [0, 1, 0])
         data = np.random.default_rng(37).standard_normal((30, 2))
-        self._assert_matches_reference(params, data)
+        self._assert_matches_reference(mix, data)
 
     def test_pooled_covariance_from_gram_matches_k_grams(self):
         data = self._data(38, m=200, n=6)
         rng = np.random.default_rng(39)
         resp = rng.dirichlet(np.ones(4), size=200)
-        pooled = _m_step(resp, data, SHARED, work=_Workspace(data, 4, SHARED)).covs[0]
+        pooled = _m_step(resp, data, SHARED, work=_Workspace(data, 4, SHARED))._covs[0]
         ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
         # With a dead component its (tiny) responsibility share leaves the
@@ -519,7 +518,7 @@ class TestArrayCore:
         resp[:, 2] *= 5e-11
         resp /= resp.sum(axis=1, keepdims=True)
         previous = _m_step(rng.dirichlet(np.ones(4), size=200), data, SHARED)
-        pooled = _m_step(resp, data, SHARED, previous, _Workspace(data, 4, SHARED)).covs[0]
+        pooled = _m_step(resp, data, SHARED, previous, _Workspace(data, 4, SHARED))._covs[0]
         ref = _old_pooled(resp, data, dead=(2,))
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -653,14 +652,17 @@ class TestConditionBound:
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
     def test_fitted_model_carries_its_inverses(self, restriction, monkeypatch):
+        # The fit's model is its last state, and that state carries the
+        # inverses of the last M-step's checks.
         built = []
-        monkeypatch.setattr(em, "_to_mixture", lambda params: built.append(params) or _to_mixture(params))
+        m_step = em._m_step
+        monkeypatch.setattr(em, "_m_step", lambda *a, **kw: built.append(m_step(*a, **kw)) or built[-1])
         fit = run_em(two_blob_data(seed=17), 2, restriction, 0)
         calls = TestRunEm._count_factor_calls(monkeypatch)
-        read = _from_mixture(fit.model)
-        assert calls["dtrtri"] == 0
-        assert len(read.invs) == len(built[-1].invs)
-        assert all(a is b for a, b in zip(read.invs, built[-1].invs))
+        read = fit.model
+        assert read._invs is not None and calls["dtrtri"] == 0
+        assert len(read._invs) == len(built[-1]._invs)
+        assert all(a is b for a, b in zip(read._invs, built[-1]._invs))
 
     def test_gaussian_keeps_its_check(self, monkeypatch):
         g = Gaussian(np.zeros(3), _spd(3, 10.0, 13))
@@ -688,10 +690,10 @@ class TestLogJointAccuracy:
         means = data.mean(axis=0) + 10.0 * dirs @ chol.T
         weights = np.array([0.3, 0.3, em.EMPTY_COMPONENT_FRACTION, 0.4])
         chols, invs = em._factor_and_invert([cov, previous])
-        params = em._Params(
+        params = Mixture._of(
             weights / weights.sum(), means, (cov, previous), chols, np.array([0, 0, 1, 0]), invs
         )
-        ref = _stacked_log_joint(_to_mixture(params), data)
+        ref = _stacked_log_joint(params, data)
         rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
@@ -728,18 +730,18 @@ class TestSharedEStep:
         data = 1e3 * rng.standard_normal(n) + rng.standard_normal((m, n)) @ chol.T
         means = data.mean(axis=0) + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
         model = Mixture([Gaussian(mu, cov) for mu in means], rng.dirichlet(np.ones(k)))
-        params = _from_mixture(model)
-        assert len(params.chols) == 1
+        params = model
+        assert len(params._chols) == 1
 
         resp, ll = em._e_step(params, data, _Workspace(data, k, SHARED))
 
         log_joint = _log_joint(params, data)
         lse = logsumexp(log_joint, axis=1)
         eps = np.finfo(float).eps
-        lam = np.linalg.eigvalsh(params.covs[0])
+        lam = np.linalg.eigvalsh(params._covs[0])
         kappa = lam[-1] / lam[0]
         center = data.mean(axis=0)
-        s = _solved_norms(params.chols[0], data, center) + _solved_norms(params.chols[0], means, center).max()
+        s = _solved_norms(params._chols[0], data, center) + _solved_norms(params._chols[0], means, center).max()
         c = 8.0
         resp_bound = c * eps * (1.0 + n * np.sqrt(kappa) * s[:, None])
         assert np.all(np.abs(resp - np.exp(log_joint - lse[:, None])) <= resp_bound)
@@ -788,7 +790,7 @@ class TestRescue:
         means = [data[:50].mean(axis=0), data[50:100].mean(axis=0), [500.0, -500.0]]
         weights = [0.5, 0.5 - far_weight, far_weight]
         start = Mixture([Gaussian(mu, cov) for mu, cov in zip(means, covs)], weights)
-        monkeypatch.setattr(em, "_init_params", lambda *args: _from_mixture(start))
+        monkeypatch.setattr(em, "_init_params", lambda *args: start)
         return data, start
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
@@ -818,18 +820,20 @@ class TestRescue:
         assert np.array_equal(dead.covariance, start.components[2].covariance)
         assert fit.model.weights[2] == pytest.approx(em.EMPTY_COMPONENT_FRACTION, rel=1e-9)
         assert not np.array_equal(live[0].mean, start.means[0])
-        params = _from_mixture(fit.model)
+        params = fit.model
         if restriction is SHARED:
             # The pooled factor of the live components and the kept one.
-            assert len(params.chols) == 2
+            assert len(params._chols) == 2
             assert np.array_equal(live[0].covariance, live[1].covariance)
             assert not np.array_equal(live[0].covariance, dead.covariance)
         else:
-            assert len(params.chols) == 3
+            assert len(params._chols) == 3
 
 
 def _assert_same_state(a, b):
-    for x, y in zip(a, b):
+    """Two mixtures hold equal arrays in every field of their layout."""
+    fields = ("weights", "means", "_covs", "_chols", "_owner", "_invs")
+    for x, y in ((getattr(a, f), getattr(b, f)) for f in fields):
         if isinstance(x, tuple):
             assert len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
         else:
@@ -864,7 +868,7 @@ class TestWorkspace:
         monkeypatch.setattr(em, "_m_step", checked_m_step)
         fit = run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
         assert fit.iterations == em.MAX_RESCUES + 1
-        assert len(_from_mixture(fit.model).chols) == (2 if restriction is SHARED else 3)
+        assert len(fit.model._chols) == (2 if restriction is SHARED else 3)
         # The rescues' log-joints, and in FULL_DISTINCT every E-step's.
         log_joints = em.MAX_RESCUES + (0 if restriction is SHARED else fit.iterations + 1)
         assert len(spaces) > log_joints
@@ -916,7 +920,7 @@ class TestReentrancy:
         for got, want in zip(results, serial):
             assert got.iterations == want.iterations and got.converged == want.converged
             assert np.array_equal(got.loglik_trace, want.loglik_trace)
-            _assert_same_state(_from_mixture(got.model), _from_mixture(want.model))
+            _assert_same_state(got.model, want.model)
 
 
 class TestRpEm:

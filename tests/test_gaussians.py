@@ -1,12 +1,13 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from rpmix import (
@@ -34,7 +35,10 @@ from rpmix.errors import (
     ParseError,
     TooFewComponentsError,
 )
+from rpmix import gaussians
 from rpmix.gaussians import _quad_forms, _Whitening, log_density_batch
+from rpmix.projection import project_gaussian, project_mixture, random_orthonormal
+from rpmix.synthesis import CovarianceMode, MixtureSpec, make_mixture
 
 
 def random_rotation(n, seed):
@@ -510,3 +514,61 @@ class TestCsvParser:
         path.write_text("1.0,2.0,3.0\n" * 2999 + "1.0,y,3.0\n")
         with pytest.raises(ParseError, match="data.csv: line 3000: "):
             load_dataset(path)
+
+
+class TestOneLayout:
+    """A mixture's array layout gives the bits of the per-component
+    references built from its public `components`, and a covariance that
+    every component shares is factored once."""
+
+    @staticmethod
+    def _mixture(mode):
+        E = 1.0 if mode is CovarianceMode.SPHERICAL_SHARED else 3.0
+        return make_mixture(MixtureSpec(n=6, k=4, c=1.5, E=E, covariance_mode=mode, seed=5))
+
+    @pytest.mark.parametrize("mode", list(CovarianceMode))
+    def test_sample_is_a_draw_per_component(self, mode):
+        mix = self._mixture(mode)
+        rng = np.random.default_rng(11)
+        comps = rng.choice(mix.k, size=500, p=mix.weights)
+        z = rng.standard_normal((500, mix.dim))
+        want = np.empty((500, mix.dim))
+        for i, g in enumerate(mix.components):
+            rows = comps == i
+            want[rows] = z[rows] @ g.chol.T + g.mean
+        assert np.array_equal(sample(mix, 500, 11), want)
+
+    @pytest.mark.parametrize("mode", list(CovarianceMode))
+    def test_separation_is_the_least_pairwise_separation(self, mode):
+        mix = self._mixture(mode)
+        want = min(pairwise_separation(a, b) for a, b in combinations(mix.components, 2))
+        assert mixture_separation(mix) == want
+
+    @pytest.mark.parametrize("mode", list(CovarianceMode))
+    def test_projected_mixture_is_the_projected_components(self, mode):
+        mix = self._mixture(mode)
+        p = random_orthonormal(mix.dim, 3, 2)
+        out = project_mixture(p, mix)
+        assert np.array_equal(out.means, np.array([p.rows @ g.mean for g in mix.components]))
+        for g, h in zip(mix.components, out.components):
+            ref = project_gaussian(p, g)
+            assert np.array_equal(h.covariance, ref.covariance)
+            assert np.array_equal(h.chol, ref.chol)
+
+    def test_components_are_read_once(self):
+        mix = self._mixture(CovarianceMode.FULL_SHARED)
+        assert mix.components is mix.components
+        assert all(isinstance(g, Gaussian) for g in mix.components)
+
+    def test_a_shared_covariance_is_factored_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gaussians, "cholesky", counted)
+        mix = make_mixture(MixtureSpec(n=350, k=300, c=1.0))
+        assert calls == [(350, 350)]
+        project_mixture(random_orthonormal(350, 57, 0), mix)
+        assert calls == [(350, 350), (57, 57)]

@@ -49,7 +49,7 @@ from rpmix.errors import (
     RpmixError,
 )
 from rpmix.experiments import fig4_body
-from rpmix.gaussians import _as_float_array, log_density_batch
+from rpmix.gaussians import _as_float_array, _checked_mixture, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
     ProjectionMatrix,
@@ -60,6 +60,7 @@ from rpmix.synthesis import (
     MixtureSpec,
     eccentric_covariance,
     long_axis_mixture,
+    make_mixture,
     mixing_weights,
     packed_centers,
 )
@@ -153,6 +154,7 @@ def test_gate_adds_leading_axes_without_a_copy(x):
 INVALID = {
     "Gaussian-mean-not-vector": lambda: Gaussian(np.zeros((2, 2)), np.eye(2)),
     "Mixture-no-component": lambda: Mixture([], []),
+    "Mixture-not-a-Gaussian": lambda: Mixture([1, 2], [0.5, 0.5]),
     "Mixture-weight-count": lambda: Mixture(MODEL.components, [1.0]),
     "Mixture-negative-weight": lambda: Mixture(MODEL.components, [1.5, -0.5]),
     "Mixture-weight-sum": lambda: Mixture(MODEL.components, [0.5, 0.6]),
@@ -167,6 +169,7 @@ INVALID = {
     "MixtureSpec-c-bool": lambda: MixtureSpec(n=5, k=2, c=True),
     "MixtureSpec-E-str": lambda: MixtureSpec(n=5, k=2, c=1.0, E="2"),
     "MixtureSpec-E-bool": lambda: MixtureSpec(n=5, k=2, c=1.0, E=True),
+    "MixtureSpec-seed-negative": lambda: MixtureSpec(n=5, k=2, c=1.0, seed=-1),
     "eccentric_covariance-E-str": lambda: eccentric_covariance(3, "2", "diagonal-distinct", 0),
     "long_axis_mixture-E-str": lambda: long_axis_mixture(8, 2, 1.0, "2", 2, 0),
 }
@@ -176,6 +179,23 @@ INVALID = {
 def test_invalid_parameter_is_typed(case):
     with pytest.raises(InvalidParameterError):
         INVALID[case]()
+
+
+@pytest.mark.parametrize("components, index", [([1, 2], 0), ([G, "g"], 1)], ids=["first", "second"])
+def test_mixture_names_the_component_that_is_not_a_gaussian(components, index):
+    with pytest.raises(InvalidParameterError, match=f"^component {index} is not a Gaussian"):
+        Mixture(components, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, "0", True, None])
+def test_mixture_spec_seed_is_an_int_or_a_seed_sequence(seed):
+    with pytest.raises(InvalidParameterError, match=r"^seed must be an int >= 0 or a SeedSequence, got "):
+        MixtureSpec(n=5, k=2, c=1.0, seed=seed)
+
+
+def test_mixture_spec_takes_a_seed_sequence():
+    spec = MixtureSpec(n=5, k=2, c=1.0, seed=np.random.SeedSequence(3))
+    assert make_mixture(spec).k == 2
 
 
 @pytest.mark.parametrize("k", [1, 0, -3])
@@ -207,6 +227,9 @@ KEEPERS = {
     "ProjectionMatrix": (lambda a: ProjectionMatrix(a, ProjectionKind.UNIFORM_RP), "rows", np.ones((2, 3))),
     "Gaussian": (lambda a: Gaussian(a, np.eye(2)), "mean", np.ones(2)),
     "Mixture": (lambda a: Mixture(MODEL.components, a), "weights", np.array([0.25, 0.75])),
+    "Mixture-means": (
+        lambda a: _checked_mixture([0.25, 0.75], a, [np.eye(2)], [0, 0]), "means", np.ones((2, 2))
+    ),
     "ClassMixtureModel": (lambda a: ClassMixtureModel(PROJ, (), a), "class_priors", np.array([0.25, 0.75])),
 }
 
