@@ -88,8 +88,16 @@ class Gaussian:
         if mean.ndim != 1:
             raise InvalidParameterError("mean must be a vector")
         one = _checked_mixture([1.0], mean[None], [covariance], [0])
-        self.mean = _frozen(mean)
-        self.covariance, self._chol = _frozen(one._covs[0]), _frozen(one._chols[0])
+        self._keep(mean, one._covs[0], one._chols[0])
+
+    @classmethod
+    def _of(cls, *arrays):
+        """The Gaussian of arrays its caller built and checked (see `_keep`)."""
+        return cls.__new__(cls)._keep(*arrays)
+
+    def _keep(self, mean, covariance, chol):
+        self.mean, self.covariance, self._chol = _frozen(mean), _frozen(covariance), _frozen(chol)
+        return self
 
     @property
     def dim(self):
@@ -115,7 +123,7 @@ class Mixture:
     distinct covariance f, `_covs[f]` symmetrized, `_chols[f]` its lower
     Cholesky factor L and `_invs[f]` its L^-1 from the condition check, which
     EM's states carry and other mixtures compute at first use; `_owner[i]`
-    is the factor of component i. `components` are built on first read.
+    is the factor of component i. `components` are views built on first read.
     """
 
     def __init__(self, components, weights):
@@ -151,7 +159,8 @@ class Mixture:
 
     @cached_property
     def components(self):
-        return tuple(Gaussian(mu, self._covs[f]) for mu, f in zip(self.means, self._owner))
+        pairs = zip(self.means, self._owner)
+        return tuple(Gaussian._of(mu, self._covs[f], self._chols[f]) for mu, f in pairs)
 
     @property
     def k(self):

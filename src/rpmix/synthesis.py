@@ -3,15 +3,16 @@
 Covariances of eccentricity E are built by drawing the square roots of
 their eigenvalues uniformly from [1, E] with the endpoints 1 and E always
 included. Centers are packed as tightly as the c-separation requirement
-allows: a regular simplex with every pairwise constraint tight.
+allows, with every pair exactly c*max(r_i, r_j) apart: classical MDS of
+that distance table gives them in k-1 dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     BadDimsError,
@@ -103,59 +104,48 @@ def _check_eccentricity(E, n):
 def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     """k centers in R^n with every pair at distance exactly c*max(r_i, r_j).
 
-    Built as a regular (k-1)-simplex in a uniformly random (k-1)-dimensional
-    subspace; unequal radii are handled by iterative pairwise repair of the
-    simplex shape.
+    These targets T form an ultrametric, which embeds isometrically in
+    R^(k-1) (Lemin 1985). Classical MDS (Torgerson 1952) recovers it: the
+    rows of u sqrt(lambda) over the top k-1 eigenpairs of B = -J (T o T) J / 2,
+    J the centring matrix, placed in a uniformly random subspace of R^n.
+    T is scaled by a power of two first, so no square overflows and nothing
+    is rounded. A distance off by over 1e-6 relative raises PackingError.
     """
     _check_sizes(k=k, n=n)
     if not _is_real(c) or not 0 < c < np.inf:
         raise BadSeparationError(f"separation c must be finite and > 0, got {c!r}")
     if k > n + 1:
-        raise TooManyComponentsError(
-            f"simplex packing needs k <= n+1, got k={k}, n={n}"
-        )
+        raise TooManyComponentsError(f"k centers need k <= n+1 dimensions, got k={k}, n={n}")
     radii = _as_float_array(radii, "radii")
     if radii.shape != (k,):
         raise InvalidParameterError("need one radius per component")
+    if not np.all(radii > 0):
+        raise InvalidParameterError(f"radii must all be positive, got {radii.min():g}")
     if k == 1:
         return np.zeros((1, n))
-    targets = np.zeros((k, k))
-    for i, j in combinations(range(k), 2):
-        targets[i, j] = targets[j, i] = c * max(radii[i], radii[j])
+    with np.errstate(over="ignore"):
+        targets = c * np.maximum.outer(radii, radii)
+    if not np.all((targets > 0) & (targets < np.inf)):
+        raise BadSeparationError(f"c={c!r} times a radius is not a positive finite number")
+    np.fill_diagonal(targets, 0.0)
+    scale = np.ldexp(1.0, np.frexp(targets.max())[1] - 1)  # in (max/2, max], so finite
+    sq = (targets / scale) ** 2
+    B = -0.5 * (sq - sq.mean(axis=0) - sq.mean(axis=1)[:, None] + sq.mean())
+    lam, vecs = eigh(B, subset_by_index=[1, k - 1])
+    coords = vecs * np.sqrt(np.maximum(lam, 0.0))
 
-    # Regular unit-edge simplex coordinates in R^(k-1): center the standard
-    # basis of R^k and rotate onto its (k-1)-dim span.
-    verts = np.eye(k) - np.full((k, k), 1.0 / k)
-    u, s, _ = np.linalg.svd(verts, full_matrices=False)
-    coords = (u[:, : k - 1] * s[: k - 1]) / np.sqrt(2.0)  # unit edges
+    # Every distance at once, from the Gram matrix of the coordinates.
+    gram = coords @ coords.T
+    i, j = np.triu_indices(k, 1)
+    dist = np.sqrt(np.maximum(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 0.0)) * scale
+    err = np.abs(dist - targets[i, j])
+    bad = np.flatnonzero(err > 1e-6 * targets[i, j])
+    if bad.size:
+        p = bad[0]
+        raise PackingError(f"pair ({i[p]},{j[p]}) misses its distance target by {err[p]:.3g}")
 
-    rng = np.random.default_rng(seed)
-    coords = coords * targets[targets > 0].mean()
-    if not np.allclose(radii, radii[0]):
-        for _ in range(200):
-            worst = 0.0
-            for i, j in combinations(range(k), 2):
-                diff = coords[i] - coords[j]
-                dist = np.linalg.norm(diff)
-                t = targets[i, j]
-                worst = max(worst, abs(dist - t) / t)
-                step = 0.5 * (dist - t) / dist
-                coords[i] -= step * diff
-                coords[j] += step * diff
-            if worst < 1e-9:
-                break
-    else:
-        coords = coords / np.linalg.norm(coords[0] - coords[1]) * targets[0, 1]
-
-    for i, j in combinations(range(k), 2):
-        err = abs(np.linalg.norm(coords[i] - coords[j]) - targets[i, j])
-        if err > 1e-6 * targets[i, j]:
-            raise PackingError(
-                f"pair ({i},{j}) misses its distance target by {err:.3g}"
-            )
-
-    basis = random_orthonormal(n, k - 1, rng.integers(0, 2**63)).rows
-    return coords @ basis
+    basis = random_orthonormal(n, k - 1, np.random.default_rng(seed).integers(0, 2**63)).rows
+    return (coords * scale) @ basis
 
 
 def mixing_weights(k: int, seed) -> np.ndarray:

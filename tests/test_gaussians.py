@@ -572,3 +572,21 @@ class TestOneLayout:
         assert calls == [(350, 350)]
         project_mixture(random_orthonormal(350, 57, 0), mix)
         assert calls == [(350, 350), (57, 57)]
+
+    def test_components_reuse_the_layout_factors(self, monkeypatch):
+        mix = make_mixture(MixtureSpec(n=8, k=5, c=1.0, E=3.0, covariance_mode="rotated-distinct", seed=4))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(gaussians, "cholesky", counted)
+        components = mix.components
+        assert calls == []
+        for g in components:
+            ref = Gaussian(g.mean, g.covariance)
+            assert np.array_equal(g.mean, ref.mean)
+            assert np.array_equal(g.covariance, ref.covariance)
+            assert np.array_equal(g.chol, ref.chol)
+            assert not (g.mean.flags.writeable or g.covariance.flags.writeable or g.chol.flags.writeable)

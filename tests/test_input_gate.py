@@ -406,6 +406,28 @@ def test_separation_that_is_not_a_finite_real_is_a_bad_separation(c):
         packed_centers(3, 4, c, [1, 1, 2], 0)
 
 
+@pytest.mark.parametrize("radii", [[0.0, 0.0], [-1.0, -1.0], [1.0, 0.0]], ids=["zero", "negative", "one-zero"])
+def test_non_positive_radius_is_an_invalid_parameter(radii):
+    with pytest.raises(InvalidParameterError, match="^radii must all be positive"):
+        packed_centers(2, 3, 1.0, radii, 0)
+
+
+def test_separation_times_radius_that_overflows_is_a_bad_separation():
+    with pytest.raises(BadSeparationError, match="times a radius is not a positive finite number"):
+        packed_centers(2, 3, 1e300, [1e10, 1e10], 0)
+
+
+@pytest.mark.parametrize(
+    "c, radii", [(1e150, [1e10, 2e10, 3e10]), (1.0, [1e308, 1.5e308, 1.7e308])], ids=["c", "radii"]
+)
+def test_targets_whose_squares_overflow_give_exact_centers(c, radii):
+    centers = packed_centers(3, 4, c, radii, 0)
+    scaled = centers / 2.0**600  # a power of two: the distances scale exactly
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        dist = np.linalg.norm(scaled[i] - scaled[j]) * 2.0**600
+        assert dist == pytest.approx(c * max(radii[i], radii[j]), rel=1e-12)
+
+
 def test_numpy_reals_are_accepted_as_separation_and_eccentricity():
     spec = MixtureSpec(n=5, k=2, c=np.float32(1.0), E=np.int64(2))
     assert (spec.c, spec.E) == (1.0, 2)

@@ -3,7 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
+from scipy.spatial.distance import pdist
 
+from rpmix import synthesis
 from rpmix import (
     eccentric_covariance,
     make_mixture,
@@ -19,6 +22,7 @@ from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
     InvalidParameterError,
+    PackingError,
     TooManyComponentsError,
 )
 
@@ -120,6 +124,43 @@ class TestPackedCenters:
         a = packed_centers(3, 20, 1.0, np.ones(3), 0)
         b = packed_centers(3, 20, 1.0, np.ones(3), 1)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("k", [3, 50, 300])
+    def test_every_distance_is_exact_with_spread_radii(self, k):
+        rng = np.random.default_rng(k)
+        radii, c = np.exp(rng.permutation([-3.0, 3.0, *rng.uniform(-3.0, 3.0, k - 2)])), 1.3
+        centers = packed_centers(k, k + 10, c, radii, 2)
+        i, j = np.triu_indices(k, 1)
+        want = c * np.maximum(radii[i], radii[j])
+        np.testing.assert_allclose(pdist(centers), want, rtol=1e-9, atol=0)
+
+    def test_fifty_eccentric_distinct_components(self):
+        spec = MixtureSpec(
+            n=100, k=50, c=1, E=4,
+            covariance_mode=CovarianceMode.DIAGONAL_DISTINCT, seed=1,
+        )
+        mix = make_mixture(spec)
+        radii = np.sqrt([np.trace(g.covariance) for g in mix.components])
+        i, j = np.triu_indices(50, 1)
+        want = np.maximum(radii[i], radii[j])
+        np.testing.assert_allclose(pdist(mix.means), want, rtol=1e-9, atol=0)
+
+    def test_centers_are_centred_and_span_k_minus_one_dims(self):
+        k, radii = 8, np.array([1.0, 2.0, 2.0, 3.0, 0.5, 5.0, 5.0, 1.5])
+        centers = packed_centers(k, 20, 2.0, radii, 3)
+        assert np.max(np.abs(centers.mean(axis=0))) < 1e-12 * 2.0 * radii.max()
+        assert np.linalg.matrix_rank(centers) == k - 1
+
+    def test_coordinates_without_sqrt_lambda_fail_the_post_check(self, monkeypatch):
+        # Unit eigenvalues make the coordinates the bare eigenvectors, as if
+        # the sqrt(lambda) scaling were dropped.
+        def unit_eigenvalues(*args, **kwargs):
+            lam, vecs = eigh(*args, **kwargs)
+            return np.ones_like(lam), vecs
+
+        monkeypatch.setattr(synthesis, "eigh", unit_eigenvalues)
+        with pytest.raises(PackingError, match=r"^pair \(0,1\) misses its distance target by "):
+            packed_centers(5, 10, 1.0, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 0)
 
 
 class TestMixingWeights:
