@@ -56,6 +56,7 @@ from .gaussians import (
     _log_normalizer,
     _quad_forms,
     _radii,
+    _seed_sequence,
     _Whitening,
 )
 from .projection import project_data, random_orthonormal
@@ -271,7 +272,7 @@ def _init_params(data, k, restriction, seed) -> Mixture:
         raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
     if m < k:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     centers = data[rng.choice(m, size=k, replace=False)]
     # A distance that overflows leaves a covariance that `_factor_and_invert` reports.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -50,6 +50,7 @@ from .gaussians import (
     _is_int,
     _labelled_draw,
     _radii,
+    _seed_children,
     _separations,
     mixture_separation,
     sample,
@@ -62,6 +63,7 @@ from .synthesis import (
     eccentric_covariance,
     long_axis_mixture,
     make_mixture,
+    packed_centers,
 )
 
 AGGREGATE_STATS = ("mean", "sd", "min", "max", "median")
@@ -143,11 +145,6 @@ def _report(group_columns, metric_columns, measurements) -> ExperimentReport:
     return ExperimentReport(tuple(group_columns), tuple(metric_columns), rows)
 
 
-def _trial_seeds(seed, count):
-    """Independent sub-streams for one trial, replayable from its seed."""
-    return np.random.SeedSequence([int(seed)]).spawn(count)
-
-
 def _log_dim(k, n):
     """The paper's target dimension for k components, 10 ln k, kept in [1, n]."""
     if not _is_int(k) or k < 2:
@@ -179,7 +176,7 @@ def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
 def _separation_trial(task):
     """Separation of a packed c-separated k-mixture in R^n, projected to d dims."""
     n, k, c, d, seed = task
-    _, s_proj = _trial_seeds(seed, 2)
+    _, s_proj = _seed_children(seed, 2)
     mix = make_mixture(MixtureSpec(n=n, k=k, c=c, seed=seed))
     proj = random_orthonormal(n, d, s_proj)
     sep = mixture_separation(project_mixture(proj, mix))
@@ -205,7 +202,7 @@ def fig5_body(
 
 def _fig5_trial(task, d):
     E, n, seed = task
-    s_cov, s_proj = _trial_seeds(seed, 2)
+    s_cov, s_proj = _seed_children(seed, 2)
     cov = eccentric_covariance(n, float(E), CovarianceMode.DIAGONAL_DISTINCT, s_cov)
     return {"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
 
@@ -213,16 +210,14 @@ def _fig5_trial(task, d):
 @single_blas_thread()
 def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24, -1))):
     """One fixed eccentric Gaussian projected to successively lower dims."""
-    cov = eccentric_covariance(
-        n, E, CovarianceMode.DIAGONAL_DISTINCT, np.random.SeedSequence([int(base_seed), 0])
-    )
+    cov = eccentric_covariance(n, E, CovarianceMode.DIAGONAL_DISTINCT, base_seed)
     tasks = [(d, base_seed + t) for d in d_values for t in range(trials)]
     return _report(("d",), ("eccentricity",), _run_trials(_fig6_trial, tasks, 1, (cov,)))
 
 
 def _fig6_trial(task, cov):
     d, seed = task
-    _, s_proj = _trial_seeds(seed, 2)
+    _, s_proj = _seed_children(seed, 2)
     return {"d": d, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
 
 
@@ -234,12 +229,6 @@ def _projected_eccentricity(cov, d, seed):
 
 # ---------------------------------------------------------------------------
 # PCA vs random projection
-
-def fig7_streams(seed):
-    """One seed tree for a fig7 trial: a disjoint child stream per role."""
-    roles = ("truth", "sample", "projection")
-    return dict(zip(roles, np.random.SeedSequence(int(seed)).spawn(len(roles))))
-
 
 @single_blas_thread()
 def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
@@ -253,17 +242,17 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     separations. The paper's own Figure 7 mixture is not recorded here; this
     one is built from that premise. The true mixture parameters are pushed
     through both maps; PCA is fit on a fresh sample. The mixture, the sample
-    and the projection draw from disjoint streams (`fig7_streams`). Returns
+    and the projection draw from the seed's children 0, 1 and 2. Returns
     (pca_table, rp_table), each k x k.
 
     The tables are computed on one BLAS thread, as inside every body: the
     last bits of PCA's Gram product depend on the thread count.
     """
-    streams = fig7_streams(seed)
-    mix, _ = long_axis_mixture(n, k, c, E, d, streams["truth"])
-    data = sample(mix, samples, streams["sample"])
+    s_truth, s_sample, s_proj = _seed_children(seed, 3)
+    mix, _ = long_axis_mixture(n, k, c, E, d, s_truth)
+    data = sample(mix, samples, s_sample)
     pca_map = pca(data, d)
-    rp_map = random_orthonormal(n, d, streams["projection"])
+    rp_map = random_orthonormal(n, d, s_proj)
     projected = [project_mixture(proj, mix) for proj in (pca_map, rp_map)]
     return tuple(_separations(p.means, _radii(p)) for p in projected)
 
@@ -315,7 +304,7 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
 def _pca_collapse_trial(seed, mix, samples):
     n, k = mix.dim, mix.k
     original_min = mixture_separation(mix)
-    s_sample, s_proj = _trial_seeds(seed, 2)
+    s_sample, s_proj = _seed_children(seed, 2)
     data = sample(mix, samples, s_sample)
     d_rp = _log_dim(k, n)
     cases = (
@@ -359,7 +348,7 @@ def em_compare_trial(
     that is empty when the hybrid lifts its soft labels) is scored as an
     unsuccessful run with -inf test log-likelihood, never dropped.
     """
-    s_sample, s_test, s_fit = _trial_seeds(seed, 3)
+    s_sample, s_test, s_fit = _seed_children(seed, 3)
     truth = make_mixture(
         MixtureSpec(n=n, k=k, c=c, E=E, covariance_mode=mode, seed=seed)
     )
@@ -497,8 +486,8 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     instances, capping accuracy below 1 so the accuracy-vs-d curve shows a
     genuine plateau rather than a trivially perfect one.
     """
-    from .synthesis import packed_centers
-
+    if not _is_int_at_least(base_seed, 0):  # the `[base_seed, 9]` entropy below needs an int
+        raise InvalidParameterError(f"base_seed must be an int >= 0, got {base_seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(base_seed), 9]))
     roots = np.maximum(E * spectrum_decay ** np.arange(n), 1.0)
     covs = []
@@ -510,7 +499,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     mix = _checked_mixture(
         np.full(num_classes, 1.0 / num_classes), centers, covs, np.arange(num_classes)
     )
-    s_train, s_test = _trial_seeds(base_seed, 2)
+    s_train, s_test = _seed_children(base_seed, 2)
 
     def draw(size, seed):
         draw_rng = np.random.default_rng(seed)

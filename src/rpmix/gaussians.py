@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from numbers import Integral, Real
 
 import numpy as np
@@ -61,6 +61,30 @@ def _is_int(value):
 def _is_real(value):
     """Whether `value` is a real number (numpy's included), not a bool."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _seed_sequence(seed, name="seed"):
+    """The one way a seed enters the library. An int >= 0 (a numpy integer
+    included) becomes the SeedSequence that `default_rng` would make of it;
+    a SeedSequence passes as it is, not copied. Anything else raises
+    InvalidParameterError naming `name`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameterError(f"{name} must be an int >= 0 or a SeedSequence, got {seed!r}")
+    return np.random.SeedSequence(seed)
+
+
+def _seed_children(seed, count):
+    """The first `count` children of `seed`, one stream per role: child i
+    extends the spawn key by i, as `SeedSequence.spawn` does on a fresh
+    sequence. Nothing is spawned from the caller's object, so one seed always
+    gives the same children (NumPy NEP 19)."""
+    ss = _seed_sequence(seed)
+    return [
+        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i), pool_size=ss.pool_size)
+        for i in range(count)
+    ]
 
 
 def _frozen(a):
@@ -396,17 +420,22 @@ def _radii(m: Mixture) -> np.ndarray:
 
 def _separations(means, radii) -> np.ndarray:
     """The table of ||mu_i - mu_j|| / max(r_i, r_j) over the rows of `means`,
-    zero on the diagonal: one norm per pair."""
+    zero on the diagonal, one row of differences at a time. Each squared
+    norm is the `ddot` of a difference with itself that `np.linalg.norm`
+    runs, here from one stacked `matmul` per row."""
+    means = np.asarray(means, dtype=float)
     out = np.zeros((len(means), len(means)))
-    for i, j in combinations(range(len(means)), 2):
-        a, b, denom = means[i], means[j], max(radii[i], radii[j])
+    for i in range(len(means) - 1):
         with np.errstate(over="ignore"):
-            dist = np.linalg.norm(a - b)
-        if not np.isfinite(dist):  # the squares overflowed: rescale by the largest coordinate
+            d = means[i + 1:] - means[i]
+            dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        denom = np.maximum(radii[i + 1:], radii[i])
+        row = dist / denom
+        for j in np.flatnonzero(~np.isfinite(dist)):  # the squares overflowed: rescale
+            a, b = means[i], means[i + 1 + j]
             scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-            out[i, j] = out[j, i] = scale / denom * np.linalg.norm(a / scale - b / scale)
-        else:
-            out[i, j] = out[j, i] = dist / denom
+            row[j] = scale / denom[j] * np.linalg.norm(a / scale - b / scale)
+        out[i, i + 1:] = out[i + 1:, i] = row
     return out
 
 
@@ -442,7 +471,7 @@ def _labelled_draw(m: Mixture, count: int, rng):
 
 def sample(m: Mixture, count: int, seed) -> np.ndarray:
     """Draw `count` i.i.d. points from the mixture; deterministic in `seed`."""
-    return _labelled_draw(m, count, np.random.default_rng(seed))[1]
+    return _labelled_draw(m, count, np.random.default_rng(_seed_sequence(seed)))[1]
 
 
 def norm_tail_bound(n: int, eps: float) -> float:

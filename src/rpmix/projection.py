@@ -28,7 +28,8 @@ from .errors import (
     ParseError,
 )
 from .gaussians import (
-    Gaussian, Mixture, _as_float_array, _checked_mixture, _frozen, _is_int, _load_document
+    Gaussian, Mixture, _as_float_array, _checked_mixture, _frozen, _is_int, _load_document,
+    _seed_sequence,
 )
 
 ORTHONORMALITY_TOL = 1e-9
@@ -91,7 +92,7 @@ def random_orthonormal(n: int, d: int, seed) -> ProjectionMatrix:
     """Rows spanning a Haar-random d-dimensional subspace of R^n: the rows of
     a d x n N(0,1) draw, orthonormalized as Gram-Schmidt would, by QR."""
     _check_target_dim(d, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     rows = _haar_orthogonal(rng.standard_normal((d, n)).T).T
     return ProjectionMatrix(rows, ProjectionKind.ORTHONORMAL_RP)
 
@@ -103,7 +104,7 @@ def random_uniform(n: int, d: int, seed) -> ProjectionMatrix:
     generator; no orthonormalization is performed.
     """
     _check_target_dim(d, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     entries = rng.uniform(-1.0, 1.0, size=(d, n)) * np.sqrt(3.0 / n)
     return ProjectionMatrix(entries, ProjectionKind.UNIFORM_RP)
 

@@ -22,7 +22,9 @@ from .errors import (
     TooManyComponentsError,
     _ParameterEnum,
 )
-from .gaussians import Mixture, _as_float_array, _checked_mixture, _is_int, _is_real
+from .gaussians import (
+    Mixture, _as_float_array, _checked_mixture, _is_int, _is_real, _seed_children, _seed_sequence
+)
 from .projection import _haar_orthogonal, random_orthonormal
 
 
@@ -52,8 +54,7 @@ class MixtureSpec:
             raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E!r}")
         if not _is_real(self.c) or not 0 <= self.c < np.inf:
             raise InvalidParameterError(f"separation must be finite and >= 0, got {self.c!r}")
-        if not (_is_int(self.seed) and self.seed >= 0 or isinstance(self.seed, np.random.SeedSequence)):
-            raise InvalidParameterError(f"seed must be an int >= 0 or a SeedSequence, got {self.seed!r}")
+        _seed_sequence(self.seed)  # raises InvalidParameterError on a bad seed
 
 
 def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.ndarray:
@@ -66,7 +67,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     """
     _check_sizes(n=n)
     mode = CovarianceMode(mode)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     if E == 1.0 or mode is CovarianceMode.SPHERICAL_SHARED:
         if E != 1.0:
             raise BadDimsError("spherical mode requires E = 1")
@@ -112,6 +113,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     is rounded. A distance off by over 1e-6 relative raises PackingError.
     """
     _check_sizes(k=k, n=n)
+    seed = _seed_sequence(seed)
     if not _is_real(c) or not 0 < c < np.inf:
         raise BadSeparationError(f"separation c must be finite and > 0, got {c!r}")
     if k > n + 1:
@@ -152,7 +154,7 @@ def mixing_weights(k: int, seed) -> np.ndarray:
     """Near-uniform weights: i.i.d. uniform on [1/2k, 3/2k], renormalized."""
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_sequence(seed))
     w = rng.uniform(1.0 / (2 * k), 3.0 / (2 * k), size=k)
     return w / w.sum()
 
@@ -174,17 +176,15 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
     between-center scatter). The built mixture is checked for that, and
     BadSeparationError is raised when (n, k, c, E, d) cannot meet it.
 
-    `seed` is an int or a SeedSequence; the axes, centers, weights and each
-    covariance draw from their own children of it. Returns (mixture,
+    `seed` is an int >= 0 or a SeedSequence; the axes, centers, weights and
+    each covariance draw from their own children of it. Returns (mixture,
     long_axes), the latter the sorted indices of the shared long axes.
     """
     _check_sizes(n=n, k=k, d=d)
     if not 1 <= d <= n - 2:
         raise BadDimsError(f"need 1 <= d <= n - 2 long axes, got d={d}, n={n}")
     _check_eccentricity(E, n)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    axes_seed, center_seed, weight_seed, *cov_seeds = seed.spawn(k + 3)
+    axes_seed, center_seed, weight_seed, *cov_seeds = _seed_children(seed, k + 3)
     long_axes = np.sort(
         np.random.default_rng(axes_seed).choice(n, size=d, replace=False)
     )
@@ -219,8 +219,7 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
 
 def make_mixture(spec: MixtureSpec) -> Mixture:
     """Assemble the full synthetic mixture described by `spec`."""
-    ss = spec.seed if isinstance(spec.seed, np.random.SeedSequence) else np.random.SeedSequence(spec.seed)
-    cov_seeds, center_seed, weight_seed = ss.spawn(spec.k), *ss.spawn(2)
+    *cov_seeds, center_seed, weight_seed = _seed_children(spec.seed, spec.k + 2)
     mode = spec.covariance_mode
     if mode in (CovarianceMode.SPHERICAL_SHARED, CovarianceMode.FULL_SHARED):
         cov_seeds = cov_seeds[:1]

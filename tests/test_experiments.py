@@ -25,7 +25,6 @@ from rpmix.experiments import (
     fig4_body,
     fig5_body,
     fig6_body,
-    fig7_streams,
     fig7_tables,
     fig8_body,
     fig9_body,
@@ -34,7 +33,25 @@ from rpmix.experiments import (
     surrogate_digit_data,
 )
 from rpmix.em import CovarianceRestriction
+from rpmix.gaussians import _seed_children
 from rpmix.synthesis import CovarianceMode, long_axis_mixture
+
+
+def record_streams(monkeypatch):
+    """The list that every later `np.random.default_rng` call appends its
+    stream's `generate_state(4)` to. States, not (entropy, spawn_key): the
+    keys of SeedSequence([7, 0]) and SeedSequence(7) differ, their streams
+    do not."""
+    seen = []
+    real = np.random.default_rng
+
+    def recording(seed=None):
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seen.append(tuple(ss.generate_state(4).tolist()))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return seen
 
 
 def rows_of_type(path, row_type):
@@ -214,7 +231,7 @@ class TestPcaVsRp:
     def test_mixture_premise_pca_keeps_long_axes(self):
         n, k, c, E, d = 100, 5, 0.5, 1000.0, 10
         # The mixture fig7_tables(0) projects.
-        mix, long_axes = long_axis_mixture(n, k, c, E, d, fig7_streams(0)["truth"])
+        mix, long_axes = long_axis_mixture(n, k, c, E, d, _seed_children(0, 3)[0])
         short_axes = np.setdiff1d(np.arange(n), long_axes)
         covs = np.array([g.covariance for g in mix.components])
         means = mix.means
@@ -244,27 +261,57 @@ class TestPcaVsRp:
             long_axis_mixture(100, 5, 2.0, 1000.0, 10, 0)
 
     def test_consumers_draw_from_distinct_streams(self, monkeypatch):
-        seen = []
-        real = np.random.default_rng
-
-        def recording(seed=None):
-            ss = (
-                seed
-                if isinstance(seed, np.random.SeedSequence)
-                else np.random.SeedSequence(seed)
-            )
-            entropy = tuple(np.atleast_1d(ss.entropy).tolist())
-            seen.append((entropy, ss.spawn_key))
-            return real(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", recording)
+        seen = record_streams(monkeypatch)
         fig7_tables(4)
         # Three roles and, inside the truth stream, one per covariance.
         assert len(seen) >= 3 + 5
         assert len(set(seen)) == len(seen)
-        streams = fig7_streams(4)
-        for role in ("sample", "projection"):
-            assert ((4,), streams[role].spawn_key) in seen
+        for role in _seed_children(4, 3)[1:]:  # the sample and the projection
+            assert tuple(role.generate_state(4).tolist()) in seen
+
+
+# The four derivations that share a stream, pinned until ROADMAP item 3.
+COLLIDE_EM = (
+    "ROADMAP item 3: em_compare_trial seeds its truth with the trial seed, so the "
+    "first covariance's stream is the sample's, and rp_em gives one seed to both "
+    "its projection and its init, the stream of plain EM's init"
+)
+COLLIDE_DIGITS = (
+    "ROADMAP item 3: train's class-0 init stream, SeedSequence([seed, 0]), is its "
+    "projection stream SeedSequence(seed), and class 9's at the base seed is the "
+    "surrogate's SeedSequence([b, 9])"
+)
+
+# body -> one run at a small size, one grid point and two trials: the grid
+# points of a body share their trial seeds on purpose.
+SMALL_BODIES = {
+    "fig3": lambda: fig3_body(0, trials=2, n_values=(20,), d=5, threads=1),
+    "fig4": lambda: fig4_body(0, trials=2, k_values=(3,), n=20),
+    "fig5": lambda: fig5_body(0, trials=2, E_values=(50,), n_values=(25,)),
+    "fig6": lambda: fig6_body(0, trials=2, n=10, E=10.0, d_values=(5,)),
+    "fig7": lambda: experiments.fig7_body(0, trials=2, n=30, k=3, d=5, samples=100, threads=1),
+    "pca-collapse": lambda: pca_collapse_body(0, k=4, samples=200),
+    "fig8": pytest.param(
+        lambda: fig8_body(0, trials=2, n_values=(10,), threads=1, k=2, d=3, train_size=200, test_size=50),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=COLLIDE_EM),
+    ),
+    "second-em": pytest.param(
+        lambda: experiments.second_em_body(0, trials=2, n=30, threads=1),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=COLLIDE_EM),
+    ),
+    "fig9": pytest.param(
+        lambda: fig9_body(0, trials=2, d_values=(5,), threads=1),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=COLLIDE_DIGITS),
+    ),
+}
+
+
+@pytest.mark.parametrize("body", SMALL_BODIES.values(), ids=SMALL_BODIES.keys())
+def test_every_stream_of_a_body_run_is_distinct(monkeypatch, body):
+    seen = record_streams(monkeypatch)
+    body()
+    assert len(seen) >= 2
+    assert len(set(seen)) == len(seen)
 
 
 class TestPcaCollapse:

@@ -276,6 +276,22 @@ class TestSpectralSummary:
             assert s.eccentricity >= 1.0
 
 
+def per_pair_separations(means, radii):
+    """The separation table one `np.linalg.norm` per pair, rescaled by the
+    larger coordinate where the squares overflow."""
+    out = np.zeros((len(means), len(means)))
+    for i, j in combinations(range(len(means)), 2):
+        a, b, denom = means[i], means[j], max(radii[i], radii[j])
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(a - b)
+        if not np.isfinite(dist):
+            scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+            out[i, j] = out[j, i] = scale / denom * np.linalg.norm(a / scale - b / scale)
+        else:
+            out[i, j] = out[j, i] = dist / denom
+    return out
+
+
 class TestSeparation:
     def test_radius_spherical(self):
         g = Gaussian(np.zeros(9), 4.0 * np.eye(9))
@@ -327,6 +343,21 @@ class TestSeparation:
         g2 = Gaussian([1e150, -3e149, 7e149], 2.0 * np.eye(3))
         expected = np.linalg.norm(g1.mean - g2.mean) / np.sqrt(6.0)
         assert pairwise_separation(g1, g2) == expected
+
+    @pytest.mark.parametrize("k", [2, 5, 50, 300])
+    def test_table_matches_the_per_pair_norms(self, k):
+        rng = np.random.default_rng(k)
+        means = rng.standard_normal((k, 40)) * np.exp(rng.uniform(-3, 3, size=(k, 1)))
+        radii = np.exp(rng.uniform(-3, 3, size=k))
+        assert np.array_equal(gaussians._separations(means, radii), per_pair_separations(means, radii))
+
+    def test_table_rescales_the_pairs_that_overflow(self):
+        means = np.array([[0.0, 0.0], [1e200, 1e200], [3.0, 4.0]])
+        radii = np.array([1.0, 2.0, 0.5])
+        table = gaussians._separations(means, radii)
+        assert np.array_equal(table, per_pair_separations(means, radii))
+        assert table[0, 1] == pytest.approx(np.sqrt(2.0) * 1e200 / 2.0, rel=1e-15)
+        assert table[0, 2] == 5.0
 
     def test_mixture_separation_is_min_pair(self):
         g1 = Gaussian(np.zeros(2), np.eye(2))

@@ -4,15 +4,17 @@ anything. A non-numeric or ragged array ends in an InvalidParameterError
 naming the argument, a bad parameter value in an RpmixError, a malformed
 mixture or projection file in a ParseError naming the file, any other error
 from a file's content in its own type naming the file, a non-integer size
-argument in an InvalidParameterError naming it, a `tol` that is not a finite
-real >= 0 in an InvalidParameterError, a separation or eccentricity that is
-not a finite real in an RpmixError, a covariance that overflows from finite
-input in a NonFiniteError naming the covariance, data whose centering
-overflows in PCA in a NonFiniteError, and an object that keeps an array
-argument leaves the caller's array writable."""
+argument in an InvalidParameterError naming it, a seed that is neither an
+int >= 0 nor a SeedSequence in an InvalidParameterError naming the seed, a
+`tol` that is not a finite real >= 0 in an InvalidParameterError, a
+separation or eccentricity that is not a finite real in an RpmixError, a
+covariance that overflows from finite input in a NonFiniteError naming the
+covariance, data whose centering overflows in PCA in a NonFiniteError, and
+an object that keeps an array argument leaves the caller's array writable."""
 
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,13 +50,14 @@ from rpmix.errors import (
     ParseError,
     RpmixError,
 )
-from rpmix.experiments import fig4_body
+from rpmix.experiments import fig4_body, surrogate_digit_data
 from rpmix.gaussians import _as_float_array, _checked_mixture, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
     ProjectionMatrix,
     load_projection,
     random_orthonormal,
+    random_uniform,
 )
 from rpmix.synthesis import (
     MixtureSpec,
@@ -174,6 +177,25 @@ INVALID = {
     "long_axis_mixture-E-str": lambda: long_axis_mixture(8, 2, 1.0, "2", 2, 0),
 }
 
+# function -> call with a seed, valid but for the seed
+SEEDED = {
+    "sample": lambda seed: sample(MODEL, 5, seed),
+    "random_orthonormal": lambda seed: random_orthonormal(4, 2, seed),
+    "random_uniform": lambda seed: random_uniform(4, 2, seed),
+    "eccentric_covariance": lambda seed: eccentric_covariance(3, 2.0, "rotated-distinct", seed),
+    "packed_centers": lambda seed: packed_centers(2, 3, 1.0, [1.0, 1.0], seed),
+    "mixing_weights": lambda seed: mixing_weights(3, seed),
+    "init_params": lambda seed: init_params(DATA, 2, FULL, seed),
+    "run_em": lambda seed: run_em(DATA, 2, FULL, seed),
+    "rp_em": lambda seed: rp_em(DATA, 2, 2, FULL, seed),
+    "long_axis_mixture": lambda seed: long_axis_mixture(100, 5, 0.5, 1000.0, 10, seed),
+    "train": lambda seed: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=2, seed=seed),
+}
+BAD_SEEDS = (-1, "abc", 1.5)
+INVALID.update(
+    (f"{name}-seed-{bad}", partial(call, bad)) for name, call in SEEDED.items() for bad in BAD_SEEDS
+)
+
 
 @pytest.mark.parametrize("case", sorted(INVALID))
 def test_invalid_parameter_is_typed(case):
@@ -191,6 +213,32 @@ def test_mixture_names_the_component_that_is_not_a_gaussian(components, index):
 def test_mixture_spec_seed_is_an_int_or_a_seed_sequence(seed):
     with pytest.raises(InvalidParameterError, match=r"^seed must be an int >= 0 or a SeedSequence, got "):
         MixtureSpec(n=5, k=2, c=1.0, seed=seed)
+
+
+@pytest.mark.parametrize("function", sorted(SEEDED))
+def test_seed_error_names_the_seed(function):
+    with pytest.raises(InvalidParameterError, match=r"^seed must be an int >= 0"):
+        SEEDED[function]("abc")
+
+
+# The `[seed, ...]` entropy of these two takes an int, not a SeedSequence.
+INT_SEEDED = {
+    "train": ("seed", SEEDED["train"]),
+    "surrogate_digit_data": ("base_seed", surrogate_digit_data),
+}
+
+
+@pytest.mark.parametrize("function", sorted(INT_SEEDED))
+def test_int_only_seed_rejects_a_seed_sequence(function):
+    name, call = INT_SEEDED[function]
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be an int >= 0, got SeedSequence"):
+        call(np.random.SeedSequence(3))
+
+
+def test_a_numpy_int_or_seed_sequence_seed_draws_as_its_int():
+    drawn = sample(MODEL, 5, 3)
+    assert np.array_equal(sample(MODEL, 5, np.int64(3)), drawn)
+    assert np.array_equal(sample(MODEL, 5, np.random.SeedSequence(3)), drawn)
 
 
 def test_mixture_spec_takes_a_seed_sequence():

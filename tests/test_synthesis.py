@@ -232,6 +232,29 @@ class TestMakeMixture:
         )
         assert mixture_to_dict(make_mixture(spec)) == mixture_to_dict(make_mixture(spec))
 
+    def test_seed_sequence_seed_replays(self):
+        # The streams are children of the seed, not spawned from it, so a
+        # second call with the same SeedSequence builds the same mixture.
+        spec = MixtureSpec(
+            n=15, k=3, c=0.9, E=5.0,
+            covariance_mode=CovarianceMode.ROTATED_DISTINCT, seed=np.random.SeedSequence(11),
+        )
+        first, second = make_mixture(spec), make_mixture(spec)
+        assert np.array_equal(first.means, second.means)
+        for a, b in zip(first.components, second.components):
+            assert np.array_equal(a.covariance, b.covariance)
+        assert mixture_to_dict(first) == mixture_to_dict(make_mixture(MixtureSpec(
+            n=15, k=3, c=0.9, E=5.0, covariance_mode=CovarianceMode.ROTATED_DISTINCT, seed=11,
+        )))
+
+    def test_long_axis_mixture_seed_sequence_seed_replays(self):
+        ss = np.random.SeedSequence(4)
+        (first, axes), (second, again) = (long_axis_mixture(40, 3, 0.5, 100.0, 5, ss) for _ in range(2))
+        assert np.array_equal(axes, again)
+        assert np.array_equal(first.means, second.means)
+        for a, b in zip(first.components, second.components):
+            assert np.array_equal(a.covariance, b.covariance)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MixtureSpec(n=10, k=1, c=1.0)
