@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, _model_data, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _is_int, _read_csv, _separations
+from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_seed, _read_csv, _separations
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -117,8 +117,7 @@ def train(
     fit in the projected space; no high-dimensional parameters are kept.
     """
     _check_no_empty_class(data)
-    if not _is_int(seed) or seed < 0:  # the `[seed, cls]` entropy below needs an int
-        raise InvalidParameterError(f"seed must be an int >= 0, got {seed!r}")
+    seed = _int_seed(seed, "seed")
     num_classes = data.num_classes
     proj = random_orthonormal(data.dim, d, seed)
     projected = project_data(proj, data.points)
@@ -135,7 +134,7 @@ def train(
             cls_points,
             per_class_k,
             CovarianceRestriction.SHARED_FULL,
-            np.random.SeedSequence([int(seed), cls]),
+            np.random.SeedSequence([seed, cls]),
             tol=tol,
             max_iter=max_iter,
         )

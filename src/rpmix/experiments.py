@@ -47,6 +47,7 @@ from .errors import (
 from .gaussians import (
     FLOAT_FMT,
     _checked_mixture,
+    _int_seed,
     _is_int,
     _labelled_draw,
     _radii,
@@ -486,9 +487,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     instances, capping accuracy below 1 so the accuracy-vs-d curve shows a
     genuine plateau rather than a trivially perfect one.
     """
-    if not _is_int_at_least(base_seed, 0):  # the `[base_seed, 9]` entropy below needs an int
-        raise InvalidParameterError(f"base_seed must be an int >= 0, got {base_seed!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(base_seed), 9]))
+    rng = np.random.default_rng(np.random.SeedSequence([_int_seed(base_seed, "base_seed"), 9]))
     roots = np.maximum(E * spectrum_decay ** np.arange(n), 1.0)
     covs = []
     for _ in range(num_classes):

@@ -63,16 +63,26 @@ def _is_real(value):
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _seed_sequence(seed, name="seed"):
+def _seed_sequence(seed):
     """The one way a seed enters the library. An int >= 0 (a numpy integer
     included) becomes the SeedSequence that `default_rng` would make of it;
     a SeedSequence passes as it is, not copied. Anything else raises
-    InvalidParameterError naming `name`."""
+    InvalidParameterError."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     if not _is_int(seed) or seed < 0:
-        raise InvalidParameterError(f"{name} must be an int >= 0 or a SeedSequence, got {seed!r}")
+        raise InvalidParameterError(f"seed must be an int >= 0 or a SeedSequence, got {seed!r}")
     return np.random.SeedSequence(seed)
+
+
+def _int_seed(seed, name):
+    """`seed` as a Python int, for the two derivations that put it in
+    `[seed, ...]` entropy (`classifier.train`, `experiments.surrogate_digit_data`;
+    ROADMAP item 3 replaces both). A SeedSequence or anything but an
+    int >= 0 raises InvalidParameterError naming `name`."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameterError(f"{name} must be an int >= 0, got {seed!r}")
+    return int(seed)
 
 
 def _seed_children(seed, count):
