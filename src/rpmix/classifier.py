@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, _model_data, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_seed, _read_csv, _separations
+from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_at_least, _read_csv, _separations
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -117,7 +117,7 @@ def train(
     fit in the projected space; no high-dimensional parameters are kept.
     """
     _check_no_empty_class(data)
-    seed = _int_seed(seed, "seed")
+    seed = _int_at_least(seed, "seed", 0)
     num_classes = data.num_classes
     proj = random_orthonormal(data.dim, d, seed)
     projected = project_data(proj, data.points)

@@ -51,7 +51,7 @@ from .gaussians import (
     Mixture,
     _as_float_array,
     _checked_inverse,
-    _is_int,
+    _int_at_least,
     _is_real,
     _log_normalizer,
     _quad_forms,
@@ -268,8 +268,7 @@ def _init_params(data, k, restriction, seed) -> Mixture:
     """`init_params` on gated data: one spherical factor per distinct
     initial variance."""
     m, n = data.shape
-    if not _is_int(k) or k < 1:
-        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+    k = _int_at_least(k, "k", 1)
     if m < k:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
     rng = np.random.default_rng(_seed_sequence(seed))
@@ -348,8 +347,7 @@ def run_em(
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
-    if not _is_int(max_iter) or max_iter < 0:
-        raise InvalidParameterError(f"max_iter must be an int >= 0, got {max_iter!r}")
+    max_iter = _int_at_least(max_iter, "max_iter", 0)
     if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)

@@ -40,15 +40,13 @@ from .errors import (
     ConfigError,
     EmptyComponentError,
     IllConditionedError,
-    InvalidParameterError,
     MissingDataError,
     NotPositiveDefiniteError,
 )
 from .gaussians import (
     FLOAT_FMT,
     _checked_mixture,
-    _int_seed,
-    _is_int,
+    _int_at_least,
     _labelled_draw,
     _radii,
     _seed_children,
@@ -148,8 +146,7 @@ def _report(group_columns, metric_columns, measurements) -> ExperimentReport:
 
 def _log_dim(k, n):
     """The paper's target dimension for k components, 10 ln k, kept in [1, n]."""
-    if not _is_int(k) or k < 2:
-        raise InvalidParameterError(f"k must be an int >= 2, got {k!r}")
+    k = _int_at_least(k, "k", 2)
     return max(1, min(int(round(10.0 * math.log(k))), n))
 
 
@@ -288,6 +285,7 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
     k/2 - 1 dims drops (roughly) the weakest axis; random projection and
     full-rank PCA keep all pairs separated.
     """
+    k = _int_at_least(k, "k", 1)
     if k % 2 != 0:
         raise BadDimsError("k must be even")
     n = k // 2
@@ -356,41 +354,33 @@ def em_compare_trial(
     train_data = sample(truth, train_size, s_sample)
     test_data = sample(truth, test_size, s_test)
 
-    row = {"n": n, "seed": seed}
-    try:
-        reg = run_em(train_data, k, restriction, s_fit)
-        row["reg_success"] = centers_recovered(reg.model, truth)[0]
-        row["reg_iterations"] = reg.iterations
-        row["reg_test_loglik"] = test_loglik(reg.model, test_data)
-        row["reg_failed"] = False
-    except FIT_FAILURES:
-        row.update(
-            reg_success=False,
-            reg_iterations=0,
-            reg_test_loglik=-np.inf,
-            reg_failed=True,
-        )
-    try:
+    def plain():
+        fit = run_em(train_data, k, restriction, s_fit)
+        return fit.model, fit.iterations
+
+    def hybrid():  # scored in R^n, its iterations counted in R^d
         fit_high, _, fit_low = rp_em(train_data, k, d, restriction, s_fit)
-        row["rp_success"] = centers_recovered(fit_high.model, truth)[0]
-        row["rp_low_iterations"] = fit_low.iterations
-        row["rp_test_loglik"] = test_loglik(fit_high.model, test_data)
-        row["rp_failed"] = False
-    except FIT_FAILURES:
-        row.update(
-            rp_success=False,
-            rp_low_iterations=0,
-            rp_test_loglik=-np.inf,
-            rp_failed=True,
-        )
-    a, b = row["rp_test_loglik"], row["reg_test_loglik"]
+        return fit_high.model, fit_low.iterations
+
+    reg, rp = _scored_fit(plain, truth, test_data), _scored_fit(hybrid, truth, test_data)
+    a, b = rp[2], reg[2]
     if np.isfinite(a) and np.isfinite(b):
         matched = abs(a - b) <= 1e-9 * max(abs(a), abs(b))
     else:
         matched = a == b
-    row["exact_match"] = matched
-    row["rp_beats"] = (not matched) and a > b
-    return row
+    metrics = (*reg, *rp, matched, (not matched) and a > b)
+    return {"n": n, "seed": seed, **dict(zip(EM_COMPARE_METRICS, metrics))}
+
+
+def _scored_fit(fit, truth, test_data):
+    """(success, iterations, test log-likelihood, failed) of `fit()`, which
+    returns a fitted model and its iteration count. A fit that raises one of
+    FIT_FAILURES scores (False, 0, -inf, True)."""
+    try:
+        model, iterations = fit()
+        return centers_recovered(model, truth)[0], iterations, test_loglik(model, test_data), False
+    except FIT_FAILURES:
+        return False, 0, -np.inf, True
 
 
 EM_COMPARE_METRICS = (
@@ -444,9 +434,9 @@ def _pooled_trial(task):
     return worker(task, *shared)
 
 
-def _em_trial_star(args):
-    n, seed, params = args
-    return em_compare_trial(n, seed, **params)
+def _em_trial(task, overrides):
+    n, seed = task
+    return em_compare_trial(n, seed, **overrides)
 
 
 @single_blas_thread()
@@ -456,10 +446,8 @@ def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=None,
     `overrides` are passed on to `em_compare_trial`. `threads` is the number
     of worker processes, None for one per core (see `_run_trials`).
     """
-    args = [
-        (n, base_seed + t, overrides) for n in n_values for t in range(trials)
-    ]
-    rows = _run_trials(_em_trial_star, args, threads)
+    tasks = [(n, base_seed + t) for n in n_values for t in range(trials)]
+    rows = _run_trials(_em_trial, tasks, threads, (overrides,))
     return _report(("n",), EM_COMPARE_METRICS, rows)
 
 
@@ -487,7 +475,8 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     instances, capping accuracy below 1 so the accuracy-vs-d curve shows a
     genuine plateau rather than a trivially perfect one.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_int_seed(base_seed, "base_seed"), 9]))
+    base = _int_at_least(base_seed, "base_seed", 0)
+    rng = np.random.default_rng(np.random.SeedSequence([base, 9]))
     roots = np.maximum(E * spectrum_decay ** np.arange(n), 1.0)
     covs = []
     for _ in range(num_classes):
@@ -572,10 +561,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {sorted(EXPERIMENTS)}"
             )
-        if self.trials is not None and not _is_int_at_least(self.trials, 1):
-            raise ConfigError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not _is_int_at_least(self.base_seed, 0):
-            raise ConfigError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
+        if self.trials is not None:
+            _int_at_least(self.trials, "trials", 1, ConfigError)
+        _int_at_least(self.base_seed, "base_seed", 0, ConfigError)
         if not isinstance(self.overrides, dict):
             raise ConfigError(f"overrides must be a dict, got {self.overrides!r}")
         allowed = EXPERIMENTS[self.experiment][1]
@@ -585,9 +573,7 @@ class ExperimentConfig:
                     f"override {key!r} not valid for {self.experiment}; "
                     f"allowed: {sorted(allowed)}"
                 )
-        threads = self.overrides.get("threads", 1)
-        if not _is_int_at_least(threads, 1):
-            raise ConfigError(f"threads must be an int >= 1, got {threads!r}")
+        _int_at_least(self.overrides.get("threads", 1), "threads", 1, ConfigError)
         # A path's default of None says nothing of its type, and `open` reads
         # an int as a file descriptor.
         for key in ("train_path", "test_path"):
@@ -606,10 +592,6 @@ class ExperimentConfig:
                     f"{self.experiment}: override {key!r} must have the type of its "
                     f"default {defaults[key]!r}, got {value!r}"
                 )
-
-
-def _is_int_at_least(value, low):
-    return _is_int(value) and value >= low
 
 
 def _has_type_of(value, default):

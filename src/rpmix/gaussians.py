@@ -75,14 +75,15 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-def _int_seed(seed, name):
-    """`seed` as a Python int, for the two derivations that put it in
-    `[seed, ...]` entropy (`classifier.train`, `experiments.surrogate_digit_data`;
-    ROADMAP item 3 replaces both). A SeedSequence or anything but an
-    int >= 0 raises InvalidParameterError naming `name`."""
-    if not _is_int(seed) or seed < 0:
-        raise InvalidParameterError(f"{name} must be an int >= 0, got {seed!r}")
-    return int(seed)
+def _int_at_least(value, name, low, error=InvalidParameterError):
+    """`value` as a Python int if it is an int >= `low` (a numpy integer
+    included, a bool not); anything else raises `error` naming `name`. The
+    library's integer arguments with a lower bound enter through it, except
+    a sample count, a projection's sizes and a seed, whose messages have
+    another form."""
+    if not _is_int(value) or value < low:
+        raise error(f"{name} must be an int >= {low}, got {value!r}")
+    return int(value)
 
 
 def _seed_children(seed, count):
@@ -485,7 +486,11 @@ def sample(m: Mixture, count: int, seed) -> np.ndarray:
 
 
 def norm_tail_bound(n: int, eps: float) -> float:
-    """Upper bound 2 exp(-n eps^2 / 24) on P(| ||X||^2/n - 1 | > eps), X ~ N(0, I_n)."""
+    """Upper bound 2 exp(-n eps^2 / 24) on P(| ||X||^2/n - 1 | > eps), X ~ N(0, I_n),
+    for an int n >= 1 and a finite real eps > 0."""
+    n = _int_at_least(n, "n", 1)
+    if not _is_real(eps) or not 0 < eps < np.inf:
+        raise InvalidParameterError(f"eps must be a finite real > 0, got {eps!r}")
     return 2.0 * np.exp(-n * eps * eps / 24.0)
 
 
@@ -547,8 +552,13 @@ def load_mixture(path) -> Mixture:
 
 
 def save_dataset(points, path, header=None):
-    """Write one point per CSV row at full double precision."""
+    """Write one point per CSV row at full double precision, under an
+    optional `header`: one name per column, not a string."""
     points = _as_float_array(points, "points", ndmin=2)
+    if header is not None and (isinstance(header, str) or len(header) != points.shape[1]):
+        raise InvalidParameterError(
+            f"header must be a sequence of {points.shape[1]} column names, got {header!r}"
+        )
     header = "" if header is None else ",".join(header)
     np.savetxt(path, points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.linalg import eigh
@@ -26,6 +25,7 @@ from .errors import (
     NonFiniteError,
     NotEnoughDataError,
     ParseError,
+    _ParameterEnum,
 )
 from .gaussians import (
     Gaussian, Mixture, _as_float_array, _checked_mixture, _frozen, _is_int, _load_document,
@@ -35,7 +35,7 @@ from .gaussians import (
 ORTHONORMALITY_TOL = 1e-9
 
 
-class ProjectionKind(Enum):
+class ProjectionKind(_ParameterEnum):
     ORTHONORMAL_RP = "orthonormal-rp"
     UNIFORM_RP = "uniform-rp"
     PCA = "pca"
@@ -57,6 +57,7 @@ class ProjectionMatrix:
     kind: ProjectionKind
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ProjectionKind(self.kind))
         rows = _as_float_array(self.rows, "rows")
         if rows.ndim != 2:
             raise BadDimsError("projection rows must form a 2-D matrix")

@@ -23,7 +23,8 @@ from .errors import (
     _ParameterEnum,
 )
 from .gaussians import (
-    Mixture, _as_float_array, _checked_mixture, _is_int, _is_real, _seed_children, _seed_sequence
+    Mixture, _as_float_array, _checked_mixture, _int_at_least, _is_real, _seed_children,
+    _seed_sequence,
 )
 from .projection import _haar_orthogonal, random_orthonormal
 
@@ -46,10 +47,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "covariance_mode", CovarianceMode(self.covariance_mode))
-        if not _is_int(self.n) or self.n < 1:
-            raise InvalidParameterError(f"dimension n must be an int >= 1, got {self.n!r}")
-        if not _is_int(self.k) or self.k < 2:
-            raise InvalidParameterError(f"k must be an int >= 2, got {self.k!r}")
+        _int_at_least(self.n, "dimension n", 1)
+        _int_at_least(self.k, "k", 2)
         if not _is_real(self.E) or not 1 <= self.E < np.inf:
             raise InvalidParameterError(f"eccentricity must be finite and >= 1, got {self.E!r}")
         if not _is_real(self.c) or not 0 <= self.c < np.inf:
@@ -65,7 +64,7 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
     them on the diagonal in random order; rotated/full modes conjugate by a
     random orthogonal matrix.
     """
-    _check_sizes(n=n)
+    n = _int_at_least(n, "n", 1)
     mode = CovarianceMode(mode)
     rng = np.random.default_rng(_seed_sequence(seed))
     if E == 1.0 or mode is CovarianceMode.SPHERICAL_SHARED:
@@ -84,13 +83,6 @@ def eccentric_covariance(n: int, E: float, mode: CovarianceMode, seed) -> np.nda
         return np.diag(eigs)
     q = _haar_orthogonal(rng.standard_normal((n, n)))
     return (q * eigs) @ q.T
-
-
-def _check_sizes(**sizes):
-    """Reject a size argument that is not an int >= 1 (numpy integers pass)."""
-    for name, value in sizes.items():
-        if not _is_int(value) or value < 1:
-            raise InvalidParameterError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def _check_eccentricity(E, n):
@@ -112,7 +104,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
     T is scaled by a power of two first, so no square overflows and nothing
     is rounded. A distance off by over 1e-6 relative raises PackingError.
     """
-    _check_sizes(k=k, n=n)
+    k, n = _int_at_least(k, "k", 1), _int_at_least(n, "n", 1)
     seed = _seed_sequence(seed)
     if not _is_real(c) or not 0 < c < np.inf:
         raise BadSeparationError(f"separation c must be finite and > 0, got {c!r}")
@@ -152,8 +144,7 @@ def packed_centers(k: int, n: int, c: float, radii, seed) -> np.ndarray:
 
 def mixing_weights(k: int, seed) -> np.ndarray:
     """Near-uniform weights: i.i.d. uniform on [1/2k, 3/2k], renormalized."""
-    if not _is_int(k) or k < 1:
-        raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+    k = _int_at_least(k, "k", 1)
     rng = np.random.default_rng(_seed_sequence(seed))
     w = rng.uniform(1.0 / (2 * k), 3.0 / (2 * k), size=k)
     return w / w.sum()
@@ -180,7 +171,7 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
     each covariance draw from their own children of it. Returns (mixture,
     long_axes), the latter the sorted indices of the shared long axes.
     """
-    _check_sizes(n=n, k=k, d=d)
+    n, k, d = (_int_at_least(v, name, 1) for v, name in ((n, "n"), (k, "k"), (d, "d")))
     if not 1 <= d <= n - 2:
         raise BadDimsError(f"need 1 <= d <= n - 2 long axes, got d={d}, n={n}")
     _check_eccentricity(E, n)

@@ -16,6 +16,7 @@ from rpmix.errors import (
     ConfigError,
     EmptyComponentError,
     InconsistentWidthError,
+    InvalidParameterError,
     MissingDataError,
 )
 from rpmix.experiments import (
@@ -320,6 +321,11 @@ class TestPcaCollapse:
             pca_collapse_body(0, k=9)
         with pytest.raises(BadDimsError):
             pca_collapse_body(0, k=2)
+
+    @pytest.mark.parametrize("k", [4.0, "4", True, 0])
+    def test_k_that_is_not_a_positive_int_is_an_invalid_parameter(self, k):
+        with pytest.raises(InvalidParameterError, match=rf"^k must be an int >= 1, got {k!r}$"):
+            pca_collapse_body(0, k=k)
 
     def test_collapse_vs_preservation_small_case(self):
         report = pca_collapse_body(0, k=4, samples=4000)

@@ -30,6 +30,7 @@ from rpmix.errors import (
     DimensionMismatchError,
     IllConditionedError,
     InconsistentWidthError,
+    InvalidParameterError,
     NonFiniteError,
     NotPositiveDefiniteError,
     ParseError,
@@ -436,6 +437,16 @@ class TestNormTailBound:
         assert norm_tail_bound(2000, 0.2) < norm_tail_bound(1000, 0.2)
         assert norm_tail_bound(1000, 0.3) < norm_tail_bound(1000, 0.2)
 
+    @pytest.mark.parametrize("n", ["a", -1, 0, 2.5, True])
+    def test_dimension_must_be_an_int_at_least_one(self, n):
+        with pytest.raises(InvalidParameterError, match=rf"^n must be an int >= 1, got {n!r}$"):
+            norm_tail_bound(n, 0.1)
+
+    @pytest.mark.parametrize("eps", ["a", 0.0, -0.1, np.inf, np.nan, True, None])
+    def test_eps_must_be_a_finite_real_above_zero(self, eps):
+        with pytest.raises(InvalidParameterError, match=r"^eps must be a finite real > 0, got "):
+            norm_tail_bound(100, eps)
+
 
 class TestSerialization:
     def test_mixture_round_trip(self, tmp_path):
@@ -478,6 +489,13 @@ class TestSerialization:
         save_dataset(data, path, header=["a", "b", "c"])
         back = load_dataset(path, skip_header=True)
         assert np.array_equal(back, data)
+
+    @pytest.mark.parametrize("header", ["abc", ["a", "b"], ["a", "b", "c", "d"]])
+    def test_dataset_header_needs_one_name_per_column(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        with pytest.raises(InvalidParameterError, match=r"^header must be a sequence of 3 column names"):
+            save_dataset(np.zeros((2, 3)), path, header=header)
+        assert not path.exists()
 
     def test_dataset_text_exact(self, tmp_path):
         data = [[-0.0, 1e-300, np.pi], [1.0, -2.5, 1 / 3]]

@@ -29,6 +29,7 @@ from rpmix import (
     log_density,
     m_step,
     mahalanobis,
+    norm_tail_bound,
     pca,
     project_data,
     rp_em,
@@ -43,6 +44,7 @@ from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
+    ConfigError,
     DimensionMismatchError,
     InvalidParameterError,
     NonFiniteError,
@@ -50,7 +52,7 @@ from rpmix.errors import (
     ParseError,
     RpmixError,
 )
-from rpmix.experiments import fig4_body, surrogate_digit_data
+from rpmix.experiments import ExperimentConfig, fig4_body, pca_collapse_body, surrogate_digit_data
 from rpmix.gaussians import _as_float_array, _checked_mixture, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -414,6 +416,65 @@ def test_non_integer_size_is_an_invalid_parameter(case):
     name, call = NON_INTEGER[case]
     with pytest.raises(InvalidParameterError, match=rf"\b{name}\b"):
         call()
+
+
+# site -> (name in the message, least valid value, error type, call with the int)
+INT_GATES = {
+    "train-seed": ("seed", 0, InvalidParameterError, SEEDED["train"]),
+    "surrogate_digit_data-base_seed": (
+        "base_seed", 0, InvalidParameterError,
+        lambda v: surrogate_digit_data(v, n=4, num_classes=2, E=10.0, train_size=10, test_size=10),
+    ),
+    "init_params-k": ("k", 1, InvalidParameterError, lambda v: init_params(DATA, v, FULL, 0)),
+    "run_em-k": ("k", 1, InvalidParameterError, lambda v: run_em(DATA, v, FULL, 0, max_iter=2)),
+    "run_em-max_iter": ("max_iter", 0, InvalidParameterError, lambda v: run_em(DATA, 2, FULL, 0, max_iter=v)),
+    "fig4_body-k": ("k", 2, InvalidParameterError, lambda v: fig4_body(0, trials=1, k_values=(v,), n=10)),
+    "ExperimentConfig-trials": ("trials", 1, ConfigError, lambda v: ExperimentConfig("fig3-sep-vs-n", trials=v)),
+    "ExperimentConfig-base_seed": (
+        "base_seed", 0, ConfigError, lambda v: ExperimentConfig("fig3-sep-vs-n", base_seed=v)
+    ),
+    "ExperimentConfig-threads": (
+        "threads", 1, ConfigError, lambda v: ExperimentConfig("fig3-sep-vs-n", overrides={"threads": v})
+    ),
+    "MixtureSpec-n": ("dimension n", 1, InvalidParameterError, lambda v: MixtureSpec(n=v, k=2, c=1.0)),
+    "MixtureSpec-k": ("k", 2, InvalidParameterError, lambda v: MixtureSpec(n=3, k=v, c=1.0)),
+    "eccentric_covariance-n": (
+        "n", 1, InvalidParameterError, lambda v: eccentric_covariance(v, 1.0, "diagonal-distinct", 0)
+    ),
+    "packed_centers-k": ("k", 1, InvalidParameterError, lambda v: packed_centers(v, 3, 1.0, [1.0], 0)),
+    "packed_centers-n": ("n", 1, InvalidParameterError, lambda v: packed_centers(2, v, 1.0, [1.0, 1.0], 0)),
+    "mixing_weights-k": ("k", 1, InvalidParameterError, lambda v: mixing_weights(v, 0)),
+    "long_axis_mixture-n": ("n", 1, InvalidParameterError, lambda v: long_axis_mixture(v, 5, 0.5, 1000.0, 10, 0)),
+    "long_axis_mixture-k": ("k", 1, InvalidParameterError, lambda v: long_axis_mixture(100, v, 0.5, 1000.0, 10, 0)),
+    "long_axis_mixture-d": ("d", 1, InvalidParameterError, lambda v: long_axis_mixture(100, 5, 0.5, 1000.0, v, 0)),
+    "pca_collapse_body-k": ("k", 1, InvalidParameterError, lambda v: pca_collapse_body(0, k=v, samples=50)),
+    "norm_tail_bound-n": ("n", 1, InvalidParameterError, lambda v: norm_tail_bound(v, 0.5)),
+}
+
+# site -> the error that its least valid value, as a numpy int, meets after the gate
+PAST_THE_GATE = {
+    "long_axis_mixture-n": (BadDimsError, "need 1 <= d <= n - 2 long axes, got d=10, n=1"),
+    "pca_collapse_body-k": (BadDimsError, "k must be even"),
+}
+
+
+@pytest.mark.parametrize("value", ["bool", "float", "below", "numpy-least"])
+@pytest.mark.parametrize("site", sorted(INT_GATES))
+def test_int_gate_keeps_its_type_and_message(site, value):
+    name, low, error, call = INT_GATES[site]
+    if value == "numpy-least":
+        if site not in PAST_THE_GATE:
+            call(np.int64(low))
+            return
+        error, message = PAST_THE_GATE[site]
+        bad = np.int64(low)
+    else:
+        bad = {"bool": True, "float": 2.5, "below": low - 1}[value]
+        message = f"{name} must be an int >= {low}, got {bad!r}"
+    with pytest.raises(error) as info:
+        call(bad)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_numpy_integer_sizes_are_accepted():

@@ -20,8 +20,13 @@ from rpmix import (
     sample,
     save_projection,
 )
-from rpmix.projection import ProjectionKind, ProjectionMatrix
-from rpmix.errors import BadDimsError, DimensionMismatchError, NotEnoughDataError
+from rpmix.projection import ProjectionKind, ProjectionMatrix, projection_to_dict
+from rpmix.errors import (
+    BadDimsError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    NotEnoughDataError,
+)
 
 
 def spherical_pair(n, separation):
@@ -44,6 +49,18 @@ class TestProjectionMatrix:
         with pytest.raises(BadDimsError):
             ProjectionMatrix(rows, ProjectionKind.ORTHONORMAL_RP)
         ProjectionMatrix(rows, ProjectionKind.UNIFORM_RP)  # no constraint
+
+    def test_kind_string_is_converted_before_the_gram_check(self):
+        with pytest.raises(BadDimsError, match="^rows are not orthonormal"):
+            ProjectionMatrix(np.ones((2, 3)), "pca")
+        p = ProjectionMatrix(np.ones((2, 3)), "uniform-rp")
+        assert p.kind is ProjectionKind.UNIFORM_RP
+        assert projection_to_dict(p)["kind"] == "uniform-rp"
+
+    @pytest.mark.parametrize("kind", [None, "bogus"])
+    def test_unknown_kind_is_an_invalid_parameter(self, kind):
+        with pytest.raises(InvalidParameterError, match=r"is not a valid ProjectionKind; choose from"):
+            ProjectionMatrix(np.eye(2), kind)
 
     def test_rows_frozen(self):
         p = random_orthonormal(5, 2, 0)
