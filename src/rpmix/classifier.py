@@ -61,16 +61,24 @@ class ClassMixtureModel:
     class_priors: np.ndarray
 
     def __post_init__(self):
+        per_class = tuple(self.per_class)
         priors = _as_float_array(self.class_priors, "class_priors")
+        if priors.shape != (len(per_class),):
+            raise InvalidParameterError(
+                f"one class prior per class mixture required: {len(per_class)} "
+                f"mixtures, priors of shape {priors.shape}"
+            )
+        if np.any(priors <= 0):
+            raise InvalidParameterError(f"class priors must all be positive, got {priors}")
         if abs(priors.sum() - 1.0) > 1e-9:
             raise InvalidParameterError("class priors must sum to 1")
         d = self.projection.target_dim
-        for mix in self.per_class:
+        for mix in per_class:
             if mix.dim != d:
                 raise DimensionMismatchError(
                     "per-class mixture dimension != projection target dimension"
                 )
-        object.__setattr__(self, "per_class", tuple(self.per_class))
+        object.__setattr__(self, "per_class", per_class)
         object.__setattr__(self, "class_priors", _frozen(priors))
 
 

@@ -19,11 +19,11 @@ the responsibilities and sums to a trace over the data's Gram matrix.
 Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
 the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
-Each fit, and the high-dimensional steps of the hybrid, work in one
-`_Workspace` on their data: it centres the data once and holds the buffers
-of the whitening product and of the M-step's temporaries, so no step
-allocates an m x n array. Responsibilities below the smallest normal double
-are exactly 0 (`_log_normalize`).
+`_fit` is the one EM loop, for `run_em` and the hybrid's high-dimensional
+step; each works in one `_Workspace` on its data: it centres the data once
+and holds the buffers of the whitening product and of the M-step's
+temporaries, so no step allocates an m x n array. Responsibilities below
+the smallest normal double are exactly 0 (`_log_normalize`).
 """
 
 from __future__ import annotations
@@ -352,23 +352,25 @@ def run_em(
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)
     work = _Workspace(data, k, restriction)
+    return _fit(params, data, restriction, work, tol, max_iter, MAX_RESCUES)
+
+
+def _fit(params, data, restriction, work, tol, max_iter, rescues) -> FitResult:
+    """`run_em`'s loop from state `params` on gated `data`, in its `_Workspace`
+    `work`. The first `rescues` empty components move to the worst-explained
+    point; later ones keep their previous parameters."""
     trace = []
-    rescues = 0
-    converged = False
-    iterations = 0
-    for _ in range(max_iter + 1):
+    while True:
         resp, ll = _e_step(params, data, work)
         trace.append(ll)
-        if len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll):
-            converged = True
-            break
-        if iterations == max_iter:
+        converged = len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll)
+        if converged or len(trace) > max_iter:
             break
         try:
             params = _m_step(resp, data, restriction, work=work)
         except EmptyComponentError as exc:
-            if rescues < MAX_RESCUES:
-                rescues += 1
+            if rescues:
+                rescues -= 1
                 lse = _log_normalize(_log_joint(params, data, work))[1]
                 means = params.means.copy()
                 means[exc.indices[0]] = data[int(np.argmin(lse))]
@@ -377,14 +379,8 @@ def run_em(
             else:
                 params = _m_step(resp, data, restriction, params, work)
         except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
-            raise type(exc)(f"iteration {iterations}: {exc}") from exc
-        iterations += 1
-    return FitResult(
-        model=params,
-        iterations=iterations,
-        loglik_trace=np.array(trace),
-        converged=converged,
-    )
+            raise type(exc)(f"iteration {len(trace) - 1}: {exc}") from exc
+    return FitResult(params, len(trace) - 1, np.array(trace), converged)
 
 
 def rp_em(
@@ -414,16 +410,8 @@ def rp_em(
     fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
     resp, _ = _e_step(fit_low.model, low_data)
     work = _Workspace(train, k, restriction)
-    params = _m_step(resp, train, restriction, work=work)
-    resp, ll = _e_step(params, train, work)
-    params = _m_step(resp, train, restriction, params, work)
-    fit_high = FitResult(
-        model=params,
-        iterations=1,
-        loglik_trace=np.array([ll, _e_step(params, train, work)[1]]),
-        converged=False,
-    )
-    return fit_high, proj, fit_low
+    lifted = _m_step(resp, train, restriction, work=work)
+    return _fit(lifted, train, restriction, work, 0.0, 1, 0), proj, fit_low
 
 
 def test_loglik(model: Mixture, test) -> float:

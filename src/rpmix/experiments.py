@@ -462,6 +462,7 @@ def second_em_body(base_seed, trials=100, n=100, threads=None):
 # ---------------------------------------------------------------------------
 # Digit classifier sweep
 
+@single_blas_thread()
 def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
                          train_size=3000, test_size=1000, label_noise=0.05,
                          spectrum_decay=0.8):
@@ -474,6 +475,10 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     eccentric. A small label-noise fraction models intrinsically ambiguous
     instances, capping accuracy below 1 so the accuracy-vs-d curve shows a
     genuine plateau rather than a trivially perfect one.
+
+    It runs on one OpenBLAS thread, so its data depend on the seed alone: at
+    n = 256 the class covariances are products that threads split, and a
+    split sums in another order.
     """
     base = _int_at_least(base_seed, "base_seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence([base, 9]))

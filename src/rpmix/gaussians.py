@@ -9,6 +9,7 @@ apart (using the larger of the two radii).
 from __future__ import annotations
 
 import json
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -553,9 +554,14 @@ def load_mixture(path) -> Mixture:
 
 def save_dataset(points, path, header=None):
     """Write one point per CSV row at full double precision, under an
-    optional `header`: one name per column, not a string."""
+    optional `header`: one string per column, not a string itself."""
     points = _as_float_array(points, "points", ndmin=2)
-    if header is not None and (isinstance(header, str) or len(header) != points.shape[1]):
+    if header is not None and (
+        isinstance(header, str)
+        or not isinstance(header, Collection)
+        or len(header) != points.shape[1]
+        or not all(isinstance(name, str) for name in header)
+    ):
         raise InvalidParameterError(
             f"header must be a sequence of {points.shape[1]} column names, got {header!r}"
         )

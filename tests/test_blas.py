@@ -107,6 +107,17 @@ def test_trials_run_on_one_thread(monkeypatch, two_threads, threads):
     assert thread_counts() == [2] * len(openblas_controls())
 
 
+@needs_openblas
+def test_surrogate_data_depend_only_on_the_seed(two_threads):
+    # n stays at its default 256: products of small matrices may not use threads.
+    threaded = experiments.surrogate_digit_data(0, train_size=50, test_size=10)
+    with single_blas_thread():
+        single = experiments.surrogate_digit_data(0, train_size=50, test_size=10)
+    for a, b in zip(threaded, single):
+        assert numpy.array_equal(a.points, b.points)
+        assert numpy.array_equal(a.labels, b.labels)
+
+
 @pytest.mark.slow
 @needs_openblas
 def test_spawned_worker_runs_on_one_thread():

@@ -185,6 +185,19 @@ class TestDecisionRule:
         right = Mixture([Gaussian([1.0, 0.0], np.eye(2))], [1.0])
         return ClassMixtureModel(proj, (left, right), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "priors",
+        [[0.5, 0.5], [0.2, 0.2, 0.3, 0.3], [1.5, -0.25, -0.25], [0.5, 0.5, 0.0]],
+    )
+    def test_priors_are_one_positive_number_per_class(self, priors):
+        proj = ProjectionMatrix(np.eye(2), ProjectionKind.ORTHONORMAL_RP)
+        per_class = tuple(
+            Mixture([Gaussian([float(c), 0.0], np.eye(2))], [1.0]) for c in range(3)
+        )
+        ClassMixtureModel(proj, per_class, np.full(3, 1 / 3))
+        with pytest.raises(InvalidParameterError, match="class prior"):
+            ClassMixtureModel(proj, per_class, np.array(priors))
+
     def test_tie_goes_to_lower_class(self):
         model = self._symmetric_model()
         assert predict(model, np.array([0.0, 3.0])) == 0

@@ -941,6 +941,58 @@ class TestRpEm:
         assert fit_high.loglik_trace[1] >= fit_high.loglik_trace[0] - 1e-7
         assert fit_low.iterations >= 1
 
+    @staticmethod
+    def _lifted(data, k, d, restriction, seed):
+        """The hybrid's lifted state, built step by step, and a workspace on
+        `data`: the low-dimensional fit's soft labels, one M-step up."""
+        proj = random_orthonormal(data.shape[1], d, seed)
+        low = project_data(proj, data)
+        resp, _ = em._e_step(run_em(low, k, restriction, seed).model, low)
+        work = _Workspace(data, k, restriction)
+        return _m_step(resp, data, restriction, work=work), work
+
+    @pytest.mark.parametrize("restriction", [SHARED, FULL])
+    def test_high_dim_step_is_one_em_step_from_the_lift(self, restriction):
+        data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
+        lifted, work = self._lifted(data, 2, 3, restriction, 2)
+        resp, ll = em._e_step(lifted, data, work)
+        params = _m_step(resp, data, restriction, lifted, work)
+        fit = rp_em(data, 2, 3, restriction, 2)[0]
+        _assert_same_state(fit.model, params)
+        assert np.array_equal(fit.loglik_trace, [ll, em._e_step(params, data, work)[1]])
+        assert fit.iterations == 1 and fit.converged is False
+
+    @pytest.mark.parametrize("restriction", [SHARED, FULL])
+    def test_component_emptied_in_high_dim_step_keeps_its_lifted_state(
+        self, monkeypatch, restriction
+    ):
+        data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
+        lifted, work = self._lifted(data, 2, 3, restriction, 2)
+        e_step, emptied = em._e_step, []
+
+        def emptying(params, points, work=None):
+            # The first high-dimensional E-step gives component 0's mass to 1.
+            resp, ll = e_step(params, points, work)
+            if points.shape[1] == data.shape[1] and not emptied:
+                resp = resp.copy()
+                resp[:, 1] += resp[:, 0]
+                resp[:, 0] = 0.0
+                emptied.append(resp)
+            return resp, ll
+
+        monkeypatch.setattr(em, "_e_step", emptying)
+        fit = rp_em(data, 2, 3, restriction, 2)[0]
+        assert len(emptied) == 1 and fit.iterations == 1
+        # Kept, not rescued: a rescue would move the mean to a data point and
+        # keep the lifted weights.
+        _assert_same_state(fit.model, _m_step(emptied[0], data, restriction, lifted, work))
+        model = fit.model
+        assert np.array_equal(model.means[0], lifted.means[0])
+        assert model.weights[0] == pytest.approx(em.EMPTY_COMPONENT_FRACTION, rel=1e-9)
+        assert np.array_equal(
+            model._chols[model._owner[0]], lifted._chols[lifted._owner[0]]
+        )
+
     def test_deterministic(self):
         data = two_blob_data(m=90, dist=7.0, n=5, seed=18)
         a_high, a_proj, a_low = rp_em(data, 2, 3, FULL, 8)

@@ -490,7 +490,9 @@ class TestSerialization:
         back = load_dataset(path, skip_header=True)
         assert np.array_equal(back, data)
 
-    @pytest.mark.parametrize("header", ["abc", ["a", "b"], ["a", "b", "c", "d"]])
+    @pytest.mark.parametrize(
+        "header", ["abc", ["a", "b"], ["a", "b", "c", "d"], [1, 2, 3], ["a", None, "c"], 5]
+    )
     def test_dataset_header_needs_one_name_per_column(self, tmp_path, header):
         path = tmp_path / "data.csv"
         with pytest.raises(InvalidParameterError, match=r"^header must be a sequence of 3 column names"):

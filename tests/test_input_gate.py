@@ -78,6 +78,8 @@ MODEL = init_params(DATA, 2, FULL, 0)
 G = MODEL.components[0]
 RESP = np.tile([0.5, 0.5], (40, 1))
 PROJ = random_orthonormal(3, 2, 0)
+# One mixture per class prior, in PROJ's target dimension.
+CLASSES = (Mixture([Gaussian(np.zeros(2), np.eye(2))], [1.0]),) * 2
 
 
 def poisoned(a, bad):
@@ -120,7 +122,7 @@ CASES = {
     "LabeledDataset": ("points", lambda b, tmp: LabeledDataset(poisoned(DATA, b), [0] * 40)),
     "ClassMixtureModel": (
         "class_priors",
-        lambda b, tmp: ClassMixtureModel(PROJ, (), poisoned([0.5, 0.5], b)),
+        lambda b, tmp: ClassMixtureModel(PROJ, CLASSES, poisoned([0.5, 0.5], b)),
     ),
     "packed_centers": ("radii", lambda b, tmp: packed_centers(2, 3, 2, poisoned([1, 1], b), 0)),
     "save_dataset": ("points", lambda b, tmp: save_dataset(poisoned(DATA, b), tmp / "out.csv")),
@@ -164,7 +166,7 @@ INVALID = {
     "Mixture-negative-weight": lambda: Mixture(MODEL.components, [1.5, -0.5]),
     "Mixture-weight-sum": lambda: Mixture(MODEL.components, [0.5, 0.6]),
     "spectral_summary-not-square": lambda: spectral_summary(np.ones((2, 3))),
-    "ClassMixtureModel-prior-sum": lambda: ClassMixtureModel(PROJ, (), [0.5, 0.6]),
+    "ClassMixtureModel-prior-sum": lambda: ClassMixtureModel(PROJ, CLASSES, [0.5, 0.6]),
     "packed_centers-radius-count": lambda: packed_centers(2, 3, 2, [1.0], 0),
     "packed_centers-no-component": lambda: packed_centers(0, 3, 1.0, [], 0),
     "eccentric_covariance-negative-n": lambda: eccentric_covariance(-1, 1.0, "diagonal-distinct", 0),
@@ -280,7 +282,7 @@ KEEPERS = {
     "Mixture-means": (
         lambda a: _checked_mixture([0.25, 0.75], a, [np.eye(2)], [0, 0]), "means", np.ones((2, 2))
     ),
-    "ClassMixtureModel": (lambda a: ClassMixtureModel(PROJ, (), a), "class_priors", np.array([0.25, 0.75])),
+    "ClassMixtureModel": (lambda a: ClassMixtureModel(PROJ, CLASSES, a), "class_priors", np.array([0.25, 0.75])),
 }
 
 
