@@ -22,6 +22,30 @@ from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_at_least, _read
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
+def _int64_valued(values):
+    """Where the floats `values` are integers that int64 holds."""
+    return (values == np.round(values)) & (values >= -(2.0**63)) & (values < 2.0**63)
+
+
+def _int_labels(labels):
+    """`labels` as an int array. An integer array whose values int64 holds
+    passes as it is, not copied if int64; any other passes only if every
+    entry is an integer value that int64 holds. InvalidParameterError
+    otherwise."""
+    rule = "labels must be integers that int64 holds"
+    try:
+        a = np.asarray(labels)
+        if a.dtype.kind in "biu" and a.max(initial=0) <= np.iinfo(int).max:
+            return a.astype(int, copy=False)
+        values = a.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{rule}: {exc}") from exc
+    whole = _int64_valued(values)
+    if not whole.all():
+        raise InvalidParameterError(f"{rule}, got {float(values[~whole][0])!r}")
+    return values.astype(int)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Points with one class label each, held as read-only views: the
@@ -32,7 +56,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         points = _as_float_array(self.points, "points", ndmin=2)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _int_labels(self.labels)
         if labels.shape != (points.shape[0],):
             raise InvalidParameterError("one label per point required")
         if labels.size and labels.min() < 0:
@@ -98,10 +122,13 @@ def ingest(path) -> LabeledDataset:
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]
-    fractional = labels != np.round(labels)
-    if fractional.any():
-        row = int(np.argmax(fractional))
-        raise ParseError(f"{path}: line {linenos[row]}: label {labels[row]!r} is not an integer")
+    bad = ~_int64_valued(labels)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ParseError(
+            f"{path}: line {linenos[row]}: label {float(labels[row])!r} "
+            "is not an integer that int64 holds"
+        )
     return LabeledDataset(table[:, 1:], labels.astype(int))
 
 

@@ -107,52 +107,6 @@ def _frozen(a):
     return view
 
 
-class Gaussian:
-    """An n-dimensional Gaussian N(mean, covariance).
-
-    The covariance must be symmetric (within 1e-9 relative, max-abs scale)
-    and positive definite; it is symmetrized once on construction and both
-    arrays are read-only views, so instances are safe to share across
-    threads. The mean shares memory with the array passed in.
-
-    An instance keeps L^-1 from its condition check (`_checked_inverse`),
-    which runs at its first density evaluation.
-    """
-
-    def __init__(self, mean, covariance):
-        mean = _as_float_array(mean, "mean")
-        if mean.ndim != 1:
-            raise InvalidParameterError("mean must be a vector")
-        one = _checked_mixture([1.0], mean[None], [covariance], [0])
-        self._keep(mean, one._covs[0], one._chols[0])
-
-    @classmethod
-    def _of(cls, *arrays):
-        """The Gaussian of arrays its caller built and checked (see `_keep`)."""
-        return cls.__new__(cls)._keep(*arrays)
-
-    def _keep(self, mean, covariance, chol):
-        self.mean, self.covariance, self._chol = _frozen(mean), _frozen(covariance), _frozen(chol)
-        return self
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-    @property
-    def chol(self):
-        """Lower-triangular Cholesky factor of the covariance."""
-        return self._chol
-
-    @cached_property
-    def _inv(self):
-        """L^-1 from the covariance's condition check, run once."""
-        return _checked_inverse(self.covariance, self._chol)
-
-    def __repr__(self):
-        return f"Gaussian(dim={self.dim})"
-
-
 class Mixture:
     """A weighted mixture of k Gaussians in R^n, held in the array layout EM
     iterates on: read-only `weights` (k) and `means` (k x n), and for each
@@ -195,8 +149,10 @@ class Mixture:
 
     @cached_property
     def components(self):
-        pairs = zip(self.means, self._owner)
-        return tuple(Gaussian._of(mu, self._covs[f], self._chols[f]) for mu, f in pairs)
+        """Each component as a Gaussian: a one-row view of this layout."""
+        one, zero = np.ones(1), np.zeros(1, dtype=int)
+        pairs = zip(self.means[:, None], self._owner)
+        return tuple(Gaussian._of(one, mu, (self._covs[f],), (self._chols[f],), zero) for mu, f in pairs)
 
     @property
     def k(self):
@@ -208,6 +164,42 @@ class Mixture:
 
     def __repr__(self):
         return f"Mixture(k={self.k}, dim={self.dim})"
+
+
+class Gaussian(Mixture):
+    """An n-dimensional Gaussian N(mean, covariance): the Mixture of one
+    component, in its layout.
+
+    The covariance must be symmetric (within 1e-9 relative, max-abs scale)
+    and positive definite; it is symmetrized once on construction and both
+    arrays are read-only views, so instances are safe to share across
+    threads. The mean shares memory with the array passed in. Like every
+    Mixture, it runs the condition check (`_invs`) at its first density
+    evaluation and keeps the result.
+    """
+
+    def __init__(self, mean, covariance):
+        mean = _as_float_array(mean, "mean")
+        if mean.ndim != 1:
+            raise InvalidParameterError("mean must be a vector")
+        one = _checked_mixture([1.0], mean[None], [covariance], [0])
+        self._keep(one.weights, one.means, one._covs, one._chols, one._owner)
+
+    @property
+    def mean(self):
+        return self.means[0]
+
+    @property
+    def covariance(self):
+        return _frozen(self._covs[0])
+
+    @property
+    def chol(self):
+        """Lower-triangular Cholesky factor of the covariance."""
+        return _frozen(self._chols[0])
+
+    def __repr__(self):
+        return f"Gaussian(dim={self.dim})"
 
 
 def _checked_weights(weights, k):
@@ -384,7 +376,7 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
-    return _quad_forms(g._inv, pts.reshape(-1, g.dim), g.mean[None])[:, 0]
+    return _quad_forms(g._invs[0], pts.reshape(-1, g.dim), g.means)[:, 0]
 
 
 def log_density(g: Gaussian, x) -> float:

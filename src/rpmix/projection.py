@@ -151,11 +151,7 @@ def project_data(p: ProjectionMatrix, data) -> np.ndarray:
 
 
 def project_gaussian(p: ProjectionMatrix, g: Gaussian) -> Gaussian:
-    if g.dim != p.source_dim:
-        raise DimensionMismatchError(
-            f"Gaussian dimension {g.dim} != source dimension {p.source_dim}"
-        )
-    return Gaussian(p.rows @ g.mean, p.rows @ g.covariance @ p.rows.T)
+    return project_mixture(p, g).components[0]
 
 
 def project_mixture(p: ProjectionMatrix, m: Mixture) -> Mixture:

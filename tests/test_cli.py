@@ -12,7 +12,7 @@ from rpmix import (
     load_projection,
     save_labeled,
 )
-from rpmix.classifier import LabeledDataset
+from rpmix.classifier import LabeledDataset, cluster_analysis, save_cluster_analysis
 from rpmix.em import FitResult
 
 
@@ -261,6 +261,21 @@ class TestClassify:
         assert len(lines) == 3
 
 
+    def test_raw_analysis_is_the_unprojected_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        data = LabeledDataset(np.vstack([rng.standard_normal((30, 6)), rng.standard_normal((30, 6)) + 8.0]),
+                              np.repeat([0, 1], 30))
+        train_path, raw_path, want_path = tmp_path / "train.csv", tmp_path / "raw.csv", tmp_path / "want.csv"
+        save_labeled(data, train_path)
+        code = run_cli(
+            ["classify", "--train", train_path, "--d", 3, "--per-class-k", 2, "--raw-analysis-out", raw_path]
+        )
+        assert code == 0
+        assert f"wrote raw-space cluster analysis to {raw_path}" in capsys.readouterr().out
+        save_cluster_analysis(cluster_analysis(data), want_path)
+        assert raw_path.read_text().startswith("class,0,1,eccentricity\n")
+        assert raw_path.read_bytes() == want_path.read_bytes()
+
     @pytest.mark.parametrize(
         "label, message",
         [(-1, "labels must be non-negative"), (10**12, "class 1 has no points")],
@@ -305,6 +320,10 @@ class TestExperiment:
             )
         )
         assert run_cli(["experiment", "--config", path]) == 0
+
+    def test_no_experiment_named_is_clean_error(self, capsys):
+        assert run_cli(["experiment"]) == 1
+        assert capsys.readouterr().err == "error: no experiment named (positional argument or config file)\n"
 
     def test_unknown_experiment_rejected(self, tmp_path, capsys):
         code = run_cli(["experiment", "--config", self._bad_config(tmp_path)])

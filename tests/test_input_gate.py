@@ -24,14 +24,18 @@ from rpmix import (
     Gaussian,
     Mixture,
     e_step,
+    ingest,
     init_params,
     load_mixture,
     log_density,
     m_step,
     mahalanobis,
     norm_tail_bound,
+    pairwise_separation,
     pca,
     project_data,
+    project_gaussian,
+    project_mixture,
     rp_em,
     run_em,
     sample,
@@ -46,6 +50,7 @@ from rpmix.errors import (
     BadSeparationError,
     ConfigError,
     DimensionMismatchError,
+    DuplicatePointsError,
     InvalidParameterError,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -389,6 +394,108 @@ def test_error_from_file_content_names_the_file(tmp_path, case):
     with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as info:
         load(path)
     assert type(info.value) is error
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
+
+
+# A Gaussian in R^2: outside DATA's, MODEL's and PROJ's source dimension 3.
+PLANE = Gaussian(np.zeros(2), np.eye(2))
+
+# case -> (error, the stable part of its message, call with a scratch directory)
+TYPED = {
+    "test_loglik-width": (
+        DimensionMismatchError, "data dimension 2 != model dimension 3",
+        lambda tmp: held_out_loglik(MODEL, DATA[:, :2]),
+    ),
+    "e_step-width": (
+        DimensionMismatchError, "data dimension 2 != model dimension 3", lambda tmp: e_step(MODEL, DATA[:, :2])
+    ),
+    "log_density-dimension": (
+        DimensionMismatchError, r"x has shape \(2,\), expected dimension 3", lambda tmp: log_density(G, [0.0, 0.0])
+    ),
+    "log_density_batch-dimension": (
+        DimensionMismatchError, r"points has shape \(4, 2\), expected dimension 3",
+        lambda tmp: log_density_batch(G, np.zeros((4, 2))),
+    ),
+    "pairwise_separation-dimensions": (
+        DimensionMismatchError, "Gaussians have differing dimensions", lambda tmp: pairwise_separation(G, PLANE)
+    ),
+    "project_mixture-dimension": (
+        DimensionMismatchError, "dimension 2 != source dimension 3", lambda tmp: project_mixture(PROJ, CLASSES[0])
+    ),
+    "project_gaussian-dimension": (
+        DimensionMismatchError, "dimension 2 != source dimension 3", lambda tmp: project_gaussian(PROJ, PLANE)
+    ),
+    "ClassMixtureModel-dimension": (
+        DimensionMismatchError, "per-class mixture dimension != projection target dimension",
+        lambda tmp: ClassMixtureModel(PROJ, (MODEL, MODEL), [0.5, 0.5]),
+    ),
+    "ingest-label-only": (
+        ParseError, "labels.csv: line 1: no feature values", lambda tmp: ingest(write_text(tmp / "labels.csv", "0\n1\n"))
+    ),
+    "init_params-coincident": (
+        DuplicatePointsError, "all points coincide", lambda tmp: init_params(np.ones((5, 2)), 1, FULL, 0)
+    ),
+    "load_mixture-empty": (
+        InvalidParameterError, "empty.json: a mixture needs at least one mean",
+        lambda tmp: load_mixture(write_json(tmp / "empty.json", {"weights": [], "means": [], "covariances": []})),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED))
+def test_error_is_typed_and_says_why(tmp_path, case):
+    error, message, call = TYPED[case]
+    with pytest.raises(error, match=message) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+
+
+# case -> labels of two points that are not integers int64 holds
+NOT_INT64_LABELS = {
+    "fractional": [0.5, 1.7],
+    "str": ["a", "b"],
+    "nan": [np.nan, 1],
+    "float-above-int64": [1e20, 0],
+    "float-below-int64": [-1e20, 0],
+    "int-above-int64": [2**70, 0],
+    "uint64-above-int64": np.array([2**63, 0], dtype=np.uint64),
+    "missing": [1, None],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INT64_LABELS))
+def test_label_that_int64_does_not_hold_is_an_invalid_parameter(case):
+    with pytest.raises(InvalidParameterError, match="^labels must be integers that int64 holds"):
+        LabeledDataset(np.zeros((2, 3)), NOT_INT64_LABELS[case])
+
+
+# case -> (integer-valued labels accepted as they were, the labels kept)
+INTEGER_LABELS = {
+    "int8": (np.array([1, 0], dtype=np.int8), [1, 0]),
+    "uint64-at-int64-max": (np.array([2**63 - 1, 0], dtype=np.uint64), [2**63 - 1, 0]),
+    "float": ([1.0, -0.0], [1, 0]),
+    "float-at-2**62": ([2.0**62, 0.0], [2**62, 0]),
+    "bool": ([True, False], [1, 0]),
+    "str": (["1", "0"], [1, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_LABELS))
+def test_integer_valued_labels_are_kept(case):
+    labels, kept = INTEGER_LABELS[case]
+    data = LabeledDataset(np.zeros((2, 3)), labels)
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == kept
+
+
+@pytest.mark.parametrize("label", ["1e20", "-1e20", "9.3e18"])
+def test_ingested_label_that_int64_does_not_hold_names_its_line(tmp_path, label):
+    path = write_text(tmp_path / "labels.csv", f"0,1.0,2.0\n{label},3.0,4.0\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: label .* is not an integer"):
+        ingest(path)
 
 
 # case -> (argument name, call with a size that is not an integer)
