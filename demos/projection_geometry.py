@@ -7,50 +7,27 @@ Two effects, shown side by side:
   2. Highly eccentric (cigar-shaped) Gaussians become much rounder after
      projection.
 
+Both are the experiments' own sweeps (fig3 and fig6), at 20 trials a point.
+
 Run: python3 demos/projection_geometry.py
 """
 
-import numpy as np
-
-from rpmix import (
-    eccentric_covariance,
-    make_mixture,
-    mixture_separation,
-    project_mixture,
-    random_orthonormal,
-    spectral_summary,
-)
-from rpmix.synthesis import CovarianceMode, MixtureSpec
+from rpmix.experiments import fig3_body, fig6_body
 
 TRIALS = 20
-TARGET_D = 20
 
 
 def separation_survives():
-    print("1-separated spherical pair, projected to d=%d" % TARGET_D)
-    print("%8s  %22s" % ("n", "mean projected sep"))
-    for n in (50, 100, 200, 500, 1000):
-        seps = []
-        for t in range(TRIALS):
-            mix = make_mixture(MixtureSpec(n=n, k=2, c=1.0, seed=t))
-            proj = random_orthonormal(n, TARGET_D, 1000 + t)
-            seps.append(mixture_separation(project_mixture(proj, mix)))
-        print("%8d  %22.3f" % (n, np.mean(seps)))
+    print("1-separated spherical pair in R^n, mean separation projected to d=20")
+    for line in fig3_body(0, trials=TRIALS).summary_lines():
+        print(line)
     print("The column is flat: the original dimension does not matter.\n")
 
 
 def eccentricity_shrinks():
-    n, E = 50, 1000.0
-    cov = eccentric_covariance(n, E, CovarianceMode.DIAGONAL_DISTINCT, 0)
-    print("one Gaussian in R^%d with eccentricity %.0f, projected down" % (n, E))
-    print("%8s  %22s" % ("d", "median projected ecc"))
-    for d in (49, 45, 40, 35, 30, 25):
-        eccs = []
-        for t in range(TRIALS):
-            proj = random_orthonormal(n, d, 2000 + t)
-            low = proj.rows @ cov @ proj.rows.T
-            eccs.append(spectral_summary(low).eccentricity)
-        print("%8d  %22.1f" % (d, np.median(eccs)))
+    print("one Gaussian in R^50 with eccentricity 1000, mean eccentricity projected to d")
+    for line in fig6_body(0, trials=TRIALS, d_values=(49, 45, 40, 35, 30, 25)).summary_lines():
+        print(line)
     print("Skinny clusters round out as the target dimension drops.")
 
 

@@ -17,8 +17,8 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-from .em import CovarianceRestriction, _log_joint, _model_data, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_at_least, _read_csv, _separations
+from .em import CovarianceRestriction, _log_joint, run_em
+from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_at_least, _read_csv, _separations, _Workspace
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -35,6 +35,8 @@ def _int_labels(labels):
     rule = "labels must be integers that int64 holds"
     try:
         a = np.asarray(labels)
+        if a.dtype.kind == "c":  # `astype` would drop the imaginary part
+            raise TypeError(f"dtype {a.dtype} is not real")
         if a.dtype.kind in "biu" and a.max(initial=0) <= np.iinfo(int).max:
             return a.astype(int, copy=False)
         values = a.astype(float)
@@ -122,13 +124,12 @@ def ingest(path) -> LabeledDataset:
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]
-    bad = ~_int64_valued(labels)
+    whole = _int64_valued(labels)
+    bad = ~whole | (labels < 0)
     if bad.any():
         row = int(np.argmax(bad))
-        raise ParseError(
-            f"{path}: line {linenos[row]}: label {float(labels[row])!r} "
-            "is not an integer that int64 holds"
-        )
+        why = "is negative" if whole[row] else "is not an integer that int64 holds"
+        raise ParseError(f"{path}: line {linenos[row]}: label {float(labels[row])!r} {why}")
     return LabeledDataset(table[:, 1:], labels.astype(int))
 
 
@@ -179,10 +180,10 @@ def train(
 
 def _class_scores(model: ClassMixtureModel, points, use_priors=True):
     """Best per-class Gaussian log-score for every row of `points`."""
-    low = project_data(model.projection, points)
-    scores = np.empty((low.shape[0], len(model.per_class)))
+    work = _Workspace(project_data(model.projection, points), max(mix.k for mix in model.per_class))
+    scores = np.empty((len(work.points), len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
-        scores[:, cls] = _log_joint(mix, _model_data(mix, low)).max(axis=1)
+        scores[:, cls] = _log_joint(mix, work).max(axis=1)
         if use_priors:
             scores[:, cls] += np.log(model.class_priors[cls])
     return scores

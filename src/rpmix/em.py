@@ -19,11 +19,12 @@ the responsibilities and sums to a trace over the data's Gram matrix.
 Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
 the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
-`_fit` is the one EM loop, for `run_em` and the hybrid's high-dimensional
-step; each works in one `_Workspace` on its data: it centres the data once
-and holds the buffers of the whitening product and of the M-step's
-temporaries, so no step allocates an m x n array. Responsibilities below
-the smallest normal double are exactly 0 (`_log_normalize`).
+Each entry point builds one `gaussians._Workspace` per data array, and
+every kernel reads its points from it: `_log_joint`, `_e_step`, `_m_step`
+(which pools one covariance when the workspace keeps a Gram matrix) and
+`_fit`, the one EM loop of `run_em` and the hybrid's high-dimensional step.
+Responsibilities below the smallest normal double are exactly 0
+(`_log_normalize`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .gaussians import (
     _quad_forms,
     _radii,
     _seed_sequence,
-    _Whitening,
+    _Workspace,
 )
 from .projection import project_data, random_orthonormal
 
@@ -103,32 +104,14 @@ def _factor_and_invert(covs):
     return chols, tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
 
 
-class _Workspace(_Whitening):
-    """A `_Whitening` on one fit's data, plus the M-step's buffers: `diff`
-    and `weighted` take x_j - mu_i and r_ji (x_j - mu_i), so that no step
-    of the fit allocates an m x n array. For SHARED_FULL, `gram` is the
-    centred data's Gram matrix, reused across the fit (None otherwise); one
-    that overflows makes the pooled covariance overflow, which
-    `_factor_and_invert` reports.
-    """
-
-    def __init__(self, data, k, restriction):
-        super().__init__(data, k)
-        self.diff = np.empty(data.shape)
-        self.weighted = np.empty(data.shape)
-        self.gram = None
-        if restriction is CovarianceRestriction.SHARED_FULL:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.gram = self.centered.T @ self.centered
-
-
-def _log_joint(params: Mixture, data, work=None) -> np.ndarray:
-    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j and component i;
-    `work` is a `_Workspace` on `data` with a spare row per mean of a factor."""
-    out = np.empty((data.shape[0], len(params.weights)))
+def _log_joint(params: Mixture, work) -> np.ndarray:
+    """log w_i + log N(x_j; mu_i, Sigma_i) for every point j of the
+    `_Workspace` `work` and component i; `work` has a spare row per mean of
+    a factor."""
+    out = np.empty((len(work.points), len(params.weights)))
     for f, chol in enumerate(params._chols):
         comps = np.flatnonzero(params._owner == f)
-        quad = _quad_forms(params._invs[f], data, params.means[comps], work)
+        quad = _quad_forms(params._invs[f], params.means[comps], work)
         out[:, comps] = np.log(params.weights[comps]) + (_log_normalizer(chol) - 0.5 * quad)
     return out
 
@@ -154,15 +137,15 @@ def _log_normalize(scores):
     return resp, (np.log(total) + top)[:, 0]
 
 
-def _e_step(params: Mixture, data, work=None):
-    """Responsibilities and the total log-likelihood (log-space normalized).
-
-    `work` is the fit's `_Workspace` on `data`. In a SHARED_FULL fit a state
-    with one factor takes `_shared_e_step`; any other takes `_log_joint`.
+def _e_step(params: Mixture, work):
+    """Responsibilities and the total log-likelihood (log-space normalized)
+    of the points of the `_Workspace` `work`. In a workspace that keeps a
+    Gram matrix, a state with one factor takes `_shared_e_step`; any other
+    takes `_log_joint`.
     """
-    if work is not None and work.gram is not None and len(params._chols) == 1:
+    if work.gram is not None and len(params._chols) == 1:
         return _shared_e_step(params, work)
-    resp, lse = _log_normalize(_log_joint(params, data, work))
+    resp, lse = _log_normalize(_log_joint(params, work))
     dead = np.flatnonzero(np.isneginf(lse))
     if dead.size:
         raise NonFiniteError(
@@ -199,10 +182,11 @@ def _shared_e_step(params: Mixture, work):
     return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
 
 
-def _m_step(resp, data, restriction, previous=None, work=None) -> Mixture:
-    """M-step on arrays; `work` is the fit's `_Workspace` on `data`. Without
-    one, a SHARED_FULL step builds one, and a FULL_DISTINCT step allocates
-    its two m x n temporaries once."""
+def _m_step(resp, work, previous=None) -> Mixture:
+    """M-step on arrays, over the points of the `_Workspace` `work`: one
+    pooled covariance when `work` keeps a Gram matrix, one per live
+    component otherwise."""
+    data = work.points
     m, k = resp.shape
     counts = resp.sum(axis=0)
     dead = np.flatnonzero(counts < EMPTY_COMPONENT_FRACTION * m)
@@ -216,12 +200,10 @@ def _m_step(resp, data, restriction, previous=None, work=None) -> Mixture:
     owner = np.zeros(k, dtype=int)
     # An overflow leaves a covariance that `_factor_and_invert` reports.
     with np.errstate(over="ignore", invalid="ignore"):
-        if restriction is CovarianceRestriction.SHARED_FULL:
+        if work.gram is not None:
             # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
             # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
             # components' share of G is taken out.
-            if work is None:
-                work = _Workspace(data, 0, restriction)
             gram = work.gram
             for i in dead:
                 weighted = np.multiply(resp[:, i][:, None], work.centered, out=work.weighted)
@@ -231,10 +213,9 @@ def _m_step(resp, data, restriction, previous=None, work=None) -> Mixture:
             covs = [(pooled + pooled.T) / 2.0]
         else:
             covs = []
-            diff, weighted = (None, None) if work is None else (work.diff, work.weighted)
             for i in live:
-                diff = np.subtract(data, means[i], out=diff)
-                weighted = np.multiply(resp[:, i][:, None], diff, out=weighted)
+                diff = np.subtract(data, means[i], out=work.diff)
+                weighted = np.multiply(resp[:, i][:, None], diff, out=work.weighted)
                 cov = weighted.T @ diff / counts[i]
                 covs.append((cov + cov.T) / 2.0)
             owner[live] = np.arange(live.size)
@@ -307,7 +288,7 @@ def e_step(model: Mixture, data):
     log-density is -inf under every component has no responsibilities and
     raises NonFiniteError naming its row.
     """
-    return _e_step(model, _model_data(model, data))
+    return _e_step(model, _Workspace(_model_data(model, data), model.k))
 
 
 def m_step(
@@ -327,7 +308,8 @@ def m_step(
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[0] != resp.shape[0]:
         raise ShapeMismatchError("responsibility rows != data rows")
-    return _m_step(resp, data, restriction, previous)
+    work = _Workspace(data, 0, restriction is CovarianceRestriction.SHARED_FULL)
+    return _m_step(resp, work, previous)
 
 
 def run_em(
@@ -351,33 +333,30 @@ def run_em(
     if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = _init_params(data, k, restriction, seed)
-    work = _Workspace(data, k, restriction)
-    return _fit(params, data, restriction, work, tol, max_iter, MAX_RESCUES)
+    work = _Workspace(data, k, restriction is CovarianceRestriction.SHARED_FULL)
+    return _fit(params, work, tol, max_iter, MAX_RESCUES)
 
 
-def _fit(params, data, restriction, work, tol, max_iter, rescues) -> FitResult:
-    """`run_em`'s loop from state `params` on gated `data`, in its `_Workspace`
+def _fit(params, work, tol, max_iter, rescues) -> FitResult:
+    """`run_em`'s loop from state `params` on the points of the `_Workspace`
     `work`. The first `rescues` empty components move to the worst-explained
     point; later ones keep their previous parameters."""
     trace = []
     while True:
-        resp, ll = _e_step(params, data, work)
+        resp, ll = _e_step(params, work)
         trace.append(ll)
         converged = len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll)
         if converged or len(trace) > max_iter:
             break
         try:
-            params = _m_step(resp, data, restriction, work=work)
+            params = _m_step(resp, work, None if rescues else params)
         except EmptyComponentError as exc:
-            if rescues:
-                rescues -= 1
-                lse = _log_normalize(_log_joint(params, data, work))[1]
-                means = params.means.copy()
-                means[exc.indices[0]] = data[int(np.argmin(lse))]
-                layout = (params._covs, params._chols, params._owner, params._invs)
-                params = Mixture._of(params.weights, means, *layout)
-            else:
-                params = _m_step(resp, data, restriction, params, work)
+            rescues -= 1
+            lse = _log_normalize(_log_joint(params, work))[1]
+            means = params.means.copy()
+            means[exc.indices[0]] = work.points[int(np.argmin(lse))]
+            layout = (params._covs, params._chols, params._owner, params._invs)
+            params = Mixture._of(params.weights, means, *layout)
         except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
             raise type(exc)(f"iteration {len(trace) - 1}: {exc}") from exc
     return FitResult(params, len(trace) - 1, np.array(trace), converged)
@@ -408,10 +387,9 @@ def rp_em(
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
-    resp, _ = _e_step(fit_low.model, low_data)
-    work = _Workspace(train, k, restriction)
-    lifted = _m_step(resp, train, restriction, work=work)
-    return _fit(lifted, train, restriction, work, 0.0, 1, 0), proj, fit_low
+    resp, _ = _e_step(fit_low.model, _Workspace(low_data, k))
+    work = _Workspace(train, k, restriction is CovarianceRestriction.SHARED_FULL)
+    return _fit(_m_step(resp, work), work, 0.0, 1, 0), proj, fit_low
 
 
 def test_loglik(model: Mixture, test) -> float:
@@ -420,7 +398,8 @@ def test_loglik(model: Mixture, test) -> float:
     test = _as_float_array(test, "test", ndmin=2)
     if test.size == 0:
         return 0.0
-    return float(_log_normalize(_log_joint(model, _model_data(model, test)))[1].sum())
+    work = _Workspace(_model_data(model, test), model.k)
+    return float(_log_normalize(_log_joint(model, work))[1].sum())
 
 
 def _has_perfect_matching(adjacency):

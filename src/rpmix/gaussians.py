@@ -42,9 +42,12 @@ def _as_float_array(x, name, ndmin=0):
     """The one way an array argument enters the library: `x` as floats with
     at least `ndmin` axes (leading ones added, as `np.atleast_2d` adds them,
     without a copy). NaN or infinity raises NonFiniteError naming `name`, and
-    a non-numeric or ragged entry InvalidParameterError."""
+    a complex, non-numeric or ragged entry InvalidParameterError."""
     try:
-        a = np.asarray(x, dtype=float)
+        a = np.asarray(x)
+        if a.dtype.kind == "c":  # `astype` would drop the imaginary part
+            raise TypeError(f"dtype {a.dtype} is not real")
+        a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name} is not an array of numbers: {exc}") from exc
     # After asarray no copy is needed, so copy=False means the same in NumPy 1 and 2.
@@ -305,28 +308,37 @@ def _checked_inverse(cov, chol):
     return inv
 
 
-class _Whitening:
-    """The buffers in which `_quad_forms` whitens `points` and up to k means.
+class _Workspace:
+    """One call's `points` and the buffers its kernels work in, so that no
+    step of a fit allocates an m x n array. It belongs to that one call: two
+    calls never share one.
 
     `stacked` holds the points centred by their column mean `center` in its
     first m rows (`centered`), and k spare rows below them, where
     `_quad_forms` centres the means of one factor; `product` takes their
-    product with L^-1. Built once on a fit's data, it lets every step of
-    the fit whiten with no new m x n array. It belongs to that one call:
-    two calls never share one.
+    product with L^-1. `diff` and `weighted` take the M-step's x_j - mu_i
+    and r_ji (x_j - mu_i). When `shared`, `gram` is the centred points' Gram
+    matrix, from which the M-step pools one covariance (None otherwise); one
+    that overflows makes the pooled covariance overflow, which the M-step's
+    factorization reports.
     """
 
-    def __init__(self, points, k):
+    def __init__(self, points, k, shared=False):
         m, n = points.shape
+        self.points = points
         self.stacked = np.empty((m + k, n))
         self.product = np.empty((m + k, n))
+        self.diff = np.empty((m, n))
+        self.weighted = np.empty((m, n))
         with np.errstate(over="ignore", invalid="ignore"):
             self.center = points.mean(axis=0)
             self.centered = np.subtract(points, self.center, out=self.stacked[:m])
+            self.gram = self.centered.T @ self.centered if shared else None
 
 
-def _quad_forms(inv, points, means, work=None):
-    """||L^-1 (x_j - mu_i)||^2 for each point x_j and each mean mu_i sharing L.
+def _quad_forms(inv, means, work):
+    """||L^-1 (x_j - mu_i)||^2 for each point x_j of the `_Workspace` `work`
+    and each mean mu_i sharing L; `work` has a spare row per mean.
 
     The points and the means, centred by the points' mean, take one product
     with L^-1, giving y_j and m_i; like a solve, it errs with kappa(L) =
@@ -343,14 +355,8 @@ def _quad_forms(inv, points, means, work=None):
     are computed again, directly from L^-1 (x_j - mu_i): those of the
     points near the means become finite again, and those of the far points
     +inf.
-
-    `work` is a `_Whitening` on `points` with a spare row per mean, kept by
-    a caller that whitens the same points again; without one, a new one is
-    built for this call.
     """
-    if work is None:
-        work = _Whitening(points, len(means))
-    m = len(points)
+    m = len(work.points)
     rhs = work.stacked[: m + len(means)]
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract(means, work.center, out=rhs[m:])
@@ -358,7 +364,7 @@ def _quad_forms(inv, points, means, work=None):
         quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
         j, i = np.nonzero(~np.isfinite(quad))
         if j.size:
-            w = (points[j] - means[i]) @ inv.T
+            w = (work.points[j] - means[i]) @ inv.T
             quad[j, i] = np.einsum("ij,ij->i", w, w)
     return quad
 
@@ -376,7 +382,7 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
-    return _quad_forms(g._invs[0], pts.reshape(-1, g.dim), g.means)[:, 0]
+    return _quad_forms(g._invs[0], g.means, _Workspace(pts.reshape(-1, g.dim), 1))[:, 0]
 
 
 def log_density(g: Gaussian, x) -> float:

@@ -278,7 +278,7 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "label, message",
-        [(-1, "labels must be non-negative"), (10**12, "class 1 has no points")],
+        [(-1, "{train}: line 3: label -1.0 is negative"), (10**12, "class 1 has no points")],
         ids=["negative", "huge"],
     )
     def test_bad_label_is_clean_error(self, tmp_path, capsys, label, message):
@@ -286,7 +286,7 @@ class TestClassify:
         train_path.write_text(f"0,1.0,2.0\n0,2.0,1.0\n{label},3.0,3.0\n")
         code = run_cli(["classify", "--train", train_path, "--d", 1])
         assert code == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(train=train_path)}" in capsys.readouterr().err
 
 
 class TestExperiment:

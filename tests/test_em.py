@@ -26,7 +26,7 @@ from rpmix import (
     sample,
 )
 from rpmix import em, gaussians
-from rpmix.em import _Workspace, _log_joint, _m_step
+from rpmix.em import _log_joint, _m_step
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     DuplicatePointsError,
@@ -35,10 +35,11 @@ from rpmix.errors import (
     InvalidParameterError,
     NonFiniteError,
     NotEnoughDataError,
+    NotPositiveDefiniteError,
     ShapeMismatchError,
 )
 from rpmix.experiments import em_compare_trial
-from rpmix.gaussians import CONDITION_LIMIT, log_density, log_density_batch, mahalanobis
+from rpmix.gaussians import CONDITION_LIMIT, _Workspace, log_density, log_density_batch, mahalanobis
 from rpmix.projection import project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
@@ -186,7 +187,7 @@ class TestEStep:
         mix = init_params(data, 2, FULL, 0)
         points = np.vstack([data[:2], 1e160 * np.ones((3, 3))])
         quad = np.column_stack(
-            [gaussians._quad_forms(mix._invs[f], points, mix.means[[i]])[:, 0]
+            [gaussians._quad_forms(mix._invs[f], mix.means[[i]], _Workspace(points, 1))[:, 0]
              for i, f in enumerate(mix._owner)]
         )
         near = [[mahalanobis(g, x) ** 2 for g in mix.components] for x in data[:2]]
@@ -461,13 +462,13 @@ class TestArrayCore:
 
     def _assert_matches_reference(self, params, data):
         ref = _stacked_log_joint(params, data)
-        rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
+        rel = np.abs(_log_joint(params, _Workspace(data, params.k)) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
     def test_log_joint_shared_state(self):
         data = self._data(31)
         resp = np.random.default_rng(32).dirichlet(np.ones(3), size=data.shape[0])
-        params = _m_step(resp, data, SHARED)
+        params = _m_step(resp, _Workspace(data, 0, shared=True))
         assert len(params._chols) == 1
         assert np.array_equal(params._owner, [0, 0, 0])
         self._assert_matches_reference(params, data)
@@ -475,7 +476,7 @@ class TestArrayCore:
     def test_log_joint_distinct_state(self):
         data = self._data(33)
         resp = np.random.default_rng(34).dirichlet(np.ones(3), size=data.shape[0])
-        params = _m_step(resp, data, FULL)
+        params = _m_step(resp, _Workspace(data, 0))
         assert len(params._chols) == 3
         self._assert_matches_reference(params, data)
 
@@ -483,11 +484,12 @@ class TestArrayCore:
     def test_log_joint_dead_component_keeps_previous_factor(self, restriction):
         data = self._data(35)
         rng = np.random.default_rng(36)
-        previous = _m_step(rng.dirichlet(np.ones(3), size=data.shape[0]), data, restriction)
+        work = _Workspace(data, 0, shared=restriction is SHARED)
+        previous = _m_step(rng.dirichlet(np.ones(3), size=data.shape[0]), work)
         resp = rng.dirichlet(np.ones(3), size=data.shape[0])
         resp[:, 1] = 0.0
         resp /= resp.sum(axis=1, keepdims=True)
-        params = _m_step(resp, data, restriction, previous)
+        params = _m_step(resp, work, previous)
         kept = previous._owner[1]
         assert params._chols[params._owner[1]] is previous._chols[kept]
         assert params._invs[params._owner[1]] is previous._invs[kept]
@@ -510,15 +512,15 @@ class TestArrayCore:
         data = self._data(38, m=200, n=6)
         rng = np.random.default_rng(39)
         resp = rng.dirichlet(np.ones(4), size=200)
-        pooled = _m_step(resp, data, SHARED, work=_Workspace(data, 4, SHARED))._covs[0]
+        pooled = _m_step(resp, _Workspace(data, 4, shared=True))._covs[0]
         ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
         # With a dead component its (tiny) responsibility share leaves the
         # pooled scatter, as in the per-component sum.
         resp[:, 2] *= 5e-11
         resp /= resp.sum(axis=1, keepdims=True)
-        previous = _m_step(rng.dirichlet(np.ones(4), size=200), data, SHARED)
-        pooled = _m_step(resp, data, SHARED, previous, _Workspace(data, 4, SHARED))._covs[0]
+        previous = _m_step(rng.dirichlet(np.ones(4), size=200), _Workspace(data, 0, shared=True))
+        pooled = _m_step(resp, _Workspace(data, 4, shared=True), previous)._covs[0]
         ref = _old_pooled(resp, data, dead=(2,))
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -694,7 +696,7 @@ class TestLogJointAccuracy:
             weights / weights.sum(), means, (cov, previous), chols, np.array([0, 0, 1, 0]), invs
         )
         ref = _stacked_log_joint(params, data)
-        rel = np.abs(_log_joint(params, data) - ref) / np.abs(ref)
+        rel = np.abs(_log_joint(params, _Workspace(data, params.k)) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
 
@@ -733,9 +735,9 @@ class TestSharedEStep:
         params = model
         assert len(params._chols) == 1
 
-        resp, ll = em._e_step(params, data, _Workspace(data, k, SHARED))
+        resp, ll = em._e_step(params, _Workspace(data, k, shared=True))
 
-        log_joint = _log_joint(params, data)
+        log_joint = _log_joint(params, _Workspace(data, k))
         lse = logsumexp(log_joint, axis=1)
         eps = np.finfo(float).eps
         lam = np.linalg.eigvalsh(params._covs[0])
@@ -829,6 +831,20 @@ class TestRescue:
         else:
             assert len(params._chols) == 3
 
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_failed_keep_previous_step_names_its_iteration(self, monkeypatch, restriction):
+        # The first M-step that factors is the one that keeps component 2,
+        # after MAX_RESCUES rescues; its failure carries the iteration, as
+        # every other failed step's does.
+        data, _ = self._start(monkeypatch, restriction, 1e-300)
+
+        def failing(covs):
+            raise NotPositiveDefiniteError("forced")
+
+        monkeypatch.setattr(em, "_factor_and_invert", failing)
+        with pytest.raises(NotPositiveDefiniteError, match=f"^iteration {em.MAX_RESCUES}: forced$"):
+            run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
+
 
 def _assert_same_state(a, b):
     """Two mixtures hold equal arrays in every field of their layout."""
@@ -840,28 +856,35 @@ def _assert_same_state(a, b):
             assert np.array_equal(x, y)
 
 
+def _fresh(work, k):
+    """A new `_Workspace` on the points of `work`, with `k` spare rows and a
+    Gram matrix if `work` keeps one."""
+    return _Workspace(work.points, k, shared=work.gram is not None)
+
+
 class TestWorkspace:
-    """The `_Workspace` of a fit changes no bit of a step: every log-joint
-    and M-step of the fit equals the one computed without it."""
+    """The one `_Workspace` of a fit changes no bit of a step: every
+    log-joint and M-step of the fit equals the one computed in a fresh
+    workspace on the same points."""
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
-    def test_every_step_of_a_rescued_fit_matches_the_plain_route(self, monkeypatch, restriction):
+    def test_every_step_of_a_rescued_fit_matches_a_fresh_workspace(self, monkeypatch, restriction):
         # The fit of TestRescue: two rescues, then a dead component that
         # keeps its factor, so that a SHARED_FULL state has two factors.
         data, _ = TestRescue()._start(monkeypatch, restriction, 1e-300)
         log_joint, m_step = em._log_joint, em._m_step
         spaces = []
 
-        def checked_log_joint(params, points, work=None):
-            out = log_joint(params, points, work)
+        def checked_log_joint(params, work):
+            out = log_joint(params, work)
             spaces.append(work)
-            assert np.array_equal(out, log_joint(params, points))
+            assert np.array_equal(out, log_joint(params, _fresh(work, params.k)))
             return out
 
-        def checked_m_step(resp, points, restriction, previous=None, work=None):
-            out = m_step(resp, points, restriction, previous, work)
+        def checked_m_step(resp, work, previous=None):
+            out = m_step(resp, work, previous)
             spaces.append(work)
-            _assert_same_state(out, m_step(resp, points, restriction, previous))
+            _assert_same_state(out, m_step(resp, _fresh(work, 0), previous))
             return out
 
         monkeypatch.setattr(em, "_log_joint", checked_log_joint)
@@ -880,9 +903,9 @@ class TestWorkspace:
         # it (as `test_shared_fit_whitens_no_point` does) sees every whitening.
         works = []
 
-        def counted(inv, points, means, work=None):
+        def counted(inv, means, work):
             works.append(work)
-            return gaussians._quad_forms(inv, points, means, work)
+            return gaussians._quad_forms(inv, means, work)
 
         monkeypatch.setattr(em, "_quad_forms", counted)
         data = two_blob_data(m=120, dist=6.0, n=3, seed=62)
@@ -947,19 +970,19 @@ class TestRpEm:
         `data`: the low-dimensional fit's soft labels, one M-step up."""
         proj = random_orthonormal(data.shape[1], d, seed)
         low = project_data(proj, data)
-        resp, _ = em._e_step(run_em(low, k, restriction, seed).model, low)
-        work = _Workspace(data, k, restriction)
-        return _m_step(resp, data, restriction, work=work), work
+        resp, _ = em._e_step(run_em(low, k, restriction, seed).model, _Workspace(low, k))
+        work = _Workspace(data, k, shared=restriction is SHARED)
+        return _m_step(resp, work), work
 
     @pytest.mark.parametrize("restriction", [SHARED, FULL])
     def test_high_dim_step_is_one_em_step_from_the_lift(self, restriction):
         data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
         lifted, work = self._lifted(data, 2, 3, restriction, 2)
-        resp, ll = em._e_step(lifted, data, work)
-        params = _m_step(resp, data, restriction, lifted, work)
+        resp, ll = em._e_step(lifted, work)
+        params = _m_step(resp, work, lifted)
         fit = rp_em(data, 2, 3, restriction, 2)[0]
         _assert_same_state(fit.model, params)
-        assert np.array_equal(fit.loglik_trace, [ll, em._e_step(params, data, work)[1]])
+        assert np.array_equal(fit.loglik_trace, [ll, em._e_step(params, work)[1]])
         assert fit.iterations == 1 and fit.converged is False
 
     @pytest.mark.parametrize("restriction", [SHARED, FULL])
@@ -970,10 +993,10 @@ class TestRpEm:
         lifted, work = self._lifted(data, 2, 3, restriction, 2)
         e_step, emptied = em._e_step, []
 
-        def emptying(params, points, work=None):
+        def emptying(params, work):
             # The first high-dimensional E-step gives component 0's mass to 1.
-            resp, ll = e_step(params, points, work)
-            if points.shape[1] == data.shape[1] and not emptied:
+            resp, ll = e_step(params, work)
+            if work.points.shape[1] == data.shape[1] and not emptied:
                 resp = resp.copy()
                 resp[:, 1] += resp[:, 0]
                 resp[:, 0] = 0.0
@@ -985,7 +1008,7 @@ class TestRpEm:
         assert len(emptied) == 1 and fit.iterations == 1
         # Kept, not rescued: a rescue would move the mean to a data point and
         # keep the lifted weights.
-        _assert_same_state(fit.model, _m_step(emptied[0], data, restriction, lifted, work))
+        _assert_same_state(fit.model, _m_step(emptied[0], work, lifted))
         model = fit.model
         assert np.array_equal(model.means[0], lifted.means[0])
         assert model.weights[0] == pytest.approx(em.EMPTY_COMPONENT_FRACTION, rel=1e-9)

@@ -37,7 +37,7 @@ from rpmix.errors import (
     TooFewComponentsError,
 )
 from rpmix import gaussians
-from rpmix.gaussians import _quad_forms, _Whitening, log_density_batch
+from rpmix.gaussians import _quad_forms, _Workspace, log_density_batch
 from rpmix.projection import project_gaussian, project_mixture, random_orthonormal
 from rpmix.synthesis import CovarianceMode, MixtureSpec, make_mixture
 
@@ -156,7 +156,7 @@ class TestQuadFormKernel:
         points = offset + rng.standard_normal((m, n)) @ chol.T
         means = offset + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
 
-        got = _quad_forms(dtrtri(chol, lower=1)[0], points, means)
+        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points, k))
 
         ref = np.column_stack([_solved_norms(chol, points, mu) for mu in means])
         center = points.mean(axis=0)
@@ -192,7 +192,7 @@ class TestQuadFormKernel:
         points = offset + rng.standard_normal((m, n)) @ chol.T
         means = offset + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
 
-        got = _quad_forms(dtrtri(chol, lower=1)[0], points, means)
+        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points, k))
 
         ref = np.column_stack([_solved_norms(chol, points, mu) for mu in means])
         center = points.mean(axis=0)
@@ -201,11 +201,11 @@ class TestQuadFormKernel:
         assert np.all(np.abs(got - ref) <= c * np.finfo(float).eps * (1.0 + np.sqrt(lam[-1])) * scale)
 
     def test_kept_whitening_gives_the_bits_of_a_new_one(self):
-        # One `_Whitening` on the points, reused by factors with fewer means
+        # One `_Workspace` on the points, reused by factors with fewer means
         # than its spare rows and with means that overflow, as a fit reuses it.
         rng = np.random.default_rng(63)
         points = rng.standard_normal((50, 4))
-        work = _Whitening(points, 3)
+        work = _Workspace(points, 3)
         centered = work.centered.copy()
         for k in (3, 1, 2, 3):
             chol = np.linalg.cholesky(np.eye(4) + 0.3 * np.ones((4, 4)))
@@ -213,7 +213,7 @@ class TestQuadFormKernel:
             means = rng.standard_normal((k, 4))
             if k == 2:
                 means[1] = 1e160
-            assert np.array_equal(_quad_forms(inv, points, means, work), _quad_forms(inv, points, means))
+            assert np.array_equal(_quad_forms(inv, means, work), _quad_forms(inv, means, _Workspace(points, k)))
         assert np.array_equal(work.centered, centered)
 
 

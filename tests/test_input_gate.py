@@ -350,6 +350,11 @@ NON_NUMERIC = {
     "load_mixture-mean": (lambda tmp: load_mixture(write_json(
         tmp / "m.json", {"weights": [1.0], "means": ["abc"], "covariances": [[[1.0]]]}
     )), "mean"),
+    # A complex entry is not truncated to its real part, even a zero imaginary one.
+    "Gaussian-complex-mean": (lambda tmp: sample(Gaussian(np.zeros(2) + 0j, np.eye(2)), 2, 0), "mean"),
+    "Gaussian-complex-covariance": (lambda tmp: Gaussian(np.zeros(2), np.eye(2) + 0j), "covariance"),
+    "project_data-complex-rows": (lambda tmp: project_data(PROJ, np.array([[0j, 2.0, 3.0]])), "data"),
+    "LabeledDataset-complex-points": (lambda tmp: LabeledDataset(np.ones((2, 2)) + 0j, [1, 0]), "points"),
 }
 
 
@@ -464,6 +469,8 @@ NOT_INT64_LABELS = {
     "int-above-int64": [2**70, 0],
     "uint64-above-int64": np.array([2**63, 0], dtype=np.uint64),
     "missing": [1, None],
+    "complex": [1 + 1j, 0],
+    "complex-real-valued": np.array([1 + 0j, 0]),
 }
 
 
@@ -495,6 +502,13 @@ def test_integer_valued_labels_are_kept(case):
 def test_ingested_label_that_int64_does_not_hold_names_its_line(tmp_path, label):
     path = write_text(tmp_path / "labels.csv", f"0,1.0,2.0\n{label},3.0,4.0\n")
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: label .* is not an integer"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("label", ["-1", "-2.0", "-3e0"])
+def test_ingested_negative_label_names_its_line(tmp_path, label):
+    path = write_text(tmp_path / "labels.csv", f"0,1.0,2.0\n1,2.0,1.0\n{label},3.0,4.0\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: label -\d\.0 is negative$"):
         ingest(path)
 
 
