@@ -1,10 +1,10 @@
 """One OpenBLAS thread for the length of a scope.
 
 The experiments factor and invert small matrices (at most a few thousand rows
-by a few hundred columns). On such sizes OpenBLAS's extra threads cost more in
-hand-off than they save, so experiment bodies and CLI commands run inside
-`single_blas_thread()`, which sets every OpenBLAS the process has loaded to
-one thread and restores each library's previous count on exit.
+by a few hundred columns), where OpenBLAS's extra threads cost more in hand-off
+than they save. So every sweep's trials (entered in `experiments._run_trials`)
+and every CLI command run inside `single_blas_thread()`, which sets every
+OpenBLAS the process has loaded to one thread and restores each count on exit.
 
 numpy and scipy each bundle their own OpenBLAS, and EM uses both (scipy's
 for `cholesky`, `dtrtri` and `dlauum`, numpy's for matmul and `eigvalsh`),

@@ -18,7 +18,9 @@ from .errors import (
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, run_em
-from .gaussians import FLOAT_FMT, _as_float_array, _frozen, _int_at_least, _read_csv, _separations, _Workspace
+from .gaussians import (
+    FLOAT_FMT, _as_float_array, _file_name, _frozen, _int_at_least, _read_csv, _separations, _Workspace,
+)
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
 
@@ -136,7 +138,7 @@ def ingest(path) -> LabeledDataset:
 def save_labeled(data: LabeledDataset, path):
     """Write the label-first CSV format read by `ingest` (round-trips exactly)."""
     table = np.column_stack((data.labels, data.points))
-    np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",")
+    np.savetxt(_file_name(path), table, fmt=FLOAT_FMT, delimiter=",")
 
 
 def train(
@@ -254,4 +256,4 @@ def save_cluster_analysis(analysis: ClusterAnalysis, path):
     k = analysis.separations.shape[0]
     table = np.column_stack((np.arange(k), analysis.separations, analysis.eccentricities))
     header = ",".join(["class", *map(str, range(k)), "eccentricity"])
-    np.savetxt(path, table, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
+    np.savetxt(_file_name(path), table, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")

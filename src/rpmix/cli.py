@@ -27,7 +27,6 @@ from .classifier import (
 from .em import CovarianceRestriction, rp_em, run_em, test_loglik
 from .errors import ConfigError, RpmixError
 from .gaussians import (
-    FLOAT_FMT,
     load_dataset,
     mixture_separation,
     sample,
@@ -114,8 +113,7 @@ def _cmd_em(args):
           f"train loglik {fit.loglik_trace[-1]:.6f}")
     if args.trace_out:
         table = np.column_stack((np.arange(len(fit.loglik_trace)), fit.loglik_trace))
-        np.savetxt(args.trace_out, table, fmt=FLOAT_FMT, delimiter=",",
-                   header="iteration,train_loglik", comments="")
+        save_dataset(table, args.trace_out, header=["iteration", "train_loglik"])
     if args.test:
         test = load_dataset(args.test)
         print(f"test loglik {test_loglik(fit.model, test):.6f}")

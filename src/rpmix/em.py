@@ -80,8 +80,7 @@ class FitResult:
 
 
 def _model_data(model: Mixture, data):
-    """`data` gated, and checked to have the dimension of `model`."""
-    data = _as_float_array(data, "data", ndmin=2)
+    """`data`, an array already gated, checked to have the dimension of `model`."""
     if data.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != model dimension {model.dim}"
@@ -288,6 +287,7 @@ def e_step(model: Mixture, data):
     log-density is -inf under every component has no responsibilities and
     raises NonFiniteError naming its row.
     """
+    data = _as_float_array(data, "data", ndmin=2)
     return _e_step(model, _Workspace(_model_data(model, data), model.k))
 
 

@@ -4,10 +4,10 @@ Every experiment is a pure function of its parameters and a base seed:
 trial t derives its randomness from base_seed + t, and each report row
 records the seed that produced it, so any single trial can be replayed in
 isolation. Each body builds a task list, one task per trial, maps a
-module-level trial function over it with `_run_trials`, and hands the
-measurements to `_report`. Reports are long-format CSV: one row per
-measurement, followed by aggregate rows (mean, sd, min, max, median) per
-parameter group.
+module-level trial function over it with `_run_trials`, which runs the
+trials on one OpenBLAS thread, and hands the measurements to `_report`.
+Reports are long-format CSV: one row per measurement, followed by aggregate
+rows (mean, sd, min, max, median) per parameter group.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .errors import (
 from .gaussians import (
     FLOAT_FMT,
     _checked_mixture,
+    _file_name,
     _int_at_least,
     _labelled_draw,
     _radii,
@@ -65,7 +66,12 @@ from .synthesis import (
     packed_centers,
 )
 
-AGGREGATE_STATS = ("mean", "sd", "min", "max", "median")
+# Each parameter group's aggregate rows, in report order: stat -> its function
+# of the group's values of one metric.
+AGGREGATE_STATS = {
+    "mean": np.mean, "sd": lambda vals: vals.std(ddof=1) if len(vals) > 1 else 0.0,
+    "min": np.min, "max": np.max, "median": np.median,
+}
 
 
 @dataclass(frozen=True)
@@ -82,21 +88,19 @@ class ExperimentReport:
             groups.setdefault(key, []).append(row)
         out = []
         for key, rows in groups.items():
-            for stat in AGGREGATE_STATS:
-                agg = {"row_type": stat, "seed": ""}
-                agg.update(dict(zip(self.group_columns, key)))
-                for col in self.metric_columns:
-                    vals = np.array([float(r[col]) for r in rows])
-                    # Failed trials carry -inf logliks; aggregate honestly
-                    # (mean/sd become inf/nan) without runtime warnings.
-                    with np.errstate(invalid="ignore"):
-                        agg[col] = _agg_stat(stat, vals)
+            columns = {c: np.array([float(r[c]) for r in rows]) for c in self.metric_columns}
+            for stat, fn in AGGREGATE_STATS.items():
+                agg = {"row_type": stat, "seed": "", **dict(zip(self.group_columns, key))}
+                # Failed trials carry -inf logliks; aggregate honestly
+                # (mean/sd become inf/nan) without runtime warnings.
+                with np.errstate(invalid="ignore"):
+                    agg.update((c, float(fn(vals))) for c, vals in columns.items())
                 out.append(agg)
         return out
 
     def to_csv(self, path):
         cols = ["row_type", *self.group_columns, "seed", *self.metric_columns]
-        with open(path, "w") as f:
+        with open(_file_name(path), "w") as f:
             f.write(",".join(cols) + "\n")
             for row in (*self.rows, *self.aggregates()):
                 f.write(",".join(_fmt(row[c]) for c in cols) + "\n")
@@ -114,18 +118,6 @@ class ExperimentReport:
             )
             lines.append(f"[{group}] {metrics}" if group else metrics)
         return lines
-
-
-def _agg_stat(stat, vals):
-    if stat == "mean":
-        return float(vals.mean())
-    if stat == "sd":
-        return float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-    if stat == "min":
-        return float(vals.min())
-    if stat == "max":
-        return float(vals.max())
-    return float(np.median(vals))
 
 
 def _fmt(v):
@@ -153,7 +145,6 @@ def _log_dim(k, n):
 # ---------------------------------------------------------------------------
 # Separation experiments (projected-pair geometry)
 
-@single_blas_thread()
 def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20, threads=None):
     """Projected separation of a 1-separated spherical pair vs original dim.
 
@@ -164,7 +155,6 @@ def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20, th
     return _report(("n",), ("separation",), _run_trials(_separation_trial, tasks, threads))
 
 
-@single_blas_thread()
 def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
     """Projected separation of maximally packed mixtures at d = 10 ln k."""
     tasks = [(n, k, c, _log_dim(k, n), base_seed + t) for k in k_values for t in range(trials)]
@@ -184,7 +174,6 @@ def _separation_trial(task):
 # ---------------------------------------------------------------------------
 # Eccentricity experiments
 
-@single_blas_thread()
 def fig5_body(
     base_seed,
     trials=40,
@@ -205,7 +194,6 @@ def _fig5_trial(task, d):
     return {"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
 
 
-@single_blas_thread()
 def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24, -1))):
     """One fixed eccentric Gaussian projected to successively lower dims."""
     cov = eccentric_covariance(n, E, CovarianceMode.DIAGONAL_DISTINCT, base_seed)
@@ -243,8 +231,8 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     and the projection draw from the seed's children 0, 1 and 2. Returns
     (pca_table, rp_table), each k x k.
 
-    The tables are computed on one BLAS thread, as inside every body: the
-    last bits of PCA's Gram product depend on the thread count.
+    The tables are computed on one BLAS thread, as every sweep's trials are:
+    the last bits of PCA's Gram product depend on the thread count.
     """
     s_truth, s_sample, s_proj = _seed_children(seed, 3)
     mix, _ = long_axis_mixture(n, k, c, E, d, s_truth)
@@ -255,7 +243,6 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     return tuple(_separations(p.means, _radii(p)) for p in projected)
 
 
-@single_blas_thread()
 def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000, threads=None):
     """PCA vs random projection separation tables, one row per pair and map.
 
@@ -277,7 +264,6 @@ def _pca_vs_rp_trial(seed, n, k, c, E, d, samples):
     ]
 
 
-@single_blas_thread()
 def pca_collapse_body(base_seed, k=10, samples=10000):
     """Symmetric arrangement where PCA to k/2 - 1 dims collapses a pair.
 
@@ -364,10 +350,7 @@ def em_compare_trial(
 
     reg, rp = _scored_fit(plain, truth, test_data), _scored_fit(hybrid, truth, test_data)
     a, b = rp[2], reg[2]
-    if np.isfinite(a) and np.isfinite(b):
-        matched = abs(a - b) <= 1e-9 * max(abs(a), abs(b))
-    else:
-        matched = a == b
+    matched = math.isclose(a, b)
     metrics = (*reg, *rp, matched, (not matched) and a > b)
     return {"n": n, "seed": seed, **dict(zip(EM_COMPARE_METRICS, metrics))}
 
@@ -404,29 +387,34 @@ _POOL_SWEEP = ContextVar("_POOL_SWEEP")
 
 
 def _run_trials(worker, tasks, threads=None, shared=()):
-    """`[worker(task, *shared) for task in tasks]`, spread over processes.
+    """`[worker(task, *shared) for task in tasks]`, spread over processes on
+    one OpenBLAS thread: every sweep's one execution policy.
 
-    `threads` is the number of worker processes. None uses every core in
-    the affinity mask, but no more processes than tasks. With one worker the
-    tasks run here, in order, with no pool. Otherwise the pool starts its
-    workers by `fork`, whatever the platform default is. A fork pool starts
-    in about 0.02 s, where a spawn pool takes about 1 s, as long as a short
-    sweep. `shared` reaches each worker once, through the pool's
+    `threads` is the number of worker processes, an int >= 1. None uses
+    every core in the affinity mask, but no more processes than tasks. With
+    one worker the tasks run here, in order, inside `single_blas_thread()`,
+    with no pool. Otherwise the pool forks its workers inside that scope,
+    whatever the platform default is, and each inherits one thread. A fork
+    pool starts in about 0.02 s, where a spawn pool takes about 1 s, as long
+    as a short sweep. `shared` reaches each worker once, through the pool's
     initializer, which fork hands over without pickling; only the tasks and
     the results cross a pipe. Results keep the order of `tasks`, so a report
-    does not depend on the number of workers.
+    does not depend on the number of workers or the caller's thread count.
     """
     if threads is None:
         threads = min(len(os.sched_getaffinity(0)), len(tasks))
-    if threads <= 1:
-        return [worker(task, *shared) for task in tasks]
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_POOL_SWEEP.set,
-        initargs=((worker, shared),),
-    ) as pool:
-        return list(pool.map(_pooled_trial, tasks))
+    else:
+        threads = _int_at_least(threads, "threads", 1)
+    with single_blas_thread():
+        if threads <= 1:
+            return [worker(task, *shared) for task in tasks]
+        with ProcessPoolExecutor(
+            max_workers=threads,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_POOL_SWEEP.set,
+            initargs=((worker, shared),),
+        ) as pool:
+            return list(pool.map(_pooled_trial, tasks))
 
 
 def _pooled_trial(task):
@@ -439,7 +427,6 @@ def _em_trial(task, overrides):
     return em_compare_trial(n, seed, **overrides)
 
 
-@single_blas_thread()
 def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=None, **overrides):
     """Regular EM vs RP+EM on 1-separated spherical five-component mixtures.
 
@@ -504,7 +491,6 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     return draw(train_size, s_train), draw(test_size, s_test)
 
 
-@single_blas_thread()
 def fig9_body(
     base_seed,
     trials=3,

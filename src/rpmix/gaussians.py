@@ -9,6 +9,7 @@ apart (using the larger of the two radii).
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,17 @@ def _as_float_array(x, name, ndmin=0):
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return a
+
+
+def _file_name(path):
+    """The one way a file path enters the library: a str, bytes or os.PathLike
+    `path` as a str (`os.fspath`, decoded: numpy's `savetxt` takes no bytes).
+    Anything else, an int (a file descriptor to `open`) included, raises
+    InvalidParameterError."""
+    try:
+        return os.fsdecode(path)
+    except TypeError as exc:
+        raise InvalidParameterError(f"path must be a str, bytes or os.PathLike, got {path!r}") from exc
 
 
 def _is_int(value):
@@ -526,7 +538,7 @@ def mixture_from_dict(doc: dict) -> Mixture:
 
 
 def save_mixture(m: Mixture, path):
-    with open(path, "w") as f:
+    with open(_file_name(path), "w") as f:
         json.dump(mixture_to_dict(m), f)
 
 
@@ -534,6 +546,7 @@ def _load_document(path, from_dict):
     """`from_dict` of the JSON document at `path`. A file that is not JSON
     raises ParseError, and an RpmixError raised while building the object is
     raised again as its own type; both messages start with `path`."""
+    path = _file_name(path)
     try:
         with open(path) as f:
             return from_dict(json.load(f))
@@ -564,7 +577,7 @@ def save_dataset(points, path, header=None):
             f"header must be a sequence of {points.shape[1]} column names, got {header!r}"
         )
     header = "" if header is None else ",".join(header)
-    np.savetxt(path, points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
+    np.savetxt(_file_name(path), points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
 def _data_lines(path, skip_header, linenos):
@@ -618,7 +631,7 @@ def _read_csv(path, skip_header=False):
     at a time, and the cells of the failing one, only to name the line and
     the column; every error names the file and the line.
     """
-    linenos = []
+    path, linenos = _file_name(path), []
     lines = _data_lines(path, skip_header, linenos)
     first = next(lines, None)
     if first is None:

@@ -28,8 +28,8 @@ from .errors import (
     _ParameterEnum,
 )
 from .gaussians import (
-    Gaussian, Mixture, _as_float_array, _checked_mixture, _frozen, _is_int, _load_document,
-    _seed_sequence,
+    Gaussian, Mixture, _as_float_array, _checked_mixture, _file_name, _frozen, _is_int,
+    _load_document, _seed_sequence,
 )
 
 ORTHONORMALITY_TOL = 1e-9
@@ -201,7 +201,7 @@ def projection_from_dict(doc: dict) -> ProjectionMatrix:
 
 
 def save_projection(p: ProjectionMatrix, path):
-    with open(path, "w") as f:
+    with open(_file_name(path), "w") as f:
         json.dump(projection_to_dict(p), f)
 
 

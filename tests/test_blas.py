@@ -107,6 +107,45 @@ def test_trials_run_on_one_thread(monkeypatch, two_threads, threads):
     assert thread_counts() == [2] * len(openblas_controls())
 
 
+# experiment -> keyword arguments of a small run of its body.
+SMALL_RUNS = {
+    "fig3-sep-vs-n": dict(trials=2, n_values=(50,)),
+    "fig4-sep-vs-k": dict(trials=2, k_values=(3,), n=20),
+    "fig5-ecc-table": dict(trials=2, E_values=(50,), n_values=(25,)),
+    "fig6-ecc-vs-d": dict(trials=2, n=20, E=100.0, d_values=(10,)),
+    "fig7-pca-vs-rp": dict(trials=2, n=40, k=3, d=5, samples=200),
+    "fig8-em-compare": dict(trials=2, n_values=(20,), k=2, d=3, train_size=200, test_size=50),
+    "second-em-compare": dict(trials=2, n=30),
+    "fig9-digit-sweep": dict(trials=1, d_values=(20,)),
+    "pca-collapse": dict(k=4, samples=200),
+}
+
+
+@needs_openblas
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_body_report_does_not_follow_the_callers_threads(monkeypatch, two_threads, name):
+    # The direct route, as the library is called: trials in their default
+    # worker pool, the caller on two threads. Each trial also records the
+    # largest count it sees, since at these sizes a report may not show one.
+    body, _ = experiments.EXPERIMENTS[name]
+    with single_blas_thread():
+        single = body(0, **SMALL_RUNS[name])
+    seen, run_trials = [], experiments._run_trials
+
+    def recording(worker, tasks, threads=None, shared=()):
+        def counted(task, *shared):
+            return max(thread_counts()), worker(task, *shared)
+
+        pairs = run_trials(counted, tasks, threads, shared)
+        seen.extend(count for count, _ in pairs)
+        return [result for _, result in pairs]
+
+    monkeypatch.setattr(experiments, "_run_trials", recording)
+    assert body(0, **SMALL_RUNS[name]) == single
+    assert seen and set(seen) == {1}
+    assert thread_counts() == [2] * len(openblas_controls())
+
+
 @needs_openblas
 def test_surrogate_data_depend_only_on_the_seed(two_threads):
     # n stays at its default 256: products of small matrices may not use threads.

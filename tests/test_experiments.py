@@ -78,6 +78,25 @@ class TestReportFormat:
             else:
                 assert agg["separation"] == pytest.approx(sep, rel=1e-15)
 
+    def test_aggregates_keep_the_bits_of_each_statistic(self):
+        # Group 2 holds a failed trial's -inf: its mean is -inf and its sd NaN.
+        values = {0: [0.1, 0.7, 1e20, 0.3], 1: [0.1, 0.7, 0.2, 0.3, -2.5], 2: [-np.inf, 0.5]}
+        rows = [{"row_type": "trial", "g": g, "seed": i, "v": v, "w": i % 2 == 0}
+                for g, vs in values.items() for i, v in enumerate(vs)]
+        report = experiments.ExperimentReport(("g",), ("v", "w"), tuple(rows))
+        for agg in report.aggregates():
+            group = [r for r in rows if r["g"] == agg["g"]]
+            for col in ("v", "w"):
+                vals = np.array([float(r[col]) for r in group])
+                with np.errstate(invalid="ignore"):
+                    want = {
+                        "mean": vals.mean(), "min": vals.min(), "max": vals.max(), "median": np.median(vals),
+                        "sd": vals.std(ddof=1) if len(vals) > 1 else 0.0,
+                    }[agg["row_type"]]
+                assert type(agg[col]) is float
+                assert np.array_equal(agg[col], want, equal_nan=True)
+        assert [agg["row_type"] for agg in report.aggregates()] == ["mean", "sd", "min", "max", "median"] * 3
+
     def test_csv_replay_byte_exact(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="fig5-ecc-table",
@@ -362,6 +381,28 @@ class TestEmComparison:
         assert row["exact_match"] in (True, False)
         assert not (row["exact_match"] and row["rp_beats"])
 
+    # (hybrid's test loglik, plain EM's) -> (exact_match, rp_beats): a match is
+    # a relative gap of at most 1e-9 of the larger magnitude, and an infinity
+    # matches only itself.
+    MATCH_RULE = [
+        ((-100.0, -100.0), (True, False)),
+        ((-100.0, -100.0 * (1 + 9e-10)), (True, False)),
+        ((-100.0, -100.0 * (1 + 2e-9)), (False, True)),
+        ((-100.0 * (1 + 2e-9), -100.0), (False, False)),
+        ((-np.inf, -np.inf), (True, False)),
+        ((-100.0, -np.inf), (False, True)),
+        ((-np.inf, -100.0), (False, False)),
+    ]
+
+    @pytest.mark.parametrize("logliks, verdict", MATCH_RULE)
+    def test_exact_match_rule(self, monkeypatch, logliks, verdict):
+        rp, reg = logliks
+        scores = iter([(True, 1, reg, False), (True, 1, rp, False)])  # plain EM is scored first
+        monkeypatch.setattr(experiments, "_scored_fit", lambda fit, truth, test: next(scores))
+        row = em_compare_trial(4, 0, k=2, d=2, train_size=10, test_size=5)
+        assert (row["exact_match"], row["rp_beats"]) == verdict
+        assert type(row["exact_match"]) is bool
+
     def test_dead_component_at_lift_is_a_failed_trial(self, monkeypatch):
         def dead_at_lift(*args, **kwargs):
             raise EmptyComponentError((1,))
@@ -478,6 +519,16 @@ class TestTrialPool:
         report = fig8_body(0, trials=trials, threads=threads, **SMALL_TRIAL)
         assert len(report.rows) == trials
         assert pools == []
+
+    @pytest.mark.parametrize("threads", [0, -2, True, 2.5, "2"])
+    def test_worker_count_that_is_not_an_int_at_least_one_is_invalid(self, pools, threads):
+        with pytest.raises(InvalidParameterError, match=f"^threads must be an int >= 1, got {threads!r}$"):
+            fig3_body(0, trials=1, n_values=(50,), threads=threads)
+        assert pools == []
+
+    @pytest.mark.parametrize("threads", [None, 1, 2])
+    def test_empty_task_list_maps_to_no_results(self, threads):
+        assert experiments._run_trials(abs, [], threads) == []
 
     def test_shared_arguments_reach_the_workers(self, pools):
         def worker(task, offset):

@@ -9,10 +9,13 @@ int >= 0 nor a SeedSequence in an InvalidParameterError naming the seed, a
 `tol` that is not a finite real >= 0 in an InvalidParameterError, a
 separation or eccentricity that is not a finite real in an RpmixError, a
 covariance that overflows from finite input in a NonFiniteError naming the
-covariance, data whose centering overflows in PCA in a NonFiniteError, and
-an object that keeps an array argument leaves the caller's array writable."""
+covariance, data whose centering overflows in PCA in a NonFiniteError, a
+file path that is not a str, bytes or os.PathLike (an int file descriptor
+included) in an InvalidParameterError naming it, and an object that keeps an
+array argument leaves the caller's array writable."""
 
 import json
+import os
 import re
 from functools import partial
 
@@ -23,9 +26,11 @@ from rpmix import (
     CovarianceRestriction,
     Gaussian,
     Mixture,
+    cluster_analysis,
     e_step,
     ingest,
     init_params,
+    load_dataset,
     load_mixture,
     log_density,
     m_step,
@@ -40,10 +45,13 @@ from rpmix import (
     run_em,
     sample,
     save_dataset,
+    save_labeled,
+    save_mixture,
+    save_projection,
     spectral_summary,
 )
-from rpmix import cli
-from rpmix.classifier import ClassMixtureModel, LabeledDataset, train
+from rpmix import cli, em
+from rpmix.classifier import ClassMixtureModel, LabeledDataset, save_cluster_analysis, train
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     BadDimsError,
@@ -57,7 +65,13 @@ from rpmix.errors import (
     ParseError,
     RpmixError,
 )
-from rpmix.experiments import ExperimentConfig, fig4_body, pca_collapse_body, surrogate_digit_data
+from rpmix.experiments import (
+    ExperimentConfig,
+    ExperimentReport,
+    fig4_body,
+    pca_collapse_body,
+    surrogate_digit_data,
+)
 from rpmix.gaussians import _as_float_array, _checked_mixture, log_density_batch
 from rpmix.projection import (
     ProjectionKind,
@@ -705,3 +719,69 @@ def test_pca_command_on_data_whose_centering_overflows_is_typed(tmp_path, capsys
     argv = ["project", "--kind", "pca", "--d", "2", "--data", str(path), "--out", str(tmp_path / "p.json")]
     assert cli.main(argv) == 1
     assert "error: data overflows when centred" in capsys.readouterr().err
+
+
+def test_test_loglik_gates_its_array_once(monkeypatch):
+    calls = []
+    gate = em._as_float_array
+    monkeypatch.setattr(em, "_as_float_array", lambda *a, **kw: calls.append(a[1]) or gate(*a, **kw))
+    assert np.isfinite(held_out_loglik(MODEL, DATA))
+    assert calls == ["test"]
+
+
+LABELED = LabeledDataset(DATA, [0] * 20 + [1] * 20)
+REPORT = ExperimentReport(("g",), ("v",), ({"row_type": "trial", "g": 1, "seed": 0, "v": 0.5},))
+
+NO_PATH = "path must be a str, bytes or os.PathLike"
+# function -> call with a path: every library function that reads or writes a file.
+PATH_CALLS = {
+    "load_dataset": load_dataset,
+    "ingest": ingest,
+    "load_mixture": load_mixture,
+    "load_projection": load_projection,
+    "save_mixture": partial(save_mixture, MODEL),
+    "save_projection": partial(save_projection, PROJ),
+    "save_dataset": partial(save_dataset, DATA),
+    "save_labeled": partial(save_labeled, LABELED),
+    "save_cluster_analysis": partial(save_cluster_analysis, cluster_analysis(LABELED)),
+    "ExperimentReport.to_csv": REPORT.to_csv,
+}
+
+
+@pytest.mark.parametrize("name", PATH_CALLS)
+def test_file_descriptor_is_not_a_path(tmp_path, name):
+    # `open` reads an int as a file descriptor, and closes it when done.
+    fd = os.open(tmp_path / "f", os.O_RDWR | os.O_CREAT)
+    try:
+        with pytest.raises(InvalidParameterError, match=f"^{NO_PATH}, got {fd}$"):
+            PATH_CALLS[name](fd)
+        assert os.fstat(fd).st_size == 0
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("path", [None, 2.5, ["f.csv"]], ids=["None", "float", "list"])
+@pytest.mark.parametrize("name", PATH_CALLS)
+def test_path_that_is_no_file_name_is_an_invalid_parameter(name, path):
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{NO_PATH}, got {path!r}")):
+        PATH_CALLS[name](path)
+
+
+@pytest.mark.parametrize("as_path", [str, os.fsencode, lambda p: p], ids=["str", "bytes", "PathLike"])
+def test_str_bytes_and_path_like_file_names_work(tmp_path, as_path):
+    def name(file):
+        return as_path(tmp_path / file)
+
+    save_dataset(DATA, name("d.csv"))
+    assert np.array_equal(load_dataset(name("d.csv")), DATA)
+    save_labeled(LABELED, name("l.csv"))
+    read = ingest(name("l.csv"))
+    assert np.array_equal(read.points, DATA) and np.array_equal(read.labels, LABELED.labels)
+    save_mixture(MODEL, name("m.json"))
+    assert np.array_equal(load_mixture(name("m.json")).means, MODEL.means)
+    save_projection(PROJ, name("p.json"))
+    assert np.array_equal(load_projection(name("p.json")).rows, PROJ.rows)
+    save_cluster_analysis(cluster_analysis(LABELED), name("a.csv"))
+    assert (tmp_path / "a.csv").read_text().startswith("class,0,1,eccentricity\n")
+    REPORT.to_csv(name("r.csv"))
+    assert (tmp_path / "r.csv").read_text().startswith("row_type,g,seed,v\ntrial,1,0,0.5\n")
