@@ -4,15 +4,16 @@ Synthetic stand-in data mimics handwritten-digit clusters: ten classes in
 R^256, extremely eccentric, 0.63-separated. The classifier fixes one random
 projection, fits a small shared-covariance mixture per class down there,
 and scores by the best Gaussian. Accuracy plateaus once d is large enough;
-the projection also tames the wild per-class eccentricities.
+the projection also tames the wild per-class eccentricities. The accuracy
+table is fig9's sweep (`fig9_body`) at one trial per d.
 
 Run: python3 demos/digit_style_classifier.py
 """
 
 import numpy as np
 
-from rpmix import cluster_analysis, evaluate, train
-from rpmix.experiments import surrogate_digit_data
+from rpmix import cluster_analysis
+from rpmix.experiments import fig9_body, surrogate_digit_data
 from rpmix.projection import random_orthonormal
 
 
@@ -29,9 +30,9 @@ def main():
     )
 
     print("\n%8s  %12s" % ("d", "accuracy"))
-    for d in (20, 40, 100):
-        model = train(train_set, d, per_class_k=5, seed=0)
-        print("%8d  %11.1f%%" % (d, 100 * evaluate(model, test_set)))
+    for agg in fig9_body(0, trials=1, d_values=(20, 40, 100)).aggregates():
+        if agg["row_type"] == "mean":
+            print("%8d  %11.1f%%" % (agg["d"], 100 * agg["accuracy"]))
     print("Past d=40 the extra dimensions buy nothing.")
 
     raw = cluster_analysis(train_set)

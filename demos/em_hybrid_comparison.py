@@ -4,15 +4,14 @@ Each trial draws a fresh 1-separated five-component spherical mixture,
 fits it both ways from the same seed, and scores the fits by whether every
 estimated center lands within a third of the true cluster radius, plus the
 test log-likelihood. Dimension hurts plain EM; the hybrid shrugs it off.
+The trials are fig8's sweep (`fig8_body`) at n = 50, 100 and 200.
 
 Run: python3 demos/em_hybrid_comparison.py [--trials 15]
 """
 
 import argparse
 
-import numpy as np
-
-from rpmix.experiments import em_compare_trial
+from rpmix.experiments import fig8_body
 
 
 def main():
@@ -21,12 +20,10 @@ def main():
     args = parser.parse_args()
 
     print("%6s  %12s  %12s  %12s" % ("n", "plain ok", "hybrid ok", "hybrid beats"))
-    for n in (50, 100, 200):
-        rows = [em_compare_trial(n, 10_000 + t) for t in range(args.trials)]
-        reg = np.mean([r["reg_success"] for r in rows])
-        rp = np.mean([r["rp_success"] for r in rows])
-        beats = np.mean([r["rp_beats"] for r in rows])
-        print("%6d  %11.0f%%  %11.0f%%  %11.0f%%" % (n, 100 * reg, 100 * rp, 100 * beats))
+    for agg in fig8_body(10_000, trials=args.trials, n_values=(50, 100, 200)).aggregates():
+        if agg["row_type"] == "mean":
+            rates = (100 * agg[c] for c in ("reg_success", "rp_success", "rp_beats"))
+            print("%6d  %11.0f%%  %11.0f%%  %11.0f%%" % (agg["n"], *rates))
 
     print()
     print("Plain EM's success rate slides as n grows; the hybrid, which does")

@@ -20,6 +20,7 @@ from .errors import (
 from .em import CovarianceRestriction, _log_joint, run_em
 from .gaussians import (
     FLOAT_FMT, _as_float_array, _file_name, _frozen, _int_at_least, _read_csv, _separations, _Workspace,
+    save_dataset,
 )
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
@@ -122,6 +123,7 @@ def _check_no_empty_class(data: LabeledDataset):
 
 def ingest(path) -> LabeledDataset:
     """Read a label-first CSV: each line is `label,x1,...,xn`."""
+    path = _file_name(path)
     table, linenos = _read_csv(path)
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
@@ -137,8 +139,7 @@ def ingest(path) -> LabeledDataset:
 
 def save_labeled(data: LabeledDataset, path):
     """Write the label-first CSV format read by `ingest` (round-trips exactly)."""
-    table = np.column_stack((data.labels, data.points))
-    np.savetxt(_file_name(path), table, fmt=FLOAT_FMT, delimiter=",")
+    save_dataset(np.column_stack((data.labels, data.points)), path)
 
 
 def train(

@@ -49,8 +49,12 @@ experiment report CSV columns:
   <group...>  experiment parameters (e.g. n, k, d, E, method, i, j)
   seed        the per-trial seed (blank on aggregate rows)
   <metrics>   measured quantities, full double precision:
-              separation, eccentricity, accuracy, min_separation,
-              reg_/rp_ success, iterations, test_loglik, failed flags,
+              separation (fig3, fig4, fig7), eccentricity (fig5, fig6),
+              accuracy (fig9), min_separation and original_min_separation
+              (pca-collapse); for plain EM (reg_) and the hybrid (rp_) in
+              fig8 and second-em: reg_success, reg_iterations,
+              reg_test_loglik, reg_failed, rp_success, rp_low_iterations
+              (counted in the projected space), rp_test_loglik, rp_failed,
               exact_match, rp_beats
 """
 

@@ -450,18 +450,17 @@ def second_em_body(base_seed, trials=100, n=100, threads=None):
 # Digit classifier sweep
 
 @single_blas_thread()
-def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
-                         train_size=3000, test_size=1000, label_noise=0.05,
-                         spectrum_decay=0.8):
+def surrogate_digit_data(base_seed, n=256, num_classes=10, E=1e4, train_size=3000, test_size=1000):
     """Synthetic stand-in for the digit set, matching its gross statistics:
     ten 0.63-separated classes of eccentricity 1e4.
 
-    Each class concentrates its variance in a few directions (a
-    geometrically decaying spectrum, floored at 1) under its own random
-    rotation; that concentration is what makes real digit clusters so
-    eccentric. A small label-noise fraction models intrinsically ambiguous
-    instances, capping accuracy below 1 so the accuracy-vs-d curve shows a
-    genuine plateau rather than a trivially perfect one.
+    Each class concentrates its variance in a few directions under its own
+    random rotation: its axis standard deviations decay geometrically from
+    E, by a spectral decay of 0.8 per axis, floored at 1. That concentration
+    is what makes real digit clusters so eccentric. A 5% label noise (each
+    label redrawn uniformly with probability 0.05) models intrinsically
+    ambiguous instances, capping accuracy below 1 so the accuracy-vs-d curve
+    shows a genuine plateau rather than a trivially perfect one.
 
     It runs on one OpenBLAS thread, so its data depend on the seed alone: at
     n = 256 the class covariances are products that threads split, and a
@@ -469,13 +468,13 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     """
     base = _int_at_least(base_seed, "base_seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence([base, 9]))
-    roots = np.maximum(E * spectrum_decay ** np.arange(n), 1.0)
+    roots = np.maximum(E * 0.8 ** np.arange(n), 1.0)
     covs = []
     for _ in range(num_classes):
         q = _haar_orthogonal(rng.standard_normal((n, n)))
         covs.append((q * roots**2) @ q.T)
     radii = np.sqrt([np.trace(cov) for cov in covs])
-    centers = packed_centers(num_classes, n, c, radii, rng.integers(0, 2**63))
+    centers = packed_centers(num_classes, n, 0.63, radii, rng.integers(0, 2**63))
     mix = _checked_mixture(
         np.full(num_classes, 1.0 / num_classes), centers, covs, np.arange(num_classes)
     )
@@ -484,7 +483,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, c=0.63, E=1e4,
     def draw(size, seed):
         draw_rng = np.random.default_rng(seed)
         labels, pts = _labelled_draw(mix, size, draw_rng)
-        flip = draw_rng.random(size) < label_noise
+        flip = draw_rng.random(size) < 0.05
         labels[flip] = draw_rng.choice(num_classes, size=int(flip.sum()))
         return LabeledDataset(pts, labels)
 

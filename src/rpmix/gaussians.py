@@ -254,6 +254,8 @@ def _checked_mixture(weights, means, covs, owner):
     if means.ndim != 2 or not owner.size:
         raise InvalidParameterError("a mixture needs at least one mean, and each is a vector")
     n = means.shape[1]
+    if n < 1:
+        raise InvalidParameterError("a mixture needs dimension >= 1, got 0")
     covs = [_as_float_array(cov, "covariance") for cov in covs]
     for cov in covs:
         if cov.shape != (n, n):
@@ -388,9 +390,19 @@ def _log_normalizer(chol):
     return -0.5 * chol.shape[0] * np.log(2.0 * np.pi) - 0.5 * log_det
 
 
+def _one_component(g, name="g"):
+    """`g` if it is a one-component Mixture (a Gaussian is one), whose
+    component the layout holds at `means[0]`, `_covs[0]` and `_chols[0]`;
+    InvalidParameterError naming `name` otherwise."""
+    if not isinstance(g, Mixture) or g.k != 1:
+        raise InvalidParameterError(f"{name} must be a Gaussian (a one-component Mixture), got {g!r}")
+    return g
+
+
 def _quad_to_mean(g: Gaussian, x, name, ndmin):
     """`g`'s quadratic form at the point (ndmin 0) or rows (ndmin 2) of `x`,
     gated as `name`, dimension-checked and after `g`'s condition check."""
+    g = _one_component(g)
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
@@ -400,13 +412,13 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
 def log_density(g: Gaussian, x) -> float:
     """Log of the Gaussian density at a single point x."""
     quad = _quad_to_mean(g, x, "x", 0)[0]
-    return float(_log_normalizer(g.chol) - 0.5 * quad)
+    return float(_log_normalizer(g._chols[0]) - 0.5 * quad)
 
 
 def log_density_batch(g: Gaussian, points) -> np.ndarray:
     """Log-density at every row of a dataset; one product with L^-1."""
     quad = _quad_to_mean(g, points, "points", 2)
-    return _log_normalizer(g.chol) - 0.5 * quad
+    return _log_normalizer(g._chols[0]) - 0.5 * quad
 
 
 def mahalanobis(g: Gaussian, x) -> float:
@@ -432,7 +444,7 @@ def spectral_summary(cov) -> SpectralSummary:
 
 def radius(g: Gaussian) -> float:
     """sqrt(trace(Sigma)): the root expected squared distance from the mean."""
-    return float(np.sqrt(np.trace(g.covariance)))
+    return float(np.sqrt(np.trace(_one_component(g)._covs[0])))
 
 
 def _radii(m: Mixture) -> np.ndarray:
@@ -463,9 +475,10 @@ def _separations(means, radii) -> np.ndarray:
 
 def pairwise_separation(g1: Gaussian, g2: Gaussian) -> float:
     """Mean distance in units of the larger trace-radius."""
+    g1, g2 = _one_component(g1, "g1"), _one_component(g2, "g2")
     if g1.dim != g2.dim:
         raise DimensionMismatchError("Gaussians have differing dimensions")
-    return float(_separations([g1.mean, g2.mean], [radius(g1), radius(g2)])[0, 1])
+    return float(_separations([g1.means[0], g2.means[0]], [radius(g1), radius(g2)])[0, 1])
 
 
 def mixture_separation(m: Mixture) -> float:
@@ -583,24 +596,14 @@ def save_dataset(points, path, header=None):
 def _data_lines(path, skip_header, linenos):
     """The lines of `path` that hold data: every line after the header (when
     `skip_header`) that is not blank or whitespace-only. The number of each
-    line is appended to `linenos` as it is yielded. A line with another
-    comma count than the first raises InconsistentWidthError naming it."""
-    commas = None
+    line is appended to `linenos` as it is yielded."""
     with open(path) as f:
         if skip_header:
             f.readline()
         for lineno, line in enumerate(f, start=2 if skip_header else 1):
-            if line.isspace():
-                continue
-            if commas is None:
-                commas = line.count(",")
-            elif line.count(",") != commas:
-                raise InconsistentWidthError(
-                    f"{path}: line {lineno}: expected {commas + 1} values, "
-                    f"got {line.count(',') + 1}"
-                )
-            linenos.append(lineno)
-            yield line
+            if not line.isspace():
+                linenos.append(lineno)
+                yield line
 
 
 def _parse_lines(lines):
@@ -623,13 +626,14 @@ def _read_csv(path, skip_header=False):
     """A numeric CSV file as a float array, plus each row's line number.
 
     numpy's `loadtxt` parses the lines of `_data_lines` as they are read, so
-    blank and whitespace-only lines are skipped and a row narrower or wider
-    than the first raises InconsistentWidthError. A file with no data row
-    raises ParseError. So does a cell that is not a finite number in
-    numpy's syntax: `1_000` and non-ASCII digits are not numbers, and `#`
-    starts no comment. When `loadtxt` fails, the lines are parsed again one
-    at a time, and the cells of the failing one, only to name the line and
-    the column; every error names the file and the line.
+    blank and whitespace-only lines are skipped, and it rejects a row
+    narrower or wider than the first, which raises InconsistentWidthError.
+    A file with no data row raises ParseError. So does a cell that is not a
+    finite number in numpy's syntax: `1_000` and non-ASCII digits are not
+    numbers, and `#` starts no comment. When `loadtxt` fails, the lines are
+    read again one at a time, and the cells of the failing one, only to name
+    the line, and the width or the column; every error names the file and
+    the line.
     """
     path, linenos = _file_name(path), []
     lines = _data_lines(path, skip_header, linenos)
@@ -639,11 +643,16 @@ def _read_csv(path, skip_header=False):
     try:
         table = _parse_lines(chain([first], lines))
     except ValueError as exc:
-        retry = []
+        retry, width = [], first.count(",") + 1
         for line in _data_lines(path, skip_header, retry):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise InconsistentWidthError(
+                    f"{path}: line {retry[-1]}: expected {width} values, got {len(cells)}"
+                ) from exc
             if _parses(line):
                 continue
-            for column, cell in enumerate(line.split(","), start=1):
+            for column, cell in enumerate(cells, start=1):
                 if not _parses(cell):
                     raise ParseError(
                         f"{path}: line {retry[-1]}: column {column}: "

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gaussians import (
     Gaussian, Mixture, _as_float_array, _checked_mixture, _file_name, _frozen, _is_int,
-    _load_document, _seed_sequence,
+    _load_document, _one_component, _seed_sequence,
 )
 
 ORTHONORMALITY_TOL = 1e-9
@@ -151,7 +151,7 @@ def project_data(p: ProjectionMatrix, data) -> np.ndarray:
 
 
 def project_gaussian(p: ProjectionMatrix, g: Gaussian) -> Gaussian:
-    return project_mixture(p, g).components[0]
+    return project_mixture(p, _one_component(g)).components[0]
 
 
 def project_mixture(p: ProjectionMatrix, m: Mixture) -> Mixture:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rpmix import (
     Gaussian,
     Mixture,
     cli,
+    experiments,
     load_dataset,
     load_mixture,
     load_projection,
@@ -14,6 +16,7 @@ from rpmix import (
 )
 from rpmix.classifier import LabeledDataset, cluster_analysis, save_cluster_analysis
 from rpmix.em import FitResult
+from test_blas import SMALL_RUNS
 
 
 def run_cli(args):
@@ -429,3 +432,12 @@ class TestExperiment:
         except SystemExit:
             pass
         assert "row_type" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+    def test_help_names_every_metric_column(self, capsys, name):
+        body, _ = experiments.EXPERIMENTS[name]
+        metrics = body(0, **SMALL_RUNS[name]).metric_columns
+        with pytest.raises(SystemExit):
+            run_cli(["experiment", "--help"])
+        text = capsys.readouterr().out
+        assert [c for c in metrics if not re.search(rf"\b{c}\b", text)] == []

@@ -89,6 +89,63 @@ class TestGaussianConstruction:
         with pytest.raises(DimensionMismatchError):
             Mixture([comps[0], Gaussian(np.zeros(3), np.eye(3))], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Gaussian(np.zeros(0), np.zeros((0, 0))),
+            lambda: gaussians.mixture_from_dict({"weights": [1.0], "means": [[]], "covariances": [[]]}),
+        ],
+        ids=["Gaussian", "mixture_from_dict"],
+    )
+    def test_rejects_dimension_zero(self, build):
+        with pytest.raises(InvalidParameterError, match="needs dimension >= 1, got 0"):
+            build()
+
+
+ONE = Gaussian([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
+OTHER = Gaussian([4.0, 0.5], np.eye(2))
+
+
+def projected(g):
+    h = project_gaussian(random_orthonormal(2, 1, 0), g)
+    return np.concatenate([h.mean, h.covariance.ravel()])
+
+
+# function -> call with a Gaussian argument `g`, giving numbers
+SINGLE_GAUSSIAN_CALLS = {
+    "log_density": lambda g: log_density(g, [0.5, 0.5]),
+    "log_density_batch": lambda g: log_density_batch(g, [[0.5, 0.5], [3.0, -1.0]]),
+    "mahalanobis": lambda g: mahalanobis(g, [0.5, 0.5]),
+    "radius": radius,
+    "pairwise_separation": lambda g: pairwise_separation(g, OTHER),
+    "project_gaussian": projected,
+}
+
+
+class TestGaussianArgument:
+    """A function of one Gaussian takes a one-component Mixture (a Gaussian
+    is one) and rejects anything else with an InvalidParameterError naming
+    the argument."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Mixture([ONE, OTHER, ONE], [0.2, 0.3, 0.5]), np.zeros((2, 2))],
+        ids=["three-components", "ndarray"],
+    )
+    @pytest.mark.parametrize("name", SINGLE_GAUSSIAN_CALLS)
+    def test_rejects_anything_but_one_component(self, name, bad):
+        with pytest.raises(InvalidParameterError, match=r"^g1? must be a Gaussian \(a one-component Mixture\), got"):
+            SINGLE_GAUSSIAN_CALLS[name](bad)
+
+    @pytest.mark.parametrize("name", SINGLE_GAUSSIAN_CALLS)
+    def test_one_component_mixture_is_its_gaussian(self, name):
+        call = SINGLE_GAUSSIAN_CALLS[name]
+        assert np.array_equal(call(Mixture([ONE], [1.0])), call(ONE))
+
+    def test_second_gaussian_of_a_pair_is_named(self):
+        with pytest.raises(InvalidParameterError, match="^g2 must be a Gaussian"):
+            pairwise_separation(ONE, Mixture([ONE, OTHER], [0.5, 0.5]))
+
 
 class TestLogDensity:
     def test_standard_normal_at_origin(self):

@@ -526,6 +526,23 @@ def test_ingested_negative_label_names_its_line(tmp_path, label):
         ingest(path)
 
 
+# case -> (label-first CSV text, the error that names its line)
+INGEST_ERRORS = {
+    "label-only": ("0\n1\n", "line 1: no feature values"),
+    "negative-label": ("0,1.0\n-1,2.0\n", "line 2: label -1.0 is negative"),
+    "fractional-label": ("0,1.0\n0.5,2.0\n", "line 2: label 0.5 is not an integer that int64 holds"),
+    "bad-cell": ("0,1.0\n1,x\n", "line 2: column 2: 'x' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_ERRORS))
+def test_ingest_names_a_bytes_path_as_a_str(tmp_path, case):
+    text, message = INGEST_ERRORS[case]
+    path = write_text(tmp_path / "labels.csv", text)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        ingest(os.fsencode(path))
+
+
 # case -> (argument name, call with a size that is not an integer)
 NON_INTEGER = {
     "run_em-k-float": ("k", lambda: run_em(DATA, 2.5, FULL, 0)),
