@@ -1,8 +1,9 @@
 """Digit-style generative classifier: project once, fit a mixture per class.
 
 One random projection is fixed up front; each class then gets its own
-shared-covariance mixture fit by EM in the projected space. A point is
-assigned to the class owning the single Gaussian that scores it highest.
+shared-covariance mixture fit by EM in the projected space. A point goes to
+the class whose best single Gaussian, plus the class log prior, scores it
+highest; a model with equal class priors scores without them.
 """
 
 from __future__ import annotations
@@ -142,19 +143,13 @@ def save_labeled(data: LabeledDataset, path):
     save_dataset(np.column_stack((data.labels, data.points)), path)
 
 
-def train(
-    data: LabeledDataset,
-    d: int,
-    per_class_k: int = 5,
-    seed=0,
-    tol: float = 1e-5,
-    max_iter: int = 500,
-) -> ClassMixtureModel:
+def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMixtureModel:
     """Fix one random projection, then fit each class independently.
 
     Each class gets a shared-covariance mixture of `per_class_k` Gaussians
     fit in the projected space; no high-dimensional parameters are kept.
     """
+    per_class_k = _int_at_least(per_class_k, "per_class_k", 1)
     _check_no_empty_class(data)
     seed = _int_at_least(seed, "seed", 0)
     num_classes = data.num_classes
@@ -164,7 +159,7 @@ def train(
     priors = np.zeros(num_classes)
     for cls in range(num_classes):
         cls_points = projected[data.labels == cls]
-        if cls_points.shape[0] < max(per_class_k, 1):
+        if cls_points.shape[0] < per_class_k:
             raise ClassTooSmallError(
                 f"class {cls} has {cls_points.shape[0]} points, needs {per_class_k}"
             )
@@ -174,42 +169,37 @@ def train(
             per_class_k,
             CovarianceRestriction.SHARED_FULL,
             np.random.SeedSequence([seed, cls]),
-            tol=tol,
-            max_iter=max_iter,
         )
         mixtures.append(fit.model)
     return ClassMixtureModel(proj, tuple(mixtures), priors)
 
 
-def _class_scores(model: ClassMixtureModel, points, use_priors=True):
-    """Best per-class Gaussian log-score for every row of `points`."""
+def _class_scores(model: ClassMixtureModel, points):
+    """Best per-class Gaussian log-score, plus the class log prior, for every
+    row of `points`."""
     work = _Workspace(project_data(model.projection, points), max(mix.k for mix in model.per_class))
     scores = np.empty((len(work.points), len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
-        scores[:, cls] = _log_joint(mix, work).max(axis=1)
-        if use_priors:
-            scores[:, cls] += np.log(model.class_priors[cls])
+        scores[:, cls] = _log_joint(mix, work).max(axis=1) + np.log(model.class_priors[cls])
     return scores
 
 
-def predict_batch(model: ClassMixtureModel, points, use_priors=True) -> np.ndarray:
+def predict_batch(model: ClassMixtureModel, points) -> np.ndarray:
     """Labels for every row; ties go to the lower class index."""
-    scores = _class_scores(model, points, use_priors=use_priors)
-    return np.argmax(scores, axis=1)
+    return np.argmax(_class_scores(model, points), axis=1)
 
 
-def predict(model: ClassMixtureModel, x, use_priors=True) -> int:
+def predict(model: ClassMixtureModel, x) -> int:
     x = _as_float_array(x, "x")
     if x.shape != (model.projection.source_dim,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, expected ({model.projection.source_dim},)"
         )
-    return int(predict_batch(model, x[None, :], use_priors=use_priors)[0])
+    return int(predict_batch(model, x[None, :])[0])
 
 
-def evaluate(model: ClassMixtureModel, test: LabeledDataset, use_priors=True) -> float:
-    preds = predict_batch(model, test.points, use_priors=use_priors)
-    return float(np.mean(preds == test.labels))
+def evaluate(model: ClassMixtureModel, test: LabeledDataset) -> float:
+    return float(np.mean(predict_batch(model, test.points) == test.labels))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,10 @@ def _cmd_experiment(args):
             raise ConfigError(
                 f"{args.config}: expected a JSON object, got {type(cfg).__name__}"
             )
+        keys = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
+        unknown = sorted(set(cfg) - set(keys))
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown keys {unknown}; a config takes {keys}")
     name = args.name or cfg.get("experiment")
     if not name:
         raise RpmixError("no experiment named (positional argument or config file)")

@@ -362,15 +362,7 @@ def _fit(params, work, tol, max_iter, rescues) -> FitResult:
     return FitResult(params, len(trace) - 1, np.array(trace), converged)
 
 
-def rp_em(
-    train,
-    k: int,
-    d: int,
-    restriction: CovarianceRestriction,
-    seed,
-    tol: float = 1e-5,
-    max_iter: int = 500,
-):
+def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
     """Random projection + EM hybrid.
 
     1. Project the training data into a random d-dimensional subspace.
@@ -386,7 +378,7 @@ def rp_em(
     n = train.shape[1]
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
-    fit_low = run_em(low_data, k, restriction, seed, tol=tol, max_iter=max_iter)
+    fit_low = run_em(low_data, k, restriction, seed)
     resp, _ = _e_step(fit_low.model, _Workspace(low_data, k))
     work = _Workspace(train, k, restriction is CovarianceRestriction.SHARED_FULL)
     return _fit(_m_step(resp, work), work, 0.0, 1, 0), proj, fit_low

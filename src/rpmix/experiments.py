@@ -497,15 +497,14 @@ def fig9_body(
     train_path=None,
     test_path=None,
     per_class_k=5,
-    surrogate=True,
     threads=None,
 ):
     """Classifier accuracy vs projected dimension.
 
     Supply label-first CSVs (`label,x1,...,xn` per line) for the real digit
-    data, both or neither; without them a synthetic surrogate with the same
-    gross statistics is generated (unless surrogate=False, which raises
-    MissingDataError). The two files are read, and then the d x trials
+    data, both or neither: without them the sweep runs on the synthetic
+    surrogate of `surrogate_digit_data`, and one path alone is a
+    MissingDataError. The two files are read, and then the d x trials
     points run, in `threads` worker processes, None for one per core (see
     `_run_trials`).
     """
@@ -516,11 +515,6 @@ def fig9_body(
         raise MissingDataError(
             f"{missing} is not set: supply train_path and test_path together, "
             "or neither for the synthetic surrogate"
-        )
-    elif not surrogate:
-        raise MissingDataError(
-            "supply train_path and test_path pointing to label-first CSV files "
-            "(each line: integer label, then the feature values)"
         )
     else:
         train_set, test_set = surrogate_digit_data(base_seed)
@@ -583,9 +577,9 @@ class ExperimentConfig:
 
 def _has_type_of(value, default):
     """Whether an override `value` fits the type of its parameter's `default`:
-    an int, a real (an int included), a bool, an enum member or its string,
-    or a sequence of values that fit the default's first element. A default
-    of None admits any value."""
+    an int, a real (an int included), an enum member or its string, or a
+    sequence of values that fit the default's first element; a bool fits
+    none of these. A default of None admits any value."""
     if default is None:
         return True
     if isinstance(default, Enum):
@@ -596,8 +590,8 @@ def _has_type_of(value, default):
             and not isinstance(value, str)
             and all(_has_type_of(v, default[0]) for v in value)
         )
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
     return isinstance(value, Integral if isinstance(default, int) else Real)
 
 

@@ -276,12 +276,12 @@ class SpectralSummary:
 
 
 def _symmetrized(cov):
-    """(cov + cov^T) / 2 of a square matrix symmetric within SYMMETRY_RTOL of
-    its largest entry; NotPositiveDefiniteError otherwise, and NonFiniteError
-    where the sum overflows."""
-    scale = np.max(np.abs(cov)) if cov.size else 0.0
+    """(cov + cov^T) / 2 of a non-empty square matrix symmetric within
+    SYMMETRY_RTOL of its largest entry; NotPositiveDefiniteError otherwise,
+    and NonFiniteError where the sum overflows."""
+    scale = np.max(np.abs(cov))
     with np.errstate(over="ignore"):
-        asym = np.max(np.abs(cov - cov.T)) if cov.size else 0.0
+        asym = np.max(np.abs(cov - cov.T))
         sym = (cov + cov.T) / 2.0
     if scale > 0 and asym > SYMMETRY_RTOL * scale:
         raise NotPositiveDefiniteError(

@@ -211,16 +211,17 @@ class TestDecisionRule:
             np.argmax(scores, axis=1), np.argmax(2.0 * scores, axis=1)
         )
 
-    def test_priors_flag_changes_rule_on_imbalanced_data(self):
+    def test_priors_change_rule_on_imbalanced_data(self):
         rng = np.random.default_rng(12)
         pts = np.vstack(
             [rng.standard_normal((180, 4)), rng.standard_normal((20, 4)) + 1.0]
         )
         labels = np.array([0] * 180 + [1] * 20)
         model = train(LabeledDataset(pts, labels), 4, per_class_k=1, seed=0)
+        equal = ClassMixtureModel(model.projection, model.per_class, np.full(2, 0.5))
         probe = rng.standard_normal((200, 4)) + 0.5
-        with_p = predict_batch(model, probe, use_priors=True)
-        without_p = predict_batch(model, probe, use_priors=False)
+        with_p = predict_batch(model, probe)
+        without_p = predict_batch(equal, probe)
         assert np.sum(with_p == 0) > np.sum(without_p == 0)
 
 

@@ -291,6 +291,12 @@ class TestClassify:
         assert code == 1
         assert f"error: {message.format(train=train_path)}" in capsys.readouterr().err
 
+    def test_per_class_k_below_one_is_clean_error(self, tmp_path, capsys):
+        train_path = tmp_path / "train.csv"
+        train_path.write_text("0,1.0,2.0\n1,2.0,1.0\n")
+        assert run_cli(["classify", "--train", train_path, "--d", 1, "--per-class-k", 0]) == 1
+        assert capsys.readouterr().err == "error: per_class_k must be an int >= 1, got 0\n"
+
 
 class TestExperiment:
     def test_named_experiment_writes_report(self, tmp_path, capsys):
@@ -351,6 +357,15 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "list.json: expected a JSON object, got list" in err
+
+    def test_unknown_config_key_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"experiment": "pca-collapse", "overides": {"k": 3}, "seed": 5}))
+        assert run_cli(["experiment", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown keys ['overides', 'seed']; "
+            "a config takes ['experiment', 'trials', 'base_seed', 'overrides']\n"
+        )
 
     def test_threads_below_one_rejected(self, capsys):
         code = run_cli(["experiment", "second-em-compare", "--trials", 1, "--threads", 0])

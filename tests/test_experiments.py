@@ -560,10 +560,6 @@ class TestDigitSweep:
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_missing_real_data_raises_with_schema_hint(self):
-        with pytest.raises(MissingDataError, match="label"):
-            fig9_body(0, surrogate=False)
-
     @pytest.mark.parametrize("given, missing", [("train_path", "test_path"), ("test_path", "train_path")])
     def test_one_data_path_alone_is_an_error(self, tmp_path, given, missing):
         with pytest.raises(MissingDataError, match=missing):
@@ -691,7 +687,6 @@ class TestConfig:
             ("fig4-sep-vs-k", "c", False),
             ("fig8-em-compare", "mode", 3),
             ("fig8-em-compare", "restriction", CovarianceMode.SPHERICAL_SHARED),
-            ("fig9-digit-sweep", "surrogate", 1),
         ],
     )
     def test_override_of_the_wrong_type_rejected(self, experiment, key, value):
@@ -709,7 +704,6 @@ class TestConfig:
             ("fig8-em-compare", {"mode": CovarianceMode.FULL_SHARED}),
             ("fig9-digit-sweep", {"train_path": "a.csv", "test_path": "b.csv"}),
             ("fig9-digit-sweep", {"train_path": Path("a.csv"), "test_path": None}),
-            ("fig9-digit-sweep", {"surrogate": False}),
         ],
     )
     def test_override_of_the_default_type_accepted(self, experiment, overrides):
@@ -766,9 +760,7 @@ class TestRegistry:
             "train_size", "test_size",
         },
         "second-em-compare": {"n", "threads"},
-        "fig9-digit-sweep": {
-            "d_values", "train_path", "test_path", "per_class_k", "surrogate", "threads",
-        },
+        "fig9-digit-sweep": {"d_values", "train_path", "test_path", "per_class_k", "threads"},
         "pca-collapse": {"k", "samples"},
     }
 

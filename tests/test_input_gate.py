@@ -575,6 +575,10 @@ def test_non_integer_size_is_an_invalid_parameter(case):
 # site -> (name in the message, least valid value, error type, call with the int)
 INT_GATES = {
     "train-seed": ("seed", 0, InvalidParameterError, SEEDED["train"]),
+    "train-per_class_k": (
+        "per_class_k", 1, InvalidParameterError,
+        lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=v),
+    ),
     "surrogate_digit_data-base_seed": (
         "base_seed", 0, InvalidParameterError,
         lambda v: surrogate_digit_data(v, n=4, num_classes=2, E=10.0, train_size=10, test_size=10),
@@ -643,11 +647,9 @@ def test_numpy_integer_sizes_are_accepted():
     assert long_axes.shape == (10,)
 
 
-# caller -> call that passes `tol` on to run_em
+# caller -> call that takes `tol`
 TOL_CALLERS = {
     "run_em": lambda tol: run_em(DATA, 2, FULL, 0, tol=tol),
-    "rp_em": lambda tol: rp_em(DATA, 2, 2, FULL, 0, tol=tol),
-    "train": lambda tol: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=2, tol=tol),
 }
 
 
