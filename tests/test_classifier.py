@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from rpmix import (
+    CovarianceRestriction,
     Gaussian,
     Mixture,
     cluster_analysis,
     evaluate,
     ingest,
     predict,
+    project_data,
+    run_em,
     save_labeled,
     train,
 )
@@ -171,6 +174,20 @@ class TestTrainPredict:
         assert predict(model, data.points[0]) == 0
         assert predict(model, data.points[-1]) == 1
 
+    def test_each_class_fits_at_run_em_defaults(self):
+        # One setting for every caller: tol 1e-5 and at most 500 iterations.
+        data = labeled_blobs(num_classes=3, per_class=60, seed=4)
+        model = train(data, 4, per_class_k=2, seed=3)
+        projected = project_data(model.projection, data.points)
+        for cls, mix in enumerate(model.per_class):
+            want = run_em(
+                projected[data.labels == cls], 2, CovarianceRestriction.SHARED_FULL,
+                np.random.SeedSequence([3, cls]), tol=1e-5, max_iter=500,
+            ).model
+            assert np.array_equal(mix.weights, want.weights)
+            assert np.array_equal(mix.means, want.means)
+            assert all(np.array_equal(a, b) for a, b in zip(mix._covs, want._covs))
+
     def test_predict_dim_check(self):
         data = labeled_blobs(num_classes=2, per_class=30, seed=9)
         model = train(data, 3, per_class_k=1, seed=0)
@@ -223,6 +240,18 @@ class TestDecisionRule:
         with_p = predict_batch(model, probe)
         without_p = predict_batch(equal, probe)
         assert np.sum(with_p == 0) > np.sum(without_p == 0)
+
+    def test_scores_add_the_class_log_prior(self):
+        rng = np.random.default_rng(12)
+        pts = np.vstack(
+            [rng.standard_normal((180, 4)), rng.standard_normal((20, 4)) + 1.0]
+        )
+        labels = np.array([0] * 180 + [1] * 20)
+        model = train(LabeledDataset(pts, labels), 4, per_class_k=1, seed=0)
+        equal = ClassMixtureModel(model.projection, model.per_class, np.full(2, 0.5))
+        probe = rng.standard_normal((50, 4))
+        shift = _class_scores(model, probe) - _class_scores(equal, probe)
+        assert np.allclose(shift, np.log([0.9, 0.1]) - np.log(0.5), rtol=0, atol=1e-12)
 
 
 class TestEvaluate:

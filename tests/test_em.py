@@ -1016,6 +1016,17 @@ class TestRpEm:
             model._chols[model._owner[0]], lifted._chols[lifted._owner[0]]
         )
 
+    @pytest.mark.parametrize("restriction", [SHARED, FULL])
+    def test_low_dim_fit_runs_at_run_em_defaults(self, restriction):
+        # One setting for every caller: tol 1e-5 and at most 500 iterations.
+        data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
+        _, proj, fit_low = rp_em(data, 2, 3, restriction, 2)
+        want = run_em(project_data(proj, data), 2, restriction, 2, tol=1e-5, max_iter=500)
+        assert fit_low.iterations == want.iterations
+        assert fit_low.converged is want.converged
+        assert np.array_equal(fit_low.loglik_trace, want.loglik_trace)
+        _assert_same_state(fit_low.model, want.model)
+
     def test_deterministic(self):
         data = two_blob_data(m=90, dist=7.0, n=5, seed=18)
         a_high, a_proj, a_low = rp_em(data, 2, 3, FULL, 8)

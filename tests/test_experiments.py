@@ -654,6 +654,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fig3-sep-vs-n", overrides={"k": 3})
 
+    def test_surrogate_is_not_an_override(self):
+        # fig9 chooses its data by its paths alone: neither means the surrogate.
+        with pytest.raises(ConfigError, match="^override 'surrogate' not valid for fig9-digit-sweep"):
+            ExperimentConfig("fig9-digit-sweep", overrides={"surrogate": False})
+
     def test_bad_trial_count(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fig3-sep-vs-n", trials=0)

@@ -14,6 +14,7 @@ file path that is not a str, bytes or os.PathLike (an int file descriptor
 included) in an InvalidParameterError naming it, and an object that keeps an
 array argument leaves the caller's array writable."""
 
+import inspect
 import json
 import os
 import re
@@ -28,6 +29,7 @@ from rpmix import (
     Mixture,
     cluster_analysis,
     e_step,
+    evaluate,
     ingest,
     init_params,
     load_dataset,
@@ -38,6 +40,7 @@ from rpmix import (
     norm_tail_bound,
     pairwise_separation,
     pca,
+    predict,
     project_data,
     project_gaussian,
     project_mixture,
@@ -51,7 +54,13 @@ from rpmix import (
     spectral_summary,
 )
 from rpmix import cli, em
-from rpmix.classifier import ClassMixtureModel, LabeledDataset, save_cluster_analysis, train
+from rpmix.classifier import (
+    ClassMixtureModel,
+    LabeledDataset,
+    predict_batch,
+    save_cluster_analysis,
+    train,
+)
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
     BadDimsError,
@@ -69,6 +78,7 @@ from rpmix.experiments import (
     ExperimentConfig,
     ExperimentReport,
     fig4_body,
+    fig9_body,
     pca_collapse_body,
     surrogate_digit_data,
 )
@@ -663,6 +673,27 @@ def test_tol_must_be_a_finite_real_at_least_zero(caller, tol):
 def test_zero_tol_runs_every_iteration():
     fit = run_em(DATA, 2, FULL, 0, tol=0, max_iter=7)
     assert fit.iterations == 7 and not fit.converged
+
+
+# site -> (call, option it does not take): every caller runs it at one
+# setting, EM at run_em's defaults, scores with the class prior, fig9 on the
+# surrogate when given no paths
+ONE_SETTING = {
+    "rp_em-tol": (rp_em, "tol"),
+    "rp_em-max_iter": (rp_em, "max_iter"),
+    "train-tol": (train, "tol"),
+    "train-max_iter": (train, "max_iter"),
+    "predict-use_priors": (predict, "use_priors"),
+    "predict_batch-use_priors": (predict_batch, "use_priors"),
+    "evaluate-use_priors": (evaluate, "use_priors"),
+    "fig9_body-surrogate": (fig9_body, "surrogate"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ONE_SETTING))
+def test_one_setting_option_is_no_parameter(site):
+    call, option = ONE_SETTING[site]
+    assert option not in inspect.signature(call).parameters
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, "1"], ids=["nan", "inf", "str"])
