@@ -20,8 +20,7 @@ from .errors import (
 )
 from .em import CovarianceRestriction, _log_joint, run_em
 from .gaussians import (
-    FLOAT_FMT, _as_float_array, _file_name, _frozen, _int_at_least, _read_csv, _separations, _Workspace,
-    save_dataset,
+    _as_float_array, _file_name, _frozen, _int_at_least, _read_csv, _separations, _Workspace, save_dataset,
 )
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
@@ -217,7 +216,9 @@ def cluster_analysis(
     Covariances are maximum-likelihood (divide by count). Rank-deficient
     classes are flagged and get a pseudo-eccentricity using the smallest
     strictly positive eigenvalue instead of crashing; raw digit-style data
-    is expected to be this degenerate.
+    is expected to be this degenerate. A class with no positive eigenvalue,
+    one whose points coincide, gets 1.0, as one with a single positive
+    eigenvalue does.
     """
     _check_no_empty_class(data)
     points = data.points if projection is None else project_data(projection, data.points)
@@ -238,13 +239,15 @@ def cluster_analysis(
         positive = lam[lam > floor]
         if lam[0] <= floor or cls_points.shape[0] <= n:
             deficient[cls] = True
-        eccs[cls] = np.sqrt(lam[-1] / positive[0]) if positive.size else np.inf
+        eccs[cls] = np.sqrt(lam[-1] / positive[0]) if positive.size else 1.0
     return ClusterAnalysis(_separations(means, np.sqrt(traces)), eccs, deficient)
 
 
 def save_cluster_analysis(analysis: ClusterAnalysis, path):
-    """CSV: class x class separation table with a trailing eccentricity column."""
+    """CSV: class x class separation table with a trailing eccentricity
+    column, under a header line, as `save_dataset` writes it; a non-finite
+    entry raises NonFiniteError. `load_dataset(path, skip_header=True)`
+    reads it back."""
     k = analysis.separations.shape[0]
     table = np.column_stack((np.arange(k), analysis.separations, analysis.eccentricities))
-    header = ",".join(["class", *map(str, range(k)), "eccentricity"])
-    np.savetxt(_file_name(path), table, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
+    save_dataset(table, path, header=["class", *map(str, range(k)), "eccentricity"])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -27,6 +26,7 @@ from .classifier import (
 from .em import CovarianceRestriction, rp_em, run_em, test_loglik
 from .errors import ConfigError, RpmixError
 from .gaussians import (
+    _load_document,
     load_dataset,
     mixture_separation,
     sample,
@@ -141,31 +141,26 @@ def _cmd_classify(args):
         print(f"wrote raw-space cluster analysis to {args.raw_analysis_out}")
 
 
+def _config_document(doc):
+    """The fields that a --config document sets: a JSON object whose keys
+    are among `ExperimentConfig`'s fields."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected a JSON object, got {type(doc).__name__}")
+    keys = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}; a config takes {keys}")
+    return doc
+
+
 def _cmd_experiment(args):
-    cfg = {}
-    if args.config:
-        with open(args.config) as f:
-            try:
-                cfg = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(
-                f"{args.config}: expected a JSON object, got {type(cfg).__name__}"
-            )
-        keys = [f.name for f in dataclasses.fields(experiments.ExperimentConfig)]
-        unknown = sorted(set(cfg) - set(keys))
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown keys {unknown}; a config takes {keys}")
-    name = args.name or cfg.get("experiment")
-    if not name:
+    cfg = _load_document(args.config, _config_document) if args.config else {}
+    given = {"experiment": args.name, "trials": args.trials, "base_seed": args.seed}
+    cfg.update((key, value) for key, value in given.items() if value is not None)
+    if not cfg.get("experiment"):
         raise RpmixError("no experiment named (positional argument or config file)")
-    config = experiments.ExperimentConfig(
-        experiment=name,
-        trials=args.trials if args.trials is not None else cfg.get("trials"),
-        base_seed=args.seed if args.seed is not None else cfg.get("base_seed", 0),
-        overrides=cfg.get("overrides", {}),
-    )
+    config = experiments.ExperimentConfig(**cfg)
+    name = config.experiment
     if args.threads is not None:
         takes_threads = _pooled_experiments()
         if name not in takes_threads:

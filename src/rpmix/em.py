@@ -188,14 +188,14 @@ def _m_step(resp, work, previous=None) -> Mixture:
     data = work.points
     m, k = resp.shape
     counts = resp.sum(axis=0)
-    dead = np.flatnonzero(counts < EMPTY_COMPONENT_FRACTION * m)
+    is_dead = counts < EMPTY_COMPONENT_FRACTION * m
+    dead, live = np.flatnonzero(is_dead), np.flatnonzero(~is_dead)
     if dead.size and previous is None:
         raise EmptyComponentError(dead)
 
     weights = counts / m
     safe_counts = np.where(counts > 0, counts, 1.0)
     means = (resp.T @ data) / safe_counts[:, None]
-    live = np.setdiff1d(np.arange(k), dead)
     owner = np.zeros(k, dtype=int)
     # An overflow leaves a covariance that `_factor_and_invert` reports.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -243,33 +243,34 @@ def fig7_tables(seed, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000):
     return tuple(_separations(p.means, _radii(p)) for p in projected)
 
 
-def fig7_body(base_seed, trials=10, n=100, k=5, c=0.5, E=1000.0, d=10, samples=1000, threads=None):
+def fig7_body(base_seed, trials=10, threads=None, **params):
     """PCA vs random projection separation tables, one row per pair and map.
 
-    The trials run in `threads` worker processes, None for one per core
-    (see `_run_trials`).
+    `params` are passed on to `fig7_tables`. The trials run in `threads`
+    worker processes, None for one per core (see `_run_trials`).
     """
     seeds = [base_seed + t for t in range(trials)]
-    tables = _run_trials(_pca_vs_rp_trial, seeds, threads, (n, k, c, E, d, samples))
+    tables = _run_trials(_pca_vs_rp_trial, seeds, threads, (params,))
     rows = [row for trial_rows in tables for row in trial_rows]
     return _report(("method", "i", "j"), ("separation",), rows)
 
 
-def _pca_vs_rp_trial(seed, n, k, c, E, d, samples):
-    pca_table, rp_table = fig7_tables(seed, n=n, k=k, c=c, E=E, d=d, samples=samples)
+def _pca_vs_rp_trial(seed, params):
+    pca_table, rp_table = fig7_tables(seed, **params)
     return [
         {"method": method, "i": i, "j": j, "seed": seed, "separation": tab[i, j]}
         for method, tab in (("pca", pca_table), ("rp", rp_table))
-        for i, j in combinations(range(k), 2)
+        for i, j in combinations(range(len(tab)), 2)
     ]
 
 
-def pca_collapse_body(base_seed, k=10, samples=10000):
+def pca_collapse_body(base_seed, trials=1, k=10, samples=10000):
     """Symmetric arrangement where PCA to k/2 - 1 dims collapses a pair.
 
     Unit spherical Gaussians sit in R^(k/2), pair j at +-j on axis j. PCA to
     k/2 - 1 dims drops (roughly) the weakest axis; random projection and
-    full-rank PCA keep all pairs separated.
+    full-rank PCA keep all pairs separated. Trial t samples the arrangement
+    with seed base_seed + t; the rows follow trial, then method.
     """
     k = _int_at_least(k, "k", 1)
     if k % 2 != 0:
@@ -280,7 +281,9 @@ def pca_collapse_body(base_seed, k=10, samples=10000):
     axes = np.diag(np.arange(1.0, n + 1))
     centers = np.stack([axes, -axes], axis=1).reshape(k, n)  # j e_j, then -j e_j
     mix = _checked_mixture(np.full(k, 1.0 / k), centers, [np.eye(n)], np.zeros(k, dtype=int))
-    rows = _run_trials(_pca_collapse_trial, [base_seed], 1, (mix, samples))[0]
+    seeds = [base_seed + t for t in range(trials)]
+    tables = _run_trials(_pca_collapse_trial, seeds, 1, (mix, samples))
+    rows = [row for trial_rows in tables for row in trial_rows]
     return _report(
         ("method", "d"), ("min_separation", "original_min_separation"), rows
     )
@@ -540,7 +543,7 @@ class ExperimentConfig:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {sorted(EXPERIMENTS)}"
@@ -613,7 +616,7 @@ EXPERIMENTS = {
         ("fig4-sep-vs-k", fig4_body),
         ("fig5-ecc-table", fig5_body),
         ("fig6-ecc-vs-d", fig6_body),
-        ("fig7-pca-vs-rp", fig7_body),
+        ("fig7-pca-vs-rp", fig7_body, fig7_tables),
         ("fig8-em-compare", fig8_body, em_compare_trial),
         ("second-em-compare", second_em_body),
         ("fig9-digit-sweep", fig9_body),
@@ -625,6 +628,6 @@ EXPERIMENTS = {
 def run(config: ExperimentConfig) -> ExperimentReport:
     body, _ = EXPERIMENTS[config.experiment]
     kwargs = dict(config.overrides)
-    if config.trials is not None and "trials" in inspect.signature(body).parameters:
+    if config.trials is not None:
         kwargs["trials"] = config.trials
     return body(config.base_seed, **kwargs)

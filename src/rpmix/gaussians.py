@@ -42,8 +42,9 @@ FLOAT_FMT = "%.17g"  # round-trips doubles; prints integers below 2**53 without 
 def _as_float_array(x, name, ndmin=0):
     """The one way an array argument enters the library: `x` as floats with
     at least `ndmin` axes (leading ones added, as `np.atleast_2d` adds them,
-    without a copy). NaN or infinity raises NonFiniteError naming `name`, and
-    a complex, non-numeric or ragged entry InvalidParameterError."""
+    without a copy). NaN, infinity or an int past the float range raises
+    NonFiniteError naming `name`, and a complex, non-numeric or ragged entry
+    InvalidParameterError."""
     try:
         a = np.asarray(x)
         if a.dtype.kind == "c":  # `astype` would drop the imaginary part
@@ -51,6 +52,8 @@ def _as_float_array(x, name, ndmin=0):
         a = a.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"{name} is not an array of numbers: {exc}") from exc
+    except OverflowError as exc:  # an int past the float range
+        raise NonFiniteError(f"{name} contains non-finite entries") from exc
     # After asarray no copy is needed, so copy=False means the same in NumPy 1 and 2.
     a = np.array(a, copy=False, ndmin=ndmin)
     if not np.all(np.isfinite(a)):
@@ -562,9 +565,13 @@ def _load_document(path, from_dict):
     path = _file_name(path)
     try:
         with open(path) as f:
-            return from_dict(json.load(f))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+            doc = json.load(f)
+    # A JSONDecodeError, an undecodable byte and an int past Python's digit
+    # limit are ValueErrors; nesting past the recursion limit is not.
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return from_dict(doc)
     except RpmixError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -596,14 +603,18 @@ def save_dataset(points, path, header=None):
 def _data_lines(path, skip_header, linenos):
     """The lines of `path` that hold data: every line after the header (when
     `skip_header`) that is not blank or whitespace-only. The number of each
-    line is appended to `linenos` as it is yielded."""
+    line is appended to `linenos` as it is yielded. A byte that does not
+    decode raises ParseError naming `path`."""
     with open(path) as f:
-        if skip_header:
-            f.readline()
-        for lineno, line in enumerate(f, start=2 if skip_header else 1):
-            if not line.isspace():
-                linenos.append(lineno)
-                yield line
+        try:
+            if skip_header:
+                f.readline()
+            for lineno, line in enumerate(f, start=2 if skip_header else 1):
+                if not line.isspace():
+                    linenos.append(lineno)
+                    yield line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_lines(lines):

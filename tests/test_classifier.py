@@ -10,6 +10,7 @@ from rpmix import (
     cluster_analysis,
     evaluate,
     ingest,
+    load_dataset,
     predict,
     project_data,
     run_em,
@@ -326,7 +327,7 @@ class TestClusterAnalysis:
     def test_saved_text_exact(self, tmp_path):
         analysis = ClusterAnalysis(
             separations=np.array([[0.0, 1 / 3], [1 / 3, 0.0]]),
-            eccentricities=np.array([np.pi, np.inf]),
+            eccentricities=np.array([np.pi, 1.0]),
             rank_deficient=np.array([False, True]),
         )
         path = tmp_path / "analysis.csv"
@@ -334,5 +335,34 @@ class TestClusterAnalysis:
         assert path.read_text() == (
             "class,0,1,eccentricity\n"
             "0,0,0.33333333333333331,3.1415926535897931\n"
-            "1,0.33333333333333331,0,inf\n"
+            "1,0.33333333333333331,0,1\n"
         )
+
+    def test_non_finite_entry_is_not_saved(self, tmp_path):
+        analysis = ClusterAnalysis(
+            separations=np.zeros((2, 2)),
+            eccentricities=np.array([np.pi, np.inf]),
+            rank_deficient=np.array([False, True]),
+        )
+        path = tmp_path / "analysis.csv"
+        with pytest.raises(NonFiniteError):
+            save_cluster_analysis(analysis, path)
+        assert not path.exists()
+
+    def test_class_whose_points_coincide_has_eccentricity_one(self):
+        # No eigenvalue above the floor: the value a class with exactly one
+        # positive eigenvalue gets, and still flagged.
+        data = LabeledDataset([[0, 0], [1, 1], [2, 2], [5, 5]], [0, 0, 0, 1])
+        analysis = cluster_analysis(data)
+        assert analysis.eccentricities.tolist() == [1.0, 1.0]
+        assert analysis.rank_deficient.tolist() == [True, True]
+
+    def test_saved_analysis_reads_back(self, tmp_path):
+        data = LabeledDataset([[0, 0], [1, 1], [2, 0], [5, 5]], [0, 0, 0, 1])
+        analysis = cluster_analysis(data)
+        path = tmp_path / "analysis.csv"
+        save_cluster_analysis(analysis, path)
+        table = load_dataset(path, skip_header=True)
+        assert np.array_equal(table[:, 0], [0, 1])
+        assert np.array_equal(table[:, 1:3], analysis.separations)
+        assert np.array_equal(table[:, 3], analysis.eccentricities)

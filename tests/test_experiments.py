@@ -1,6 +1,7 @@
 import inspect
 import multiprocessing
 import os
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -650,6 +651,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="nonsense")
 
+    @pytest.mark.parametrize("name", [["fig3-sep-vs-n"], {"fig3-sep-vs-n": 1}, 3])
+    def test_experiment_that_is_not_a_string_is_unknown(self, name):
+        # A config file can hold any JSON value; a list or an object is no key.
+        with pytest.raises(ConfigError, match=f"^unknown experiment {re.escape(repr(name))}; "):
+            ExperimentConfig(experiment=name)
+
     def test_bad_override_key(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="fig3-sep-vs-n", overrides={"k": 3})
@@ -780,6 +787,10 @@ class TestRegistry:
         body, allowed = experiments.EXPERIMENTS[name]
         inspect.signature(body).bind(0, **allowed)
 
-    def test_trials_ignored_by_an_experiment_without_trials(self):
-        report = run(ExperimentConfig("pca-collapse", trials=5))
-        assert [row["method"] for row in report.rows] == ["pca_collapse", "pca_full", "rp"]
+    def test_pca_collapse_runs_its_trial_count(self):
+        report = run(ExperimentConfig("pca-collapse", trials=3))
+        methods = ["pca_collapse", "pca_full", "rp"]
+        assert [(row["seed"], row["method"]) for row in report.rows] == [
+            (seed, method) for seed in (0, 1, 2) for method in methods
+        ]
+        assert report.rows[:3] == run(ExperimentConfig("pca-collapse", trials=1)).rows

@@ -12,8 +12,11 @@ covariance that overflows from finite input in a NonFiniteError naming the
 covariance, data whose centering overflows in PCA in a NonFiniteError, a
 file path that is not a str, bytes or os.PathLike (an int file descriptor
 included) in an InvalidParameterError naming it, and an object that keeps an
-array argument leaves the caller's array writable."""
+array argument leaves the caller's array writable. A file of any bytes read
+as a CSV, a mixture, a projection or an experiment config gives a value or
+an RpmixError, an undecodable byte included."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -22,6 +25,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rpmix import (
     CovarianceRestriction,
@@ -53,7 +58,7 @@ from rpmix import (
     save_projection,
     spectral_summary,
 )
-from rpmix import cli, em
+from rpmix import cli, em, experiments
 from rpmix.classifier import (
     ClassMixtureModel,
     LabeledDataset,
@@ -91,6 +96,7 @@ from rpmix.projection import (
     random_uniform,
 )
 from rpmix.synthesis import (
+    CovarianceMode,
     MixtureSpec,
     eccentric_covariance,
     long_axis_mixture,
@@ -835,3 +841,146 @@ def test_str_bytes_and_path_like_file_names_work(tmp_path, as_path):
     assert (tmp_path / "a.csv").read_text().startswith("class,0,1,eccentricity\n")
     REPORT.to_csv(name("r.csv"))
     assert (tmp_path / "r.csv").read_text().startswith("row_type,g,seed,v\ntrial,1,0,0.5\n")
+
+
+# reader -> call that reads the CSV file at its one argument
+CSV_READERS = {
+    "load_dataset": load_dataset,
+    "load_dataset-skip-header": partial(load_dataset, skip_header=True),
+    "ingest": ingest,
+    "fig9_body": lambda path: fig9_body(0, trials=1, d_values=(1,), train_path=path, test_path=path, threads=1),
+}
+
+
+@pytest.mark.parametrize("reader", CSV_READERS.values(), ids=CSV_READERS.keys())
+def test_undecodable_csv_byte_is_a_parse_error_naming_the_file(tmp_path, reader):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff4\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: .*can't decode byte 0xff"):
+        reader(path)
+
+
+# command -> its arguments around the CSV path it reads
+CSV_COMMANDS = {
+    "em": (["em", "--data"], ["--k", "1", "--out", "fit.json"]),
+    "project-pca": (["project", "--kind", "pca", "--data"], ["--d", "1", "--out", "p.json"]),
+    "classify": (["classify", "--train"], ["--d", "1"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_undecodable_csv_byte_is_a_clean_command_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n3,\xff4\n")
+    before, after = CSV_COMMANDS[command]
+    assert cli.main([*before, str(path), *after]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+# reader -> call that reads the JSON file at its one argument
+JSON_READERS = {"load_mixture": load_mixture, "load_projection": load_projection}
+
+# case -> a JSON file that Python's json reads to no document
+UNREADABLE_JSON = {
+    "undecodable-byte": b'{"experiment": "pca-collapse\xff"}',
+    "int-past-the-digit-limit": b"[1" + b"0" * 5000 + b"]",
+    "nested-past-the-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+@pytest.mark.parametrize("reader", JSON_READERS.values(), ids=JSON_READERS.keys())
+def test_json_read_to_no_document_is_a_parse_error(tmp_path, reader, case):
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(UNREADABLE_JSON[case])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: not valid JSON: "):
+        reader(path)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+def test_config_read_to_no_document_is_a_clean_command_error(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(UNREADABLE_JSON[case])
+    assert cli.main(["experiment", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: ")
+
+
+# reader -> (a document holding an int past the float range, the array it names)
+INT_PAST_FLOAT_RANGE = {
+    "load_mixture": (one_dim_mixture(means=[[10**400]]), "mean"),
+    "load_projection": ({**GOOD_PROJECTION, "rows": [[10**400, 0.5]]}, "rows"),
+}
+
+
+@pytest.mark.parametrize("reader", JSON_READERS.values(), ids=JSON_READERS.keys())
+def test_int_past_the_float_range_in_a_file_is_non_finite(tmp_path, reader):
+    doc, name = INT_PAST_FLOAT_RANGE[reader.__name__]
+    path = write_json(tmp_path / "big.json", doc)
+    with pytest.raises(NonFiniteError, match=f"^{re.escape(str(path))}: {name} contains non-finite"):
+        reader(path)
+
+
+# Each reader's own keys and values, so that generated documents reach past
+# the first check of a reader.
+DOCUMENT_KEYS = sorted(
+    {"weights", "means", "covariances", "kind", "source_dim", "target_dim", "rows"}
+    | {f.name for f in dataclasses.fields(ExperimentConfig)}
+    | {key for _, allowed in experiments.EXPERIMENTS.values() for key in allowed}
+)
+DOCUMENT_WORDS = [
+    *experiments.EXPERIMENTS, *(kind.value for kind in ProjectionKind),
+    *(mode.value for mode in CovarianceMode), *(r.value for r in CovarianceRestriction),
+]
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(DOCUMENT_WORDS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+).map(lambda doc: json.dumps(doc).encode())
+CSV_TOKENS = [
+    b"0", b"1", b"-2.5", b"1e3", b"1e999", b"nan", b"inf", b"1_0", b"x", b"#", b",", b"\n",
+    b" ", b"\r", b"\t", b"\x00", b"\xff", b"\xc3", "٣".encode(),
+]
+csv_files = st.lists(st.sampled_from(CSV_TOKENS), max_size=24).map(b"".join)
+file_bytes = st.binary(max_size=48)
+# About 2 s for the seven properties below.
+READER_PROPERTY = settings(
+    derandomize=True, max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def read_or_rpmix_error(reader, tmp_path, content):
+    path = tmp_path / "file"
+    path.write_bytes(content)
+    try:
+        reader(path)
+    except RpmixError:
+        pass
+
+
+@pytest.mark.parametrize("reader", CSV_READERS.values(), ids=CSV_READERS.keys())
+@READER_PROPERTY
+@given(content=csv_files | file_bytes)
+def test_any_csv_bytes_read_or_raise_an_rpmix_error(tmp_path, reader, content):
+    read_or_rpmix_error(reader, tmp_path, content)
+
+
+@pytest.mark.parametrize("reader", JSON_READERS.values(), ids=JSON_READERS.keys())
+@READER_PROPERTY
+@given(content=json_documents | file_bytes)
+def test_any_json_bytes_read_or_raise_an_rpmix_error(tmp_path, reader, content):
+    read_or_rpmix_error(reader, tmp_path, content)
+
+
+@READER_PROPERTY
+@given(content=json_documents | file_bytes)
+def test_any_config_bytes_exit_zero_or_one(tmp_path, monkeypatch, capsys, content):
+    # A config that passes its checks runs no sweep here: only the reader and
+    # the checks are under test.
+    monkeypatch.setattr(experiments, "run", lambda config: REPORT)
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert cli.main(["experiment", "--config", str(path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
