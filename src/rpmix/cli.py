@@ -162,14 +162,7 @@ def _cmd_experiment(args):
     config = experiments.ExperimentConfig(**cfg)
     name = config.experiment
     if args.threads is not None:
-        takes_threads = _pooled_experiments()
-        if name not in takes_threads:
-            raise ConfigError(
-                f"--threads does not apply to {name}; it applies to {takes_threads}"
-            )
-        config = dataclasses.replace(
-            config, overrides={**config.overrides, "threads": args.threads}
-        )
+        config = dataclasses.replace(config, overrides={**config.overrides, "threads": args.threads})
     report = experiments.run(config)
     for line in report.summary_lines():
         print(line)

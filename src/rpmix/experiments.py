@@ -560,7 +560,6 @@ class ExperimentConfig:
                     f"override {key!r} not valid for {self.experiment}; "
                     f"allowed: {sorted(allowed)}"
                 )
-        _int_at_least(self.overrides.get("threads", 1), "threads", 1, ConfigError)
         # A path's default of None says nothing of its type, and `open` reads
         # an int as a file descriptor.
         for key in ("train_path", "test_path"):

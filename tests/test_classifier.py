@@ -28,6 +28,7 @@ from rpmix.classifier import (
 from rpmix.errors import (
     ClassTooSmallError,
     DimensionMismatchError,
+    DuplicatePointsError,
     InconsistentWidthError,
     InvalidParameterError,
     NonFiniteError,
@@ -356,6 +357,40 @@ class TestClusterAnalysis:
         analysis = cluster_analysis(data)
         assert analysis.eccentricities.tolist() == [1.0, 1.0]
         assert analysis.rank_deficient.tolist() == [True, True]
+
+    def test_two_classes_whose_points_coincide_raise(self):
+        # Both radii are zero, so their separation has no scale.
+        with pytest.raises(DuplicatePointsError, match=r"classes \[0, 1\]"):
+            cluster_analysis(LabeledDataset([[0, 0], [5, 5]], [0, 1]))
+
+    # Three points of each of two classes: full rank in R^2 at unit scale.
+    SCALED = (np.array([[0, 0], [1, 2], [3, 1], [10, 10], [12, 11], [11, 13.0]]), [0, 0, 0, 1, 1, 1])
+
+    def test_large_scale_reads_as_unit_scale_and_saves(self, tmp_path):
+        # At 2^520 the class covariances (about 2^1040) overflow unless scaled.
+        points, labels = self.SCALED
+        unit = cluster_analysis(LabeledDataset(points, labels))
+        large = cluster_analysis(LabeledDataset(points * 2.0**520, labels))
+        assert np.array_equal(large.separations, unit.separations)
+        assert np.array_equal(large.eccentricities, unit.eccentricities)
+        assert np.array_equal(large.rank_deficient, unit.rank_deficient)
+        assert unit.eccentricities[0] > 1.0
+        path = tmp_path / "analysis.csv"
+        save_cluster_analysis(large, path)
+        assert np.array_equal(load_dataset(path, skip_header=True)[:, 1:], np.column_stack(
+            (large.separations, large.eccentricities)
+        ))
+
+    def test_small_scale_keeps_separations_and_the_rank_floor(self):
+        # At 2^-700 the class covariances (about 2^-1400) underflow to zero
+        # unless scaled. The rank floor, 1.0 * eps * n in the data's units,
+        # lies above every variance there: each class reads as degenerate.
+        points, labels = self.SCALED
+        unit = cluster_analysis(LabeledDataset(points, labels))
+        small = cluster_analysis(LabeledDataset(points * 2.0**-700, labels))
+        assert np.array_equal(small.separations, unit.separations)
+        assert small.eccentricities.tolist() == [1.0, 1.0]
+        assert small.rank_deficient.tolist() == [True, True]
 
     def test_saved_analysis_reads_back(self, tmp_path):
         data = LabeledDataset([[0, 0], [1, 1], [2, 0], [5, 5]], [0, 0, 0, 1])

@@ -1,4 +1,5 @@
 import inspect
+import json
 import multiprocessing
 import os
 import re
@@ -432,8 +433,7 @@ class TestEmComparison:
         # threads=None is the default: one worker per core.
         def csv(threads):
             config = ExperimentConfig(
-                experiment=name, trials=4, base_seed=11,
-                overrides={**overrides, **({} if threads is None else {"threads": threads})},
+                experiment=name, trials=4, base_seed=11, overrides={**overrides, "threads": threads}
             )
             path = tmp_path / f"{threads}.csv"
             run(config).to_csv(path)
@@ -736,10 +736,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"fig9-digit-sweep: override '{key}' must be a path"):
             ExperimentConfig(experiment="fig9-digit-sweep", overrides=overrides)
 
-    @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True, None])
+    @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True])
     def test_bad_threads_rejected(self, threads):
-        with pytest.raises(ConfigError, match="threads must be an int >= 1"):
-            ExperimentConfig(experiment="fig8-em-compare", overrides={"threads": threads})
+        config = ExperimentConfig(experiment="fig8-em-compare", overrides={"threads": threads})
+        with pytest.raises(InvalidParameterError, match="threads must be an int >= 1"):
+            run(config)
 
     def test_type_error_inside_body_propagates(self, monkeypatch):
         def body(base_seed, trials=1, d=2):
@@ -786,6 +787,22 @@ class TestRegistry:
         # keyword the body does not take never reaches it.
         body, allowed = experiments.EXPERIMENTS[name]
         inspect.signature(body).bind(0, **allowed)
+
+    @pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+    def test_config_can_state_every_default(self, name):
+        # Each default as a config file holds it: an enum member as its
+        # value, a tuple as a list, None (threads) as null.
+        _, allowed = experiments.EXPERIMENTS[name]
+        overrides = json.loads(json.dumps(allowed, default=lambda member: member.value))
+        assert ExperimentConfig(name, overrides=overrides).overrides == overrides
+
+    def test_threads_null_is_the_default(self, tmp_path):
+        def csv(overrides):
+            path = tmp_path / "fig3-sep-vs-n.csv"
+            run(ExperimentConfig("fig3-sep-vs-n", trials=1, overrides=overrides)).to_csv(path)
+            return path.read_bytes()
+
+        assert csv(json.loads('{"threads": null}')) == csv({})
 
     def test_pca_collapse_runs_its_trial_count(self):
         report = run(ExperimentConfig("pca-collapse", trials=3))

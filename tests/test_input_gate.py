@@ -85,6 +85,7 @@ from rpmix.experiments import (
     fig4_body,
     fig9_body,
     pca_collapse_body,
+    run,
     surrogate_digit_data,
 )
 from rpmix.gaussians import _as_float_array, _checked_mixture, log_density_batch
@@ -607,8 +608,9 @@ INT_GATES = {
     "ExperimentConfig-base_seed": (
         "base_seed", 0, ConfigError, lambda v: ExperimentConfig("fig3-sep-vs-n", base_seed=v)
     ),
-    "ExperimentConfig-threads": (
-        "threads", 1, ConfigError, lambda v: ExperimentConfig("fig3-sep-vs-n", overrides={"threads": v})
+    "run-threads": (
+        "threads", 1, InvalidParameterError,
+        lambda v: run(ExperimentConfig("fig3-sep-vs-n", trials=1, overrides={"threads": v, "n_values": [50]})),
     ),
     "MixtureSpec-n": ("dimension n", 1, InvalidParameterError, lambda v: MixtureSpec(n=v, k=2, c=1.0)),
     "MixtureSpec-k": ("k", 2, InvalidParameterError, lambda v: MixtureSpec(n=3, k=v, c=1.0)),
