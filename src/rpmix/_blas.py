@@ -12,6 +12,9 @@ so each mapped copy is set. The copies are found on first use
 from `/proc/self/maps`; rpmix imports numpy and scipy.linalg at import time,
 so both are mapped by then. Where none is found (another BLAS, or no `/proc`),
 the scope changes nothing.
+
+`environment()` records the setting that a run's numbers were measured in:
+these thread counts among them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import platform
 from contextlib import contextmanager
+
+import numpy
+import scipy
 
 # OpenBLAS symbol (prefix, suffix) pairs: numpy's and scipy's wheels rename them.
 BLAS_SYMBOLS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
@@ -88,3 +95,17 @@ def single_blas_thread():
     finally:
         for set_, count in changed:
             set_(count)
+
+
+def environment():
+    """What a run's numbers may depend on besides the code: the Python, numpy
+    and scipy versions, the cores in this process's affinity mask, and the
+    thread count of each mapped OpenBLAS. Read it outside any
+    `single_blas_thread()` scope, which sets every count to one."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cores": len(os.sched_getaffinity(0)),
+        "openblas_threads": [get() for get, _ in openblas_controls()],
+    }

@@ -219,19 +219,18 @@ def cluster_analysis(
     strictly positive eigenvalue instead of crashing; raw digit-style data
     is expected to be this degenerate. A class with no positive eigenvalue,
     one whose points coincide, gets 1.0, as one with a single positive
-    eigenvalue does; two such classes raise DuplicatePointsError. Both
-    outputs are scale-free, so they are computed on the points over a power
+    eigenvalue does; two such classes raise DuplicatePointsError. An
+    eigenvalue counts as positive above the rank floor λ_max · ε · n, the
+    class's largest eigenvalue times machine epsilon times the dimension.
+    Every output is scale-free, so it is computed on the points over a power
     of two near their largest entry, as `packed_centers` scales its targets,
-    and no covariance over- or underflows; the rank floor stays in the
-    data's own units.
+    and no covariance over- or underflows.
     """
     _check_no_empty_class(data)
     exp = np.frexp(np.max(np.abs(data.points), initial=0.0))[1]
     points = np.ldexp(data.points, -exp)
     if projection is not None:
         points = project_data(projection, points)
-    with np.errstate(over="ignore"):
-        unit = np.ldexp(1.0, -2 * exp)  # a variance of 1.0 in the data's units, or inf
     num_classes = data.num_classes
     n = points.shape[1]
     means = np.zeros((num_classes, n))
@@ -245,7 +244,7 @@ def cluster_analysis(
         cov = centered.T @ centered / cls_points.shape[0]
         lam = np.linalg.eigvalsh((cov + cov.T) / 2.0)
         traces[cls] = lam.sum()
-        floor = max(lam[-1], unit) * np.finfo(float).eps * n
+        floor = lam[-1] * np.finfo(float).eps * n
         positive = lam[lam > floor]
         if lam[0] <= floor or cls_points.shape[0] <= n:
             deficient[cls] = True

@@ -70,9 +70,13 @@ class DuplicatePointsError(RpmixError):
 class EmptyComponentError(RpmixError):
     """A mixture component received (numerically) zero responsibility mass."""
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices):
         self.indices = tuple(indices)
-        super().__init__(message or f"empty component(s): {self.indices}")
+        super().__init__(f"empty component(s): {self.indices}")
+
+    def __reduce__(self):
+        # Pickle rebuilds from `args`, the message; rebuild from the indices.
+        return type(self), (self.indices,)
 
 
 class ShapeMismatchError(RpmixError):

@@ -560,15 +560,6 @@ class ExperimentConfig:
                     f"override {key!r} not valid for {self.experiment}; "
                     f"allowed: {sorted(allowed)}"
                 )
-        # A path's default of None says nothing of its type, and `open` reads
-        # an int as a file descriptor.
-        for key in ("train_path", "test_path"):
-            value = self.overrides.get(key)
-            if value is not None and not isinstance(value, (str, os.PathLike)):
-                raise ConfigError(
-                    f"{self.experiment}: override {key!r} must be a path "
-                    f"(a string), got {value!r}"
-                )
         for key, value in self.overrides.items():
             if not _has_type_of(value, allowed[key]):
                 raise ConfigError(

@@ -98,8 +98,7 @@ def _int_at_least(value, name, low, error=InvalidParameterError):
     """`value` as a Python int if it is an int >= `low` (a numpy integer
     included, a bool not); anything else raises `error` naming `name`. The
     library's integer arguments with a lower bound enter through it, except
-    a sample count, a projection's sizes and a seed, whose messages have
-    another form."""
+    a projection's sizes and a seed, whose messages have another form."""
     if not _is_int(value) or value < low:
         raise error(f"{name} must be an int >= {low}, got {value!r}")
     return int(value)
@@ -493,10 +492,7 @@ def mixture_separation(m: Mixture) -> float:
 
 def _labelled_draw(m: Mixture, count: int, rng):
     """Component indices and `count` i.i.d. points drawn with the generator `rng`."""
-    if not _is_int(count):
-        raise InvalidParameterError(f"count must be an int, got {count!r}")
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
+    count = _int_at_least(count, "count", 1)
     comps = rng.choice(m.k, size=count, p=m.weights)
     z = rng.standard_normal((count, m.dim))
     out = np.empty((count, m.dim))

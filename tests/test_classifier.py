@@ -383,14 +383,24 @@ class TestClusterAnalysis:
 
     def test_small_scale_keeps_separations_and_the_rank_floor(self):
         # At 2^-700 the class covariances (about 2^-1400) underflow to zero
-        # unless scaled. The rank floor, 1.0 * eps * n in the data's units,
-        # lies above every variance there: each class reads as degenerate.
+        # unless scaled. The rank floor, lambda_max * eps * n, scales with
+        # the data: no class reads as degenerate.
         points, labels = self.SCALED
         unit = cluster_analysis(LabeledDataset(points, labels))
         small = cluster_analysis(LabeledDataset(points * 2.0**-700, labels))
         assert np.array_equal(small.separations, unit.separations)
-        assert small.eccentricities.tolist() == [1.0, 1.0]
-        assert small.rank_deficient.tolist() == [True, True]
+        assert np.array_equal(small.eccentricities, unit.eccentricities)
+        assert np.array_equal(small.rank_deficient, unit.rank_deficient)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-10])
+    def test_small_variances_are_no_rank_deficiency(self, scale):
+        # Every variance here lies below eps * n, a floor in absolute units.
+        points, labels = self.SCALED
+        unit = cluster_analysis(LabeledDataset(points, labels))
+        small = cluster_analysis(LabeledDataset(points * scale, labels))
+        assert np.allclose(small.separations, unit.separations, rtol=1e-14, atol=0)
+        assert np.allclose(small.eccentricities, unit.eccentricities, rtol=1e-14, atol=0)
+        assert np.array_equal(small.rank_deficient, unit.rank_deficient)
 
     def test_saved_analysis_reads_back(self, tmp_path):
         data = LabeledDataset([[0, 0], [1, 1], [2, 0], [5, 5]], [0, 0, 0, 1])

@@ -69,7 +69,7 @@ class TestSynth:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: count must be >= 1, got -3\n"
+        assert capsys.readouterr().err == "error: count must be an int >= 1, got -3\n"
         assert not mix_path.exists() and not data_path.exists()
 
 
@@ -433,7 +433,7 @@ class TestExperiment:
         )
         assert run_cli(["experiment", "--config", path]) == 1
         err = capsys.readouterr().err
-        assert "error: fig9-digit-sweep: override 'train_path' must be a path" in err
+        assert "error: path must be a str, bytes or os.PathLike, got 987\n" in err
         assert "Bad file descriptor" not in err
 
     def test_help_documents_report_columns(self, capsys):

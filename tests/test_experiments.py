@@ -2,6 +2,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rpmix import experiments, pairwise_separation, spectral_summary
+from rpmix import errors, experiments, pairwise_separation, spectral_summary
 from rpmix._blas import single_blas_thread
 from rpmix.errors import (
     BadDimsError,
@@ -471,6 +472,13 @@ class TestEmComparison:
 SMALL_TRIAL = dict(n_values=(20,), k=3, c=2.0, d=5, train_size=300, test_size=100)
 
 
+ERRORS = {
+    name: value
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, Exception)
+}
+
+
 class TestTrialPool:
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -538,6 +546,15 @@ class TestTrialPool:
         rows = experiments._run_trials(worker, [1, 2, 3], 2, (10,))
         assert [value for value, _ in rows] == [11, 12, 13]
         assert os.getpid() not in {pid for _, pid in rows}
+
+    @pytest.mark.parametrize("name", sorted(ERRORS))
+    def test_error_keeps_its_message_through_a_pickle(self, name):
+        # A pool worker sends its exception back pickled.
+        cls = ERRORS[name]
+        error = cls((1, 2)) if cls is EmptyComponentError else cls("a message")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
 
     def test_pooled_sweep_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -716,6 +733,7 @@ class TestConfig:
             ("fig8-em-compare", {"mode": CovarianceMode.FULL_SHARED}),
             ("fig9-digit-sweep", {"train_path": "a.csv", "test_path": "b.csv"}),
             ("fig9-digit-sweep", {"train_path": Path("a.csv"), "test_path": None}),
+            ("fig9-digit-sweep", {"train_path": b"a.csv", "test_path": "b.csv"}),
         ],
     )
     def test_override_of_the_default_type_accepted(self, experiment, overrides):
@@ -726,15 +744,24 @@ class TestConfig:
         [
             {"train_path": 987, "test_path": "b.csv"},
             {"train_path": "a.csv", "test_path": 988},
-            {"train_path": b"a.csv", "test_path": "b.csv"},
             {"train_path": ["a.csv"], "test_path": "b.csv"},
         ],
     )
-    def test_data_path_that_is_not_a_path_rejected(self, overrides):
-        # `open` would read an int as a file descriptor.
-        key = next(k for k, v in overrides.items() if not isinstance(v, str))
-        with pytest.raises(ConfigError, match=f"fig9-digit-sweep: override '{key}' must be a path"):
-            ExperimentConfig(experiment="fig9-digit-sweep", overrides=overrides)
+    def test_data_path_that_is_not_a_path_rejected(self, tmp_path, monkeypatch, overrides):
+        # fig9 reads both paths through `ingest` before any trial runs; `open`
+        # would read an int as a file descriptor.
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("0,1.0\n")
+        bad = next(v for v in overrides.values() if not isinstance(v, str))
+        config = ExperimentConfig(
+            experiment="fig9-digit-sweep", overrides={**overrides, "threads": 1}
+        )
+        with pytest.raises(
+            InvalidParameterError,
+            match=re.escape(f"path must be a str, bytes or os.PathLike, got {bad!r}"),
+        ):
+            run(config)
 
     @pytest.mark.parametrize("threads", [0, -1, "2", 1.5, True])
     def test_bad_threads_rejected(self, threads):

@@ -625,6 +625,7 @@ INT_GATES = {
     "long_axis_mixture-d": ("d", 1, InvalidParameterError, lambda v: long_axis_mixture(100, 5, 0.5, 1000.0, v, 0)),
     "pca_collapse_body-k": ("k", 1, InvalidParameterError, lambda v: pca_collapse_body(0, k=v, samples=50)),
     "norm_tail_bound-n": ("n", 1, InvalidParameterError, lambda v: norm_tail_bound(v, 0.5)),
+    "sample-count": ("count", 1, InvalidParameterError, lambda v: sample(MODEL, v, 0)),
 }
 
 # site -> the error that its least valid value, as a numpy int, meets after the gate
