@@ -124,8 +124,14 @@ def _check_no_empty_class(data: LabeledDataset):
 
 def ingest(path) -> LabeledDataset:
     """Read a label-first CSV: each line is `label,x1,...,xn`."""
+    return _ingest(path)
+
+
+def _ingest(path, digest=None):
+    """`ingest(path)`, feeding a hashlib object `digest` the bytes that the
+    parse read, in the same read (see `_read_csv`)."""
     path = _file_name(path)
-    table, linenos = _read_csv(path)
+    table, linenos = _read_csv(path, digest=digest)
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]

@@ -57,6 +57,7 @@ from .gaussians import (
     _log_normalizer,
     _quad_forms,
     _radii,
+    _scaled_norm,
     _seed_sequence,
     _Workspace,
 )
@@ -172,7 +173,9 @@ def _shared_e_step(params: Mixture, work):
     inv = params._invs[0]
     whitened = inv @ (params.means - work.center).T  # L^-1 d_i, n x k
     scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
-    scores = scores + work.centered @ (inv.T @ whitened)
+    # An overflow leaves scores whose next covariance `_factor_and_invert` reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = scores + work.centered @ (inv.T @ whitened)
     resp, lse = _log_normalize(scores)
     lower = dlauum(inv, lower=1)[0]
     g = work.gram
@@ -417,9 +420,13 @@ def centers_recovered(model: Mixture, truth: Mixture):
     if model.k != truth.k or model.dim != truth.dim:
         raise ShapeMismatchError("mixtures differ in k or dimension")
     k = truth.k
-    dists = np.linalg.norm(
-        model.means[:, None, :] - truth.means[None, :, :], axis=-1
-    )
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(
+            model.means[:, None, :] - truth.means[None, :, :], axis=-1
+        )
+        for i, j in zip(*np.nonzero(~np.isfinite(dists))):  # the squares overflowed: rescale
+            scale, norm = _scaled_norm(model.means[i], truth.means[j])
+            dists[i, j] = scale * norm
     values = np.unique(dists)
     lo, hi = 0, values.size - 1
     while lo < hi:

@@ -8,6 +8,7 @@ apart (using the larger of the two radii).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections.abc import Collection
@@ -454,6 +455,13 @@ def _radii(m: Mixture) -> np.ndarray:
     return np.sqrt([np.trace(cov) for cov in m._covs])[m._owner]
 
 
+def _scaled_norm(a, b):
+    """(s, ||a / s - b / s||) for s the largest absolute entry of a and b:
+    ||a - b|| is s times the norm, also where the squares of a - b overflow."""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return scale, np.linalg.norm(a / scale - b / scale)
+
+
 def _separations(means, radii) -> np.ndarray:
     """The table of ||mu_i - mu_j|| / max(r_i, r_j) over the rows of `means`,
     zero on the diagonal, one row of differences at a time. Each squared
@@ -468,9 +476,8 @@ def _separations(means, radii) -> np.ndarray:
         denom = np.maximum(radii[i + 1:], radii[i])
         row = dist / denom
         for j in np.flatnonzero(~np.isfinite(dist)):  # the squares overflowed: rescale
-            a, b = means[i], means[i + 1 + j]
-            scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-            row[j] = scale / denom[j] * np.linalg.norm(a / scale - b / scale)
+            scale, norm = _scaled_norm(means[i], means[i + 1 + j])
+            row[j] = scale / denom[j] * norm
         out[i, i + 1:] = out[i + 1:, i] = row
     return out
 
@@ -495,12 +502,11 @@ def _labelled_draw(m: Mixture, count: int, rng):
     count = _int_at_least(count, "count", 1)
     comps = rng.choice(m.k, size=count, p=m.weights)
     z = rng.standard_normal((count, m.dim))
-    out = np.empty((count, m.dim))
     for i, (mu, f) in enumerate(zip(m.means, m._owner)):
         rows = comps == i
-        if np.any(rows):
-            out[rows] = z[rows] @ m._chols[f].T + mu
-    return comps, out
+        if np.any(rows):  # disjoint rows, and z[rows] on the right is a copy
+            z[rows] = z[rows] @ m._chols[f].T + mu
+    return comps, z
 
 
 def sample(m: Mixture, count: int, seed) -> np.ndarray:
@@ -596,12 +602,36 @@ def save_dataset(points, path, header=None):
     np.savetxt(_file_name(path), points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
-def _data_lines(path, skip_header, linenos):
+class _DigestingReader(io.BufferedReader):
+    """The file at `path` as `open(path, "rb")` reads it, feeding each byte
+    it hands out to the hashlib object `digest`. A text stream reads its
+    buffer only through `read1` or `read`, so over it the digest is of
+    exactly the bytes the stream decoded."""
+
+    def __init__(self, path, digest):
+        super().__init__(io.FileIO(path))
+        self._digest = digest
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self._digest.update(data)
+        return data
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self._digest.update(data)
+        return data
+
+
+def _data_lines(path, skip_header, linenos, digest=None):
     """The lines of `path` that hold data: every line after the header (when
     `skip_header`) that is not blank or whitespace-only. The number of each
     line is appended to `linenos` as it is yielded. A byte that does not
-    decode raises ParseError naming `path`."""
-    with open(path) as f:
+    decode raises ParseError naming `path`. The text is decoded as `open`
+    decodes it; with a hashlib object `digest`, every byte read is fed to
+    it, so once the lines run out it holds the digest of the whole file."""
+    stream = open(path) if digest is None else io.TextIOWrapper(_DigestingReader(path, digest))
+    with stream as f:
         try:
             if skip_header:
                 f.readline()
@@ -629,7 +659,7 @@ def _parses(text):
     return True
 
 
-def _read_csv(path, skip_header=False):
+def _read_csv(path, skip_header=False, digest=None):
     """A numeric CSV file as a float array, plus each row's line number.
 
     numpy's `loadtxt` parses the lines of `_data_lines` as they are read, so
@@ -640,10 +670,11 @@ def _read_csv(path, skip_header=False):
     numbers, and `#` starts no comment. When `loadtxt` fails, the lines are
     read again one at a time, and the cells of the failing one, only to name
     the line, and the width or the column; every error names the file and
-    the line.
+    the line. A hashlib object `digest` is fed the bytes of the parse's one
+    read of the file (see `_data_lines`).
     """
     path, linenos = _file_name(path), []
-    lines = _data_lines(path, skip_header, linenos)
+    lines = _data_lines(path, skip_header, linenos, digest)
     first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: no data rows")

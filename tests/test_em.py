@@ -26,6 +26,7 @@ from rpmix import (
     sample,
 )
 from rpmix import em, gaussians
+from rpmix.classifier import LabeledDataset, train
 from rpmix.em import _log_joint, _m_step
 from rpmix.em import test_loglik as held_out_loglik
 from rpmix.errors import (
@@ -1163,8 +1164,33 @@ class TestCentersRecovered:
         assert time.perf_counter() - start < 1.0
         assert errors.shape == (12,)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_distance_whose_squares_overflow_is_rescaled(self, scale):
+        truth = self._mixture(np.array([[0.0, 0, 0, 0], [10.0, 0, 0, 0]]))
+        model = self._mixture(np.array([[scale] * 4, [12.0, 0, 0, 0]]))
+        ok, errors = centers_recovered(model, truth)
+        assert not ok
+        assert errors.tolist() == [2 * scale, 2.0]
+
     def test_shape_mismatch(self):
         a = self._mixture(np.zeros((2, 2)) + np.array([[0.0, 0.0], [5.0, 0.0]]))
         b = self._mixture(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]))
         with pytest.raises(ShapeMismatchError):
             centers_recovered(a, b)
+
+
+class TestEntryNearTheFloatLimit:
+    """60 N(0, 1) points in R^4 and one at (1e300,)*4: the shared covariance
+    overflows, and each fit through it ends in a typed error, with no
+    RuntimeWarning under the suite's filter."""
+
+    DATA = np.vstack([np.random.default_rng(0).standard_normal((60, 4)), np.full((1, 4), 1e300)])
+
+    @pytest.mark.parametrize("fit", [
+        lambda x: run_em(x, 3, SHARED, 0),
+        lambda x: rp_em(x, 3, 2, SHARED, 0),
+        lambda x: train(LabeledDataset(x, np.arange(61) % 2), 2, per_class_k=2, seed=0),
+    ], ids=["run_em", "rp_em", "train"])
+    def test_shared_fit_ends_typed(self, fit):
+        with pytest.raises(NonFiniteError, match="iteration 0: covariance overflows"):
+            fit(self.DATA)

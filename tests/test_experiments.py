@@ -620,8 +620,10 @@ class TestDigitSweep:
         return paths
 
     def test_report_from_files_byte_identical_across_threads(self, tmp_path, digit_files):
-        # threads=None is the default: one worker per core.
+        # threads=None is the default: one worker per core. Each call reads
+        # its files in the pool, with no parse kept from the call before.
         def csv(threads):
+            experiments._PARSED.clear()
             report = fig9_body(
                 3, trials=2, d_values=(4, 6), train_path=digit_files[0],
                 test_path=digit_files[1], per_class_k=2, threads=threads,
@@ -652,6 +654,105 @@ class TestDigitSweep:
             assert not data.points.flags.writeable
             assert not data.labels.flags.writeable
             assert np.array_equal(data.points, ingest(path).points)
+
+    @staticmethod
+    def recorded_runs(monkeypatch):
+        """(worker, tasks, shared) of every later `_run_trials` call."""
+        runs, run_trials = [], experiments._run_trials
+
+        def recording(worker, tasks, threads=None, shared=()):
+            runs.append((worker, list(tasks), shared))
+            return run_trials(worker, tasks, threads, shared)
+
+        monkeypatch.setattr(experiments, "_run_trials", recording)
+        return runs
+
+    @staticmethod
+    def reads(runs):
+        return [tasks for worker, tasks, _ in runs if worker is experiments._digested_ingest]
+
+    @staticmethod
+    def sweep_csv(digit_files, path, threads=2):
+        fig9_body(3, trials=2, d_values=(4,), train_path=digit_files[0],
+                  test_path=digit_files[1], per_class_k=2, threads=threads).to_csv(path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, None])
+    def test_second_call_on_the_same_files_reuses_the_parse(self, monkeypatch, tmp_path, digit_files, threads):
+        from rpmix import ingest
+
+        runs = self.recorded_runs(monkeypatch)
+        first = self.sweep_csv(digit_files, tmp_path / "first.csv", threads)
+        assert self.reads(runs) == [list(digit_files)]
+        del runs[:]
+        assert self.sweep_csv(digit_files, tmp_path / "second.csv", threads) == first
+        [(worker, _, shared)] = runs  # the trials, and no read
+        assert worker is experiments._digit_trial
+        for data, path in zip(shared[:2], digit_files):
+            assert not data.points.flags.writeable
+            assert not data.labels.flags.writeable
+            assert np.array_equal(data.points, ingest(path).points)
+
+    def test_file_rewritten_with_its_size_and_mtime_is_read_again(self, monkeypatch, tmp_path, digit_files):
+        runs = self.recorded_runs(monkeypatch)
+        train_path = digit_files[0]
+        first = self.sweep_csv(digit_files, tmp_path / "first.csv")
+        stat = train_path.stat()
+        # The labels swapped: other values of the same byte length.
+        swapped = [("1" if line[0] == "0" else "0") + line[1:] for line in train_path.read_text().splitlines(True)]
+        train_path.write_text("".join(swapped))
+        os.utime(train_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (train_path.stat().st_size, train_path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        assert self.sweep_csv(digit_files, tmp_path / "second.csv") != first
+        assert self.reads(runs) == [list(digit_files), [train_path]]
+
+    def test_ragged_file_raises_on_every_call_and_mended_gives_a_report(self, tmp_path, digit_files):
+        test_path = digit_files[1]
+        good = test_path.read_bytes()
+        first = self.sweep_csv(digit_files, tmp_path / "first.csv")
+        lines = good.decode().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        test_path.write_text("".join(lines))
+        for _ in range(2):
+            with pytest.raises(InconsistentWidthError, match=r"test\.csv: line 3: expected 13 values, got 12"):
+                self.sweep_csv(digit_files, tmp_path / "bad.csv")
+        test_path.write_bytes(good)
+        assert self.sweep_csv(digit_files, tmp_path / "mended.csv") == first
+
+    @pytest.mark.parametrize("bad", ["path", "missing", "not utf-8"])
+    def test_an_unreadable_file_raises_as_ingest_does_on_every_call(self, tmp_path, digit_files, bad):
+        from rpmix import ingest
+
+        self.sweep_csv(digit_files, tmp_path / "first.csv")  # something kept to reuse
+        if bad == "path":
+            test_path = 987
+        elif bad == "missing":
+            test_path = tmp_path / "absent.csv"
+        else:
+            test_path = tmp_path / "latin-1.csv"
+            test_path.write_bytes(digit_files[1].read_bytes() + b"0,\xe9\n")
+        with pytest.raises(Exception) as direct:
+            ingest(test_path)
+        for _ in range(2):
+            with pytest.raises(type(direct.value), match=re.escape(str(direct.value))):
+                self.sweep_csv((digit_files[0], test_path), tmp_path / "bad.csv")
+
+    def test_kept_parse_holds_only_the_last_calls_files(self, tmp_path, digit_files):
+        import hashlib
+
+        from rpmix import ingest, save_labeled
+        from rpmix.classifier import LabeledDataset
+
+        self.sweep_csv(digit_files, tmp_path / "first.csv")
+        rng = np.random.default_rng(1)
+        other = tmp_path / "other-train.csv", tmp_path / "other-test.csv"
+        for path, size in zip(other, (80, 20)):
+            save_labeled(LabeledDataset(rng.standard_normal((size, 12)), np.arange(size) % 2), path)
+        self.sweep_csv(other, tmp_path / "second.csv")
+        kept = experiments._PARSED
+        assert set(kept) == {hashlib.sha256(path.read_bytes()).digest() for path in other}
+        for path in other:
+            assert np.array_equal(kept[hashlib.sha256(path.read_bytes()).digest()].points, ingest(path).points)
 
     def test_ragged_file_read_in_a_worker_names_its_line(self, digit_files):
         test_path = digit_files[1]

@@ -482,6 +482,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(mix, 0, 0)
 
+    @pytest.mark.parametrize("factors", [1, 3])
+    def test_draw_in_place_equals_a_draw_into_a_second_array(self, factors):
+        rng = np.random.default_rng(5)
+        covs = [a @ a.T + np.eye(4) for a in rng.standard_normal((factors, 4, 4))]
+        mix = Mixture(
+            [Gaussian(rng.standard_normal(4) * 10, covs[i % factors]) for i in range(3)],
+            [0.5, 0.3, 0.2],
+        )
+        assert len(mix._chols) == factors
+        comps, pts = gaussians._labelled_draw(mix, 500, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want = rng.choice(mix.k, size=500, p=mix.weights)
+        z = rng.standard_normal((500, mix.dim))
+        out = np.empty((500, mix.dim))
+        for i, (mu, f) in enumerate(zip(mix.means, mix._owner)):
+            out[want == i] = z[want == i] @ mix._chols[f].T + mu
+        assert np.array_equal(comps, want)
+        assert np.array_equal(pts, out)
+
 
 class TestNormTailBound:
     def test_closed_form(self):
