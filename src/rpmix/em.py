@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.linalg.lapack import dlauum
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -52,6 +51,7 @@ from .gaussians import (
     Mixture,
     _as_float_array,
     _checked_inverse,
+    _cholesky,
     _int_at_least,
     _is_real,
     _log_normalizer,
@@ -94,13 +94,8 @@ def _factor_and_invert(covs):
     each checked once by `_checked_inverse`. Every covariance is factored
     before any is checked, so a matrix that is not positive definite is
     reported ahead of an ill-conditioned one. A covariance whose computation
-    overflowed raises NonFiniteError."""
-    try:
-        chols = tuple(cholesky(cov, lower=True) for cov in covs)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    except ValueError as exc:  # `cholesky`'s finite check
-        raise NonFiniteError("covariance overflows") from exc
+    overflowed raises NonFiniteError (`_cholesky`)."""
+    chols = tuple(_cholesky(cov) for cov in covs)
     return chols, tuple(_checked_inverse(cov, chol) for cov, chol in zip(covs, chols))
 
 
@@ -171,17 +166,18 @@ def _shared_e_step(params: Mixture, work):
     symmetric, tr(Sigma^-1 G) = 2 sum(P * G) - sum(diag(P) * diag(G)).
     """
     inv = params._invs[0]
-    whitened = inv @ (params.means - work.center).T  # L^-1 d_i, n x k
-    scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
-    # An overflow leaves scores whose next covariance `_factor_and_invert` reports.
+    # An overflow leaves scores whose next covariance `_factor_and_invert`
+    # reports, or a log-likelihood that `_fit` reports if it stops on it.
     with np.errstate(over="ignore", invalid="ignore"):
+        whitened = inv @ (params.means - work.center).T  # L^-1 d_i, n x k
+        scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
         scores = scores + work.centered @ (inv.T @ whitened)
-    resp, lse = _log_normalize(scores)
-    lower = dlauum(inv, lower=1)[0]
-    g = work.gram
-    trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
-    m = work.centered.shape[0]
-    return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
+        resp, lse = _log_normalize(scores)
+        lower = dlauum(inv, lower=1)[0]
+        g = work.gram
+        trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
+        m = work.centered.shape[0]
+        return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
 
 
 def _m_step(resp, work, previous=None) -> Mixture:
@@ -262,18 +258,23 @@ def _init_params(data, k, restriction, seed) -> Mixture:
             # No pairwise distances exist; fall back to the data's mean squared
             # spread so a single component still gets a sane spherical start.
             var = float(np.mean(np.sum((data - data.mean(axis=0)) ** 2, axis=1))) / n
-            if var <= 0:
+            if var <= 0 and np.all(data == data[0]):
                 raise DuplicatePointsError("all points coincide")
             variances = np.array([var])
         else:
             sq = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
             np.fill_diagonal(sq, np.inf)
             nearest = sq.min(axis=1)
-            if np.any(nearest == 0):
+            if np.any(nearest == 0) and len(np.unique(centers, axis=0)) < k:
                 raise DuplicatePointsError("two initial centers coincide")
             variances = nearest / (2.0 * n)
             if restriction is CovarianceRestriction.SHARED_FULL:
                 variances = np.full(k, variances.min())
+        if np.any(variances == 0):
+            raise IllConditionedError(
+                "initial variance underflows to 0: the points are distinct, but "
+                "too close for their squared distances to be a double"
+            )
         distinct, owner = np.unique(variances, return_inverse=True)
         covs = tuple(var * np.eye(n) for var in distinct)
     chols, invs = _factor_and_invert(covs)
@@ -350,6 +351,8 @@ def _fit(params, work, tol, max_iter, rescues) -> FitResult:
         trace.append(ll)
         converged = len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll)
         if converged or len(trace) > max_iter:
+            if not np.isfinite(ll):
+                raise NonFiniteError(f"iteration {len(trace) - 1}: log-likelihood is {ll}")
             break
         try:
             params = _m_step(resp, work, None if rescues else params)

@@ -264,10 +264,7 @@ def _checked_mixture(weights, means, covs, owner):
         if cov.shape != (n, n):
             raise DimensionMismatchError(f"covariance shape {cov.shape} does not match dimension {n}")
     covs = [_symmetrized(cov) for cov in covs]
-    try:
-        chols = [cholesky(cov, lower=True) for cov in covs]
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+    chols = [_cholesky(cov) for cov in covs]
     return Mixture._of(_checked_weights(weights, owner.size), means, covs, chols, owner)
 
 
@@ -293,6 +290,18 @@ def _symmetrized(cov):
     if not np.all(np.isfinite(sym)):
         raise NonFiniteError("covariance overflows when symmetrized")
     return sym
+
+
+def _cholesky(cov):
+    """The library's one Cholesky factoring: the lower factor L of a
+    symmetric covariance, NotPositiveDefiniteError where it has none and
+    NonFiniteError where it holds a non-finite entry."""
+    try:
+        return cholesky(cov, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    except ValueError as exc:  # `cholesky`'s finite check
+        raise NonFiniteError("covariance overflows") from exc
 
 
 def _checked_inverse(cov, chol):

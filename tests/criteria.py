@@ -3,8 +3,10 @@
 `criterion_N(base_seed)` runs criterion N's experiment at `base_seed` and
 returns `(ok, stats, line)`: the verdict, the gated statistics by name, and
 the `[criterion N] ...: PASS|FAIL (...)` line that states them against their
-bounds. `tests/test_acceptance.py` calls each at the seed of the Tier-1 run;
-other seeds give the same gates on other draws.
+bounds. `CRITERIA` holds each criterion's Tier-1 base seed and trial count,
+and `run` calls a criterion at one set of seeds: `tests/test_acceptance.py`
+at set 0, the Tier-1 run, and `tools/verdicts.py --sets K` at sets 0 to
+K - 1. Other sets give the same gates on other draws.
 """
 
 import math
@@ -33,6 +35,19 @@ from rpmix.experiments import (
     pca_collapse_body,
     second_em_body,
 )
+
+
+# criterion number -> (Tier-1 base seed, trials per set). Set i of a
+# criterion runs at its base seed plus i times its trials, so no two sets
+# share a trial's seed. Criteria 5 and 7 draw from the base seed alone.
+CRITERIA = {1: (0, 40), 2: (0, 10), 3: (0, 150), 4: (0, 100), 5: (0, 1), 6: (0, 1), 7: (7, 1), 8: (0, 2)}
+
+
+def run(num, i=0):
+    """`(base_seed, ok, stats, line)` of criterion `num` at set i."""
+    seed, trials = CRITERIA[num]
+    base_seed = seed + i * trials
+    return (base_seed, *globals()[f"criterion_{num}"](base_seed))
 
 
 def _result(num, name, ok, detail, stats):
@@ -69,7 +84,7 @@ def criterion_1(base_seed):
     stats = {}
     ok = True
     for (E, n), (target, sd) in cells.items():
-        report = fig5_body(base_seed, trials=40, E_values=(E,), n_values=(n,), d=20)
+        report = fig5_body(base_seed, trials=CRITERIA[1][1], E_values=(E,), n_values=(n,), d=20)
         mean = _means(report, "eccentricity")[(E, n)]
         stats[f"eccentricity E={E},n={n}"] = mean
         within = abs(mean - target) <= 3 * sd
@@ -117,7 +132,7 @@ def criterion_2(base_seed):
     had more than 4% outside. A map that loses the separations, as PCA does
     here, keeps almost no pair inside the band and fails.
     """
-    n, c, d, trials = 100, 0.5, 10, 10
+    n, c, d, trials = 100, 0.5, 10, CRITERIA[2][1]
     lo, hi = 0.25, 0.9
     report = fig7_body(base_seed, trials=trials, n=n, c=c, d=d)
     pca_vals, rp_vals = [], []
@@ -141,7 +156,7 @@ def criterion_2(base_seed):
 
 def criterion_3(base_seed):
     """fig8: plain EM's success drops from n=50 to n=200, the hybrid's does not."""
-    trials = 150
+    trials = CRITERIA[3][1]
     report = fig8_body(base_seed, trials=trials, n_values=(50, 200))
     reg = _means(report, "reg_success")
     rp = _means(report, "rp_success")
@@ -163,7 +178,7 @@ def criterion_3(base_seed):
 
 def criterion_4(base_seed):
     """second-em: the hybrid wins on eccentric unrestricted mixtures."""
-    trials = 100
+    trials = CRITERIA[4][1]
     report = second_em_body(base_seed, trials=trials)
     reg = _means(report, "reg_success")[(100,)]
     rp = _means(report, "rp_success")[(100,)]
@@ -204,7 +219,7 @@ def criterion_5(base_seed):
 
 def criterion_6(base_seed):
     """PCA one dimension short of the arrangement collapses a pair."""
-    report = pca_collapse_body(base_seed, k=10)
+    report = pca_collapse_body(base_seed, trials=CRITERIA[6][1], k=10)
     rows = {row["method"]: row for row in report.rows}
     original = rows["pca_full"]["original_min_separation"]
     collapse = rows["pca_collapse"]["min_separation"]
@@ -329,7 +344,7 @@ def criterion_7(base_seed):
 
 def criterion_8(base_seed):
     """fig9: accuracy gains under 2 points from d=40 to d=100."""
-    report = fig9_body(base_seed, trials=2, d_values=(40, 100))
+    report = fig9_body(base_seed, trials=CRITERIA[8][1], d_values=(40, 100))
     means = _means(report, "accuracy")
     gain = means[(100,)] - means[(40,)]
     ok = gain < 0.02

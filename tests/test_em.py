@@ -90,6 +90,14 @@ class TestInitParams:
         with pytest.raises(DuplicatePointsError):
             init_params(np.zeros((4, 3)), 2, FULL, 0)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("restriction", [FULL, SHARED])
+    def test_distinct_points_whose_squared_distances_underflow(self, restriction, k):
+        # Distinct points, but every squared distance between them is 0.
+        data = 1e-200 * np.random.default_rng(0).standard_normal((60, 4))
+        with pytest.raises(IllConditionedError, match="^initial variance underflows to 0"):
+            run_em(data, k, restriction, 0)
+
 
 FITS_BY_RESTRICTION = {
     "init_params": lambda data, r: init_params(data, 3, r, 0),
@@ -377,11 +385,12 @@ class TestRunEm:
 
             return wrapper
 
-        monkeypatch.setattr(em, "cholesky", counted("cholesky", em.cholesky))
+        # Both factor through `gaussians._cholesky`: EM by its own import of it.
+        monkeypatch.setattr(em, "_cholesky", counted("cholesky", em._cholesky))
         monkeypatch.setattr(gaussians, "dtrtri", counted("dtrtri", gaussians.dtrtri))
         monkeypatch.setattr(gaussians, "eigvalsh", counted("eigvalsh", gaussians.eigvalsh))
         monkeypatch.setattr(
-            gaussians, "cholesky", counted("Gaussian cholesky", gaussians.cholesky)
+            gaussians, "_cholesky", counted("Gaussian cholesky", gaussians._cholesky)
         )
         return calls
 
@@ -1194,3 +1203,9 @@ class TestEntryNearTheFloatLimit:
     def test_shared_fit_ends_typed(self, fit):
         with pytest.raises(NonFiniteError, match="iteration 0: covariance overflows"):
             fit(self.DATA)
+
+    def test_shared_fit_that_stops_before_an_m_step_ends_typed(self):
+        # With no M-step to report the overflow, the fit reports the
+        # log-likelihood it stops on.
+        with pytest.raises(NonFiniteError, match="^iteration 0: log-likelihood is nan$"):
+            run_em(self.DATA, 3, SHARED, 0, max_iter=0)

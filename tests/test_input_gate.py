@@ -14,13 +14,15 @@ file path that is not a str, bytes or os.PathLike (an int file descriptor
 included) in an InvalidParameterError naming it, and an object that keeps an
 array argument leaves the caller's array writable. A file of any bytes read
 as a CSV, a mixture, a projection or an experiment config gives a value or
-an RpmixError, an undecodable byte included."""
+an RpmixError, an undecodable byte included, and a fit of points at a scale
+from 1e-320 to 1e296 gives a finite log-likelihood trace or an RpmixError."""
 
 import dataclasses
 import inspect
 import json
 import os
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -760,6 +762,58 @@ def test_fit_covariance_that_overflows_is_non_finite(restriction, seed):
     data = np.sqrt(1e307) * np.vstack([6.0 + z[:50], -6.0 + z[50:]])
     with pytest.raises(NonFiniteError, match=f"^{OVERFLOW_AT[seed]}$"):
         run_em(data, 2, restriction, seed)
+
+
+# 60 N(0, 1) points in R^4 at scales 1e-320, 1e-292, ..., 1e296, alone or
+# with one point at (v,)*4 for v = 1e300, -1e308 or 1e150. At these scales
+# squared distances underflow, whitened means and traces overflow, and a
+# fit may stop before any M-step could report either.
+def _extreme_scales():
+    out = {}
+    for e in range(-320, 309, 28):
+        x = np.random.default_rng(0).standard_normal((60, 4)) * 10.0**e
+        for far in (None, 1e300, -1e308, 1e150):
+            out[e, far] = x if far is None else np.vstack([x, np.full((1, 4), far)])
+    return out
+
+
+EXTREME_SCALES = _extreme_scales()
+
+
+def _run_em(restriction, **kw):
+    return lambda x: [run_em(x, 3, restriction, 0, **kw).loglik_trace]
+
+
+def _rp_em(restriction):
+    return lambda x: [fit.loglik_trace for fit in rp_em(x, 3, 2, restriction, 0)[::2]]
+
+
+def _train(x):
+    # A classifier keeps no trace: it returns or raises.
+    train(LabeledDataset(x, np.arange(len(x)) % 2), 2, per_class_k=2, seed=0)
+    return []
+
+
+EXTREME_FITS = {
+    **{f"run_em-{r.value}-max_iter={i}": _run_em(r, max_iter=i) for r in CovarianceRestriction for i in (0, 1)},
+    **{f"run_em-{r.value}": _run_em(r) for r in CovarianceRestriction},
+    **{f"rp_em-{r.value}": _rp_em(r) for r in CovarianceRestriction},
+    "train": _train,
+}
+
+
+@pytest.mark.parametrize("fit", EXTREME_FITS.values(), ids=EXTREME_FITS.keys())
+def test_fit_at_an_extreme_scale_ends_finite_or_typed(fit):
+    for (e, far), x in EXTREME_SCALES.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                traces = fit(x)
+            except RpmixError:
+                continue
+            except Warning as warning:
+                pytest.fail(f"scale 1e{e}, far point {far}: {warning!r}")
+        assert all(np.all(np.isfinite(trace)) for trace in traces), f"scale 1e{e}, far point {far}: {traces}"
 
 
 # 50 finite points near 1e308 in R^4: every column sum, and so the mean,

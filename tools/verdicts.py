@@ -21,8 +21,8 @@ three parts:
 - "criteria", with `--sets K` for K >= 1: each acceptance criterion of
   `tests/criteria.py` at K base seeds, with its gated statistics, verdict
   and line at each, and the pass count. Set i is at the criterion's Tier-1
-  seed plus i times its trial count (`CRITERIA`), so set 0 gives the
-  `[criterion N]` lines of the Tier-1 run. Ten sets took 2 min 41 s on
+  seed plus i times its trial count (`criteria.CRITERIA`), so set 0 gives
+  the `[criterion N]` lines of the Tier-1 run. Ten sets took 2 min 41 s on
   two cores.
 """
 
@@ -43,8 +43,6 @@ from rpmix._blas import environment  # noqa: E402
 
 SEEDS = (0, 7)
 TRIALS = 2
-# criterion number -> (Tier-1 base seed, trials per set)
-CRITERIA = {1: (0, 40), 2: (0, 10), 3: (0, 150), 4: (0, 100), 5: (0, 1), 6: (0, 1), 7: (7, 1), 8: (0, 2)}
 
 
 def report_digests():
@@ -72,11 +70,10 @@ def verdict_sets(sets):
     """{"criterion N": {"trials": T, "passed": count, "sets": [...]}}, each set
     with its base seed, verdict, gated statistics and line."""
     out = {}
-    for num, (seed, trials) in CRITERIA.items():
+    for num, (_, trials) in criteria.CRITERIA.items():
         runs = []
         for i in range(sets):
-            base_seed = seed + i * trials
-            ok, stats, line = getattr(criteria, f"criterion_{num}")(base_seed)
+            base_seed, ok, stats, line = criteria.run(num, i)
             runs.append({"base_seed": base_seed, "ok": bool(ok), "stats": stats, "line": line})
             print(line, flush=True)
         passed = sum(run["ok"] for run in runs)
