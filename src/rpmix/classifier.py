@@ -124,14 +124,13 @@ def _check_no_empty_class(data: LabeledDataset):
 
 def ingest(path) -> LabeledDataset:
     """Read a label-first CSV: each line is `label,x1,...,xn`."""
-    return _ingest(path)
+    return _ingest(path)[0]
 
 
-def _ingest(path, digest=None):
-    """`ingest(path)`, feeding a hashlib object `digest` the bytes that the
-    parse read, in the same read (see `_read_csv`)."""
+def _ingest(path):
+    """`ingest(path)`, and the bytes of the file it parsed."""
     path = _file_name(path)
-    table, linenos = _read_csv(path, digest=digest)
+    table, linenos, raw = _read_csv(path)
     if table.shape[1] < 2:
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]
@@ -141,7 +140,7 @@ def _ingest(path, digest=None):
         row = int(np.argmax(bad))
         why = "is negative" if whole[row] else "is not an integer that int64 holds"
         raise ParseError(f"{path}: line {linenos[row]}: label {float(labels[row])!r} {why}")
-    return LabeledDataset(table[:, 1:], labels.astype(int))
+    return LabeledDataset(table[:, 1:], labels.astype(int)), raw
 
 
 def save_labeled(data: LabeledDataset, path):

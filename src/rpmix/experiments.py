@@ -538,11 +538,11 @@ def _read_datasets(paths, threads):
 
     A file whose bytes hash to a key of `_PARSED` gets that key's dataset,
     which a parse of those bytes would build again. The others are read in
-    `threads` worker processes (see `_run_trials`), each hashed in the same
-    read that parses it, and an error is raised as `ingest` raises it, with
+    `threads` worker processes (see `_run_trials`), each hashed from the
+    bytes its parse read, and an error is raised as `ingest` raises it, with
     nothing stored. Afterwards `_PARSED` holds exactly these files. While it
-    is empty no file is hashed, so a single read costs only its parse's
-    digest.
+    is empty no file is hashed before it is read, so a single read costs one
+    digest of the bytes it holds.
     """
     keys = [_file_digest(path) for path in paths] if _PARSED else [None] * len(paths)
     misses = [path for path, key in zip(paths, keys) if key not in _PARSED]
@@ -568,9 +568,8 @@ def _file_digest(path):
 
 def _digested_ingest(path):
     """The sha256 of the bytes `ingest(path)` parses, and its dataset."""
-    digest = hashlib.sha256()
-    data = _ingest(path, digest)
-    return digest.digest(), data
+    data, raw = _ingest(path)
+    return hashlib.sha256(raw).digest(), data
 
 
 def _digit_trial(task, train_set, test_set, per_class_k):

@@ -611,36 +611,13 @@ def save_dataset(points, path, header=None):
     np.savetxt(_file_name(path), points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")
 
 
-class _DigestingReader(io.BufferedReader):
-    """The file at `path` as `open(path, "rb")` reads it, feeding each byte
-    it hands out to the hashlib object `digest`. A text stream reads its
-    buffer only through `read1` or `read`, so over it the digest is of
-    exactly the bytes the stream decoded."""
-
-    def __init__(self, path, digest):
-        super().__init__(io.FileIO(path))
-        self._digest = digest
-
-    def read(self, size=-1):
-        data = super().read(size)
-        self._digest.update(data)
-        return data
-
-    def read1(self, size=-1):
-        data = super().read1(size)
-        self._digest.update(data)
-        return data
-
-
-def _data_lines(path, skip_header, linenos, digest=None):
-    """The lines of `path` that hold data: every line after the header (when
-    `skip_header`) that is not blank or whitespace-only. The number of each
-    line is appended to `linenos` as it is yielded. A byte that does not
-    decode raises ParseError naming `path`. The text is decoded as `open`
-    decodes it; with a hashlib object `digest`, every byte read is fed to
-    it, so once the lines run out it holds the digest of the whole file."""
-    stream = open(path) if digest is None else io.TextIOWrapper(_DigestingReader(path, digest))
-    with stream as f:
+def _data_lines(path, raw, skip_header, linenos):
+    """The lines of `raw`, the bytes of the file at `path`, that hold data:
+    every line after the header (when `skip_header`) that is not blank or
+    whitespace-only. The number of each line is appended to `linenos` as it
+    is yielded. The bytes are decoded as `open(path)` decodes the file, and
+    a byte that does not decode raises ParseError naming `path`."""
+    with io.TextIOWrapper(io.BytesIO(raw)) as f:
         try:
             if skip_header:
                 f.readline()
@@ -668,22 +645,25 @@ def _parses(text):
     return True
 
 
-def _read_csv(path, skip_header=False, digest=None):
-    """A numeric CSV file as a float array, plus each row's line number.
+def _read_csv(path, skip_header=False):
+    """A numeric CSV file as a float array, each row's line number, and the
+    file's bytes.
 
-    numpy's `loadtxt` parses the lines of `_data_lines` as they are read, so
-    blank and whitespace-only lines are skipped, and it rejects a row
-    narrower or wider than the first, which raises InconsistentWidthError.
-    A file with no data row raises ParseError. So does a cell that is not a
-    finite number in numpy's syntax: `1_000` and non-ASCII digits are not
-    numbers, and `#` starts no comment. When `loadtxt` fails, the lines are
-    read again one at a time, and the cells of the failing one, only to name
-    the line, and the width or the column; every error names the file and
-    the line. A hashlib object `digest` is fed the bytes of the parse's one
-    read of the file (see `_data_lines`).
+    The file is read once, whole. numpy's `loadtxt` parses the lines of
+    `_data_lines` as they are decoded, so blank and whitespace-only lines
+    are skipped, and it rejects a row narrower or wider than the first,
+    which raises InconsistentWidthError. A file with no data row raises
+    ParseError. So does a cell that is not a finite number in numpy's
+    syntax: `1_000` and non-ASCII digits are not numbers, and `#` starts no
+    comment. When `loadtxt` fails, the same bytes are decoded again and the
+    lines checked one at a time, and the cells of the failing one, only to
+    name the line, and the width or the column; every error names the file
+    and the line.
     """
     path, linenos = _file_name(path), []
-    lines = _data_lines(path, skip_header, linenos, digest)
+    with open(path, "rb") as f:
+        raw = f.read()
+    lines = _data_lines(path, raw, skip_header, linenos)
     first = next(lines, None)
     if first is None:
         raise ParseError(f"{path}: no data rows")
@@ -691,7 +671,7 @@ def _read_csv(path, skip_header=False, digest=None):
         table = _parse_lines(chain([first], lines))
     except ValueError as exc:
         retry, width = [], first.count(",") + 1
-        for line in _data_lines(path, skip_header, retry):
+        for line in _data_lines(path, raw, skip_header, retry):
             cells = line.split(",")
             if len(cells) != width:
                 raise InconsistentWidthError(
@@ -710,7 +690,7 @@ def _read_csv(path, skip_header=False, digest=None):
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))
         raise ParseError(f"{path}: line {linenos[row]}: non-finite value")
-    return table, linenos
+    return table, linenos, raw
 
 
 def load_dataset(path, skip_header=False) -> np.ndarray:

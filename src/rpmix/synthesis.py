@@ -18,6 +18,7 @@ from .errors import (
     BadDimsError,
     BadSeparationError,
     InvalidParameterError,
+    NotPositiveDefiniteError,
     PackingError,
     TooManyComponentsError,
     _ParameterEnum,
@@ -209,7 +210,9 @@ def long_axis_mixture(n: int, k: int, c: float, E: float, d: int, seed):
 
 
 def make_mixture(spec: MixtureSpec) -> Mixture:
-    """Assemble the full synthetic mixture described by `spec`."""
+    """Assemble the full synthetic mixture described by `spec`. A covariance
+    that does not factor raises NotPositiveDefiniteError naming the mode and
+    E: past E = 1e8 or so, rounding can leave one with no Cholesky factor."""
     *cov_seeds, center_seed, weight_seed = _seed_children(spec.seed, spec.k + 2)
     mode = spec.covariance_mode
     if mode in (CovarianceMode.SPHERICAL_SHARED, CovarianceMode.FULL_SHARED):
@@ -219,4 +222,7 @@ def make_mixture(spec: MixtureSpec) -> Mixture:
     radii = np.sqrt([np.trace(cov) for cov in covs])[owner]
     centers = packed_centers(spec.k, spec.n, spec.c, radii, center_seed)
     weights = mixing_weights(spec.k, weight_seed)
-    return _checked_mixture(weights, centers, covs, owner)
+    try:
+        return _checked_mixture(weights, centers, covs, owner)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{mode.value} covariance at E={spec.E:g}: {exc}") from exc

@@ -60,6 +60,16 @@ class TestSynth:
         assert code == 1
         assert "error: eccentricity E" in capsys.readouterr().err
 
+    def test_covariance_that_does_not_factor_is_named(self, tmp_path, capsys):
+        code = run_cli(
+            [
+                "synth", "--n", 20, "--k", 3, "--c", 1.0, "-E", 1e9,
+                "--mode", "rotated-distinct", "--out", tmp_path / "mix.json",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: rotated-distinct covariance at E=1e+09: ")
+
     def test_bad_sample_count_writes_nothing(self, tmp_path, capsys):
         mix_path, data_path = tmp_path / "mix.json", tmp_path / "data.csv"
         code = run_cli(

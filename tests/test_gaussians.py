@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.linalg.lapack import dtrtri
 from rpmix import (
     Gaussian,
     Mixture,
+    ingest,
     load_dataset,
     load_mixture,
     log_density,
@@ -640,6 +642,72 @@ class TestCsvParser:
         path = tmp_path / "data.csv"
         path.write_text("1.0,2.0,3.0\n" * 2999 + "1.0,y,3.0\n")
         with pytest.raises(ParseError, match="data.csv: line 3000: "):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("reader", [load_dataset, ingest])
+    def test_failure_is_diagnosed_from_the_bytes_that_failed(self, monkeypatch, tmp_path, reader):
+        # The file is rewritten to valid rows once the parse has its lines.
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,x\n5,6\n")
+        parse_lines = gaussians._parse_lines
+
+        def rewriting(lines):
+            path.write_text("1,2\n3,4\n5,6\n")
+            monkeypatch.setattr(gaussians, "_parse_lines", parse_lines)
+            return parse_lines(lines)
+
+        monkeypatch.setattr(gaussians, "_parse_lines", rewriting)
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: line 2: column 2: 'x' is not a number"
+
+    @pytest.mark.parametrize("text", ["1,2\n3,x\n", "1,2\n3\n", "1,2\n3,4\n"])
+    def test_a_read_opens_its_file_once(self, monkeypatch, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        opened = []
+
+        def counted(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(gaussians, "open", counted, raising=False)
+        try:
+            load_dataset(path)
+        except ParseError:
+            pass
+        assert opened == [str(path)]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2), min_size=2, max_size=8)
+        | st.lists(st.lists(st.integers(-99, 99), min_size=3, max_size=3), min_size=2, max_size=8),
+        fillers=st.lists(st.tuples(st.sampled_from(["", " ", "\t", " \t "]), st.integers(0, 20)), max_size=12),
+        bad=st.tuples(st.integers(0, 7), st.integers(0, 2), st.sampled_from(["x", "1_0", "#1", "--1", None])),
+    )
+    def test_one_bad_row_among_blank_lines_is_named_exactly(self, tmp_path_factory, rows, fillers, bad):
+        # A valid table with blank and whitespace-only lines spliced in; one
+        # row gets a cell that is not a number, or (None) loses its last cell.
+        row, column, cell = bad
+        row, column = row % len(rows), column % len(rows[0])
+        if cell is None:
+            row = max(row, 1)  # the first row sets the width
+        lines = [",".join(map(str, values)) for values in rows]
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:-1] if cell is None else cells[:column] + [cell] + cells[column + 1:])
+        lines[row] += "\0"  # marks the row through the splicing
+        for filler, place in fillers:
+            lines.insert(place % (len(lines) + 1), filler)
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.endswith("\0"))
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_text("\n".join(lines).replace("\0", "") + "\n")
+        if cell is None:
+            want = rf"line {lineno}: expected {len(cells)} values, got {len(cells) - 1}"
+            error = InconsistentWidthError
+        else:
+            want = rf"line {lineno}: column {column + 1}: {re.escape(repr(cell))} is not a number"
+            error = ParseError
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {want}$"):
             load_dataset(path)
 
 

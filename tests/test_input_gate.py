@@ -15,7 +15,9 @@ included) in an InvalidParameterError naming it, and an object that keeps an
 array argument leaves the caller's array writable. A file of any bytes read
 as a CSV, a mixture, a projection or an experiment config gives a value or
 an RpmixError, an undecodable byte included, and a fit of points at a scale
-from 1e-320 to 1e296 gives a finite log-likelihood trace or an RpmixError."""
+from 1e-320 to 1e296, or of degenerate data or k (duplicate points, points
+in a subspace, k = m or m - 1 for m points, k far above the dimension),
+gives a finite log-likelihood trace or an RpmixError."""
 
 import dataclasses
 import inspect
@@ -802,18 +804,81 @@ EXTREME_FITS = {
 }
 
 
-@pytest.mark.parametrize("fit", EXTREME_FITS.values(), ids=EXTREME_FITS.keys())
-def test_fit_at_an_extreme_scale_ends_finite_or_typed(fit):
-    for (e, far), x in EXTREME_SCALES.items():
+def ends_finite_or_typed(calls):
+    """Check that each (label, call) of `calls`, with every warning an
+    error, returns finite log-likelihood traces or raises an RpmixError;
+    the number that returned."""
+    finished = 0
+    for label, call in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                traces = fit(x)
+                traces = call()
             except RpmixError:
                 continue
             except Warning as warning:
-                pytest.fail(f"scale 1e{e}, far point {far}: {warning!r}")
-        assert all(np.all(np.isfinite(trace)) for trace in traces), f"scale 1e{e}, far point {far}: {traces}"
+                pytest.fail(f"{label}: {warning!r}")
+        assert all(np.all(np.isfinite(trace)) for trace in traces), f"{label}: {traces}"
+        finished += 1
+    return finished
+
+
+@pytest.mark.parametrize("fit", EXTREME_FITS.values(), ids=EXTREME_FITS.keys())
+def test_fit_at_an_extreme_scale_ends_finite_or_typed(fit):
+    ends_finite_or_typed((f"scale 1e{e}, far point {far}", partial(fit, x)) for (e, far), x in EXTREME_SCALES.items())
+
+
+def _degenerate_inputs():
+    """(name, k) -> data, over degenerate shapes: duplicate points, points
+    in a proper subspace, k = m and k = m - 1 for m points, and k far above
+    the dimension n."""
+    rng = np.random.default_rng(0)
+    few = rng.standard_normal((3, 4))
+    spread = rng.standard_normal((30, 4))
+    data = {
+        "one-point": few[np.zeros(30, dtype=int)],
+        "three-points": few[np.arange(30) % 3],
+        "half-one-point": np.vstack([few[np.zeros(15, dtype=int)], spread[:15]]),
+        "rank-1-in-R^4": rng.standard_normal((30, 1)) @ few[:1],
+        "rank-2-in-R^4": rng.standard_normal((30, 2)) @ few[:2],
+        "constant-column": np.column_stack([spread[:, :3], np.ones(30)]),
+        "6-in-R^4": spread[:6],
+        "12-in-R^3": spread[:12, :3],
+        "40-in-R^1": rng.standard_normal((40, 1)),
+        "60-in-R^2": rng.standard_normal((60, 2)),
+    }
+    cases = {}
+    for name, x in data.items():
+        m, n = x.shape
+        for k in sorted({2, 3, m - 1, m, 10 * n}):
+            cases[name, k] = x
+    return cases
+
+
+DEGENERATE_INPUTS = _degenerate_inputs()
+
+
+def _train_classes(x, k):
+    # Two classes of m/2 points, each fit with k/2 components.
+    train(LabeledDataset(x, np.arange(len(x)) % 2), min(2, x.shape[1]), per_class_k=max(k // 2, 1), seed=0)
+    return []
+
+
+# fit -> call on (data, k) returning its log-likelihood traces
+DEGENERATE_FITS = {
+    **{f"run_em-{r.value}": lambda x, k, r=r: [run_em(x, k, r, 0).loglik_trace] for r in CovarianceRestriction},
+    **{
+        f"rp_em-{r.value}": lambda x, k, r=r: [fit.loglik_trace for fit in rp_em(x, k, min(2, x.shape[1]), r, 0)[::2]]
+        for r in CovarianceRestriction
+    },
+    "train": _train_classes,
+}
+
+
+@pytest.mark.parametrize("fit", DEGENERATE_FITS.values(), ids=DEGENERATE_FITS.keys())
+def test_fit_of_degenerate_data_or_k_ends_finite_or_typed(fit):
+    calls = ((f"{name}, k={k}", partial(fit, x, k)) for (name, k), x in DEGENERATE_INPUTS.items())
+    assert ends_finite_or_typed(calls)  # the grid reaches fits that end, not only errors
 
 
 # 50 finite points near 1e308 in R^4: every column sum, and so the mean,

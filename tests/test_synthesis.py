@@ -22,9 +22,11 @@ from rpmix.errors import (
     BadDimsError,
     BadSeparationError,
     InvalidParameterError,
+    NotPositiveDefiniteError,
     PackingError,
     TooManyComponentsError,
 )
+from rpmix.experiments import em_compare_trial
 
 
 class TestEccentricCovariance:
@@ -254,6 +256,27 @@ class TestMakeMixture:
         assert np.array_equal(first.means, second.means)
         for a, b in zip(first.components, second.components):
             assert np.array_equal(a.covariance, b.covariance)
+
+    # A rotated covariance of eccentricity 1e9 or more may round to one with
+    # no Cholesky factor; at n = 20 and k = 3, seed 0 does.
+    @pytest.mark.parametrize(
+        "build, E",
+        [
+            (lambda: make_mixture(MixtureSpec(20, 3, 1.0, 1e9, "rotated-distinct", 0)), "1e\\+09"),
+            (
+                lambda: em_compare_trial(
+                    20, 0, k=3, E=1e100, mode="rotated-distinct", restriction="full-distinct", d=5,
+                    train_size=200, test_size=50,
+                ),
+                "1e\\+100",
+            ),
+        ],
+        ids=["make_mixture", "em_compare_trial"],
+    )
+    def test_covariance_that_does_not_factor_names_the_mode_and_E(self, build, E):
+        want = f"^rotated-distinct covariance at E={E}: .*not positive definite$"
+        with pytest.raises(NotPositiveDefiniteError, match=want):
+            build()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
