@@ -112,14 +112,15 @@ class ClassMixtureModel:
         object.__setattr__(self, "class_priors", _frozen(priors))
 
 
-def _check_no_empty_class(data: LabeledDataset):
-    """Raise ClassTooSmallError for the first class in [0, num_classes) that
-    has no point. Found from the distinct labels, before anything is sized by
-    num_classes, which one stray large label can make huge."""
-    present = np.unique(data.labels)
+def _class_counts(data: LabeledDataset):
+    """The number of points of each class in [0, num_classes), from the
+    distinct labels: nothing is sized by num_classes, which one stray large
+    label can make huge. The first class with no point raises ClassTooSmallError."""
+    present, counts = np.unique(data.labels, return_counts=True)
     gaps = np.flatnonzero(present != np.arange(present.size))
     if gaps.size:
         raise ClassTooSmallError(f"class {gaps[0]} has no points")
+    return counts
 
 
 def ingest(path) -> LabeledDataset:
@@ -155,28 +156,23 @@ def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMi
     fit in the projected space; no high-dimensional parameters are kept.
     """
     per_class_k = _int_at_least(per_class_k, "per_class_k", 1)
-    _check_no_empty_class(data)
+    counts = _class_counts(data)
     seed = _int_at_least(seed, "seed", 0)
-    num_classes = data.num_classes
+    small = np.flatnonzero(counts < per_class_k)
+    if small.size:
+        raise ClassTooSmallError(f"class {small[0]} has {counts[small[0]]} points, needs {per_class_k}")
     proj = random_orthonormal(data.dim, d, seed)
     projected = project_data(proj, data.points)
     mixtures = []
-    priors = np.zeros(num_classes)
-    for cls in range(num_classes):
-        cls_points = projected[data.labels == cls]
-        if cls_points.shape[0] < per_class_k:
-            raise ClassTooSmallError(
-                f"class {cls} has {cls_points.shape[0]} points, needs {per_class_k}"
-            )
-        priors[cls] = cls_points.shape[0] / data.points.shape[0]
+    for cls in range(counts.size):
         fit = run_em(
-            cls_points,
+            projected[data.labels == cls],
             per_class_k,
             CovarianceRestriction.SHARED_FULL,
             np.random.SeedSequence([seed, cls]),
         )
         mixtures.append(fit.model)
-    return ClassMixtureModel(proj, tuple(mixtures), priors)
+    return ClassMixtureModel(proj, tuple(mixtures), counts / data.points.shape[0])
 
 
 def _class_scores(model: ClassMixtureModel, points):
@@ -231,12 +227,12 @@ def cluster_analysis(
     of two near their largest entry, as `packed_centers` scales its targets,
     and no covariance over- or underflows.
     """
-    _check_no_empty_class(data)
+    counts = _class_counts(data)
     exp = np.frexp(np.max(np.abs(data.points), initial=0.0))[1]
     points = np.ldexp(data.points, -exp)
     if projection is not None:
         points = project_data(projection, points)
-    num_classes = data.num_classes
+    num_classes = counts.size
     n = points.shape[1]
     means = np.zeros((num_classes, n))
     traces = np.zeros(num_classes)
@@ -246,12 +242,12 @@ def cluster_analysis(
         cls_points = points[data.labels == cls]
         means[cls] = cls_points.mean(axis=0)
         centered = cls_points - means[cls]
-        cov = centered.T @ centered / cls_points.shape[0]
+        cov = centered.T @ centered / counts[cls]
         lam = np.linalg.eigvalsh((cov + cov.T) / 2.0)
         traces[cls] = lam.sum()
         floor = lam[-1] * np.finfo(float).eps * n
         positive = lam[lam > floor]
-        if lam[0] <= floor or cls_points.shape[0] <= n:
+        if lam[0] <= floor or counts[cls] <= n:
             deficient[cls] = True
         eccs[cls] = np.sqrt(lam[-1] / positive[0]) if positive.size else 1.0
     spreadless = np.flatnonzero(traces == 0)

@@ -253,8 +253,8 @@ def build_parser():
     p.add_argument("--out", help="directory for the report CSV")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes for the trials of "
-                        f"{', '.join(_pooled_experiments())} (default: one per "
-                        "core, at most one per trial; 1 runs them in this process)")
+                        f"{', '.join(_pooled_experiments())}, capped at one per trial "
+                        "(default: one per core; 1 runs them in this process)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

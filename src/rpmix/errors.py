@@ -71,7 +71,7 @@ class EmptyComponentError(RpmixError):
     """A mixture component received (numerically) zero responsibility mass."""
 
     def __init__(self, indices):
-        self.indices = tuple(indices)
+        self.indices = tuple(int(i) for i in indices)
         super().__init__(f"empty component(s): {self.indices}")
 
     def __reduce__(self):

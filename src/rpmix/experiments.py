@@ -394,8 +394,9 @@ def _run_trials(worker, tasks, threads=None, shared=()):
     """`[worker(task, *shared) for task in tasks]`, spread over processes on
     one OpenBLAS thread: every sweep's one execution policy.
 
-    `threads` is the number of worker processes, an int >= 1. None uses
-    every core in the affinity mask, but no more processes than tasks. With
+    `threads` is the number of worker processes, an int >= 1, or None for
+    every core in the affinity mask; either is capped at the number of
+    tasks, as a fork pool starts every worker at its first submit. With
     one worker the tasks run here, in order, inside `single_blas_thread()`,
     with no pool. Otherwise the pool forks its workers inside that scope,
     whatever the platform default is, and each inherits one thread. A fork
@@ -406,9 +407,8 @@ def _run_trials(worker, tasks, threads=None, shared=()):
     does not depend on the number of workers or the caller's thread count.
     """
     if threads is None:
-        threads = min(len(os.sched_getaffinity(0)), len(tasks))
-    else:
-        threads = _int_at_least(threads, "threads", 1)
+        threads = len(os.sched_getaffinity(0))
+    threads = min(_int_at_least(threads, "threads", 1), len(tasks))
     with single_blas_thread():
         if threads <= 1:
             return [worker(task, *shared) for task in tasks]
@@ -454,9 +454,10 @@ def second_em_body(base_seed, trials=100, n=100, threads=None):
 # Digit classifier sweep
 
 @single_blas_thread()
-def surrogate_digit_data(base_seed, n=256, num_classes=10, E=1e4, train_size=3000, test_size=1000):
+def surrogate_digit_data(base_seed):
     """Synthetic stand-in for the digit set, matching its gross statistics:
-    ten 0.63-separated classes of eccentricity 1e4.
+    ten 0.63-separated classes in R^256 of eccentricity E = 1e4, with 3000
+    training and 1000 test points. The recipe is fixed; only the seed varies.
 
     Each class concentrates its variance in a few directions under its own
     random rotation: its axis standard deviations decay geometrically from
@@ -471,8 +472,9 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, E=1e4, train_size=300
     split sums in another order.
     """
     base = _int_at_least(base_seed, "base_seed", 0)
+    n, num_classes = 256, 10
     rng = np.random.default_rng(np.random.SeedSequence([base, 9]))
-    roots = np.maximum(E * 0.8 ** np.arange(n), 1.0)
+    roots = np.maximum(1e4 * 0.8 ** np.arange(n), 1.0)
     covs = []
     for _ in range(num_classes):
         q = _haar_orthogonal(rng.standard_normal((n, n)))
@@ -491,7 +493,7 @@ def surrogate_digit_data(base_seed, n=256, num_classes=10, E=1e4, train_size=300
         labels[flip] = draw_rng.choice(num_classes, size=int(flip.sum()))
         return LabeledDataset(pts, labels)
 
-    return draw(train_size, s_train), draw(test_size, s_test)
+    return draw(3000, s_train), draw(1000, s_test)
 
 
 def fig9_body(

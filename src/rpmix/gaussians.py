@@ -106,15 +106,12 @@ def _int_at_least(value, name, low, error=InvalidParameterError):
 
 
 def _seed_children(seed, count):
-    """The first `count` children of `seed`, one stream per role: child i
-    extends the spawn key by i, as `SeedSequence.spawn` does on a fresh
-    sequence. Nothing is spawned from the caller's object, so one seed always
-    gives the same children (NumPy NEP 19)."""
+    """The first `count` children of `seed`, one stream per role, spawned
+    from a fresh copy of its sequence: child i extends the spawn key by i.
+    Nothing is spawned from the caller's object, so one seed always gives
+    the same children (NumPy NEP 19)."""
     ss = _seed_sequence(seed)
-    return [
-        np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, i), pool_size=ss.pool_size)
-        for i in range(count)
-    ]
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size).spawn(count)
 
 
 def _frozen(a):

@@ -134,10 +134,8 @@ def pca(data, d: int) -> ProjectionMatrix:
     centered /= scale or 1.0  # constant data centers to zero
     _, vecs = eigh(centered.T @ centered, subset_by_index=[n - d, n - 1])
     rows = vecs[:, ::-1].T.copy()
-    for row in rows:
-        nz = np.flatnonzero(np.abs(row) > 1e-12)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    first = np.argmax(np.abs(rows) > 1e-12, axis=1)  # each row has unit norm
+    rows[rows[np.arange(d), first] < 0] *= -1.0
     return ProjectionMatrix(rows, ProjectionKind.PCA)
 
 

@@ -148,10 +148,10 @@ def test_body_report_does_not_follow_the_callers_threads(monkeypatch, two_thread
 
 @needs_openblas
 def test_surrogate_data_depend_only_on_the_seed(two_threads):
-    # n stays at its default 256: products of small matrices may not use threads.
-    threaded = experiments.surrogate_digit_data(0, train_size=50, test_size=10)
+    # At n = 256 its covariance products are large enough to use threads.
+    threaded = experiments.surrogate_digit_data(0)
     with single_blas_thread():
-        single = experiments.surrogate_digit_data(0, train_size=50, test_size=10)
+        single = experiments.surrogate_digit_data(0)
     for a, b in zip(threaded, single):
         assert numpy.array_equal(a.points, b.points)
         assert numpy.array_equal(a.labels, b.labels)

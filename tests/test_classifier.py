@@ -17,6 +17,7 @@ from rpmix import (
     save_labeled,
     train,
 )
+from rpmix import classifier
 from rpmix.classifier import (
     ClassMixtureModel,
     ClusterAnalysis,
@@ -122,7 +123,8 @@ class TestIngest:
     def test_surrogate_file_reads_as_float_reads_it(self, tmp_path):
         from rpmix.experiments import surrogate_digit_data
 
-        data, _ = surrogate_digit_data(0, train_size=200, test_size=10)
+        full, _ = surrogate_digit_data(0)
+        data = LabeledDataset(full.points[:200], full.labels[:200])
         path = tmp_path / "train.csv"
         save_labeled(data, path)
         cells = np.array([[float(v) for v in line.split(",")] for line in path.read_text().splitlines()])
@@ -152,6 +154,19 @@ class TestTrainPredict:
         data = labeled_blobs(num_classes=2, per_class=3, seed=4)
         with pytest.raises(ClassTooSmallError):
             train(data, 2, per_class_k=5, seed=0)
+
+    def test_class_too_small_raises_before_any_fit(self, monkeypatch):
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return run_em(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "run_em", counted)
+        data = LabeledDataset(np.random.default_rng(4).standard_normal((23, 10)), [0] * 20 + [1] * 3)
+        with pytest.raises(ClassTooSmallError, match="^class 1 has 3 points, needs 5$"):
+            train(data, 2, per_class_k=5, seed=0)
+        assert fits == []
 
     def test_shared_covariance_within_class(self):
         data = labeled_blobs(num_classes=2, per_class=80, seed=5)
@@ -318,7 +333,7 @@ class TestClusterAnalysis:
         from rpmix.experiments import surrogate_digit_data
         from rpmix.projection import random_orthonormal
 
-        train_set, _ = surrogate_digit_data(0, train_size=1500, test_size=10)
+        train_set, _ = surrogate_digit_data(0)
         raw = cluster_analysis(train_set)
         proj = random_orthonormal(train_set.dim, 40, 0)
         low = cluster_analysis(train_set, proj)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import threading
 import time
@@ -289,6 +290,17 @@ class TestMStep:
         with pytest.raises(EmptyComponentError) as err:
             m_step(resp, data, FULL)
         assert 1 in err.value.indices
+
+    def test_empty_components_are_named_by_python_ints(self):
+        # Three tight clusters fit with k = 20: the lift's M-step leaves
+        # components empty, found by np.flatnonzero.
+        data = np.repeat([[0.0, 0, 0, 0], [5, 5, 5, 5], [9, 0, 9, 0]], 10, axis=0)
+        data += 1e-13 * np.random.default_rng(0).standard_normal((30, 4))
+        with pytest.raises(EmptyComponentError) as err:
+            rp_em(data, 20, 2, FULL, 0)
+        for error in (err.value, pickle.loads(pickle.dumps(err.value))):
+            assert str(error) == "empty component(s): (10, 12, 14, 18)"
+            assert all(type(i) is int for i in error.indices)
 
     def test_empty_component_keeps_previous(self):
         data = two_blob_data(m=20, seed=9)

@@ -483,13 +483,15 @@ class TestTrialPool:
     @pytest.fixture
     def pools(self, monkeypatch):
         """The keyword arguments of every executor `_run_trials` builds, on a
-        machine with three cores in the affinity mask."""
+        machine with three cores in the affinity mask. Each executor starts
+        no more workers than the real machine has cores."""
         built = []
+        cores = len(os.sched_getaffinity(0))
 
         class Recording(ProcessPoolExecutor):
             def __init__(self, **kwargs):
                 built.append(kwargs)
-                super().__init__(**kwargs)
+                super().__init__(**{**kwargs, "max_workers": min(kwargs["max_workers"], cores)})
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -519,9 +521,32 @@ class TestTrialPool:
         assert pools[0]["mp_context"].get_start_method() == "fork"
         assert pools[0]["max_workers"] == 3
 
+    def test_explicit_threads_is_capped_at_the_tasks(self, monkeypatch):
+        # A fork pool forks all its workers at the first submit. The fake
+        # records the count and starts no process.
+        built = []
+
+        class Fake:
+            def __init__(self, max_workers, initargs, **kwargs):
+                built.append(max_workers)
+                self.worker, self.shared = initargs[0]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, _, tasks):
+                return [self.worker(task, *self.shared) for task in tasks]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Fake)
+        assert experiments._run_trials(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+        assert built == [3]
+
     def test_explicit_threads_is_the_worker_count(self, pools):
-        fig8_body(0, trials=2, threads=4, **SMALL_TRIAL)
-        assert [kwargs["max_workers"] for kwargs in pools] == [4]
+        fig8_body(0, trials=3, threads=2, **SMALL_TRIAL)
+        assert [kwargs["max_workers"] for kwargs in pools] == [2]
 
     @pytest.mark.parametrize("trials, threads", [(1, None), (3, 1)])
     def test_one_trial_or_one_thread_builds_no_pool(self, pools, trials, threads):
@@ -565,16 +590,14 @@ class TestTrialPool:
 
 class TestDigitSweep:
     def test_surrogate_statistics(self):
-        train_set, test_set = surrogate_digit_data(
-            0, train_size=400, test_size=100
-        )
-        assert train_set.points.shape == (400, 256)
-        assert test_set.points.shape == (100, 256)
+        train_set, test_set = surrogate_digit_data(0)
+        assert train_set.points.shape == (3000, 256)
+        assert test_set.points.shape == (1000, 256)
         assert train_set.num_classes == 10
 
     def test_surrogate_deterministic(self):
-        a, _ = surrogate_digit_data(3, train_size=50, test_size=10)
-        b, _ = surrogate_digit_data(3, train_size=50, test_size=10)
+        a, _ = surrogate_digit_data(3)
+        b, _ = surrogate_digit_data(3)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
@@ -816,7 +839,14 @@ class TestConfig:
             ("fig4-sep-vs-k", "c", "1"),
             ("fig4-sep-vs-k", "c", False),
             ("fig8-em-compare", "mode", 3),
+            ("fig8-em-compare", "mode", None),
+            ("fig8-em-compare", "mode", b"rotated-distinct"),
+            ("fig8-em-compare", "mode", ["rotated-distinct"]),
             ("fig8-em-compare", "restriction", CovarianceMode.SPHERICAL_SHARED),
+            ("fig8-em-compare", "restriction", None),
+            ("fig8-em-compare", "restriction", 1),
+            ("fig8-em-compare", "restriction", b"full-distinct"),
+            ("fig8-em-compare", "restriction", ["full-distinct"]),
         ],
     )
     def test_override_of_the_wrong_type_rejected(self, experiment, key, value):

@@ -446,6 +446,16 @@ class TestSeparation:
 
 
 class TestSampling:
+    def test_seed_children_extend_the_spawn_key_by_their_index(self):
+        # Children already spawned from the caller's sequence shift no role.
+        seed = np.random.SeedSequence(7, spawn_key=(2,))
+        seed.spawn(3)
+        children = gaussians._seed_children(seed, 2)
+        assert seed.n_children_spawned == 3
+        for i, child in enumerate(children):
+            by_key = np.random.SeedSequence(7, spawn_key=(2, i))
+            assert np.array_equal(child.generate_state(4), by_key.generate_state(4))
+
     def test_deterministic(self):
         mix = Mixture([Gaussian(np.zeros(2), np.eye(2))], [1.0])
         a = sample(mix, 4, 42)

@@ -4,8 +4,10 @@ anything. A non-numeric or ragged array ends in an InvalidParameterError
 naming the argument, a bad parameter value in an RpmixError, a malformed
 mixture or projection file in a ParseError naming the file, any other error
 from a file's content in its own type naming the file, a non-integer size
-argument in an InvalidParameterError naming it, a seed that is neither an
-int >= 0 nor a SeedSequence in an InvalidParameterError naming the seed, a
+argument (nan and inf included) in an InvalidParameterError naming it, an
+enum argument given as None, an int, bytes or a list in an
+InvalidParameterError, a seed that is neither an int >= 0 nor a
+SeedSequence in an InvalidParameterError naming the seed, a
 `tol` that is not a finite real >= 0 in an InvalidParameterError, a
 separation or eccentricity that is not a finite real in an RpmixError, a
 covariance that overflows from finite input in a NonFiniteError naming the
@@ -238,6 +240,22 @@ SEEDED = {
 BAD_SEEDS = (-1, "abc", 1.5)
 INVALID.update(
     (f"{name}-seed-{bad}", partial(call, bad)) for name, call in SEEDED.items() for bad in BAD_SEEDS
+)
+
+# site -> (a valid value of the enum argument, call valid but for that argument)
+ENUM_ARGUMENTS = {
+    "run_em-restriction": ("full-distinct", lambda v: run_em(DATA, 2, v, 0)),
+    "rp_em-restriction": ("shared-full", lambda v: rp_em(DATA, 2, 2, v, 0)),
+    "MixtureSpec-covariance_mode": (
+        "rotated-distinct", lambda v: MixtureSpec(n=5, k=2, c=1.0, covariance_mode=v)
+    ),
+    "eccentric_covariance-mode": ("diagonal-distinct", lambda v: eccentric_covariance(3, 2.0, v, 0)),
+    "ProjectionMatrix-kind": ("uniform-rp", lambda v: ProjectionMatrix(PROJ.rows, v)),
+}
+INVALID.update(
+    (f"{site}-{label}", partial(call, bad))
+    for site, (valid, call) in ENUM_ARGUMENTS.items()
+    for label, bad in {"none": None, "int": 1, "bytes": valid.encode(), "list": [valid]}.items()
 )
 
 
@@ -584,6 +602,22 @@ NON_INTEGER = {
     "packed_centers-k": ("k", lambda: packed_centers(2.5, 3, 1.0, [1.0, 1.0], 0)),
     "packed_centers-n": ("n", lambda: packed_centers(2, "3", 1.0, [1.0, 1.0], 0)),
 }
+# site -> (argument name, call with the size)
+SIZES = {
+    "run_em-k": ("k", lambda v: run_em(DATA, v, FULL, 0)),
+    "run_em-max_iter": ("max_iter", lambda v: run_em(DATA, 2, FULL, 0, max_iter=v)),
+    "rp_em-d": ("d", lambda v: rp_em(DATA, 2, v, FULL, 0)),
+    "random_orthonormal-n": ("n", lambda v: random_orthonormal(v, 2, 0)),
+    "sample-count": ("count", lambda v: sample(MODEL, v, 0)),
+    "train-per_class_k": (
+        "per_class_k", lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=v)
+    ),
+}
+NON_INTEGER.update(
+    (f"{site}-{bad}", (name, partial(call, bad)))
+    for site, (name, call) in SIZES.items()
+    for bad in (float("nan"), float("inf"))
+)
 
 
 @pytest.mark.parametrize("case", sorted(NON_INTEGER))
@@ -600,10 +634,7 @@ INT_GATES = {
         "per_class_k", 1, InvalidParameterError,
         lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=v),
     ),
-    "surrogate_digit_data-base_seed": (
-        "base_seed", 0, InvalidParameterError,
-        lambda v: surrogate_digit_data(v, n=4, num_classes=2, E=10.0, train_size=10, test_size=10),
-    ),
+    "surrogate_digit_data-base_seed": ("base_seed", 0, InvalidParameterError, surrogate_digit_data),
     "init_params-k": ("k", 1, InvalidParameterError, lambda v: init_params(DATA, v, FULL, 0)),
     "run_em-k": ("k", 1, InvalidParameterError, lambda v: run_em(DATA, v, FULL, 0, max_iter=2)),
     "run_em-max_iter": ("max_iter", 0, InvalidParameterError, lambda v: run_em(DATA, 2, FULL, 0, max_iter=v)),

@@ -14,8 +14,9 @@ reads each run's last stdout line and writes BENCH_<L>.json with:
 - "runs": every run's pair, side, order, `correct` and end-to-end metrics;
 - "summary": per workload and metric, each side's median and quartiles, the
   change's wins over the base in its pairs, with the direction taken from
-  BENCHMARK.json's `better`, and whether the medians lie further apart than
-  the base's quartiles;
+  BENCHMARK.json's `better`, the pairs in which the run that went second
+  read better whichever tree it was (`second_wins`, the order effect), and
+  whether the medians lie further apart than the base's quartiles;
 - "environment": `rpmix._blas.environment()`, read before any run.
 
 It exits 1 if any run is not `correct`, after writing the file.
@@ -71,9 +72,10 @@ def run_once(root, workload, seed):
 
 def summary(runs, better):
     """Per metric: each side's median and quartiles, the change's wins over
-    the base in its pairs, and whether the medians lie further apart than
-    the base's quartiles."""
+    the base in its pairs, the second run's wins over the first in them, and
+    whether the medians lie further apart than the base's quartiles."""
     values = {}
+    second = {run["pair"]: run["side"] for run in runs if not run["first"]}
     for run in runs:
         for name, metric in run["metrics"].items():
             values.setdefault(name, {}).setdefault(run["side"], {})[run["pair"]] = metric
@@ -89,7 +91,11 @@ def summary(runs, better):
             sign = 1 if entry["better"] == "higher" else -1
             pairs = sorted(set(sides["base"]) & set(sides["change"]))
             entry["pairs"] = len(pairs)
-            entry["wins"] = sum(sign * (sides["change"][p] - sides["base"][p]) > 0 for p in pairs)
+            gains = {p: sign * (sides["change"][p] - sides["base"][p]) for p in pairs}
+            entry["wins"] = sum(gain > 0 for gain in gains.values())
+            entry["second_wins"] = sum(
+                gain > 0 if second[p] == "change" else gain < 0 for p, gain in gains.items()
+            )
             base = entry["base"]
             gap = sign * (entry["change"]["median"] - base["median"])
             entry["median_gain_beyond_base_iqr"] = gap > base["q3"] - base["q1"]
