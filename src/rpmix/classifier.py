@@ -3,7 +3,8 @@
 One random projection is fixed up front; each class then gets its own
 shared-covariance mixture fit by EM in the projected space. A point goes to
 the class whose best single Gaussian, plus the class log prior, scores it
-highest; a model with equal class priors scores without them.
+highest. Equal class priors shift every class's score by one constant, so
+they change no prediction.
 """
 
 from __future__ import annotations

@@ -94,33 +94,35 @@ def _cmd_project(args):
             raise RpmixError(f"--n is required for kind={args.kind}")
         gen = random_orthonormal if args.kind == "orthonormal" else random_uniform
         proj = gen(args.n, args.d, args.seed)
+    projected = project_data(proj, data) if data is not None and args.data_out else None
     save_projection(proj, args.out)
     print(f"wrote {proj.kind.value} projection {proj.target_dim}x{proj.source_dim} to {args.out}")
-    if data is not None and args.data_out:
-        save_dataset(project_data(proj, data), args.data_out)
+    if projected is not None:
+        save_dataset(projected, args.data_out)
         print(f"wrote projected data to {args.data_out}")
 
 
 def _cmd_em(args):
     data = load_dataset(args.data)
+    test = load_dataset(args.test) if args.test else None
     restriction = _RESTRICTIONS[args.restriction]
     if args.rp_dim:
         fit, proj, fit_low = rp_em(data, args.k, args.rp_dim, restriction, args.seed)
         print(f"low-dim EM: {fit_low.iterations} iterations, "
               f"final train loglik {fit_low.loglik_trace[-1]:.6f}")
-        if args.projection_out:
-            save_projection(proj, args.projection_out)
     else:
         fit = run_em(data, args.k, restriction, args.seed)
+    test_ll = test_loglik(fit.model, test) if test is not None else None
+    if args.rp_dim and args.projection_out:
+        save_projection(proj, args.projection_out)
     save_mixture(fit.model, args.out)
     print(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
           f"train loglik {fit.loglik_trace[-1]:.6f}")
     if args.trace_out:
         table = np.column_stack((np.arange(len(fit.loglik_trace)), fit.loglik_trace))
         save_dataset(table, args.trace_out, header=["iteration", "train_loglik"])
-    if args.test:
-        test = load_dataset(args.test)
-        print(f"test loglik {test_loglik(fit.model, test):.6f}")
+    if test_ll is not None:
+        print(f"test loglik {test_ll:.6f}")
 
 
 def _cmd_classify(args):
@@ -131,13 +133,13 @@ def _cmd_classify(args):
         test_set = ingest(args.test)
         acc = evaluate(model, test_set)
         print(f"test accuracy {acc:.4f}")
-    if args.analysis_out:
-        analysis = cluster_analysis(train_set, model.projection)
-        save_cluster_analysis(analysis, args.analysis_out)
+    projected = cluster_analysis(train_set, model.projection) if args.analysis_out else None
+    raw = cluster_analysis(train_set) if args.raw_analysis_out else None
+    if projected is not None:
+        save_cluster_analysis(projected, args.analysis_out)
         print(f"wrote projected cluster analysis to {args.analysis_out}")
-    if args.raw_analysis_out:
-        analysis = cluster_analysis(train_set)
-        save_cluster_analysis(analysis, args.raw_analysis_out)
+    if raw is not None:
+        save_cluster_analysis(raw, args.raw_analysis_out)
         print(f"wrote raw-space cluster analysis to {args.raw_analysis_out}")
 
 

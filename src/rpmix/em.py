@@ -29,6 +29,7 @@ Responsibilities below the smallest normal double are exactly 0
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dlauum
@@ -412,10 +413,12 @@ def centers_recovered(model: Mixture, truth: Mixture):
     The matching minimizes the largest center distance, and among the
     matchings that do, it is the lexicographically first in truth order:
     truth 0 takes the lowest model index that still completes one, then
-    truth 1, and so on. The bound is found by binary search over the
-    distinct distances, testing each for a perfect matching (Garfinkel,
-    "An improved algorithm for the bottleneck assignment problem", 1971),
-    so the cost is polynomial in k.
+    truth 1, and so on. Two searches ask one question, whether a perfect
+    matching exists. `bisect` finds the bound among the distinct distances
+    (Garfinkel, "An improved algorithm for the bottleneck assignment
+    problem", 1971), and `next` finds each truth's model: the first allowed
+    one whose removal, with the truth, leaves a perfect matching. So the
+    cost is polynomial in k.
 
     Success requires every matched center to lie within a third of the true
     component's trace-radius. Returns (success, errors in truth order).
@@ -431,22 +434,15 @@ def centers_recovered(model: Mixture, truth: Mixture):
             scale, norm = _scaled_norm(model.means[i], truth.means[j])
             dists[i, j] = scale * norm
     values = np.unique(dists)
-    lo, hi = 0, values.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_perfect_matching(dists.T <= values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    allowed = dists.T <= values[lo]  # truth x model
+    # the largest value is never tested: every pair is allowed under it
+    bound = bisect.bisect_left(range(values.size - 1), True,
+                               key=lambda v: _has_perfect_matching(dists.T <= values[v]))
+    allowed = dists.T <= values[bound]  # truth x model
     for j in range(k):
-        for i in np.flatnonzero(allowed[j]):
-            fixed = allowed.copy()
-            fixed[j], fixed[:, i] = False, False
-            fixed[j, i] = True
-            if _has_perfect_matching(fixed):
-                allowed = fixed
-                break
+        i = next(i for i in np.flatnonzero(allowed[j])
+                 if _has_perfect_matching(np.delete(np.delete(allowed, j, 0), i, 1)))
+        allowed[j], allowed[:, i] = False, False
+        allowed[j, i] = True
     errors = dists[np.argmax(allowed, axis=1), np.arange(k)]
     thresholds = _radii(truth) / 3.0
     return bool(np.all(errors <= thresholds)), errors

@@ -16,6 +16,7 @@ from rpmix import (
 )
 from rpmix.classifier import LabeledDataset, cluster_analysis, save_cluster_analysis
 from rpmix.em import FitResult
+from rpmix.errors import RpmixError
 from test_blas import SMALL_RUNS
 
 
@@ -81,6 +82,25 @@ class TestSynth:
         assert code == 1
         assert capsys.readouterr().err == "error: count must be an int >= 1, got -3\n"
         assert not mix_path.exists() and not data_path.exists()
+
+
+@pytest.mark.parametrize("rp_dim", [0, 2], ids=["em", "hybrid"])
+@pytest.mark.parametrize("case", ["missing", "wrong-width"])
+def test_bad_test_set_writes_nothing(tmp_path, capsys, case, rp_dim):
+    data_path, test_path = tmp_path / "data.csv", tmp_path / "test.csv"
+    np.savetxt(data_path, np.random.default_rng(0).standard_normal((50, 8)), delimiter=",")
+    if case == "wrong-width":
+        np.savetxt(test_path, np.random.default_rng(1).standard_normal((10, 5)), delimiter=",")
+    outputs = {flag: tmp_path / name for flag, name in
+               (("--out", "fit.json"), ("--trace-out", "trace.csv"), ("--projection-out", "proj.json"))}
+    code = run_cli(
+        ["em", "--data", data_path, "--k", 2, "--restriction", "shared", "--rp-dim", rp_dim,
+         "--test", test_path, *(a for flag, path in outputs.items() for a in (flag, path))]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("No such file" if case == "missing" else "data dimension 5 != model dimension 8") in err
+    assert not any(path.exists() for path in outputs.values())
 
 
 @pytest.mark.parametrize(
@@ -163,6 +183,18 @@ class TestProject:
         proj = load_projection(proj_path)
         assert proj.rows.shape == (3, 8)
         assert load_dataset(low_path).shape == (20, 3)
+
+    def test_data_of_the_wrong_width_writes_nothing(self, tmp_path, capsys):
+        data_path, proj_path, low_path = tmp_path / "data.csv", tmp_path / "proj.json", tmp_path / "low.csv"
+        np.savetxt(data_path, np.random.default_rng(0).standard_normal((20, 8)), delimiter=",")
+        code = run_cli(
+            ["project", "--kind", "orthonormal", "--n", 5, "--d", 2, "--data", data_path,
+             "--data-out", low_path, "--out", proj_path]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: data dimension 8 != source dimension 5\n"
+        assert not proj_path.exists() and not low_path.exists()
 
     def test_pca_requires_data(self, tmp_path, capsys):
         code = run_cli(
@@ -288,6 +320,27 @@ class TestClassify:
         save_cluster_analysis(cluster_analysis(data), want_path)
         assert raw_path.read_text().startswith("class,0,1,eccentricity\n")
         assert raw_path.read_bytes() == want_path.read_bytes()
+
+    def test_failed_raw_analysis_writes_no_projected_one(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(3)
+        data = LabeledDataset(np.vstack([rng.standard_normal((30, 6)), rng.standard_normal((30, 6)) + 8.0]),
+                              np.repeat([0, 1], 30))
+        train_path, analysis_path, raw_path = tmp_path / "train.csv", tmp_path / "a.csv", tmp_path / "raw.csv"
+        save_labeled(data, train_path)
+
+        def analysis(data, projection=None):
+            if projection is None:
+                raise RpmixError("raw analysis failed")
+            return cluster_analysis(data, projection)
+
+        monkeypatch.setattr(cli, "cluster_analysis", analysis)
+        code = run_cli(
+            ["classify", "--train", train_path, "--d", 3, "--per-class-k", 2,
+             "--analysis-out", analysis_path, "--raw-analysis-out", raw_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: raw analysis failed\n"
+        assert not analysis_path.exists() and not raw_path.exists()
 
     @pytest.mark.parametrize(
         "label, message",

@@ -19,7 +19,8 @@ reads each run's last stdout line and writes BENCH_<L>.json with:
   whether the medians lie further apart than the base's quartiles;
 - "environment": `rpmix._blas.environment()`, read before any run.
 
-It exits 1 if any run is not `correct`, after writing the file.
+A run that times out (after 600 s) is recorded as not `correct`, and the
+pairs go on. It exits 1 if any run is not `correct`, after writing the file.
 """
 
 import argparse
@@ -56,13 +57,16 @@ def export(rev, into):
 
 def run_once(root, workload, seed):
     """The last stdout line of one benchmark run from the checkout `root`, as
-    a dict; a run that prints no JSON line is not correct."""
+    a dict; a run that prints no JSON line, or times out, is not correct."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"correct": False, "metrics": {}, "stderr": f"timed out after {RUN_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -73,7 +77,9 @@ def run_once(root, workload, seed):
 def summary(runs, better):
     """Per metric: each side's median and quartiles, the change's wins over
     the base in its pairs, the second run's wins over the first in them, and
-    whether the medians lie further apart than the base's quartiles."""
+    whether the medians lie further apart than the base's quartiles. A metric
+    that either side read in fewer than two runs has no quartiles and is left
+    out."""
     values = {}
     second = {run["pair"]: run["side"] for run in runs if not run["first"]}
     for run in runs:
@@ -81,7 +87,7 @@ def summary(runs, better):
             values.setdefault(name, {}).setdefault(run["side"], {})[run["pair"]] = metric
     out = {}
     for name, sides in sorted(values.items()):
-        if set(sides) != {"base", "change"}:
+        if set(sides) != {"base", "change"} or min(map(len, sides.values())) < 2:
             continue
         entry = {"better": better.get(name)}
         for side, by_pair in sides.items():
