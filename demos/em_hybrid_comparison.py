@@ -4,6 +4,10 @@ Each trial draws a fresh 1-separated five-component spherical mixture,
 fits it both ways from the same seed, and scores the fits by whether every
 estimated center lands within a third of the true cluster radius, plus the
 test log-likelihood. Dimension hurts plain EM; the hybrid shrugs it off.
+The plain EM here starts once, from k random data points, and the harm
+belongs to that start: Dasgupta and Schulman's two-round start (UAI 2000)
+lifts plain EM to 0.993 at n = 50 and 1.000 at n = 200 on criterion 3's
+150 trials at each n.
 The trials are fig8's sweep (`fig8_body`) at n = 50, 100 and 200.
 
 Run: python3 demos/em_hybrid_comparison.py [--trials 15]

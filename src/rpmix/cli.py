@@ -2,15 +2,20 @@
 
 Subcommands: synth, project, em, classify, experiment. Every command is
 deterministic given its --seed, and all outputs are plain CSV or JSON so
-runs can be diffed and replayed.
+runs can be diffed and replayed. A command computes everything before it
+writes, and then writes all of its files or none (`_write_all`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import os
+import secrets
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +69,39 @@ _RESTRICTIONS = {
 }
 
 
+def _write_all(outputs):
+    """Run each `save(path)` of `outputs`, a sequence of (save, path), so that
+    every path is written or none is. Each save writes a fresh name beside
+    its target that ends in the target's name, so it keeps the suffix (numpy's
+    `savetxt` gzips a `.gz` name); `open` makes it, so it has the permissions
+    of a direct write. The names move into place once every save is done, so
+    a target that is a directory fails first, as a rename onto it would fail
+    after the earlier ones. A failure removes the names, and an OSError names
+    the target, not its stand-in."""
+    staged = []
+    try:
+        for save, path in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            head, tail = os.path.split(path)
+            stage = os.path.join(head, f".{secrets.token_hex(4)}-{tail}")
+            try:
+                open(stage, "x").close()
+                staged.append(stage)
+                save(stage)
+            except OSError as exc:
+                if exc.filename == stage:
+                    exc.filename = path
+                raise
+        for stage, (_, path) in zip(staged, outputs):
+            os.replace(stage, path)
+    except BaseException:
+        for stage in staged:
+            with contextlib.suppress(OSError):
+                os.remove(stage)
+        raise
+
+
 def _cmd_synth(args):
     spec = MixtureSpec(
         n=args.n,
@@ -75,11 +113,13 @@ def _cmd_synth(args):
     )
     mix = make_mixture(spec)
     data = sample(mix, args.samples, args.seed) if args.samples else None
-    save_mixture(mix, args.out)
+    outputs = [(partial(save_mixture, mix), args.out)]
+    if data is not None:
+        outputs.append((partial(save_dataset, data), args.data_out))
+    _write_all(outputs)
     print(f"wrote mixture (k={mix.k}, n={mix.dim}, separation="
           f"{mixture_separation(mix):.6g}) to {args.out}")
     if data is not None:
-        save_dataset(data, args.data_out)
         print(f"wrote {args.samples} samples to {args.data_out}")
 
 
@@ -95,10 +135,12 @@ def _cmd_project(args):
         gen = random_orthonormal if args.kind == "orthonormal" else random_uniform
         proj = gen(args.n, args.d, args.seed)
     projected = project_data(proj, data) if data is not None and args.data_out else None
-    save_projection(proj, args.out)
+    outputs = [(partial(save_projection, proj), args.out)]
+    if projected is not None:
+        outputs.append((partial(save_dataset, projected), args.data_out))
+    _write_all(outputs)
     print(f"wrote {proj.kind.value} projection {proj.target_dim}x{proj.source_dim} to {args.out}")
     if projected is not None:
-        save_dataset(projected, args.data_out)
         print(f"wrote projected data to {args.data_out}")
 
 
@@ -113,14 +155,16 @@ def _cmd_em(args):
     else:
         fit = run_em(data, args.k, restriction, args.seed)
     test_ll = test_loglik(fit.model, test) if test is not None else None
+    outputs = [(partial(save_mixture, fit.model), args.out)]
     if args.rp_dim and args.projection_out:
-        save_projection(proj, args.projection_out)
-    save_mixture(fit.model, args.out)
-    print(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
-          f"train loglik {fit.loglik_trace[-1]:.6f}")
+        outputs.append((partial(save_projection, proj), args.projection_out))
     if args.trace_out:
         table = np.column_stack((np.arange(len(fit.loglik_trace)), fit.loglik_trace))
-        save_dataset(table, args.trace_out, header=["iteration", "train_loglik"])
+        header = ["iteration", "train_loglik"]
+        outputs.append((partial(save_dataset, table, header=header), args.trace_out))
+    _write_all(outputs)
+    print(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
+          f"train loglik {fit.loglik_trace[-1]:.6f}")
     if test_ll is not None:
         print(f"test loglik {test_ll:.6f}")
 
@@ -133,13 +177,17 @@ def _cmd_classify(args):
         test_set = ingest(args.test)
         acc = evaluate(model, test_set)
         print(f"test accuracy {acc:.4f}")
-    projected = cluster_analysis(train_set, model.projection) if args.analysis_out else None
-    raw = cluster_analysis(train_set) if args.raw_analysis_out else None
-    if projected is not None:
-        save_cluster_analysis(projected, args.analysis_out)
+    outputs = []
+    if args.analysis_out:
+        projected = cluster_analysis(train_set, model.projection)
+        outputs.append((partial(save_cluster_analysis, projected), args.analysis_out))
+    if args.raw_analysis_out:
+        raw = cluster_analysis(train_set)
+        outputs.append((partial(save_cluster_analysis, raw), args.raw_analysis_out))
+    _write_all(outputs)
+    if args.analysis_out:
         print(f"wrote projected cluster analysis to {args.analysis_out}")
-    if raw is not None:
-        save_cluster_analysis(raw, args.raw_analysis_out)
+    if args.raw_analysis_out:
         print(f"wrote raw-space cluster analysis to {args.raw_analysis_out}")
 
 
@@ -171,7 +219,7 @@ def _cmd_experiment(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{name}.csv")
-        report.to_csv(path)
+        _write_all([(report.to_csv, path)])
         print(f"wrote report to {path}")
 
 

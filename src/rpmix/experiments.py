@@ -1,11 +1,10 @@
 """Seeded experiment bodies and CSV reports.
 
-Every experiment is a pure function of its parameters and a base seed:
-trial t derives its randomness from base_seed + t, and each report row
-records the seed that produced it, so any single trial can be replayed in
-isolation. Each body builds a task list, one task per trial, maps a
-module-level trial function over it with `_run_trials`, which runs the
-trials on one OpenBLAS thread, and hands the measurements to `_report`.
+Every experiment is a pure function of its parameters and a base seed, and
+each report row records the seed that produced it, so any single trial can
+be replayed in isolation. Each body is a grid of points and one `_sweep`, the
+one place that seeds trial t at a point with the base seed plus t; it runs the
+trials with `_run_trials`, on one OpenBLAS thread, and reports their rows.
 Reports are long-format CSV: one row per measurement, followed by aggregate
 rows (mean, sd, min, max, median) per parameter group.
 """
@@ -129,11 +128,14 @@ def _fmt(v):
     return str(v)
 
 
-def _report(group_columns, metric_columns, measurements) -> ExperimentReport:
-    """The report of per-trial measurements. Each row keeps, after its row
-    type, the group columns, the seed and the metrics of its measurement."""
+def _sweep(group_columns, metric_columns, worker, points, base_seed, trials, threads=1, shared=()):
+    """The report of `trials` trials at each of `points`: trial t at `point` is the
+    task `(*point, base_seed + t)`, which `worker` maps through `_run_trials` to its
+    rows. They keep task order, each with its row type, group columns, seed and metrics."""
+    tasks = [(*point, base_seed + t) for point in points for t in range(trials)]
     cols = (*group_columns, "seed", *metric_columns)
-    rows = tuple({"row_type": "trial", **{c: m[c] for c in cols}} for m in measurements)
+    results = _run_trials(worker, tasks, threads, shared)
+    rows = tuple({"row_type": "trial", **{c: row[c] for c in cols}} for trial in results for row in trial)
     return ExperimentReport(tuple(group_columns), tuple(metric_columns), rows)
 
 
@@ -152,14 +154,14 @@ def fig3_body(base_seed, trials=40, n_values=(50, 100, 200, 500, 1000), d=20, th
     The trials run in `threads` worker processes, None for one per core
     (see `_run_trials`).
     """
-    tasks = [(n, 2, 1.0, d, base_seed + t) for n in n_values for t in range(trials)]
-    return _report(("n",), ("separation",), _run_trials(_separation_trial, tasks, threads))
+    points = [(n, 2, 1.0, d) for n in n_values]
+    return _sweep(("n",), ("separation",), _separation_trial, points, base_seed, trials, threads)
 
 
 def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
     """Projected separation of maximally packed mixtures at d = 10 ln k."""
-    tasks = [(n, k, c, _log_dim(k, n), base_seed + t) for k in k_values for t in range(trials)]
-    return _report(("k", "d"), ("separation",), _run_trials(_separation_trial, tasks, 1))
+    points = [(n, k, c, _log_dim(k, n)) for k in k_values]
+    return _sweep(("k", "d"), ("separation",), _separation_trial, points, base_seed, trials)
 
 
 def _separation_trial(task):
@@ -169,7 +171,7 @@ def _separation_trial(task):
     mix = make_mixture(MixtureSpec(n=n, k=k, c=c, seed=seed))
     proj = random_orthonormal(n, d, s_proj)
     sep = mixture_separation(project_mixture(proj, mix))
-    return {"n": n, "k": k, "d": d, "seed": seed, "separation": sep}
+    return [{"n": n, "k": k, "d": d, "seed": seed, "separation": sep}]
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +185,28 @@ def fig5_body(
     d=20,
 ):
     """Projected eccentricity E* for a grid of (E, n), projecting to d dims."""
-    grid = [(E, n) for E in E_values for n in n_values if d <= n]
-    tasks = [(E, n, base_seed + t) for E, n in grid for t in range(trials)]
-    return _report(("E", "n"), ("eccentricity",), _run_trials(_fig5_trial, tasks, 1, (d,)))
+    points = [(E, n) for E in E_values for n in n_values if d <= n]
+    return _sweep(("E", "n"), ("eccentricity",), _fig5_trial, points, base_seed, trials, shared=(d,))
 
 
 def _fig5_trial(task, d):
     E, n, seed = task
     s_cov, s_proj = _seed_children(seed, 2)
     cov = eccentric_covariance(n, float(E), CovarianceMode.DIAGONAL_DISTINCT, s_cov)
-    return {"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
+    return [{"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}]
 
 
 def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24, -1))):
     """One fixed eccentric Gaussian projected to successively lower dims."""
     cov = eccentric_covariance(n, E, CovarianceMode.DIAGONAL_DISTINCT, base_seed)
-    tasks = [(d, base_seed + t) for d in d_values for t in range(trials)]
-    return _report(("d",), ("eccentricity",), _run_trials(_fig6_trial, tasks, 1, (cov,)))
+    points = [(d,) for d in d_values]
+    return _sweep(("d",), ("eccentricity",), _fig6_trial, points, base_seed, trials, shared=(cov,))
 
 
 def _fig6_trial(task, cov):
     d, seed = task
     _, s_proj = _seed_children(seed, 2)
-    return {"d": d, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}
+    return [{"d": d, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}]
 
 
 def _projected_eccentricity(cov, d, seed):
@@ -250,13 +251,12 @@ def fig7_body(base_seed, trials=10, threads=None, **params):
     `params` are passed on to `fig7_tables`. The trials run in `threads`
     worker processes, None for one per core (see `_run_trials`).
     """
-    seeds = [base_seed + t for t in range(trials)]
-    tables = _run_trials(_pca_vs_rp_trial, seeds, threads, (params,))
-    rows = [row for trial_rows in tables for row in trial_rows]
-    return _report(("method", "i", "j"), ("separation",), rows)
+    columns = ("method", "i", "j"), ("separation",)
+    return _sweep(*columns, _pca_vs_rp_trial, [()], base_seed, trials, threads, (params,))
 
 
-def _pca_vs_rp_trial(seed, params):
+def _pca_vs_rp_trial(task, params):
+    (seed,) = task
     pca_table, rp_table = fig7_tables(seed, **params)
     return [
         {"method": method, "i": i, "j": j, "seed": seed, "separation": tab[i, j]}
@@ -270,8 +270,8 @@ def pca_collapse_body(base_seed, trials=1, k=10, samples=10000):
 
     Unit spherical Gaussians sit in R^(k/2), pair j at +-j on axis j. PCA to
     k/2 - 1 dims drops (roughly) the weakest axis; random projection and
-    full-rank PCA keep all pairs separated. Trial t samples the arrangement
-    with seed base_seed + t; the rows follow trial, then method.
+    full-rank PCA keep all pairs separated. Each trial samples the
+    arrangement with its own seed; the rows follow trial, then method.
     """
     k = _int_at_least(k, "k", 1)
     if k % 2 != 0:
@@ -282,15 +282,12 @@ def pca_collapse_body(base_seed, trials=1, k=10, samples=10000):
     axes = np.diag(np.arange(1.0, n + 1))
     centers = np.stack([axes, -axes], axis=1).reshape(k, n)  # j e_j, then -j e_j
     mix = _checked_mixture(np.full(k, 1.0 / k), centers, [np.eye(n)], np.zeros(k, dtype=int))
-    seeds = [base_seed + t for t in range(trials)]
-    tables = _run_trials(_pca_collapse_trial, seeds, 1, (mix, samples))
-    rows = [row for trial_rows in tables for row in trial_rows]
-    return _report(
-        ("method", "d"), ("min_separation", "original_min_separation"), rows
-    )
+    columns = ("method", "d"), ("min_separation", "original_min_separation")
+    return _sweep(*columns, _pca_collapse_trial, [()], base_seed, trials, shared=(mix, samples))
 
 
-def _pca_collapse_trial(seed, mix, samples):
+def _pca_collapse_trial(task, mix, samples):
+    (seed,) = task
     n, k = mix.dim, mix.k
     original_min = mixture_separation(mix)
     s_sample, s_proj = _seed_children(seed, 2)
@@ -428,18 +425,20 @@ def _pooled_trial(task):
 
 def _em_trial(task, overrides):
     n, seed = task
-    return em_compare_trial(n, seed, **overrides)
+    return [em_compare_trial(n, seed, **overrides)]
 
 
 def fig8_body(base_seed, trials=150, n_values=(50, 100, 150, 200), threads=None, **overrides):
     """Regular EM vs RP+EM on 1-separated spherical five-component mixtures.
 
+    Plain EM here starts once, from k random data points, and the drop of
+    its success with n belongs to that start: Dasgupta and Schulman's
+    two-round start lifts it to 0.993 at n = 50 and 1.000 at n = 200.
     `overrides` are passed on to `em_compare_trial`. `threads` is the number
     of worker processes, None for one per core (see `_run_trials`).
     """
-    tasks = [(n, base_seed + t) for n in n_values for t in range(trials)]
-    rows = _run_trials(_em_trial, tasks, threads, (overrides,))
-    return _report(("n",), EM_COMPARE_METRICS, rows)
+    points = [(n,) for n in n_values]
+    return _sweep(("n",), EM_COMPARE_METRICS, _em_trial, points, base_seed, trials, threads, (overrides,))
 
 
 def second_em_body(base_seed, trials=100, n=100, threads=None):
@@ -524,9 +523,9 @@ def fig9_body(
         )
     else:
         train_set, test_set = surrogate_digit_data(base_seed)
-    tasks = [(d, base_seed + t) for d in d_values for t in range(trials)]
-    rows = _run_trials(_digit_trial, tasks, threads, (train_set, test_set, per_class_k))
-    return _report(("d",), ("accuracy",), rows)
+    shared = (train_set, test_set, per_class_k)
+    points = [(d,) for d in d_values]
+    return _sweep(("d",), ("accuracy",), _digit_trial, points, base_seed, trials, threads, shared)
 
 
 # The datasets of fig9's last read from files, keyed by the sha256 of the
@@ -577,7 +576,7 @@ def _digested_ingest(path):
 def _digit_trial(task, train_set, test_set, per_class_k):
     d, seed = task
     model = train(train_set, d, per_class_k=per_class_k, seed=seed)
-    return {"d": d, "seed": seed, "accuracy": evaluate(model, test_set)}
+    return [{"d": d, "seed": seed, "accuracy": evaluate(model, test_set)}]
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,20 @@ def pca(data, d: int) -> ProjectionMatrix:
 
 
 def project_data(p: ProjectionMatrix, data) -> np.ndarray:
+    """The rows of `data` mapped by `p`. A point whose image lies past the
+    double range raises NonFiniteError naming the point: no rescale can help,
+    as the projected value itself is out of range."""
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[1] != p.source_dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != source dimension {p.source_dim}"
         )
-    return data @ p.rows.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = data @ p.rows.T
+    finite = np.isfinite(projected).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"point {np.argmin(finite)} projects past the double range")
+    return projected
 
 
 def project_gaussian(p: ProjectionMatrix, g: Gaussian) -> Gaussian:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import re
 
@@ -164,6 +165,61 @@ def test_csv_without_data_rows_is_a_parse_error(tmp_path, capsys, command, text)
     assert code == 1
     assert capsys.readouterr().err == f"error: {data_path}: no data rows\n"
     assert not (tmp_path / "out.json").exists()
+
+
+# Each command with two or more outputs: an output in a directory that does
+# not exist, after one that the command used to write first.
+LATER_OUTPUT_MISSES = {
+    "synth": ["synth", "--n", 4, "--k", 2, "--c", 1.0, "--samples", 5, "--out", "m.json",
+              "--data-out", "nodir/s.csv"],
+    "project": ["project", "--n", 4, "--d", 2, "--data", "data.csv", "--out", "p.json",
+                "--data-out", "nodir/ps.csv"],
+    "em-trace": ["em", "--data", "data.csv", "--k", 2, "--restriction", "shared", "--out", "fit.json",
+                 "--trace-out", "nodir/trace.csv"],
+    "em-hybrid": ["em", "--data", "data.csv", "--k", 2, "--restriction", "shared", "--rp-dim", 2,
+                  "--projection-out", "p.json", "--out", "nodir/fit.json", "--trace-out", "trace.csv"],
+    "classify": ["classify", "--train", "train.csv", "--d", 2, "--per-class-k", 1,
+                 "--analysis-out", "a.csv", "--raw-analysis-out", "nodir/raw.csv"],
+}
+
+
+@pytest.mark.parametrize("command", LATER_OUTPUT_MISSES.values(), ids=LATER_OUTPUT_MISSES.keys())
+def test_later_output_in_a_missing_directory_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    data = np.random.default_rng(0).standard_normal((40, 4))
+    np.savetxt("data.csv", data, delimiter=",")
+    save_labeled(LabeledDataset(data, np.arange(40) % 2), "train.csv")
+    assert run_cli(command) == 1
+    out, err = capsys.readouterr()
+    missing = next(arg for arg in command if str(arg).startswith("nodir/"))
+    assert "wrote" not in out
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "train.csv"]
+
+
+def test_later_output_onto_a_directory_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("data.csv", np.random.default_rng(0).standard_normal((40, 4)), delimiter=",")
+    (tmp_path / "adir").mkdir()
+    assert run_cli(["project", "--n", 4, "--d", 2, "--data", "data.csv", "--out", "p.json",
+                    "--data-out", "adir"]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'adir'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "data.csv"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+def test_outputs_are_written_as_a_direct_write_writes_them(tmp_path, monkeypatch, capsys):
+    # A staged name keeps its target's suffix, so numpy gzips a `.gz` sample
+    # file, and the files get the permissions of a file that `open` makes.
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(["synth", "--n", 4, "--k", 2, "--c", 1.0, "--samples", 5, "--out", "m.json",
+                    "--data-out", "s.csv.gz"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "wrote 5 samples to s.csv.gz"
+    assert len(gzip.decompress((tmp_path / "s.csv.gz").read_bytes()).splitlines()) == 5
+    open("direct", "w").close()
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+    assert modes == {name: modes["direct"] for name in ("direct", "m.json", "s.csv.gz")}
 
 
 class TestProject:

@@ -12,10 +12,12 @@ SeedSequence in an InvalidParameterError naming the seed, a
 separation or eccentricity that is not a finite real in an RpmixError, a
 covariance that overflows from finite input in a NonFiniteError naming the
 covariance, data whose centering overflows in PCA in a NonFiniteError, a
-file path that is not a str, bytes or os.PathLike (an int file descriptor
-included) in an InvalidParameterError naming it, and an object that keeps an
-array argument leaves the caller's array writable. A file of any bytes read
-as a CSV, a mixture, a projection or an experiment config gives a value or
+point that a projection maps past the double range in a NonFiniteError
+naming the point, a file path that is not a str, bytes or os.PathLike (an
+int file descriptor included) in an InvalidParameterError naming it, and an
+object that keeps an array argument leaves the caller's array writable. A
+file of any bytes read as a CSV, a mixture, a projection or an experiment
+config gives a value or
 an RpmixError, an undecodable byte included, and a fit of points at a scale
 from 1e-320 to 1e296, or of degenerate data or k (duplicate points, points
 in a subspace, k = m or m - 1 for m points, k far above the dimension),
@@ -817,13 +819,13 @@ def _run_em(restriction, **kw):
     return lambda x: [run_em(x, 3, restriction, 0, **kw).loglik_trace]
 
 
-def _rp_em(restriction):
-    return lambda x: [fit.loglik_trace for fit in rp_em(x, 3, 2, restriction, 0)[::2]]
+def _rp_em(restriction, seed=0):
+    return lambda x: [fit.loglik_trace for fit in rp_em(x, 3, 2, restriction, seed)[::2]]
 
 
-def _train(x):
+def _train(x, seed=0):
     # A classifier keeps no trace: it returns or raises.
-    train(LabeledDataset(x, np.arange(len(x)) % 2), 2, per_class_k=2, seed=0)
+    train(LabeledDataset(x, np.arange(len(x)) % 2), 2, per_class_k=2, seed=seed)
     return []
 
 
@@ -832,6 +834,10 @@ EXTREME_FITS = {
     **{f"run_em-{r.value}": _run_em(r) for r in CovarianceRestriction},
     **{f"rp_em-{r.value}": _rp_em(r) for r in CovarianceRestriction},
     "train": _train,
+    # Seed 6's projection maps the far point (-1e308,) x 4 past the double
+    # range; seed 0's keeps it in range.
+    **{f"rp_em-{r.value}-seed=6": _rp_em(r, 6) for r in CovarianceRestriction},
+    "train-seed=6": partial(_train, seed=6),
 }
 
 
@@ -857,6 +863,23 @@ def ends_finite_or_typed(calls):
 @pytest.mark.parametrize("fit", EXTREME_FITS.values(), ids=EXTREME_FITS.keys())
 def test_fit_at_an_extreme_scale_ends_finite_or_typed(fit):
     ends_finite_or_typed((f"scale 1e{e}, far point {far}", partial(fit, x)) for (e, far), x in EXTREME_SCALES.items())
+
+
+FAR_POINT = np.full(4, -1e308)
+
+
+@pytest.mark.parametrize("call, point", [
+    (lambda model: project_data(model.projection, [np.zeros(4), FAR_POINT]), 1),
+    (lambda model: predict_batch(model, [np.zeros(4), FAR_POINT]), 1),
+    (lambda model: predict(model, FAR_POINT), 0),
+], ids=["project_data", "predict_batch", "predict"])
+def test_point_projected_past_the_double_range_is_named(call, point):
+    x = np.random.default_rng(0).standard_normal((60, 4))
+    model = train(LabeledDataset(x, np.arange(60) % 2), 2, per_class_k=2, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=f"^point {point} projects past the double range$"):
+            call(model)
 
 
 def _degenerate_inputs():

@@ -13,8 +13,9 @@ three parts:
   None (one worker per core) where its body takes one: 28 reports. Reports
   depend on neither the worker count nor the BLAS thread count, so the
   digests of two files from one commit should be equal, and within a file
-  every report of one seed should have one digest. A change that keeps
-  every report's bytes keeps this part's bytes.
+  every report of one seed should have one digest: where it has two, the
+  tool exits 1, after writing the file, and names the experiment and the
+  seed. A change that keeps every report's bytes keeps this part's bytes.
 - "environment": the Python, numpy and scipy versions, the cores in the
   affinity mask and each mapped OpenBLAS's thread count, read before any
   sweep (`rpmix._blas.environment`).
@@ -66,6 +67,17 @@ def report_digests():
     return digests, trials
 
 
+def worker_count_splits(digests):
+    """(experiment, "seed=S") of every seed whose reports in `digests` have
+    more than one digest across their worker counts."""
+    return [
+        (name, seed)
+        for name, runs in digests.items()
+        for seed in dict.fromkeys(key.split()[0] for key in runs)
+        if len({digest for key, digest in runs.items() if key.split()[0] == seed}) > 1
+    ]
+
+
 def verdict_sets(sets):
     """{"criterion N": {"trials": T, "passed": count, "sets": [...]}}, each set
     with its base seed, verdict, gated statistics and line."""
@@ -81,14 +93,14 @@ def verdict_sets(sets):
     return out
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file: VERDICTS_<label>.json")
     parser.add_argument(
         "--sets", type=int, default=0, metavar="K",
         help="run each acceptance criterion at K base seeds (default 0: none)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.sets < 0:
         parser.error(f"--sets must be >= 0, got {args.sets}")
     env = environment()
@@ -102,7 +114,11 @@ def main():
         json.dump(document, f, indent=1, default=lambda value: value.item())
         f.write("\n")
     print(f"wrote {sum(map(len, digests.values()))} report digests to {out}")
+    splits = worker_count_splits(digests)
+    for name, seed in splits:
+        print(f"{name} at {seed}: the report depends on the worker count", file=sys.stderr)
+    return 1 if splits else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
