@@ -2,8 +2,9 @@
 
 Subcommands: synth, project, em, classify, experiment. Every command is
 deterministic given its --seed, and all outputs are plain CSV or JSON so
-runs can be diffed and replayed. A command computes everything before it
-writes, and then writes all of its files or none (`_write_all`).
+runs can be diffed and replayed. Each `_cmd_*` computes everything and
+returns its files, (save, path) pairs, and its stdout lines; `main`, the one
+writer, writes all of the files or none (`_write_all`), then prints the lines.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def _write_all(outputs):
 
 
 def _cmd_synth(args):
+    if args.data_out and not args.samples:
+        raise RpmixError("--data-out needs --samples")
     spec = MixtureSpec(
         n=args.n,
         k=args.k,
@@ -112,18 +115,19 @@ def _cmd_synth(args):
         seed=args.seed,
     )
     mix = make_mixture(spec)
-    data = sample(mix, args.samples, args.seed) if args.samples else None
-    outputs = [(partial(save_mixture, mix), args.out)]
-    if data is not None:
-        outputs.append((partial(save_dataset, data), args.data_out))
-    _write_all(outputs)
-    print(f"wrote mixture (k={mix.k}, n={mix.dim}, separation="
-          f"{mixture_separation(mix):.6g}) to {args.out}")
-    if data is not None:
-        print(f"wrote {args.samples} samples to {args.data_out}")
+    files = [(partial(save_mixture, mix), args.out)]
+    lines = [f"wrote mixture (k={mix.k}, n={mix.dim}, separation="
+             f"{mixture_separation(mix):.6g}) to {args.out}"]
+    if args.samples:
+        data_out = args.data_out or "samples.csv"
+        files.append((partial(save_dataset, sample(mix, args.samples, args.seed)), data_out))
+        lines.append(f"wrote {args.samples} samples to {data_out}")
+    return files, lines
 
 
 def _cmd_project(args):
+    if args.data_out and not args.data:
+        raise RpmixError("--data-out needs --data")
     data = load_dataset(args.data) if args.data else None
     if args.kind == "pca":
         if data is None:
@@ -134,61 +138,59 @@ def _cmd_project(args):
             raise RpmixError(f"--n is required for kind={args.kind}")
         gen = random_orthonormal if args.kind == "orthonormal" else random_uniform
         proj = gen(args.n, args.d, args.seed)
-    projected = project_data(proj, data) if data is not None and args.data_out else None
-    outputs = [(partial(save_projection, proj), args.out)]
-    if projected is not None:
-        outputs.append((partial(save_dataset, projected), args.data_out))
-    _write_all(outputs)
-    print(f"wrote {proj.kind.value} projection {proj.target_dim}x{proj.source_dim} to {args.out}")
-    if projected is not None:
-        print(f"wrote projected data to {args.data_out}")
+    files = [(partial(save_projection, proj), args.out)]
+    lines = [f"wrote {proj.kind.value} projection {proj.target_dim}x{proj.source_dim} to {args.out}"]
+    if args.data_out:
+        files.append((partial(save_dataset, project_data(proj, data)), args.data_out))
+        lines.append(f"wrote projected data to {args.data_out}")
+    return files, lines
 
 
 def _cmd_em(args):
+    if args.projection_out and not args.rp_dim:
+        raise RpmixError("--projection-out needs --rp-dim")
     data = load_dataset(args.data)
     test = load_dataset(args.test) if args.test else None
     restriction = _RESTRICTIONS[args.restriction]
+    lines = []
     if args.rp_dim:
         fit, proj, fit_low = rp_em(data, args.k, args.rp_dim, restriction, args.seed)
-        print(f"low-dim EM: {fit_low.iterations} iterations, "
-              f"final train loglik {fit_low.loglik_trace[-1]:.6f}")
+        lines.append(f"low-dim EM: {fit_low.iterations} iterations, "
+                     f"final train loglik {fit_low.loglik_trace[-1]:.6f}")
     else:
         fit = run_em(data, args.k, restriction, args.seed)
-    test_ll = test_loglik(fit.model, test) if test is not None else None
-    outputs = [(partial(save_mixture, fit.model), args.out)]
-    if args.rp_dim and args.projection_out:
-        outputs.append((partial(save_projection, proj), args.projection_out))
+    lines.append(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
+                 f"train loglik {fit.loglik_trace[-1]:.6f}")
+    if test is not None:
+        lines.append(f"test loglik {test_loglik(fit.model, test):.6f}")
+    files = [(partial(save_mixture, fit.model), args.out)]
+    if args.projection_out:
+        files.append((partial(save_projection, proj), args.projection_out))
     if args.trace_out:
         table = np.column_stack((np.arange(len(fit.loglik_trace)), fit.loglik_trace))
         header = ["iteration", "train_loglik"]
-        outputs.append((partial(save_dataset, table, header=header), args.trace_out))
-    _write_all(outputs)
-    print(f"fit: {fit.iterations} iterations, converged={fit.converged}, "
-          f"train loglik {fit.loglik_trace[-1]:.6f}")
-    if test_ll is not None:
-        print(f"test loglik {test_ll:.6f}")
+        files.append((partial(save_dataset, table, header=header), args.trace_out))
+    return files, lines
 
 
 def _cmd_classify(args):
     train_set = ingest(args.train)
     model = train(train_set, args.d, per_class_k=args.per_class_k, seed=args.seed)
-    print(f"trained {len(model.per_class)}-class model at d={args.d}")
+    lines = [f"trained {len(model.per_class)}-class model at d={args.d}"]
     if args.test:
         test_set = ingest(args.test)
         acc = evaluate(model, test_set)
-        print(f"test accuracy {acc:.4f}")
-    outputs = []
+        lines.append(f"test accuracy {acc:.4f}")
+    files = []
     if args.analysis_out:
         projected = cluster_analysis(train_set, model.projection)
-        outputs.append((partial(save_cluster_analysis, projected), args.analysis_out))
+        files.append((partial(save_cluster_analysis, projected), args.analysis_out))
+        lines.append(f"wrote projected cluster analysis to {args.analysis_out}")
     if args.raw_analysis_out:
         raw = cluster_analysis(train_set)
-        outputs.append((partial(save_cluster_analysis, raw), args.raw_analysis_out))
-    _write_all(outputs)
-    if args.analysis_out:
-        print(f"wrote projected cluster analysis to {args.analysis_out}")
-    if args.raw_analysis_out:
-        print(f"wrote raw-space cluster analysis to {args.raw_analysis_out}")
+        files.append((partial(save_cluster_analysis, raw), args.raw_analysis_out))
+        lines.append(f"wrote raw-space cluster analysis to {args.raw_analysis_out}")
+    return files, lines
 
 
 def _config_document(doc):
@@ -214,13 +216,12 @@ def _cmd_experiment(args):
     if args.threads is not None:
         config = dataclasses.replace(config, overrides={**config.overrides, "threads": args.threads})
     report = experiments.run(config)
-    for line in report.summary_lines():
-        print(line)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{name}.csv")
-        _write_all([(report.to_csv, path)])
-        print(f"wrote report to {path}")
+    lines = report.summary_lines()
+    if not args.out:
+        return [], lines
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"{name}.csv")
+    return [(report.to_csv, path)], [*lines, f"wrote report to {path}"]
 
 
 def _pooled_experiments():
@@ -253,7 +254,7 @@ def build_parser():
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="mixture JSON output path")
     p.add_argument("--samples", type=int, default=0, help="also draw this many points")
-    p.add_argument("--data-out", default="samples.csv", help="sample CSV output path")
+    p.add_argument("--data-out", help="sample CSV output path (default samples.csv; needs --samples)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("project", help="generate a projection, optionally apply it")
@@ -262,7 +263,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True, help="target dimension")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--data", help="input dataset CSV (required for pca)")
-    p.add_argument("--data-out", help="projected dataset CSV output")
+    p.add_argument("--data-out", help="projected dataset CSV output (needs --data)")
     p.add_argument("--out", required=True, help="projection JSON output path")
     p.set_defaults(func=_cmd_project)
 
@@ -276,7 +277,7 @@ def build_parser():
     p.add_argument("--test", help="held-out dataset CSV for test log-likelihood")
     p.add_argument("--out", required=True, help="fitted mixture JSON output")
     p.add_argument("--trace-out", help="CSV of the training log-likelihood trace")
-    p.add_argument("--projection-out", help="JSON of the projection used (hybrid only)")
+    p.add_argument("--projection-out", help="JSON of the projection used (needs --rp-dim)")
     p.set_defaults(func=_cmd_em)
 
     p = sub.add_parser("classify", help="train/evaluate the per-class mixture classifier")
@@ -315,7 +316,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with single_blas_thread():
-            args.func(args)
+            files, lines = args.func(args)
+            _write_all(files)
+            for line in lines:
+                print(line)
     except (RpmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,10 +19,12 @@ the responsibilities and sums to a trace over the data's Gram matrix.
 Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
 the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
-Each entry point builds one `gaussians._Workspace` per data array, and
-every kernel reads its points from it: `_log_joint`, `_e_step`, `_m_step`
-(which pools one covariance when the workspace keeps a Gram matrix) and
-`_fit`, the one EM loop of `run_em` and the hybrid's high-dimensional step.
+Each entry point builds one `gaussians._Workspace` per data array, except
+`rp_em`, which builds two over its projected data: `run_em`'s and the
+lift's, which keeps no Gram matrix. Every kernel reads its points from a
+workspace: `_log_joint`, `_e_step`, `_m_step` (which pools one covariance
+when the workspace keeps a Gram matrix) and `_fit`, the one EM loop of
+`run_em` and the hybrid's high-dimensional step.
 Responsibilities below the smallest normal double are exactly 0
 (`_log_normalize`).
 """
@@ -287,8 +289,8 @@ def e_step(model: Mixture, data):
 
     Row normalization happens in log space so that high-dimensional
     densities cannot underflow to an all-zero row. A responsibility below
-    the smallest normal double, `np.finfo(float).tiny`, is exactly 0 (it used
-    to be subnormal); the log-likelihood does not change. A point whose
+    the smallest normal double, `np.finfo(float).tiny`, is exactly 0; the
+    log-likelihood does not change. A point whose
     log-density is -inf under every component has no responsibilities and
     raises NonFiniteError naming its row.
     """

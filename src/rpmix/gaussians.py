@@ -593,16 +593,19 @@ def load_mixture(path) -> Mixture:
 
 def save_dataset(points, path, header=None):
     """Write one point per CSV row at full double precision, under an
-    optional `header`: one string per column, not a string itself."""
+    optional `header`: one string per column, not a string itself, and no
+    name holding a comma or a line break, so that the header is one row of
+    as many cells as the data."""
     points = _as_float_array(points, "points", ndmin=2)
     if header is not None and (
         isinstance(header, str)
         or not isinstance(header, Collection)
         or len(header) != points.shape[1]
-        or not all(isinstance(name, str) for name in header)
+        or not all(isinstance(name, str) and not set(name) & set(",\n\r") for name in header)
     ):
         raise InvalidParameterError(
-            f"header must be a sequence of {points.shape[1]} column names, got {header!r}"
+            f"header must be a sequence of {points.shape[1]} column names, "
+            f"none holding ',' or a line break, got {header!r}"
         )
     header = "" if header is None else ",".join(header)
     np.savetxt(_file_name(path), points, fmt=FLOAT_FMT, delimiter=",", header=header, comments="")

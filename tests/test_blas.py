@@ -1,7 +1,9 @@
+import ctypes
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -46,6 +48,41 @@ def test_finds_the_openblas_bundled_with_numpy_and_scipy():
     mapped = {Path(p).resolve() for p in _blas._mapped_openblas_paths()}
     assert bundled <= mapped
     assert len(openblas_controls()) >= len(bundled)
+
+
+# Where there is no /proc or no OpenBLAS (macOS, another BLAS).
+def test_no_maps_file_maps_no_openblas(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", "/proc/self/maps")
+
+    monkeypatch.setattr(_blas, "open", unreadable, raising=False)
+    assert _blas._mapped_openblas_paths() == []
+
+
+def test_library_without_the_thread_symbols_is_skipped(monkeypatch):
+    def get_num_threads():
+        return 1
+
+    def set_num_threads(n):
+        pass
+
+    libs = {
+        "libopenblas-bare.so": SimpleNamespace(),
+        "libopenblas-full.so": SimpleNamespace(openblas_get_num_threads64_=get_num_threads,
+                                               openblas_set_num_threads64_=set_num_threads),
+    }
+    monkeypatch.setattr(_blas, "_mapped_openblas_paths", lambda: sorted(libs))
+    monkeypatch.setattr(_blas, "ctypes", SimpleNamespace(CDLL=libs.__getitem__, c_int=ctypes.c_int))
+    assert _blas.openblas_controls.__wrapped__() == ((get_num_threads, set_num_threads),)
+
+
+def test_no_openblas_scope_changes_nothing(monkeypatch, two_threads):
+    before = thread_counts()
+    monkeypatch.setattr(_blas, "openblas_controls", lambda: ())
+    with single_blas_thread():
+        assert thread_counts() == before
+    assert thread_counts() == before
+    assert _blas.environment()["openblas_threads"] == []
 
 
 @needs_openblas
@@ -169,7 +206,7 @@ def test_spawned_worker_runs_on_one_thread():
 @needs_openblas
 def test_cli_command_runs_on_one_thread(monkeypatch, two_threads):
     seen = []
-    monkeypatch.setattr(cli, "_cmd_synth", lambda args: seen.append(thread_counts()))
+    monkeypatch.setattr(cli, "_cmd_synth", lambda args: seen.append(thread_counts()) or ([], []))
     code = cli.main(["synth", "--n", "3", "--k", "2", "--c", "1", "--out", "unused.json"])
     assert code == 0
     assert seen == [[1] * len(openblas_controls())]

@@ -1,6 +1,10 @@
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,8 +96,10 @@ def test_bad_test_set_writes_nothing(tmp_path, capsys, case, rp_dim):
     np.savetxt(data_path, np.random.default_rng(0).standard_normal((50, 8)), delimiter=",")
     if case == "wrong-width":
         np.savetxt(test_path, np.random.default_rng(1).standard_normal((10, 5)), delimiter=",")
-    outputs = {flag: tmp_path / name for flag, name in
-               (("--out", "fit.json"), ("--trace-out", "trace.csv"), ("--projection-out", "proj.json"))}
+    flags = [("--out", "fit.json"), ("--trace-out", "trace.csv")]
+    if rp_dim:
+        flags.append(("--projection-out", "proj.json"))
+    outputs = {flag: tmp_path / name for flag, name in flags}
     code = run_cli(
         ["em", "--data", data_path, "--k", 2, "--restriction", "shared", "--rp-dim", rp_dim,
          "--test", test_path, *(a for flag, path in outputs.items() for a in (flag, path))]
@@ -192,9 +198,54 @@ def test_later_output_in_a_missing_directory_writes_nothing(tmp_path, monkeypatc
     assert run_cli(command) == 1
     out, err = capsys.readouterr()
     missing = next(arg for arg in command if str(arg).startswith("nodir/"))
-    assert "wrote" not in out
+    assert out == ""
     assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "train.csv"]
+
+
+# An output flag whose input is not given: the command would otherwise
+# succeed without the file.
+ORPHAN_OUTPUTS = {
+    "em": (["em", "--data", "data.csv", "--k", 2, "--restriction", "shared", "--out", "fit.json",
+            "--projection-out", "never.json"], "--projection-out needs --rp-dim"),
+    "project": (["project", "--n", 4, "--d", 2, "--out", "p.json", "--data-out", "ps.csv"],
+                "--data-out needs --data"),
+    "synth": (["synth", "--n", 4, "--k", 2, "--c", 1.0, "--out", "m.json", "--data-out", "s.csv"],
+              "--data-out needs --samples"),
+}
+
+
+@pytest.mark.parametrize("command, message", ORPHAN_OUTPUTS.values(), ids=ORPHAN_OUTPUTS.keys())
+def test_output_flag_without_its_input_is_an_error(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("data.csv", np.random.default_rng(0).standard_normal((40, 4)), delimiter=",")
+    assert run_cli(command) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+
+def test_samples_alone_write_samples_csv(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["synth", "--n", 4, "--k", 2, "--c", 1.0, "--samples", 5, "--out", "m.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "wrote 5 samples to samples.csv"
+    assert load_dataset(tmp_path / "samples.csv").shape == (5, 4)
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m rpmix.cli`, as README's CLI section runs it.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def entry(*args):
+        return subprocess.run([sys.executable, "-m", "rpmix.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    shown = entry("experiment", "--help")
+    assert shown.returncode == 0
+    assert all(name in shown.stdout for name in experiments.EXPERIMENTS)
+    failed = entry("em", "--data", "missing.csv", "--k", "2", "--out", "fit.json")
+    assert (failed.returncode, failed.stdout) == (1, "")
+    assert failed.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_later_output_onto_a_directory_writes_nothing(tmp_path, monkeypatch, capsys):

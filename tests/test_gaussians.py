@@ -579,7 +579,9 @@ class TestSerialization:
         assert np.array_equal(back, data)
 
     @pytest.mark.parametrize(
-        "header", ["abc", ["a", "b"], ["a", "b", "c", "d"], [1, 2, 3], ["a", None, "c"], 5]
+        "header",
+        ["abc", ["a", "b"], ["a", "b", "c", "d"], [1, 2, 3], ["a", None, "c"], 5,
+         ["a,b", "c", "d"], ["a\nb", "c", "d"], ["a\rb", "c", "d"]],
     )
     def test_dataset_header_needs_one_name_per_column(self, tmp_path, header):
         path = tmp_path / "data.csv"
