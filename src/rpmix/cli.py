@@ -270,7 +270,9 @@ def build_parser():
     p = sub.add_parser("em", help="fit a mixture by EM or the RP+EM hybrid")
     p.add_argument("--data", required=True, help="training dataset CSV")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restriction", choices=("shared", "full"), default="full")
+    p.add_argument("--restriction", choices=("shared", "full"), default="full",
+                   help="full (default): one covariance per component, which needs well "
+                        "over n points in each; shared: one pooled covariance")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--rp-dim", type=int, default=0,
                    help="if set, use the RP+EM hybrid with this projected dim")

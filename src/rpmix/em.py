@@ -19,9 +19,8 @@ the responsibilities and sums to a trace over the data's Gram matrix.
 Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
 the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
-Each entry point builds one `gaussians._Workspace` per data array, except
-`rp_em`, which builds two over its projected data: `run_em`'s and the
-lift's, which keeps no Gram matrix. Every kernel reads its points from a
+Each entry point builds one `gaussians._Workspace`, over the array it was
+given (`rp_em`'s is on `train`). Every kernel reads its points from a
 workspace: `_log_joint`, `_e_step`, `_m_step` (which pools one covariance
 when the workspace keeps a Gram matrix) and `_fit`, the one EM loop of
 `run_em` and the hybrid's high-dimensional step.
@@ -239,16 +238,11 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     Centers are drawn without replacement from the data; each initial
     covariance is spherical with variance min_j ||mu_j - mu_i||^2 / (2n).
     Under the shared restriction the smallest of these variances is used
-    for every component.
+    for every component. The start holds one spherical factor per distinct
+    initial variance.
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
-    return _init_params(data, k, restriction, seed)
-
-
-def _init_params(data, k, restriction, seed) -> Mixture:
-    """`init_params` on gated data: one spherical factor per distinct
-    initial variance."""
     m, n = data.shape
     k = _int_at_least(k, "k", 1)
     if m < k:
@@ -339,7 +333,7 @@ def run_em(
     max_iter = _int_at_least(max_iter, "max_iter", 0)
     if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
-    params = _init_params(data, k, restriction, seed)
+    params = init_params(data, k, restriction, seed)
     work = _Workspace(data, k, restriction is CovarianceRestriction.SHARED_FULL)
     return _fit(params, work, tol, max_iter, MAX_RESCUES)
 
@@ -388,7 +382,7 @@ def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
     proj = random_orthonormal(n, d, seed)
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed)
-    resp, _ = _e_step(fit_low.model, _Workspace(low_data, k))
+    resp, _ = e_step(fit_low.model, low_data)
     work = _Workspace(train, k, restriction is CovarianceRestriction.SHARED_FULL)
     return _fit(_m_step(resp, work), work, 0.0, 1, 0), proj, fit_low
 

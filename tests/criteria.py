@@ -1,4 +1,4 @@
-"""The eight acceptance criteria, each as one function of a base seed.
+"""The nine acceptance criteria, each as one function of a base seed.
 
 `criterion_N(base_seed)` runs criterion N's experiment at `base_seed` and
 returns `(ok, stats, line)`: the verdict, the gated statistics by name, and
@@ -40,7 +40,8 @@ from rpmix.experiments import (
 # criterion number -> (Tier-1 base seed, trials per set). Set i of a
 # criterion runs at its base seed plus i times its trials, so no two sets
 # share a trial's seed. Criteria 5 and 7 draw from the base seed alone.
-CRITERIA = {1: (0, 40), 2: (0, 10), 3: (0, 150), 4: (0, 100), 5: (0, 1), 6: (0, 1), 7: (7, 1), 8: (0, 2)}
+CRITERIA = {1: (0, 40), 2: (0, 10), 3: (0, 150), 4: (0, 100), 5: (0, 1), 6: (0, 1), 7: (7, 1), 8: (0, 2),
+            9: (0, 2)}
 
 
 def run(num, i=0):
@@ -359,4 +360,21 @@ def criterion_8(base_seed):
         f"d=40: {means[(40,)]:.4f}, d=100: {means[(100,)]:.4f}, gain "
         f"{gain * 100:.2f} points <2",
         {"accuracy d=40": means[(40,)], "accuracy d=100": means[(100,)], "gain": gain},
+    )
+
+
+def criterion_9(base_seed):
+    """fig9: accuracy rises by at least 15 points from d=5 to d=20, so the
+    plateau of criterion 8 is reached from below."""
+    report = fig9_body(base_seed, trials=CRITERIA[9][1], d_values=(5, 20))
+    means = _means(report, "accuracy")
+    rise = means[(20,)] - means[(5,)]
+    ok = rise >= 0.15
+    return _result(
+        9,
+        "accuracy rises below d=20 on digit-like surrogate data",
+        ok,
+        f"d=5: {means[(5,)]:.4f}, d=20: {means[(20,)]:.4f}, rise "
+        f"{rise * 100:.2f} points >=15",
+        {"accuracy d=5": means[(5,)], "accuracy d=20": means[(20,)], "rise": rise},
     )

@@ -814,7 +814,7 @@ class TestRescue:
         means = [data[:50].mean(axis=0), data[50:100].mean(axis=0), [500.0, -500.0]]
         weights = [0.5, 0.5 - far_weight, far_weight]
         start = Mixture([Gaussian(mu, cov) for mu, cov in zip(means, covs)], weights)
-        monkeypatch.setattr(em, "_init_params", lambda *args: start)
+        monkeypatch.setattr(em, "init_params", lambda *args: start)
         return data, start
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])

@@ -23,8 +23,8 @@ three parts:
   `tests/criteria.py` at K base seeds, with its gated statistics, verdict
   and line at each, and the pass count. Set i is at the criterion's Tier-1
   seed plus i times its trial count (`criteria.CRITERIA`), so set 0 gives
-  the `[criterion N]` lines of the Tier-1 run. Ten sets took 2 min 41 s on
-  two cores.
+  the `[criterion N]` lines of the Tier-1 run. Ten sets of the nine
+  criteria took 2 min 50 s on two cores.
 """
 
 import argparse
