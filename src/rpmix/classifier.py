@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     DuplicatePointsError,
     InvalidParameterError,
+    NotEnoughDataError,
     ParseError,
 )
 from .em import CovarianceRestriction, _log_joint, run_em
@@ -116,7 +117,10 @@ class ClassMixtureModel:
 def _class_counts(data: LabeledDataset):
     """The number of points of each class in [0, num_classes), from the
     distinct labels: nothing is sized by num_classes, which one stray large
-    label can make huge. The first class with no point raises ClassTooSmallError."""
+    label can make huge. A data set with no points raises NotEnoughDataError,
+    and then the first class with no point raises ClassTooSmallError."""
+    if data.labels.size == 0:
+        raise NotEnoughDataError("the data set has no points")
     present, counts = np.unique(data.labels, return_counts=True)
     gaps = np.flatnonzero(present != np.arange(present.size))
     if gaps.size:
@@ -201,6 +205,10 @@ def predict(model: ClassMixtureModel, x) -> int:
 
 
 def evaluate(model: ClassMixtureModel, test: LabeledDataset) -> float:
+    """The share of `test`'s points that `predict_batch` labels correctly; a
+    test set with no points raises NotEnoughDataError."""
+    if test.labels.size == 0:
+        raise NotEnoughDataError("the test set has no points")
     return float(np.mean(predict_batch(model, test.points) == test.labels))
 
 

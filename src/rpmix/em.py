@@ -309,6 +309,8 @@ def m_step(
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[0] != resp.shape[0]:
         raise ShapeMismatchError("responsibility rows != data rows")
+    if data.shape[0] == 0:
+        raise NotEnoughDataError("need at least 1 point, got 0")
     work = _Workspace(data, 0, restriction is CovarianceRestriction.SHARED_FULL)
     return _m_step(resp, work, previous)
 

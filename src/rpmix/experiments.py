@@ -130,8 +130,8 @@ def _fmt(v):
 
 def _sweep(group_columns, metric_columns, worker, points, base_seed, trials, threads=1, shared=()):
     """The report of `trials` trials at each of `points`: trial t at `point` is the
-    task `(*point, base_seed + t)`, which `worker` maps through `_run_trials` to its
-    rows. They keep task order, each with its row type, group columns, seed and metrics."""
+    call `worker(*point, base_seed + t, *shared)`, made through `_run_trials`, which
+    returns its rows. They keep task order, each with its row type, group columns, seed and metrics."""
     tasks = [(*point, base_seed + t) for point in points for t in range(trials)]
     cols = (*group_columns, "seed", *metric_columns)
     results = _run_trials(worker, tasks, threads, shared)
@@ -164,9 +164,8 @@ def fig4_body(base_seed, trials=40, k_values=(2, 3, 5, 10, 20), n=100, c=1.0):
     return _sweep(("k", "d"), ("separation",), _separation_trial, points, base_seed, trials)
 
 
-def _separation_trial(task):
+def _separation_trial(n, k, c, d, seed):
     """Separation of a packed c-separated k-mixture in R^n, projected to d dims."""
-    n, k, c, d, seed = task
     _, s_proj = _seed_children(seed, 2)
     mix = make_mixture(MixtureSpec(n=n, k=k, c=c, seed=seed))
     proj = random_orthonormal(n, d, s_proj)
@@ -189,8 +188,7 @@ def fig5_body(
     return _sweep(("E", "n"), ("eccentricity",), _fig5_trial, points, base_seed, trials, shared=(d,))
 
 
-def _fig5_trial(task, d):
-    E, n, seed = task
+def _fig5_trial(E, n, seed, d):
     s_cov, s_proj = _seed_children(seed, 2)
     cov = eccentric_covariance(n, float(E), CovarianceMode.DIAGONAL_DISTINCT, s_cov)
     return [{"E": E, "n": n, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}]
@@ -203,8 +201,7 @@ def fig6_body(base_seed, trials=40, n=50, E=1000.0, d_values=tuple(range(49, 24,
     return _sweep(("d",), ("eccentricity",), _fig6_trial, points, base_seed, trials, shared=(cov,))
 
 
-def _fig6_trial(task, cov):
-    d, seed = task
+def _fig6_trial(d, seed, cov):
     _, s_proj = _seed_children(seed, 2)
     return [{"d": d, "seed": seed, "eccentricity": _projected_eccentricity(cov, d, s_proj)}]
 
@@ -255,8 +252,7 @@ def fig7_body(base_seed, trials=10, threads=None, **params):
     return _sweep(*columns, _pca_vs_rp_trial, [()], base_seed, trials, threads, (params,))
 
 
-def _pca_vs_rp_trial(task, params):
-    (seed,) = task
+def _pca_vs_rp_trial(seed, params):
     pca_table, rp_table = fig7_tables(seed, **params)
     return [
         {"method": method, "i": i, "j": j, "seed": seed, "separation": tab[i, j]}
@@ -286,8 +282,7 @@ def pca_collapse_body(base_seed, trials=1, k=10, samples=10000):
     return _sweep(*columns, _pca_collapse_trial, [()], base_seed, trials, shared=(mix, samples))
 
 
-def _pca_collapse_trial(task, mix, samples):
-    (seed,) = task
+def _pca_collapse_trial(seed, mix, samples):
     n, k = mix.dim, mix.k
     original_min = mixture_separation(mix)
     s_sample, s_proj = _seed_children(seed, 2)
@@ -388,7 +383,7 @@ _POOL_SWEEP = ContextVar("_POOL_SWEEP")
 
 
 def _run_trials(worker, tasks, threads=None, shared=()):
-    """`[worker(task, *shared) for task in tasks]`, spread over processes on
+    """`[worker(*task, *shared) for task in tasks]`, spread over processes on
     one OpenBLAS thread: every sweep's one execution policy.
 
     `threads` is the number of worker processes, an int >= 1, or None for
@@ -408,7 +403,7 @@ def _run_trials(worker, tasks, threads=None, shared=()):
     threads = min(_int_at_least(threads, "threads", 1), len(tasks))
     with single_blas_thread():
         if threads <= 1:
-            return [worker(task, *shared) for task in tasks]
+            return [worker(*task, *shared) for task in tasks]
         with ProcessPoolExecutor(
             max_workers=threads,
             mp_context=multiprocessing.get_context("fork"),
@@ -420,11 +415,10 @@ def _run_trials(worker, tasks, threads=None, shared=()):
 
 def _pooled_trial(task):
     worker, shared = _POOL_SWEEP.get()
-    return worker(task, *shared)
+    return worker(*task, *shared)
 
 
-def _em_trial(task, overrides):
-    n, seed = task
+def _em_trial(n, seed, overrides):
     return [em_compare_trial(n, seed, **overrides)]
 
 
@@ -546,7 +540,7 @@ def _read_datasets(paths, threads):
     digest of the bytes it holds.
     """
     keys = [_file_digest(path) for path in paths] if _PARSED else [None] * len(paths)
-    misses = [path for path, key in zip(paths, keys) if key not in _PARSED]
+    misses = [(path,) for path, key in zip(paths, keys) if key not in _PARSED]
     read = iter(_run_trials(_digested_ingest, misses, threads) if misses else ())
     pairs = [(key, _PARSED[key]) if key in _PARSED else next(read) for key in keys]
     _PARSED.clear()
@@ -573,8 +567,7 @@ def _digested_ingest(path):
     return hashlib.sha256(raw).digest(), data
 
 
-def _digit_trial(task, train_set, test_set, per_class_k):
-    d, seed = task
+def _digit_trial(d, seed, train_set, test_set, per_class_k):
     model = train(train_set, d, per_class_k=per_class_k, seed=seed)
     return [{"d": d, "seed": seed, "accuracy": evaluate(model, test_set)}]
 

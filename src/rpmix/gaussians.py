@@ -354,7 +354,8 @@ class _Workspace:
         self.diff = np.empty((m, n))
         self.weighted = np.empty((m, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.center = points.mean(axis=0)
+            # The mean's bits, and zeros for no points, where `mean` warns.
+            self.center = points.sum(axis=0) / max(m, 1)
             self.centered = np.subtract(points, self.center, out=self.stacked[:m])
             self.gram = self.centered.T @ self.centered if shared else None
 

@@ -227,7 +227,7 @@ def test_scope_leaves_a_library_on_one_thread_alone(monkeypatch):
 
 
 def _worker_thread_count():
-    experiments._em_trial((30, 0), {"k": 2, "d": 5, "train_size": 200, "test_size": 50})
+    experiments._em_trial(30, 0, {"k": 2, "d": 5, "train_size": 200, "test_size": 50})
     return len(os.listdir("/proc/self/task"))
 
 

@@ -482,6 +482,13 @@ class TestExperiment:
         assert report.startswith("row_type,n,seed,separation")
         assert "mean" in report
 
+    def test_prints_the_summary_then_the_report_path(self, tmp_path, capsys):
+        out_dir = tmp_path / "reports"
+        argv = ["experiment", "fig3-sep-vs-n", "--trials", 2, "--out", out_dir, "--config", self._config(tmp_path)]
+        assert run_cli(argv) == 0
+        summary = experiments.fig3_body(0, trials=2, n_values=(50,), threads=1).summary_lines()
+        assert capsys.readouterr().out.splitlines() == [*summary, f"wrote report to {out_dir / 'fig3-sep-vs-n.csv'}"]
+
     def _config(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"overrides": {"n_values": [50]}}))

@@ -128,6 +128,19 @@ class TestReportFormat:
             assert mean_row["separation"] == "%.17g" % vals.mean()
             assert sd_row["separation"] == "%.17g" % vals.std(ddof=1)
 
+    def test_summary_lines_are_the_mean_rows_to_four_digits(self):
+        report = fig3_body(0, trials=2, n_values=(50, 100), threads=1)
+        means = [agg for agg in report.aggregates() if agg["row_type"] == "mean"]
+        lines = report.summary_lines()
+        assert len(lines) == len(means) == 2
+        for line, agg in zip(lines, means):
+            n, value = re.fullmatch(r"\[n=(\d+)\] separation=(\S+)", line).groups()
+            assert int(n) == agg["n"]
+            assert len(value.replace(".", "").lstrip("0")) <= 4
+            assert float(value) == float("%.4g" % agg["separation"])
+        rows = ({"row_type": "trial", "g": 1, "h": "a", "seed": 0, "v": 0.123456, "w": True},)
+        assert experiments.ExperimentReport(("g", "h"), ("v", "w"), rows).summary_lines() == ["[g=1, h=a] v=0.1235, w=1"]
+
     def test_every_trial_row_records_its_seed(self, tmp_path):
         report = fig3_body(40, trials=3, n_values=(50,))
         path = tmp_path / "r.csv"
@@ -568,7 +581,7 @@ class TestTrialPool:
         def worker(task, offset):
             return task + offset, os.getpid()
 
-        rows = experiments._run_trials(worker, [1, 2, 3], 2, (10,))
+        rows = experiments._run_trials(worker, [(1,), (2,), (3,)], 2, (10,))
         assert [value for value, _ in rows] == [11, 12, 13]
         assert os.getpid() not in {pid for _, pid in rows}
 
@@ -692,7 +705,7 @@ class TestDigitSweep:
 
     @staticmethod
     def reads(runs):
-        return [tasks for worker, tasks, _ in runs if worker is experiments._digested_ingest]
+        return [[path for (path,) in tasks] for worker, tasks, _ in runs if worker is experiments._digested_ingest]
 
     @staticmethod
     def sweep_csv(digit_files, path, threads=2):

@@ -21,7 +21,8 @@ config gives a value or
 an RpmixError, an undecodable byte included, and a fit of points at a scale
 from 1e-320 to 1e296, or of degenerate data or k (duplicate points, points
 in a subspace, k = m or m - 1 for m points, k far above the dimension),
-gives a finite log-likelihood trace or an RpmixError."""
+gives a finite log-likelihood trace or an RpmixError. A point set with no
+rows gives an empty result or a NotEnoughDataError, never a warning."""
 
 import dataclasses
 import inspect
@@ -83,6 +84,7 @@ from rpmix.errors import (
     DuplicatePointsError,
     InvalidParameterError,
     NonFiniteError,
+    NotEnoughDataError,
     NotPositiveDefiniteError,
     ParseError,
     RpmixError,
@@ -933,6 +935,36 @@ DEGENERATE_FITS = {
 def test_fit_of_degenerate_data_or_k_ends_finite_or_typed(fit):
     calls = ((f"{name}, k={k}", partial(fit, x, k)) for (name, k), x in DEGENERATE_INPUTS.items())
     assert ends_finite_or_typed(calls)  # the grid reaches fits that end, not only errors
+
+
+NO_ROWS = np.empty((0, 3))
+NO_POINTS = LabeledDataset(NO_ROWS, np.empty(0, dtype=int))
+CLASSIFIER = ClassMixtureModel(PROJ, CLASSES, [0.5, 0.5])
+# call on a point set with no rows -> whether it returns; one that does not
+# raises NotEnoughDataError.
+NO_ROW_CALLS = {
+    "e_step": (lambda: e_step(MODEL, NO_ROWS), True),
+    **{
+        f"m_step-{r.value}-previous={p is not None}": (partial(m_step, np.empty((0, 2)), NO_ROWS, r, p), False)
+        for r in CovarianceRestriction
+        for p in (None, MODEL)
+    },
+    "log_density_batch": (lambda: [log_density_batch(G, NO_ROWS)], True),
+    "test_loglik": (lambda: [held_out_loglik(MODEL, [])], True),
+    "predict_batch": (lambda: [predict_batch(CLASSIFIER, NO_ROWS)], True),
+    "evaluate": (lambda: [evaluate(CLASSIFIER, NO_POINTS)], False),
+    "train": (lambda: train(NO_POINTS, 2, per_class_k=1), False),
+    "cluster_analysis": (lambda: cluster_analysis(NO_POINTS), False),
+}
+
+
+@pytest.mark.parametrize("name", NO_ROW_CALLS)
+def test_point_set_with_no_rows_ends_finite_or_typed(name):
+    call, returns = NO_ROW_CALLS[name]
+    assert ends_finite_or_typed([(name, call)]) == returns
+    if not returns:
+        with pytest.raises(NotEnoughDataError, match="^(need at least 1 point, got 0|the (data|test) set has no points)$"):
+            call()
 
 
 # 50 finite points near 1e308 in R^4: every column sum, and so the mean,
