@@ -390,11 +390,9 @@ def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
 
 
 def test_loglik(model: Mixture, test) -> float:
-    """Log-likelihood of held-out data under the model (0 for no data, -inf
+    """Log-likelihood of held-out data under the model (0 for no rows, -inf
     where a point's log-density is -inf under every component)."""
     test = _as_float_array(test, "test", ndmin=2)
-    if test.size == 0:
-        return 0.0
     work = _Workspace(_model_data(model, test), model.k)
     return float(_log_normalize(_log_joint(model, work))[1].sum())
 

@@ -28,6 +28,7 @@ from .errors import (
     InconsistentWidthError,
     InvalidParameterError,
     NonFiniteError,
+    NotEnoughDataError,
     NotPositiveDefiniteError,
     ParseError,
     RpmixError,
@@ -510,9 +511,8 @@ def _labelled_draw(m: Mixture, count: int, rng):
     comps = rng.choice(m.k, size=count, p=m.weights)
     z = rng.standard_normal((count, m.dim))
     for i, (mu, f) in enumerate(zip(m.means, m._owner)):
-        rows = comps == i
-        if np.any(rows):  # disjoint rows, and z[rows] on the right is a copy
-            z[rows] = z[rows] @ m._chols[f].T + mu
+        rows = comps == i  # disjoint rows, and z[rows] on the right is a copy
+        z[rows] = z[rows] @ m._chols[f].T + mu
     return comps, z
 
 
@@ -596,8 +596,11 @@ def save_dataset(points, path, header=None):
     """Write one point per CSV row at full double precision, under an
     optional `header`: one string per column, not a string itself, and no
     name holding a comma or a line break, so that the header is one row of
-    as many cells as the data."""
+    as many cells as the data. An array with no values raises
+    NotEnoughDataError before the file is opened: no reader takes its file."""
     points = _as_float_array(points, "points", ndmin=2)
+    if points.size == 0:
+        raise NotEnoughDataError(f"points has no values: shape {points.shape}")
     if header is not None and (
         isinstance(header, str)
         or not isinstance(header, Collection)

@@ -494,8 +494,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(mix, 0, 0)
 
+    # At count 1 two of the three components draw no point.
+    @pytest.mark.parametrize("count", [500, 1])
     @pytest.mark.parametrize("factors", [1, 3])
-    def test_draw_in_place_equals_a_draw_into_a_second_array(self, factors):
+    def test_draw_in_place_equals_a_draw_into_a_second_array(self, factors, count):
         rng = np.random.default_rng(5)
         covs = [a @ a.T + np.eye(4) for a in rng.standard_normal((factors, 4, 4))]
         mix = Mixture(
@@ -503,11 +505,11 @@ class TestSampling:
             [0.5, 0.3, 0.2],
         )
         assert len(mix._chols) == factors
-        comps, pts = gaussians._labelled_draw(mix, 500, np.random.default_rng(9))
+        comps, pts = gaussians._labelled_draw(mix, count, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        want = rng.choice(mix.k, size=500, p=mix.weights)
-        z = rng.standard_normal((500, mix.dim))
-        out = np.empty((500, mix.dim))
+        want = rng.choice(mix.k, size=count, p=mix.weights)
+        z = rng.standard_normal((count, mix.dim))
+        out = np.empty((count, mix.dim))
         for i, (mu, f) in enumerate(zip(mix.means, mix._owner)):
             out[want == i] = z[want == i] @ mix._chols[f].T + mu
         assert np.array_equal(comps, want)

@@ -22,7 +22,9 @@ an RpmixError, an undecodable byte included, and a fit of points at a scale
 from 1e-320 to 1e296, or of degenerate data or k (duplicate points, points
 in a subspace, k = m or m - 1 for m points, k far above the dimension),
 gives a finite log-likelihood trace or an RpmixError. A point set with no
-rows gives an empty result or a NotEnoughDataError, never a warning."""
+rows gives an empty result or a NotEnoughDataError, never a warning, and a
+writer given an array with no values raises NotEnoughDataError and leaves
+no file."""
 
 import dataclasses
 import inspect
@@ -950,7 +952,7 @@ NO_ROW_CALLS = {
         for p in (None, MODEL)
     },
     "log_density_batch": (lambda: [log_density_batch(G, NO_ROWS)], True),
-    "test_loglik": (lambda: [held_out_loglik(MODEL, [])], True),
+    "test_loglik": (lambda: [held_out_loglik(MODEL, NO_ROWS)], True),
     "predict_batch": (lambda: [predict_batch(CLASSIFIER, NO_ROWS)], True),
     "evaluate": (lambda: [evaluate(CLASSIFIER, NO_POINTS)], False),
     "train": (lambda: train(NO_POINTS, 2, per_class_k=1), False),
@@ -965,6 +967,44 @@ def test_point_set_with_no_rows_ends_finite_or_typed(name):
     if not returns:
         with pytest.raises(NotEnoughDataError, match="^(need at least 1 point, got 0|the (data|test) set has no points)$"):
             call()
+
+
+# an input with no rows -> the DimensionMismatchError message e_step gives, or
+# None where it returns; `[]` is one row of no values.
+NO_ROW_WIDTHS = {
+    "(0, 3)": (NO_ROWS, None),
+    "(0, 5)": (np.empty((0, 5)), "data dimension 5 != model dimension 3"),
+    "[]": ([], "data dimension 0 != model dimension 3"),
+}
+
+
+@pytest.mark.parametrize("name", NO_ROW_WIDTHS)
+def test_test_loglik_of_no_rows_agrees_with_e_step(name):
+    points, message = NO_ROW_WIDTHS[name]
+    if message is None:
+        assert e_step(MODEL, points)[1] == held_out_loglik(MODEL, points) == 0.0
+    else:
+        for call in (e_step, held_out_loglik):
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                call(MODEL, points)
+
+
+# writer -> call with a path writing an array that has no values
+NO_VALUE_WRITES = {
+    "save_dataset-(0, 3)": partial(save_dataset, NO_ROWS),
+    "save_dataset-(3, 0)": partial(save_dataset, np.empty((3, 0))),
+    "save_dataset-[]": partial(save_dataset, []),
+    "save_dataset-header": partial(save_dataset, np.empty((0, 2)), header=["a", "b"]),
+    "save_labeled": partial(save_labeled, NO_POINTS),
+}
+
+
+@pytest.mark.parametrize("name", NO_VALUE_WRITES)
+def test_writer_of_no_values_raises_and_leaves_no_file(tmp_path, name):
+    path = tmp_path / "out.csv"
+    with pytest.raises(NotEnoughDataError, match=r"^points has no values: shape \(\d+, \d+\)$"):
+        NO_VALUE_WRITES[name](path)
+    assert not path.exists()
 
 
 # 50 finite points near 1e308 in R^4: every column sum, and so the mean,
