@@ -183,7 +183,7 @@ def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMi
 def _class_scores(model: ClassMixtureModel, points):
     """Best per-class Gaussian log-score, plus the class log prior, for every
     row of `points`."""
-    work = _Workspace(project_data(model.projection, points), max(mix.k for mix in model.per_class))
+    work = _Workspace(project_data(model.projection, points))
     scores = np.empty((len(work.points), len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
         scores[:, cls] = _log_joint(mix, work).max(axis=1) + np.log(model.class_priors[cls])

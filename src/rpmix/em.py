@@ -103,8 +103,7 @@ def _factor_and_invert(covs):
 
 def _log_joint(params: Mixture, work) -> np.ndarray:
     """log w_i + log N(x_j; mu_i, Sigma_i) for every point j of the
-    `_Workspace` `work` and component i; `work` has a spare row per mean of
-    a factor."""
+    `_Workspace` `work` and component i."""
     out = np.empty((len(work.points), len(params.weights)))
     for f, chol in enumerate(params._chols):
         comps = np.flatnonzero(params._owner == f)
@@ -289,7 +288,7 @@ def e_step(model: Mixture, data):
     raises NonFiniteError naming its row.
     """
     data = _as_float_array(data, "data", ndmin=2)
-    return _e_step(model, _Workspace(_model_data(model, data), model.k))
+    return _e_step(model, _Workspace(_model_data(model, data)))
 
 
 def m_step(
@@ -311,7 +310,7 @@ def m_step(
         raise ShapeMismatchError("responsibility rows != data rows")
     if data.shape[0] == 0:
         raise NotEnoughDataError("need at least 1 point, got 0")
-    work = _Workspace(data, 0, restriction is CovarianceRestriction.SHARED_FULL)
+    work = _Workspace(data, restriction is CovarianceRestriction.SHARED_FULL)
     return _m_step(resp, work, previous)
 
 
@@ -336,7 +335,7 @@ def run_em(
     if not _is_real(tol) or not 0 <= tol < np.inf:
         raise InvalidParameterError(f"tol must be a finite real >= 0, got {tol!r}")
     params = init_params(data, k, restriction, seed)
-    work = _Workspace(data, k, restriction is CovarianceRestriction.SHARED_FULL)
+    work = _Workspace(data, restriction is CovarianceRestriction.SHARED_FULL)
     return _fit(params, work, tol, max_iter, MAX_RESCUES)
 
 
@@ -385,7 +384,7 @@ def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
     low_data = project_data(proj, train)
     fit_low = run_em(low_data, k, restriction, seed)
     resp, _ = e_step(fit_low.model, low_data)
-    work = _Workspace(train, k, restriction is CovarianceRestriction.SHARED_FULL)
+    work = _Workspace(train, restriction is CovarianceRestriction.SHARED_FULL)
     return _fit(_m_step(resp, work), work, 0.0, 1, 0), proj, fit_low
 
 
@@ -393,7 +392,7 @@ def test_loglik(model: Mixture, test) -> float:
     """Log-likelihood of held-out data under the model (0 for no rows, -inf
     where a point's log-density is -inf under every component)."""
     test = _as_float_array(test, "test", ndmin=2)
-    work = _Workspace(_model_data(model, test), model.k)
+    work = _Workspace(_model_data(model, test))
     return float(_log_normalize(_log_joint(model, work))[1].sum())
 
 

@@ -179,7 +179,7 @@ class Mixture:
         return self.means.shape[1]
 
     def __repr__(self):
-        return f"Mixture(k={self.k}, dim={self.dim})"
+        return f"{type(self).__name__}(k={self.k}, dim={self.dim})"
 
 
 class Gaussian(Mixture):
@@ -213,9 +213,6 @@ class Gaussian(Mixture):
     def chol(self):
         """Lower-triangular Cholesky factor of the covariance."""
         return _frozen(self._chols[0])
-
-    def __repr__(self):
-        return f"Gaussian(dim={self.dim})"
 
 
 def _checked_weights(weights, k):
@@ -337,40 +334,38 @@ class _Workspace:
     step of a fit allocates an m x n array. It belongs to that one call: two
     calls never share one.
 
-    `stacked` holds the points centred by their column mean `center` in its
-    first m rows (`centered`), and k spare rows below them, where
-    `_quad_forms` centres the means of one factor; `product` takes their
-    product with L^-1. `diff` and `weighted` take the M-step's x_j - mu_i
-    and r_ji (x_j - mu_i). When `shared`, `gram` is the centred points' Gram
-    matrix, from which the M-step pools one covariance (None otherwise); one
-    that overflows makes the pooled covariance overflow, which the M-step's
-    factorization reports.
+    `centered` holds the points centred by their column mean `center`, and
+    `product` takes `_quad_forms`' product of them with L^-1. `diff` and
+    `weighted` take the M-step's x_j - mu_i and r_ji (x_j - mu_i). When
+    `shared`, `gram` is the centred points' Gram matrix, from which the
+    M-step pools one covariance (None otherwise); one that overflows makes
+    the pooled covariance overflow, which the M-step's factorization
+    reports.
     """
 
-    def __init__(self, points, k, shared=False):
+    def __init__(self, points, shared=False):
         m, n = points.shape
         self.points = points
-        self.stacked = np.empty((m + k, n))
-        self.product = np.empty((m + k, n))
+        self.product = np.empty((m, n))
         self.diff = np.empty((m, n))
         self.weighted = np.empty((m, n))
         with np.errstate(over="ignore", invalid="ignore"):
             # The mean's bits, and zeros for no points, where `mean` warns.
             self.center = points.sum(axis=0) / max(m, 1)
-            self.centered = np.subtract(points, self.center, out=self.stacked[:m])
+            self.centered = points - self.center
             self.gram = self.centered.T @ self.centered if shared else None
 
 
 def _quad_forms(inv, means, work):
     """||L^-1 (x_j - mu_i)||^2 for each point x_j of the `_Workspace` `work`
-    and each mean mu_i sharing L; `work` has a spare row per mean.
+    and each mean mu_i sharing L.
 
-    The points and the means, centred by the points' mean, take one product
-    with L^-1, giving y_j and m_i; like a solve, it errs with kappa(L) =
-    sqrt(kappa(Sigma)) (Higham 2002, ch. 8 and 14). The form is expanded as
-    ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one norm pass over
-    the points and one (points x n)(n x means) product, not one
-    difference pass per mean. The expansion loses about
+    The points and the means, centred by the points' mean, each take a
+    product with L^-1, giving y_j and m_i; like a solve, it errs with
+    kappa(L) = sqrt(kappa(Sigma)) (Higham 2002, ch. 8 and 14). The form is
+    expanded as ||y_j - m_i||^2 = ||y_j||^2 - 2 m_i^T y_j + ||m_i||^2: one
+    norm pass over the points and one (points x n)(n x means) product, not
+    one difference pass per mean. The expansion loses about
     eps * (||y_j||^2 + ||m_i||^2) to cancellation. Centring by the points'
     mean keeps both norms of the order of the quadratic forms themselves;
     points far from the origin would make them arbitrarily larger.
@@ -381,11 +376,9 @@ def _quad_forms(inv, means, work):
     points near the means become finite again, and those of the far points
     +inf.
     """
-    m = len(work.points)
-    rhs = work.stacked[: m + len(means)]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(means, work.center, out=rhs[m:])
-        y, mu = np.split(np.matmul(rhs, inv.T, out=work.product[: len(rhs)]), [m])
+        y = np.matmul(work.centered, inv.T, out=work.product)
+        mu = (means - work.center) @ inv.T
         quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
         j, i = np.nonzero(~np.isfinite(quad))
         if j.size:
@@ -417,7 +410,7 @@ def _quad_to_mean(g: Gaussian, x, name, ndmin):
     pts = _as_float_array(x, name, ndmin=ndmin)
     if pts.ndim != max(ndmin, 1) or pts.shape[-1] != g.dim:
         raise DimensionMismatchError(f"{name} has shape {pts.shape}, expected dimension {g.dim}")
-    return _quad_forms(g._invs[0], g.means, _Workspace(pts.reshape(-1, g.dim), 1))[:, 0]
+    return _quad_forms(g._invs[0], g.means, _Workspace(pts.reshape(-1, g.dim)))[:, 0]
 
 
 def log_density(g: Gaussian, x) -> float:

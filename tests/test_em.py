@@ -197,7 +197,7 @@ class TestEStep:
         mix = init_params(data, 2, FULL, 0)
         points = np.vstack([data[:2], 1e160 * np.ones((3, 3))])
         quad = np.column_stack(
-            [gaussians._quad_forms(mix._invs[f], mix.means[[i]], _Workspace(points, 1))[:, 0]
+            [gaussians._quad_forms(mix._invs[f], mix.means[[i]], _Workspace(points))[:, 0]
              for i, f in enumerate(mix._owner)]
         )
         near = [[mahalanobis(g, x) ** 2 for g in mix.components] for x in data[:2]]
@@ -484,13 +484,13 @@ class TestArrayCore:
 
     def _assert_matches_reference(self, params, data):
         ref = _stacked_log_joint(params, data)
-        rel = np.abs(_log_joint(params, _Workspace(data, params.k)) - ref) / np.abs(ref)
+        rel = np.abs(_log_joint(params, _Workspace(data)) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
     def test_log_joint_shared_state(self):
         data = self._data(31)
         resp = np.random.default_rng(32).dirichlet(np.ones(3), size=data.shape[0])
-        params = _m_step(resp, _Workspace(data, 0, shared=True))
+        params = _m_step(resp, _Workspace(data, shared=True))
         assert len(params._chols) == 1
         assert np.array_equal(params._owner, [0, 0, 0])
         self._assert_matches_reference(params, data)
@@ -498,7 +498,7 @@ class TestArrayCore:
     def test_log_joint_distinct_state(self):
         data = self._data(33)
         resp = np.random.default_rng(34).dirichlet(np.ones(3), size=data.shape[0])
-        params = _m_step(resp, _Workspace(data, 0))
+        params = _m_step(resp, _Workspace(data))
         assert len(params._chols) == 3
         self._assert_matches_reference(params, data)
 
@@ -506,7 +506,7 @@ class TestArrayCore:
     def test_log_joint_dead_component_keeps_previous_factor(self, restriction):
         data = self._data(35)
         rng = np.random.default_rng(36)
-        work = _Workspace(data, 0, shared=restriction is SHARED)
+        work = _Workspace(data, shared=restriction is SHARED)
         previous = _m_step(rng.dirichlet(np.ones(3), size=data.shape[0]), work)
         resp = rng.dirichlet(np.ones(3), size=data.shape[0])
         resp[:, 1] = 0.0
@@ -534,15 +534,15 @@ class TestArrayCore:
         data = self._data(38, m=200, n=6)
         rng = np.random.default_rng(39)
         resp = rng.dirichlet(np.ones(4), size=200)
-        pooled = _m_step(resp, _Workspace(data, 4, shared=True))._covs[0]
+        pooled = _m_step(resp, _Workspace(data, shared=True))._covs[0]
         ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
         # With a dead component its (tiny) responsibility share leaves the
         # pooled scatter, as in the per-component sum.
         resp[:, 2] *= 5e-11
         resp /= resp.sum(axis=1, keepdims=True)
-        previous = _m_step(rng.dirichlet(np.ones(4), size=200), _Workspace(data, 0, shared=True))
-        pooled = _m_step(resp, _Workspace(data, 4, shared=True), previous)._covs[0]
+        previous = _m_step(rng.dirichlet(np.ones(4), size=200), _Workspace(data, shared=True))
+        pooled = _m_step(resp, _Workspace(data, shared=True), previous)._covs[0]
         ref = _old_pooled(resp, data, dead=(2,))
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -718,7 +718,7 @@ class TestLogJointAccuracy:
             weights / weights.sum(), means, (cov, previous), chols, np.array([0, 0, 1, 0]), invs
         )
         ref = _stacked_log_joint(params, data)
-        rel = np.abs(_log_joint(params, _Workspace(data, params.k)) - ref) / np.abs(ref)
+        rel = np.abs(_log_joint(params, _Workspace(data)) - ref) / np.abs(ref)
         assert rel.max() <= 1e-12
 
 
@@ -757,9 +757,9 @@ class TestSharedEStep:
         params = model
         assert len(params._chols) == 1
 
-        resp, ll = em._e_step(params, _Workspace(data, k, shared=True))
+        resp, ll = em._e_step(params, _Workspace(data, shared=True))
 
-        log_joint = _log_joint(params, _Workspace(data, k))
+        log_joint = _log_joint(params, _Workspace(data))
         lse = logsumexp(log_joint, axis=1)
         eps = np.finfo(float).eps
         lam = np.linalg.eigvalsh(params._covs[0])
@@ -878,10 +878,10 @@ def _assert_same_state(a, b):
             assert np.array_equal(x, y)
 
 
-def _fresh(work, k):
-    """A new `_Workspace` on the points of `work`, with `k` spare rows and a
-    Gram matrix if `work` keeps one."""
-    return _Workspace(work.points, k, shared=work.gram is not None)
+def _fresh(work):
+    """A new `_Workspace` on the points of `work`, with a Gram matrix if
+    `work` keeps one."""
+    return _Workspace(work.points, shared=work.gram is not None)
 
 
 class TestWorkspace:
@@ -900,13 +900,13 @@ class TestWorkspace:
         def checked_log_joint(params, work):
             out = log_joint(params, work)
             spaces.append(work)
-            assert np.array_equal(out, log_joint(params, _fresh(work, params.k)))
+            assert np.array_equal(out, log_joint(params, _fresh(work)))
             return out
 
         def checked_m_step(resp, work, previous=None):
             out = m_step(resp, work, previous)
             spaces.append(work)
-            _assert_same_state(out, m_step(resp, _fresh(work, 0), previous))
+            _assert_same_state(out, m_step(resp, _fresh(work), previous))
             return out
 
         monkeypatch.setattr(em, "_log_joint", checked_log_joint)
@@ -992,8 +992,8 @@ class TestRpEm:
         `data`: the low-dimensional fit's soft labels, one M-step up."""
         proj = random_orthonormal(data.shape[1], d, seed)
         low = project_data(proj, data)
-        resp, _ = em._e_step(run_em(low, k, restriction, seed).model, _Workspace(low, k))
-        work = _Workspace(data, k, shared=restriction is SHARED)
+        resp, _ = em._e_step(run_em(low, k, restriction, seed).model, _Workspace(low))
+        work = _Workspace(data, shared=restriction is SHARED)
         return _m_step(resp, work), work
 
     @pytest.mark.parametrize("restriction", [SHARED, FULL])

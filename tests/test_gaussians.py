@@ -91,6 +91,13 @@ class TestGaussianConstruction:
         with pytest.raises(DimensionMismatchError):
             Mixture([comps[0], Gaussian(np.zeros(3), np.eye(3))], [0.5, 0.5])
 
+    def test_repr_names_the_class_its_count_and_dimension(self):
+        g = Gaussian(np.zeros(3), np.eye(3))
+        mix = Mixture([g, Gaussian(np.ones(3), 2.0 * np.eye(3))], [0.25, 0.75])
+        assert repr(g) == "Gaussian(k=1, dim=3)"
+        assert repr(mix.components[1]) == "Gaussian(k=1, dim=3)"
+        assert repr(mix) == "Mixture(k=2, dim=3)"
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -215,7 +222,7 @@ class TestQuadFormKernel:
         points = offset + rng.standard_normal((m, n)) @ chol.T
         means = offset + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
 
-        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points, k))
+        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points))
 
         ref = np.column_stack([_solved_norms(chol, points, mu) for mu in means])
         center = points.mean(axis=0)
@@ -251,7 +258,7 @@ class TestQuadFormKernel:
         points = offset + rng.standard_normal((m, n)) @ chol.T
         means = offset + (rng.uniform(0.0, 5.0, (k, 1)) * rng.standard_normal((k, n))) @ chol.T
 
-        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points, k))
+        got = _quad_forms(dtrtri(chol, lower=1)[0], means, _Workspace(points))
 
         ref = np.column_stack([_solved_norms(chol, points, mu) for mu in means])
         center = points.mean(axis=0)
@@ -260,19 +267,20 @@ class TestQuadFormKernel:
         assert np.all(np.abs(got - ref) <= c * np.finfo(float).eps * (1.0 + np.sqrt(lam[-1])) * scale)
 
     def test_kept_whitening_gives_the_bits_of_a_new_one(self):
-        # One `_Workspace` on the points, reused by factors with fewer means
-        # than its spare rows and with means that overflow, as a fit reuses it.
+        # One `_Workspace` on the points, reused by factors with fewer and
+        # more means than the first and with means that overflow, as a fit
+        # and the classifier's scoring reuse it.
         rng = np.random.default_rng(63)
         points = rng.standard_normal((50, 4))
-        work = _Workspace(points, 3)
+        work = _Workspace(points)
         centered = work.centered.copy()
-        for k in (3, 1, 2, 3):
+        for k in (3, 1, 2, 3, 5):
             chol = np.linalg.cholesky(np.eye(4) + 0.3 * np.ones((4, 4)))
             inv = dtrtri(chol, lower=1)[0]
             means = rng.standard_normal((k, 4))
             if k == 2:
                 means[1] = 1e160
-            assert np.array_equal(_quad_forms(inv, means, work), _quad_forms(inv, means, _Workspace(points, k)))
+            assert np.array_equal(_quad_forms(inv, means, work), _quad_forms(inv, means, _Workspace(points)))
         assert np.array_equal(work.centered, centered)
 
 
