@@ -13,11 +13,10 @@ covariance. Every state, the spherical start included, is built by
 iteration whatever k is, by the library's one condition check,
 `gaussians._checked_inverse`. A fit's model is its last state, so reading it
 back (the hybrid's lift, `test_loglik`) neither factors nor checks again.
-While a SHARED_FULL state has one factor, its E-step whitens no point
-(`_shared_e_step`): the part of the form every component shares cancels in
-the responsibilities and sums to a trace over the data's Gram matrix.
-Elsewhere (distinct covariances, a dead component's kept factor, a rescue,
-the public `e_step` and `test_loglik`) `_log_joint` whitens.
+A SHARED_FULL fit's E-step whitens no point (`_shared_e_step`): the part of
+the form every component shares cancels in the responsibilities and sums to
+a trace over the data's Gram matrix. Elsewhere (distinct covariances, a
+rescue, the public `e_step` and `test_loglik`) `_log_joint` whitens.
 
 Each entry point builds one `gaussians._Workspace`, over the array it was
 given (`rp_em`'s is on `train`). Every kernel reads its points from a
@@ -135,11 +134,9 @@ def _log_normalize(scores):
 
 def _e_step(params: Mixture, work):
     """Responsibilities and the total log-likelihood (log-space normalized)
-    of the points of the `_Workspace` `work`. In a workspace that keeps a
-    Gram matrix, a state with one factor takes `_shared_e_step`; any other
-    takes `_log_joint`.
-    """
-    if work.gram is not None and len(params._chols) == 1:
+    of the points of the `_Workspace` `work`, by `_shared_e_step` when `work`
+    keeps a Gram matrix (a state there has one factor), else `_log_joint`."""
+    if work.gram is not None:
         return _shared_e_step(params, work)
     resp, lse = _log_normalize(_log_joint(params, work))
     dead = np.flatnonzero(np.isneginf(lse))
@@ -183,8 +180,9 @@ def _shared_e_step(params: Mixture, work):
 
 def _m_step(resp, work, previous=None) -> Mixture:
     """M-step on arrays, over the points of the `_Workspace` `work`: one
-    pooled covariance when `work` keeps a Gram matrix, one per live
-    component otherwise."""
+    covariance pooled over every component when `work` keeps a Gram matrix,
+    one per live component otherwise. A dead component keeps `previous`'s
+    mean, and in the latter case its factor, at the weight floor."""
     data = work.points
     m, k = resp.shape
     counts = resp.sum(axis=0)
@@ -200,15 +198,10 @@ def _m_step(resp, work, previous=None) -> Mixture:
     # An overflow leaves a covariance that `_factor_and_invert` reports.
     with np.errstate(over="ignore", invalid="ignore"):
         if work.gram is not None:
-            # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over live i equals
-            # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar, once the dead
-            # components' share of G is taken out.
-            gram = work.gram
-            for i in dead:
-                weighted = np.multiply(resp[:, i][:, None], work.centered, out=work.weighted)
-                gram = gram - weighted.T @ work.centered
-            delta = means[live] - work.center
-            pooled = (gram - (counts[live][:, None] * delta).T @ delta) / m
+            # sum_i sum_j r_ji (x_j - mu_i)(x_j - mu_i)^T over every i equals
+            # G - sum_i N_i d_i d_i^T with d_i = mu_i - xbar.
+            delta = means - work.center
+            pooled = (work.gram - (counts[:, None] * delta).T @ delta) / m
             covs = [(pooled + pooled.T) / 2.0]
         else:
             covs = []
@@ -219,12 +212,12 @@ def _m_step(resp, work, previous=None) -> Mixture:
                 covs.append((cov + cov.T) / 2.0)
             owner[live] = np.arange(live.size)
     chols, invs = _factor_and_invert(covs)
-    kept = {}  # previous factor index -> new factor index
+    kept = {}  # FULL_DISTINCT's previous factor index -> its index after the new ones
     for i in dead:
         weights[i] = EMPTY_COMPONENT_FRACTION
         means[i] = previous.means[i]
-        owner[i] = kept.setdefault(previous._owner[i], len(covs) + len(kept))
-    # Kept factors follow the new ones, in the order the dead components use them.
+        if work.gram is None:
+            owner[i] = kept.setdefault(previous._owner[i], len(covs) + len(kept))
     covs += [previous._covs[f] for f in kept]
     chols += tuple(previous._chols[f] for f in kept)
     invs += tuple(previous._invs[f] for f in kept)
@@ -300,8 +293,9 @@ def m_step(
     """Re-estimate weights, means, and covariances from soft labels.
 
     An effectively empty component raises EmptyComponentError unless a
-    `previous` model is given, in which case the dead component keeps its
-    previous parameters and the run continues.
+    `previous` Mixture of k components in R^n is given: then the dead
+    component keeps its previous mean at the weight floor, with its previous
+    covariance under FULL_DISTINCT and the pooled one under SHARED_FULL.
     """
     restriction = CovarianceRestriction(restriction)
     resp = _as_float_array(resp, "resp", ndmin=2)
@@ -310,6 +304,10 @@ def m_step(
         raise ShapeMismatchError("responsibility rows != data rows")
     if data.shape[0] == 0:
         raise NotEnoughDataError("need at least 1 point, got 0")
+    k, n = resp.shape[1], data.shape[1]
+    if not (previous is None or (isinstance(previous, Mixture) and (previous.k, previous.dim) == (k, n))):
+        raise InvalidParameterError(
+            f"previous must be a Mixture of {k} components in R^{n}, got {previous!r}")
     work = _Workspace(data, restriction is CovarianceRestriction.SHARED_FULL)
     return _m_step(resp, work, previous)
 
@@ -327,7 +325,8 @@ def run_em(
     `tol` is a finite real >= 0; at 0 the fit runs all `max_iter` iterations.
 
     A component that empties is moved to the worst-explained point (at most
-    MAX_RESCUES times per fit); after that it keeps its previous parameters.
+    MAX_RESCUES times per fit); after that it is kept as `m_step` keeps a
+    dead component, so a SHARED_FULL state always has one covariance.
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
@@ -342,7 +341,7 @@ def run_em(
 def _fit(params, work, tol, max_iter, rescues) -> FitResult:
     """`run_em`'s loop from state `params` on the points of the `_Workspace`
     `work`. The first `rescues` empty components move to the worst-explained
-    point; later ones keep their previous parameters."""
+    point; later ones are kept as `_m_step` keeps a dead component."""
     trace = []
     while True:
         resp, ll = _e_step(params, work)

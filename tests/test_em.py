@@ -461,14 +461,12 @@ def _stacked_log_joint(model, data):
     return np.column_stack(columns)
 
 
-def _old_pooled(resp, data, dead=()):
-    """Reference: the pooled scatter as one weighted Gram per live component."""
+def _old_pooled(resp, data):
+    """Reference: the pooled scatter as one weighted Gram per component."""
     counts = resp.sum(axis=0)
     means = (resp.T @ data) / counts[:, None]
     pooled = np.zeros((data.shape[1], data.shape[1]))
     for i in range(resp.shape[1]):
-        if i in dead:
-            continue
         centered = data - means[i]
         pooled += (resp[:, i][:, None] * centered).T @ centered
     pooled /= data.shape[0]
@@ -504,6 +502,8 @@ class TestArrayCore:
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
     def test_log_joint_dead_component_keeps_previous_factor(self, restriction):
+        # Under SHARED_FULL the dead component keeps its mean and shares the
+        # pooled factor: the state still has one.
         data = self._data(35)
         rng = np.random.default_rng(36)
         work = _Workspace(data, shared=restriction is SHARED)
@@ -512,11 +512,15 @@ class TestArrayCore:
         resp[:, 1] = 0.0
         resp /= resp.sum(axis=1, keepdims=True)
         params = _m_step(resp, work, previous)
-        kept = previous._owner[1]
-        assert params._chols[params._owner[1]] is previous._chols[kept]
-        assert params._invs[params._owner[1]] is previous._invs[kept]
         assert np.array_equal(params.means[1], previous.means[1])
-        assert len(params._chols) == (2 if restriction is SHARED else 3)
+        if restriction is SHARED:
+            assert len(params._chols) == 1
+            assert np.array_equal(params._owner, [0, 0, 0])
+        else:
+            kept = previous._owner[1]
+            assert params._chols[params._owner[1]] is previous._chols[kept]
+            assert params._invs[params._owner[1]] is previous._invs[kept]
+            assert len(params._chols) == 3
         self._assert_matches_reference(params, data)
 
     def test_equal_covariances_share_a_factor(self):
@@ -537,13 +541,15 @@ class TestArrayCore:
         pooled = _m_step(resp, _Workspace(data, shared=True))._covs[0]
         ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # With a dead component its (tiny) responsibility share leaves the
-        # pooled scatter, as in the per-component sum.
+        # A dead component's (tiny) responsibility share stays in the pooled
+        # scatter, as in the per-component sum over every component.
         resp[:, 2] *= 5e-11
         resp /= resp.sum(axis=1, keepdims=True)
         previous = _m_step(rng.dirichlet(np.ones(4), size=200), _Workspace(data, shared=True))
-        pooled = _m_step(resp, _Workspace(data, shared=True), previous)._covs[0]
-        ref = _old_pooled(resp, data, dead=(2,))
+        params = _m_step(resp, _Workspace(data, shared=True), previous)
+        assert len(params._chols) == 1
+        pooled = params._covs[0]
+        ref = _old_pooled(resp, data)
         assert np.max(np.abs(pooled - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -794,7 +800,9 @@ def _solved_norms(chol, rows, center):
 
 class TestRescue:
     """A component that empties moves to the worst-explained point, at most
-    MAX_RESCUES times per fit; after that it keeps its previous parameters."""
+    MAX_RESCUES times per fit; after that it keeps its previous mean at the
+    weight floor, with its previous factor under FULL_DISTINCT and the pooled
+    one under SHARED_FULL."""
 
     OUTLIER = 100  # index of the one point far from both blobs
 
@@ -837,20 +845,29 @@ class TestRescue:
         # Such a rescue leaves the log-likelihood as it was, so a tol of 0
         # keeps the fit from stopping there as converged.
         data, start = self._start(monkeypatch, restriction, 1e-300)
+        whitened = []
+
+        def counted(*args):
+            whitened.append(args)
+            return gaussians._quad_forms(*args)
+
+        monkeypatch.setattr(em, "_quad_forms", counted)
         fit = run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
         assert fit.iterations == em.MAX_RESCUES + 1
         dead, live = fit.model.components[2], fit.model.components[:2]
         assert np.array_equal(dead.mean, data[self.OUTLIER])
-        assert np.array_equal(dead.covariance, start.components[2].covariance)
         assert fit.model.weights[2] == pytest.approx(em.EMPTY_COMPONENT_FRACTION, rel=1e-9)
         assert not np.array_equal(live[0].mean, start.means[0])
         params = fit.model
         if restriction is SHARED:
-            # The pooled factor of the live components and the kept one.
-            assert len(params._chols) == 2
+            # One pooled factor for every component, so every E-step is the
+            # shared one: only the rescues whiten, each through one factor.
+            assert len(params._chols) == 1
             assert np.array_equal(live[0].covariance, live[1].covariance)
-            assert not np.array_equal(live[0].covariance, dead.covariance)
+            assert np.array_equal(dead.covariance, live[0].covariance)
+            assert len(whitened) == em.MAX_RESCUES
         else:
+            assert np.array_equal(dead.covariance, start.components[2].covariance)
             assert len(params._chols) == 3
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
@@ -887,12 +904,14 @@ def _fresh(work):
 class TestWorkspace:
     """The one `_Workspace` of a fit changes no bit of a step: every
     log-joint and M-step of the fit equals the one computed in a fresh
-    workspace on the same points."""
+    workspace on the same points. A SHARED_FULL fit's log-joints are its
+    rescues'; its E-steps whiten no point."""
 
     @pytest.mark.parametrize("restriction", [FULL, SHARED])
     def test_every_step_of_a_rescued_fit_matches_a_fresh_workspace(self, monkeypatch, restriction):
-        # The fit of TestRescue: two rescues, then a dead component that
-        # keeps its factor, so that a SHARED_FULL state has two factors.
+        # The fit of TestRescue: two rescues, then a dead component that is
+        # kept, with its factor under FULL_DISTINCT and on the pooled one
+        # under SHARED_FULL.
         data, _ = TestRescue()._start(monkeypatch, restriction, 1e-300)
         log_joint, m_step = em._log_joint, em._m_step
         spaces = []
@@ -913,7 +932,7 @@ class TestWorkspace:
         monkeypatch.setattr(em, "_m_step", checked_m_step)
         fit = run_em(data, 3, restriction, 0, tol=0.0, max_iter=em.MAX_RESCUES + 1)
         assert fit.iterations == em.MAX_RESCUES + 1
-        assert len(fit.model._chols) == (2 if restriction is SHARED else 3)
+        assert len(fit.model._chols) == (1 if restriction is SHARED else 3)
         # The rescues' log-joints, and in FULL_DISTINCT every E-step's.
         log_joints = em.MAX_RESCUES + (0 if restriction is SHARED else fit.iterations + 1)
         assert len(spaces) > log_joints
@@ -1034,9 +1053,13 @@ class TestRpEm:
         model = fit.model
         assert np.array_equal(model.means[0], lifted.means[0])
         assert model.weights[0] == pytest.approx(em.EMPTY_COMPONENT_FRACTION, rel=1e-9)
-        assert np.array_equal(
-            model._chols[model._owner[0]], lifted._chols[lifted._owner[0]]
-        )
+        if restriction is SHARED:
+            # The emptied component shares the pooled factor.
+            assert len(model._chols) == 1
+        else:
+            assert np.array_equal(
+                model._chols[model._owner[0]], lifted._chols[lifted._owner[0]]
+            )
 
     @pytest.mark.parametrize("restriction", [SHARED, FULL])
     def test_low_dim_fit_runs_at_run_em_defaults(self, restriction):

@@ -8,7 +8,9 @@ argument (nan and inf included) in an InvalidParameterError naming it, an
 enum argument given as None, an int, bytes or a list in an
 InvalidParameterError, a seed that is neither an int >= 0 nor a
 SeedSequence in an InvalidParameterError naming the seed, a
-`tol` that is not a finite real >= 0 in an InvalidParameterError, a
+`tol` that is not a finite real >= 0 in an InvalidParameterError, an
+`m_step` `previous` that is not a Mixture of its k components in its
+dimension in an InvalidParameterError naming it, a
 separation or eccentricity that is not a finite real in an RpmixError, a
 covariance that overflows from finite input in a NonFiniteError naming the
 covariance, data whose centering overflows in PCA in a NonFiniteError, a
@@ -723,6 +725,22 @@ def test_tol_must_be_a_finite_real_at_least_zero(caller, tol):
 def test_zero_tol_runs_every_iteration():
     fit = run_em(DATA, 2, FULL, 0, tol=0, max_iter=7)
     assert fit.iterations == 7 and not fit.converged
+
+
+# m_step's `previous` that does not fit responsibilities of 3 components, the
+# last one dead, over DATA's 40 points in R^3
+BAD_PREVIOUS = {
+    "two-components": MODEL,
+    "in-R4": init_params(np.hstack([DATA, DATA[:, :1]]), 3, FULL, 0),
+    "str": "MODEL",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PREVIOUS))
+def test_m_step_previous_must_fit_the_responsibilities_and_data(case):
+    resp = np.column_stack([RESP, np.zeros(len(DATA))])
+    with pytest.raises(InvalidParameterError, match=r"^previous must be a Mixture of 3 components in R\^3, got "):
+        m_step(resp, DATA, FULL, BAD_PREVIOUS[case])
 
 
 # site -> (call, option it does not take): every caller runs it at one
