@@ -27,6 +27,10 @@ from .gaussians import (
 )
 from .projection import ProjectionMatrix, project_data, random_orthonormal
 
+# The least label a label-first CSV cannot round-trip: a label is read and
+# written as a double, and from 2**53 on not every integer is one.
+FILE_LABEL_BOUND = 2**53
+
 
 def _int64_valued(values):
     """Where the floats `values` are integers that int64 holds."""
@@ -141,16 +145,26 @@ def _ingest(path):
         raise ParseError(f"{path}: line {linenos[0]}: no feature values")
     labels = table[:, 0]
     whole = _int64_valued(labels)
-    bad = ~whole | (labels < 0)
+    bad = ~whole | (labels < 0) | (labels >= FILE_LABEL_BOUND)
     if bad.any():
         row = int(np.argmax(bad))
-        why = "is negative" if whole[row] else "is not an integer that int64 holds"
+        if not whole[row]:
+            why = "is not an integer that int64 holds"
+        elif labels[row] < 0:
+            why = "is negative"
+        else:
+            why = "is not below 2**53, so it may not be the label written"
         raise ParseError(f"{path}: line {linenos[row]}: label {float(labels[row])!r} {why}")
     return LabeledDataset(table[:, 1:], labels.astype(int)), raw
 
 
 def save_labeled(data: LabeledDataset, path):
-    """Write the label-first CSV format read by `ingest` (round-trips exactly)."""
+    """Write the label-first CSV format read by `ingest` (round-trips exactly).
+    A label of 2**53 or more, which the file cannot hold exactly, raises
+    InvalidParameterError before the file is opened."""
+    top = int(data.labels.max(initial=0))
+    if top >= FILE_LABEL_BOUND:
+        raise InvalidParameterError(f"label {top} is not below 2**53, so a label-first CSV cannot hold it")
     save_dataset(np.column_stack((data.labels, data.points)), path)
 
 

@@ -78,7 +78,14 @@ def _write_all(outputs):
     of a direct write. The names move into place once every save is done, so
     a target that is a directory fails first, as a rename onto it would fail
     after the earlier ones. A failure removes the names, and an OSError names
-    the target, not its stand-in."""
+    the target, not its stand-in. Two paths that name one file (the same
+    `os.path.realpath`) raise RpmixError before anything is staged."""
+    seen = set()
+    for _, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise RpmixError(f"two outputs name one file: {path}")
+        seen.add(real)
     staged = []
     try:
         for save, path in outputs:

@@ -6,13 +6,14 @@ covariance (SHARED_FULL). The hybrid projects the data randomly, runs EM
 to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
 
-Each state of a fit is a `Mixture`, whose arrays are the weights, the means,
-and one covariance with its Cholesky factor L and L^-1 per *distinct*
-covariance. Every state, the spherical start included, is built by
-`_factor_and_invert`, so a shared covariance is factored and checked once per
-iteration whatever k is, by the library's one condition check,
-`gaussians._checked_inverse`. A fit's model is its last state, so reading it
-back (the hybrid's lift, `test_loglik`) neither factors nor checks again.
+Each state of a fit is a `Mixture`: the weights, the means, and covariances
+with their Cholesky factors L and L^-1, one per component under FULL_DISTINCT
+and one in all under SHARED_FULL (the spherical start has one per distinct
+variance). Every state is built whole by one `_factor_and_invert` call, so a
+shared covariance is factored and checked once per iteration whatever k is,
+by the library's one condition check, `gaussians._checked_inverse`. A fit's
+model is its last state, so reading it back (the hybrid's lift,
+`test_loglik`) neither factors nor checks again.
 A SHARED_FULL fit's E-step whitens no point (`_shared_e_step`): the part of
 the form every component shares cancels in the responsibilities and sums to
 a trace over the data's Gram matrix. Elsewhere (distinct covariances, a
@@ -181,20 +182,19 @@ def _shared_e_step(params: Mixture, work):
 def _m_step(resp, work, previous=None) -> Mixture:
     """M-step on arrays, over the points of the `_Workspace` `work`: one
     covariance pooled over every component when `work` keeps a Gram matrix,
-    one per live component otherwise. A dead component keeps `previous`'s
-    mean, and in the latter case its factor, at the weight floor."""
+    one per component otherwise. A dead component keeps `previous`'s mean at
+    the weight floor, and in the latter case its covariance, factored again."""
     data = work.points
     m, k = resp.shape
     counts = resp.sum(axis=0)
     is_dead = counts < EMPTY_COMPONENT_FRACTION * m
-    dead, live = np.flatnonzero(is_dead), np.flatnonzero(~is_dead)
+    dead = np.flatnonzero(is_dead)
     if dead.size and previous is None:
         raise EmptyComponentError(dead)
 
     weights = counts / m
     safe_counts = np.where(counts > 0, counts, 1.0)
     means = (resp.T @ data) / safe_counts[:, None]
-    owner = np.zeros(k, dtype=int)
     # An overflow leaves a covariance that `_factor_and_invert` reports.
     with np.errstate(over="ignore", invalid="ignore"):
         if work.gram is not None:
@@ -203,24 +203,22 @@ def _m_step(resp, work, previous=None) -> Mixture:
             delta = means - work.center
             pooled = (work.gram - (counts[:, None] * delta).T @ delta) / m
             covs = [(pooled + pooled.T) / 2.0]
+            owner = np.zeros(k, dtype=int)
         else:
             covs = []
-            for i in live:
+            for i in range(k):
+                if is_dead[i]:
+                    covs.append(previous._covs[previous._owner[i]])
+                    continue
                 diff = np.subtract(data, means[i], out=work.diff)
                 weighted = np.multiply(resp[:, i][:, None], diff, out=work.weighted)
                 cov = weighted.T @ diff / counts[i]
                 covs.append((cov + cov.T) / 2.0)
-            owner[live] = np.arange(live.size)
+            owner = np.arange(k)
     chols, invs = _factor_and_invert(covs)
-    kept = {}  # FULL_DISTINCT's previous factor index -> its index after the new ones
     for i in dead:
         weights[i] = EMPTY_COMPONENT_FRACTION
         means[i] = previous.means[i]
-        if work.gram is None:
-            owner[i] = kept.setdefault(previous._owner[i], len(covs) + len(kept))
-    covs += [previous._covs[f] for f in kept]
-    chols += tuple(previous._chols[f] for f in kept)
-    invs += tuple(previous._invs[f] for f in kept)
     return Mixture._of(weights / weights.sum(), means, covs, chols, owner, invs)
 
 
@@ -295,7 +293,8 @@ def m_step(
     An effectively empty component raises EmptyComponentError unless a
     `previous` Mixture of k components in R^n is given: then the dead
     component keeps its previous mean at the weight floor, with its previous
-    covariance under FULL_DISTINCT and the pooled one under SHARED_FULL.
+    covariance, factored again, under FULL_DISTINCT and the pooled one under
+    SHARED_FULL.
     """
     restriction = CovarianceRestriction(restriction)
     resp = _as_float_array(resp, "resp", ndmin=2)
@@ -325,7 +324,7 @@ def run_em(
     `tol` is a finite real >= 0; at 0 the fit runs all `max_iter` iterations.
 
     A component that empties is moved to the worst-explained point (at most
-    MAX_RESCUES times per fit); after that it is kept as `m_step` keeps a
+    MAX_RESCUES times per fit); after that it stays as `m_step` keeps a
     dead component, so a SHARED_FULL state always has one covariance.
     """
     restriction = CovarianceRestriction(restriction)
@@ -341,7 +340,7 @@ def run_em(
 def _fit(params, work, tol, max_iter, rescues) -> FitResult:
     """`run_em`'s loop from state `params` on the points of the `_Workspace`
     `work`. The first `rescues` empty components move to the worst-explained
-    point; later ones are kept as `_m_step` keeps a dead component."""
+    point; later ones stay as `_m_step` keeps a dead component."""
     trace = []
     while True:
         resp, ll = _e_step(params, work)

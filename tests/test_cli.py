@@ -203,6 +203,31 @@ def test_later_output_in_a_missing_directory_writes_nothing(tmp_path, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "train.csv"]
 
 
+# Each command with two outputs, both named for one file: the later write
+# would replace the earlier one's contents.
+SAME_FILE_OUTPUTS = {
+    "synth": ["synth", "--n", 4, "--k", 2, "--c", 1.0, "--samples", 5, "--out", "m.json",
+              "--data-out", "./m.json"],
+    "project": ["project", "--n", 4, "--d", 2, "--data", "data.csv", "--out", "p.json",
+                "--data-out", "p.json"],
+    "em": ["em", "--data", "data.csv", "--k", 2, "--restriction", "shared", "--out", "fit.json",
+           "--trace-out", "fit.json"],
+    "classify": ["classify", "--train", "train.csv", "--d", 2, "--per-class-k", 1,
+                 "--analysis-out", "a.csv", "--raw-analysis-out", "a.csv"],
+}
+
+
+@pytest.mark.parametrize("command", SAME_FILE_OUTPUTS.values(), ids=SAME_FILE_OUTPUTS.keys())
+def test_two_outputs_that_name_one_file_write_nothing(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    data = np.random.default_rng(0).standard_normal((40, 4))
+    np.savetxt("data.csv", data, delimiter=",")
+    save_labeled(LabeledDataset(data, np.arange(40) % 2), "train.csv")
+    assert run_cli(command) == 1
+    assert capsys.readouterr() == ("", f"error: two outputs name one file: {command[-1]}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "train.csv"]
+
+
 # An output flag whose input is not given: the command would otherwise
 # succeed without the file.
 ORPHAN_OUTPUTS = {

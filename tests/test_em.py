@@ -517,10 +517,34 @@ class TestArrayCore:
             assert len(params._chols) == 1
             assert np.array_equal(params._owner, [0, 0, 0])
         else:
-            kept = previous._owner[1]
-            assert params._chols[params._owner[1]] is previous._chols[kept]
-            assert params._invs[params._owner[1]] is previous._invs[kept]
+            # The previous covariance is factored again: the same bits.
+            f, g = params._owner[1], previous._owner[1]
+            assert np.array_equal(params._covs[f], previous._covs[g])
+            assert np.array_equal(params._chols[f], previous._chols[g])
+            assert np.array_equal(params._invs[f], previous._invs[g])
             assert len(params._chols) == 3
+        self._assert_matches_reference(params, data)
+
+    def test_dead_components_that_shared_a_factor_get_one_each(self):
+        # A FULL_DISTINCT state is factored whole, one factor per component:
+        # two dead components whose previous covariance was one factor get
+        # two, each with that factor's bits.
+        data = self._data(40)
+        rng = np.random.default_rng(41)
+        a, b = _spd(5, 10.0, 42), _spd(5, 20.0, 43)
+        previous = Mixture([Gaussian(data[0], a), Gaussian(data[1], a), Gaussian(data[2], b)],
+                           [0.3, 0.3, 0.4])
+        assert np.array_equal(previous._owner, [0, 0, 1])
+        resp = rng.dirichlet(np.ones(3), size=data.shape[0])
+        resp[:, :2] = 0.0
+        resp /= resp.sum(axis=1, keepdims=True)
+        params = _m_step(resp, _Workspace(data), previous)
+        assert len(params._chols) == 3
+        assert np.array_equal(params._owner, [0, 1, 2])
+        for i in (0, 1):
+            assert np.array_equal(params._chols[i], previous._chols[0])
+            assert np.array_equal(params._invs[i], previous._invs[0])
+            assert np.array_equal(params.means[i], previous.means[i])
         self._assert_matches_reference(params, data)
 
     def test_equal_covariances_share_a_factor(self):

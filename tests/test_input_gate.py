@@ -26,7 +26,9 @@ in a subspace, k = m or m - 1 for m points, k far above the dimension),
 gives a finite log-likelihood trace or an RpmixError. A point set with no
 rows gives an empty result or a NotEnoughDataError, never a warning, and a
 writer given an array with no values raises NotEnoughDataError and leaves
-no file."""
+no file. A label of 2**53 or more, which a label-first CSV cannot hold
+exactly, is a ParseError naming its line when read and an
+InvalidParameterError before the file opens when written."""
 
 import dataclasses
 import inspect
@@ -571,6 +573,29 @@ def test_ingested_negative_label_names_its_line(tmp_path, label):
     path = write_text(tmp_path / "labels.csv", f"0,1.0,2.0\n1,2.0,1.0\n{label},3.0,4.0\n")
     with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 3: label -\d\.0 is negative$"):
         ingest(path)
+
+
+# A label-first CSV holds labels as doubles, which from 2**53 on skip
+# integers: 2**53 + 1 reads as 2**53, and 2**60 + 1 is written as 2**60.
+@pytest.mark.parametrize("label", ["9007199254740992", "9007199254740993", "1152921504606846977"])
+def test_ingested_label_from_2_53_on_names_its_line(tmp_path, label):
+    path = write_text(tmp_path / "labels.csv", f"0,1.0,2.0\n{label},2,2\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: label \S+ is not below 2\*\*53"):
+        ingest(path)
+
+
+@pytest.mark.parametrize("label", [2**53, 2**60 + 1])
+def test_saved_label_from_2_53_on_is_refused_before_the_file_opens(tmp_path, label):
+    path = tmp_path / "labels.csv"
+    with pytest.raises(InvalidParameterError, match=rf"^label {label} is not below 2\*\*53"):
+        save_labeled(LabeledDataset(np.zeros((2, 3)), [label, 0]), path)
+    assert not path.exists()
+
+
+def test_label_below_2_53_round_trips(tmp_path):
+    path = tmp_path / "labels.csv"
+    save_labeled(LabeledDataset(np.zeros((2, 3)), [2**53 - 1, 0]), path)
+    assert ingest(path).labels.tolist() == [2**53 - 1, 0]
 
 
 # case -> (label-first CSV text, the error that names its line)
