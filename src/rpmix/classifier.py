@@ -196,11 +196,14 @@ def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMi
 
 def _class_scores(model: ClassMixtureModel, points):
     """Best per-class Gaussian log-score, plus the class log prior, for every
-    row of `points`."""
+    row of `points`. Each row maximum is taken over a Fortran-ordered copy of
+    the log-joint, as `em._log_normalize` takes it: the same value, several
+    times faster over rows of k entries."""
     work = _Workspace(project_data(model.projection, points))
     scores = np.empty((len(work.points), len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
-        scores[:, cls] = _log_joint(mix, work).max(axis=1) + np.log(model.class_priors[cls])
+        best = np.asfortranarray(_log_joint(mix, work)).max(axis=1)
+        scores[:, cls] = best + np.log(model.class_priors[cls])
     return scores
 
 

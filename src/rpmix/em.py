@@ -67,6 +67,8 @@ from .projection import project_data, random_orthonormal
 
 EMPTY_COMPONENT_FRACTION = 1e-10
 MAX_RESCUES = 2
+TINY = np.finfo(float).tiny  # the smallest normal double
+LOWEST = -np.finfo(float).max  # the lowest finite double
 
 
 class CovarianceRestriction(_ParameterEnum):
@@ -115,7 +117,16 @@ def _log_joint(params: Mixture, work) -> np.ndarray:
 def _log_normalize(scores):
     """Row-normalized exp(scores) and the log-sum-exp of each row, both
     computed after subtracting the row maximum. A row that is -inf under
-    every component has a log-sum of -inf and responsibilities of zero.
+    every component has a log-sum of -inf and responsibilities of zero: it
+    is shifted by the lowest finite double instead, so its exponentials are
+    0, and its total is raised to 1, which no other row's total is below
+    (its largest term is exp(0) = 1), so there is no 0/0.
+
+    The maximum is taken over a Fortran-ordered copy, where numpy reduces
+    the short rows a column at a time, several times faster; a maximum is
+    exact in any order. The row sums stay on the C-ordered array: there
+    numpy groups the terms of a long row (k >= 8) otherwise, and the
+    log-sums would move in the last bit.
 
     A responsibility below the smallest normal double is set to exactly 0:
     as a subnormal it would slow every product of an M-step that weights the
@@ -123,13 +134,11 @@ def _log_normalize(scores):
     no value in (0, tiny) is left, and the row totals are summed as before,
     so the log-sums keep their bits.
     """
-    top = scores.max(axis=1, keepdims=True)
-    dead = np.isneginf(top)
-    shifted = np.exp(scores - np.where(dead, 0.0, top))
-    total = shifted.sum(axis=1, keepdims=True)
-    total[dead] = 1.0  # not 0, so no 0/0; the row's log-sum is top = -inf
+    top = np.asfortranarray(scores).max(axis=1, keepdims=True)
+    shifted = np.exp(scores - np.maximum(top, LOWEST))
+    total = np.maximum(shifted.sum(axis=1, keepdims=True), 1.0)
     resp = shifted / total
-    resp[resp < np.finfo(float).tiny] = 0.0
+    resp[resp < TINY] = 0.0
     return resp, (np.log(total) + top)[:, 0]
 
 
@@ -174,7 +183,7 @@ def _shared_e_step(params: Mixture, work):
         resp, lse = _log_normalize(scores)
         lower = dlauum(inv, lower=1)[0]
         g = work.gram
-        trace = 2.0 * np.vdot(lower, g) - np.vdot(np.diag(lower), np.diag(g))
+        trace = 2.0 * np.vdot(lower, g) - np.vdot(lower.diagonal(), g.diagonal())
         m = work.centered.shape[0]
         return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
 
@@ -188,7 +197,7 @@ def _m_step(resp, work, previous=None) -> Mixture:
     m, k = resp.shape
     counts = resp.sum(axis=0)
     is_dead = counts < EMPTY_COMPONENT_FRACTION * m
-    dead = np.flatnonzero(is_dead)
+    dead = is_dead.nonzero()[0]
     if dead.size and previous is None:
         raise EmptyComponentError(dead)
 
@@ -229,7 +238,8 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     covariance is spherical with variance min_j ||mu_j - mu_i||^2 / (2n).
     Under the shared restriction the smallest of these variances is used
     for every component. The start holds one spherical factor per distinct
-    initial variance.
+    initial variance. Data with no columns raises NotEnoughDataError naming
+    its shape.
     """
     restriction = CovarianceRestriction(restriction)
     data = _as_float_array(data, "data", ndmin=2)
@@ -237,6 +247,8 @@ def init_params(data, k: int, restriction: CovarianceRestriction, seed) -> Mixtu
     k = _int_at_least(k, "k", 1)
     if m < k:
         raise NotEnoughDataError(f"need at least {k} points, got {m}")
+    if data.shape[1] == 0:
+        raise NotEnoughDataError(f"data has no values: shape {data.shape}")
     rng = np.random.default_rng(_seed_sequence(seed))
     centers = data[rng.choice(m, size=k, replace=False)]
     # A distance that overflows leaves a covariance that `_factor_and_invert` reports.
@@ -294,7 +306,8 @@ def m_step(
     `previous` Mixture of k components in R^n is given: then the dead
     component keeps its previous mean at the weight floor, with its previous
     covariance, factored again, under FULL_DISTINCT and the pooled one under
-    SHARED_FULL.
+    SHARED_FULL. Data with no columns raises NotEnoughDataError naming its
+    shape.
     """
     restriction = CovarianceRestriction(restriction)
     resp = _as_float_array(resp, "resp", ndmin=2)
@@ -303,6 +316,8 @@ def m_step(
         raise ShapeMismatchError("responsibility rows != data rows")
     if data.shape[0] == 0:
         raise NotEnoughDataError("need at least 1 point, got 0")
+    if data.shape[1] == 0:
+        raise NotEnoughDataError(f"data has no values: shape {data.shape}")
     k, n = resp.shape[1], data.shape[1]
     if not (previous is None or (isinstance(previous, Mixture) and (previous.k, previous.dim) == (k, n))):
         raise InvalidParameterError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -19,8 +20,7 @@ from numbers import Integral, Real
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg import cholesky
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import (
     DimensionMismatchError,
@@ -37,6 +37,8 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 FLOAT_FMT = "%.17g"  # round-trips doubles; prints integers below 2**53 without a point
 
@@ -290,13 +292,15 @@ def _symmetrized(cov):
 def _cholesky(cov):
     """The library's one Cholesky factoring: the lower factor L of a
     symmetric covariance, NotPositiveDefiniteError where it has none and
-    NonFiniteError where it holds a non-finite entry."""
-    try:
-        return cholesky(cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    except ValueError as exc:  # `cholesky`'s finite check
-        raise NonFiniteError("covariance overflows") from exc
+    NonFiniteError where it holds a non-finite entry. It calls LAPACK's
+    `dpotrf` on a copy, as scipy's `cholesky` does, without its wrapper's
+    checks, so the factor has that function's bits and its message."""
+    if not np.isfinite(cov).all():
+        raise NonFiniteError("covariance overflows")
+    chol, info = dpotrf(cov, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"{info}-th leading minor of the array is not positive definite")
+    return chol
 
 
 def _checked_inverse(cov, chol):
@@ -314,11 +318,11 @@ def _checked_inverse(cov, chol):
     no verdict depends on it.
     """
     inv, info = dtrtri(chol, lower=1)
-    inv_sq = np.einsum("ij,ij->", inv, inv)
-    if info != 0 or not np.isfinite(inv_sq):
+    inv_sq = float(np.einsum("ij,ij->", inv, inv))
+    if info != 0 or not math.isfinite(inv_sq):
         raise IllConditionedError("covariance inverse has a non-finite trace")
     with np.errstate(over="ignore"):  # tr(Sigma) * tr(Sigma^-1)
-        bound = np.trace(cov) * inv_sq
+        bound = cov.trace() * inv_sq
     if not bound < CONDITION_LIMIT / 10:
         lam = eigvalsh(cov)
         cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
@@ -380,8 +384,9 @@ def _quad_forms(inv, means, work):
         y = np.matmul(work.centered, inv.T, out=work.product)
         mu = (means - work.center) @ inv.T
         quad = np.einsum("ij,ij->i", y, y)[:, None] - 2.0 * (y @ mu.T) + np.einsum("ij,ij->i", mu, mu)
-        j, i = np.nonzero(~np.isfinite(quad))
-        if j.size:
+        bad = ~np.isfinite(quad)
+        if bad.any():
+            j, i = np.nonzero(bad)
             w = (work.points[j] - means[i]) @ inv.T
             quad[j, i] = np.einsum("ij,ij->i", w, w)
     return quad
@@ -390,8 +395,8 @@ def _quad_forms(inv, means, work):
 def _log_normalizer(chol):
     """-(n log 2 pi + log det Sigma) / 2 for Sigma = L L^T, the log-density's
     constant, evaluated as -n log(2 pi) / 2 - log det Sigma / 2."""
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * chol.shape[0] * np.log(2.0 * np.pi) - 0.5 * log_det
+    log_det = 2.0 * np.log(chol.diagonal()).sum()
+    return -0.5 * chol.shape[0] * LOG_2PI - 0.5 * log_det
 
 
 def _one_component(g, name="g"):

@@ -237,6 +237,31 @@ class TestEStep:
         # The unflushed formula's log-sums, bit for bit.
         assert np.array_equal(lse, (np.log(total) + top)[:, 0])
 
+    @staticmethod
+    def _reference_normalize(scores):
+        """The row normalization with a C-ordered maximum, `np.isneginf` and
+        an explicit dead-row total, against which the kernel is pinned."""
+        top = scores.max(axis=1, keepdims=True)
+        dead = np.isneginf(top)
+        shifted = np.exp(scores - np.where(dead, 0.0, top))
+        total = shifted.sum(axis=1, keepdims=True)
+        total[dead] = 1.0
+        resp = shifted / total
+        resp[resp < np.finfo(float).tiny] = 0.0
+        return resp, (np.log(total) + top)[:, 0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 17])
+    def test_normalizing_keeps_the_reference_bits(self, k):
+        rng = np.random.default_rng(100 + k)
+        scores = rng.standard_normal((325, k)) * 300.0
+        scores[rng.random((325, k)) < 0.2] = -np.inf  # rows holding -inf entries
+        scores[[7, 40]] = -np.inf  # rows that are -inf everywhere
+        resp, lse = em._log_normalize(scores)
+        want_resp, want_lse = self._reference_normalize(scores)
+        assert np.array_equal(resp, want_resp)
+        assert np.array_equal(lse, want_lse)
+        assert lse[7] == lse[40] == -np.inf and not resp[[7, 40]].any()
+
 
 class TestMStep:
     def test_hard_labels_give_cluster_stats(self):

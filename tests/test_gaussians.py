@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from rpmix import (
     Gaussian,
@@ -47,6 +47,31 @@ from rpmix.synthesis import CovarianceMode, MixtureSpec, make_mixture
 def random_rotation(n, seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+class TestCholesky:
+    """`gaussians._cholesky` calls LAPACK's `dpotrf` itself; it keeps the
+    factor, the errors and the message of scipy's `cholesky`."""
+
+    @pytest.mark.parametrize("n", [1, 3, 40, 200])
+    def test_factor_is_scipy_cholesky_bit_for_bit(self, n):
+        a = np.random.default_rng(n).standard_normal((n + 5, n))
+        cov = a.T @ a / (n + 5)
+        cov = (cov + cov.T) / 2.0
+        assert np.array_equal(gaussians._cholesky(cov), cholesky(cov, lower=True))
+
+    def test_second_leading_minor_is_named(self):
+        cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^2-th leading minor of the array is not positive definite$"):
+            gaussians._cholesky(cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_overflows(self, bad):
+        cov = np.eye(3)
+        cov[2, 1] = cov[1, 2] = bad
+        with pytest.raises(NonFiniteError, match="^covariance overflows$"):
+            gaussians._cholesky(cov)
 
 
 class TestGaussianConstruction:
@@ -782,9 +807,9 @@ class TestOneLayout:
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return cholesky(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(gaussians, "cholesky", counted)
+        monkeypatch.setattr(gaussians, "dpotrf", counted)
         mix = make_mixture(MixtureSpec(n=350, k=300, c=1.0))
         assert calls == [(350, 350)]
         project_mixture(random_orthonormal(350, 57, 0), mix)
@@ -796,9 +821,9 @@ class TestOneLayout:
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
-            return cholesky(*args, **kwargs)
+            return dpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(gaussians, "cholesky", counted)
+        monkeypatch.setattr(gaussians, "dpotrf", counted)
         components = mix.components
         assert calls == []
         for g in components:

@@ -24,7 +24,8 @@ an RpmixError, an undecodable byte included, and a fit of points at a scale
 from 1e-320 to 1e296, or of degenerate data or k (duplicate points, points
 in a subspace, k = m or m - 1 for m points, k far above the dimension),
 gives a finite log-likelihood trace or an RpmixError. A point set with no
-rows gives an empty result or a NotEnoughDataError, never a warning, and a
+rows gives an empty result or a NotEnoughDataError, never a warning, EM
+data with no columns raises NotEnoughDataError naming its shape, and a
 writer given an array with no values raises NotEnoughDataError and leaves
 no file. A label of 2**53 or more, which a label-first CSV cannot hold
 exactly, is a ParseError naming its line when read and an
@@ -1030,6 +1031,23 @@ def test_test_loglik_of_no_rows_agrees_with_e_step(name):
         for call in (e_step, held_out_loglik):
             with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
                 call(MODEL, points)
+
+
+# EM entry -> call on 5 points with no columns
+NO_COLUMN_FITS = {
+    **{f"run_em-{r.value}-k={k}": partial(run_em, np.zeros((5, 0)), k, r, 0)
+       for r in CovarianceRestriction for k in (1, 2)},
+    **{f"init_params-{r.value}": partial(init_params, np.zeros((5, 0)), 2, r, 0) for r in CovarianceRestriction},
+    **{f"m_step-{r.value}": partial(m_step, np.full((5, 2), 0.5), np.zeros((5, 0)), r)
+       for r in CovarianceRestriction},
+}
+
+
+@pytest.mark.parametrize("name", NO_COLUMN_FITS)
+def test_em_data_with_no_columns_raises_naming_its_shape(name, capfd):
+    with pytest.raises(NotEnoughDataError, match=r"^data has no values: shape \(5, 0\)$"):
+        NO_COLUMN_FITS[name]()
+    assert capfd.readouterr() == ("", "")  # LAPACK printed nothing
 
 
 # writer -> call with a path writing an array that has no values

@@ -1,6 +1,7 @@
 """`tools/verdicts.py` on a fake experiment registry: it writes its file and
-exits 1 where a report of one seed depends on the worker count. No test
-here starts a process."""
+exits 1 where a report of one seed depends on the worker count, or, with
+`--against`, where a digest or a criterion set differs from an earlier
+file's. No test here starts a process."""
 
 import importlib.util
 import json
@@ -30,10 +31,10 @@ def fake_body(rows_of_threads):
     return body
 
 
-def run_main(monkeypatch, tmp_path, body):
+def run_main(monkeypatch, tmp_path, body, *options):
     monkeypatch.setattr(experiments, "EXPERIMENTS", {"fake": (body, {"threads": None})})
     monkeypatch.setattr(verdicts, "CHECKOUT", tmp_path)
-    code = verdicts.main(["--label", "test"])
+    code = verdicts.main(["--label", "test", *options])
     return code, json.loads((tmp_path / "VERDICTS_test.json").read_text())
 
 
@@ -64,3 +65,31 @@ def test_consistent_reports_exit_0(monkeypatch, tmp_path, capsys):
 ], ids=["one-route", "one-seed-split"])
 def test_worker_count_splits(digests, splits):
     assert verdicts.worker_count_splits(digests) == splits
+
+
+def test_against_an_equal_file_exits_0(monkeypatch, tmp_path, capsys):
+    body = fake_body(lambda threads: 1.0)
+    _, document = run_main(monkeypatch, tmp_path, body)
+    earlier = tmp_path / "VERDICTS_earlier.json"
+    earlier.write_text(json.dumps(document))
+    assert run_main(monkeypatch, tmp_path, body, "--against", str(earlier))[0] == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_against_a_changed_digest_exits_1_and_names_it(monkeypatch, tmp_path, capsys):
+    body = fake_body(lambda threads: 1.0)
+    _, document = run_main(monkeypatch, tmp_path, body)
+    document["digests"]["fake"]["seed=7 threads=1"] = "0" * 64
+    earlier = tmp_path / "VERDICTS_earlier.json"
+    earlier.write_text(json.dumps(document))
+    assert run_main(monkeypatch, tmp_path, body, "--against", str(earlier))[0] == 1
+    assert capsys.readouterr().err == f"against {earlier}: fake at seed=7 threads=1: the report digest differs\n"
+
+
+def test_differences_compare_criteria_set_for_set():
+    one = {"base_seed": 0, "ok": True, "stats": {"x": 1.5}, "line": "[criterion 1] PASS"}
+    document = {"digests": {}, "criteria": {"criterion 1": {"sets": [one, dict(one, ok=False)]}}}
+    against = {"digests": {}, "criteria": {"criterion 1": {"sets": [one, one, one]}}}
+    assert verdicts.differences(document, against) == ["criterion 1 set 1: the verdict set differs"]
+    # No criteria part in one of them: only the digests are compared.
+    assert verdicts.differences({"digests": {}}, against) == []

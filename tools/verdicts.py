@@ -1,7 +1,7 @@
 """Report digests, verdict distributions and the environment, in one file at
 the root of the checkout.
 
-    python3 tools/verdicts.py --label L [--sets K]
+    python3 tools/verdicts.py --label L [--sets K] [--against VERDICTS_<B>.json]
 
 writes VERDICTS_<L>.json from the program's sources under src/, in up to
 three parts:
@@ -25,6 +25,12 @@ three parts:
   seed plus i times its trial count (`criteria.CRITERIA`), so set 0 gives
   the `[criterion N]` lines of the Tier-1 run. Ten sets of the nine
   criteria took 2 min 50 s on two cores.
+
+With `--against FILE`, the file written is compared with FILE, an earlier
+VERDICTS file: each report whose digest differs from FILE's (or that only
+one of the two holds) is named, and when both files have a criteria part,
+so is each set, at an index both hold, that differs. Any difference exits
+1, after writing the file.
 """
 
 import argparse
@@ -78,6 +84,24 @@ def worker_count_splits(digests):
     ]
 
 
+def differences(document, against):
+    """A line for each report whose digest differs between the VERDICTS
+    documents `document` and `against`, and, when both have a criteria part,
+    for each criterion set at an index both hold that differs."""
+    lines = []
+    ours, theirs = document["digests"], against["digests"]
+    for name in sorted(ours.keys() | theirs.keys()):
+        runs, other = ours.get(name, {}), theirs.get(name, {})
+        lines += [f"{name} at {key}: the report digest differs"
+                  for key in sorted(runs.keys() | other.keys()) if runs.get(key) != other.get(key)]
+    if "criteria" in document and "criteria" in against:
+        ours, theirs = document["criteria"], against["criteria"]
+        for name in sorted(ours.keys() | theirs.keys()):
+            sets = zip(ours.get(name, {}).get("sets", []), theirs.get(name, {}).get("sets", []))
+            lines += [f"{name} set {i}: the verdict set differs" for i, (a, b) in enumerate(sets) if a != b]
+    return lines
+
+
 def verdict_sets(sets):
     """{"criterion N": {"trials": T, "passed": count, "sets": [...]}}, each set
     with its base seed, verdict, gated statistics and line."""
@@ -100,9 +124,14 @@ def main(argv=None):
         "--sets", type=int, default=0, metavar="K",
         help="run each acceptance criterion at K base seeds (default 0: none)",
     )
+    parser.add_argument(
+        "--against", type=Path, metavar="FILE",
+        help="compare the file written with this earlier VERDICTS file; exit 1 on any difference",
+    )
     args = parser.parse_args(argv)
     if args.sets < 0:
         parser.error(f"--sets must be >= 0, got {args.sets}")
+    against = None if args.against is None else json.loads(args.against.read_text())
     env = environment()
     digests, trials = report_digests()
     document = {"digests": digests, "trials": trials, "environment": env}
@@ -117,7 +146,11 @@ def main(argv=None):
     splits = worker_count_splits(digests)
     for name, seed in splits:
         print(f"{name} at {seed}: the report depends on the worker count", file=sys.stderr)
-    return 1 if splits else 0
+    # The file is read back, so that both sides are what JSON holds.
+    changed = [] if against is None else differences(json.loads(out.read_text()), against)
+    for line in changed:
+        print(f"against {args.against}: {line}", file=sys.stderr)
+    return 1 if splits or changed else 0
 
 
 if __name__ == "__main__":
