@@ -14,7 +14,9 @@ so both are mapped by then. Where none is found (another BLAS, or no `/proc`),
 the scope changes nothing.
 
 `environment()` records the setting that a run's numbers were measured in:
-these thread counts among them.
+these thread counts among them, and the kernel each copy picked for the CPU.
+Reports replay byte for byte on one kernel: another kernel may round a
+product differently.
 """
 
 from __future__ import annotations
@@ -55,12 +57,16 @@ def _symbol(lib, name):
     return None
 
 
+def _libraries():
+    """A handle on each mapped OpenBLAS."""
+    return [ctypes.CDLL(path) for path in _mapped_openblas_paths()]
+
+
 @functools.cache
 def openblas_controls():
     """(get_num_threads, set_num_threads) for each mapped OpenBLAS."""
     controls = []
-    for path in _mapped_openblas_paths():
-        lib = ctypes.CDLL(path)
+    for lib in _libraries():
         get, set_ = _symbol(lib, "get_num_threads"), _symbol(lib, "set_num_threads")
         if get is None or set_ is None:
             continue
@@ -68,6 +74,19 @@ def openblas_controls():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         controls.append((get, set_))
     return tuple(controls)
+
+
+def openblas_kernels():
+    """The kernel name (`openblas_get_corename`) of each mapped OpenBLAS: the
+    one its `DYNAMIC_ARCH` build picked for this CPU, or `OPENBLAS_CORETYPE`
+    forced."""
+    names = []
+    for lib in _libraries():
+        corename = _symbol(lib, "get_corename")
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            names.append(corename().decode())
+    return names
 
 
 @contextmanager
@@ -100,7 +119,7 @@ def single_blas_thread():
 def environment():
     """What a run's numbers may depend on besides the code: the Python, numpy
     and scipy versions, the cores in this process's affinity mask, and the
-    thread count of each mapped OpenBLAS. Read it outside any
+    thread count and kernel of each mapped OpenBLAS. Read it outside any
     `single_blas_thread()` scope, which sets every count to one."""
     return {
         "python": platform.python_version(),
@@ -108,4 +127,5 @@ def environment():
         "scipy": scipy.__version__,
         "cores": len(os.sched_getaffinity(0)),
         "openblas_threads": [get() for get, _ in openblas_controls()],
+        "openblas_kernels": openblas_kernels(),
     }

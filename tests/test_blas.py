@@ -1,6 +1,9 @@
 import ctypes
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -66,23 +69,44 @@ def test_library_without_the_thread_symbols_is_skipped(monkeypatch):
     def set_num_threads(n):
         pass
 
+    def get_corename():
+        return b"Haswell"
+
     libs = {
         "libopenblas-bare.so": SimpleNamespace(),
         "libopenblas-full.so": SimpleNamespace(openblas_get_num_threads64_=get_num_threads,
-                                               openblas_set_num_threads64_=set_num_threads),
+                                               openblas_set_num_threads64_=set_num_threads,
+                                               scipy_openblas_get_corename64_=get_corename),
     }
     monkeypatch.setattr(_blas, "_mapped_openblas_paths", lambda: sorted(libs))
-    monkeypatch.setattr(_blas, "ctypes", SimpleNamespace(CDLL=libs.__getitem__, c_int=ctypes.c_int))
+    monkeypatch.setattr(_blas, "ctypes", SimpleNamespace(CDLL=libs.__getitem__, c_int=ctypes.c_int,
+                                                         c_char_p=ctypes.c_char_p))
     assert _blas.openblas_controls.__wrapped__() == ((get_num_threads, set_num_threads),)
+    assert _blas.openblas_kernels() == ["Haswell"]
 
 
 def test_no_openblas_scope_changes_nothing(monkeypatch, two_threads):
     before = thread_counts()
     monkeypatch.setattr(_blas, "openblas_controls", lambda: ())
+    monkeypatch.setattr(_blas, "_mapped_openblas_paths", lambda: [])
     with single_blas_thread():
         assert thread_counts() == before
     assert thread_counts() == before
     assert _blas.environment()["openblas_threads"] == []
+    assert _blas.environment()["openblas_kernels"] == []
+
+
+@needs_openblas
+def test_environment_names_the_kernel_openblas_was_made_to_use():
+    # DYNAMIC_ARCH picks a kernel per CPU at load time; OPENBLAS_CORETYPE
+    # forces one, so the name read back must be the one forced.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(Path(_blas.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json; from rpmix._blas import environment; "
+                               "print(json.dumps(environment()['openblas_kernels']))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert json.loads(out) == ["Haswell"] * len(openblas_controls())
 
 
 @needs_openblas

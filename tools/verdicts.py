@@ -17,8 +17,9 @@ three parts:
   tool exits 1, after writing the file, and names the experiment and the
   seed. A change that keeps every report's bytes keeps this part's bytes.
 - "environment": the Python, numpy and scipy versions, the cores in the
-  affinity mask and each mapped OpenBLAS's thread count, read before any
-  sweep (`rpmix._blas.environment`).
+  affinity mask and each mapped OpenBLAS's thread count and kernel, read
+  before any sweep (`rpmix._blas.environment`). Reports replay byte for byte
+  on one setting: one numpy, one scipy and one kernel per OpenBLAS.
 - "criteria", with `--sets K` for K >= 1: each acceptance criterion of
   `tests/criteria.py` at K base seeds, with its gated statistics, verdict
   and line at each, and the pass count. Set i is at the criterion's Tier-1
@@ -30,7 +31,14 @@ With `--against FILE`, the file written is compared with FILE, an earlier
 VERDICTS file: each report whose digest differs from FILE's (or that only
 one of the two holds) is named, and when both files have a criteria part,
 so is each set, at an index both hold, that differs. Any difference exits
-1, after writing the file.
+1, after writing the file. Where FILE was made on another setting, one line
+names both settings first. A FILE that cannot be read as a VERDICTS file is
+an error before any sweep.
+
+`VERDICTS_baseline.json` at the root is the committed baseline, made with
+`--label baseline --sets 10`. A change that moves a report rewrites it in
+the same commit; tests/test_verdicts_tool.py compares this checkout's
+digests with it whenever the setting is the baseline's.
 """
 
 import argparse
@@ -50,6 +58,8 @@ from rpmix._blas import environment  # noqa: E402
 
 SEEDS = (0, 7)
 TRIALS = 2
+# The entries of an environment block that a report's bytes depend on.
+SETTING = ("numpy", "scipy", "openblas_kernels")
 
 
 def report_digests():
@@ -82,6 +92,12 @@ def worker_count_splits(digests):
         for seed in dict.fromkeys(key.split()[0] for key in runs)
         if len({digest for key, digest in runs.items() if key.split()[0] == seed}) > 1
     ]
+
+
+def setting(environment):
+    """The numpy and scipy versions and the OpenBLAS kernels of an
+    environment block, as one line; null where the block lacks one."""
+    return ", ".join(f"{key} {json.dumps(environment.get(key))}" for key in SETTING)
 
 
 def differences(document, against):
@@ -131,7 +147,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.sets < 0:
         parser.error(f"--sets must be >= 0, got {args.sets}")
-    against = None if args.against is None else json.loads(args.against.read_text())
+    against = None
+    if args.against is not None:
+        try:
+            against = json.loads(args.against.read_text())
+        except (OSError, ValueError) as error:
+            parser.error(f"--against: cannot read {args.against}: {error}")
+        if not isinstance(against, dict) or not isinstance(against.get("digests"), dict):
+            parser.error(f"--against: {args.against} is not a VERDICTS file: it has no digests part")
     env = environment()
     digests, trials = report_digests()
     document = {"digests": digests, "trials": trials, "environment": env}
@@ -146,8 +169,13 @@ def main(argv=None):
     splits = worker_count_splits(digests)
     for name, seed in splits:
         print(f"{name} at {seed}: the report depends on the worker count", file=sys.stderr)
-    # The file is read back, so that both sides are what JSON holds.
-    changed = [] if against is None else differences(json.loads(out.read_text()), against)
+    changed = []
+    if against is not None:
+        ours, theirs = setting(env), setting(against.get("environment", {}))
+        if ours != theirs:
+            print(f"against {args.against}: made on {theirs}; this run on {ours}", file=sys.stderr)
+        # The file is read back, so that both sides are what JSON holds.
+        changed = differences(json.loads(out.read_text()), against)
     for line in changed:
         print(f"against {args.against}: {line}", file=sys.stderr)
     return 1 if splits or changed else 0
