@@ -1,7 +1,8 @@
 """Digit-style generative classifier: project once, fit a mixture per class.
 
-One random projection is fixed up front; each class then gets its own
-shared-covariance mixture fit by EM in the projected space. A point goes to
+The projection is given (the caller draws it: a random one for the paper's
+classifier); each class then gets its own shared-covariance mixture fit by
+EM in the projected space. A point goes to
 the class whose best single Gaussian, plus the class log prior, scores it
 highest. Equal class priors shift every class's score by one constant, so
 they change no prediction.
@@ -23,9 +24,10 @@ from .errors import (
 )
 from .em import CovarianceRestriction, _log_joint, run_em
 from .gaussians import (
-    _as_float_array, _file_name, _frozen, _int_at_least, _read_csv, _separations, _Workspace, save_dataset,
+    Mixture, _as_float_array, _file_name, _frozen, _int_at_least, _of_type, _read_csv, _separations,
+    _Workspace, save_dataset,
 )
-from .projection import ProjectionMatrix, project_data, random_orthonormal
+from .projection import ProjectionMatrix, project_data
 
 # The least label a label-first CSV cannot round-trip: a label is read and
 # written as a double, and from 2**53 on not every integer is one.
@@ -97,6 +99,7 @@ class ClassMixtureModel:
     class_priors: np.ndarray
 
     def __post_init__(self):
+        d = _of_type(self.projection, "projection", ProjectionMatrix).target_dim
         per_class = tuple(self.per_class)
         priors = _as_float_array(self.class_priors, "class_priors")
         if priors.shape != (len(per_class),):
@@ -108,9 +111,8 @@ class ClassMixtureModel:
             raise InvalidParameterError(f"class priors must all be positive, got {priors}")
         if abs(priors.sum() - 1.0) > 1e-9:
             raise InvalidParameterError("class priors must sum to 1")
-        d = self.projection.target_dim
-        for mix in per_class:
-            if mix.dim != d:
+        for i, mix in enumerate(per_class):
+            if _of_type(mix, f"per_class[{i}]", Mixture).dim != d:
                 raise DimensionMismatchError(
                     "per-class mixture dimension != projection target dimension"
                 )
@@ -123,7 +125,7 @@ def _class_counts(data: LabeledDataset):
     distinct labels: nothing is sized by num_classes, which one stray large
     label can make huge. A data set with no points raises NotEnoughDataError,
     and then the first class with no point raises ClassTooSmallError."""
-    if data.labels.size == 0:
+    if _of_type(data, "data", LabeledDataset).labels.size == 0:
         raise NotEnoughDataError("the data set has no points")
     present, counts = np.unique(data.labels, return_counts=True)
     gaps = np.flatnonzero(present != np.arange(present.size))
@@ -162,17 +164,22 @@ def save_labeled(data: LabeledDataset, path):
     """Write the label-first CSV format read by `ingest` (round-trips exactly).
     A label of 2**53 or more, which the file cannot hold exactly, raises
     InvalidParameterError before the file is opened."""
-    top = int(data.labels.max(initial=0))
+    top = int(_of_type(data, "data", LabeledDataset).labels.max(initial=0))
     if top >= FILE_LABEL_BOUND:
         raise InvalidParameterError(f"label {top} is not below 2**53, so a label-first CSV cannot hold it")
     save_dataset(np.column_stack((data.labels, data.points)), path)
 
 
-def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMixtureModel:
-    """Fix one random projection, then fit each class independently.
+def train(data: LabeledDataset, proj: ProjectionMatrix, per_class_k: int = 5, seed=0) -> ClassMixtureModel:
+    """Map the data by the projection `proj` it is given, then fit each class
+    independently.
 
     Each class gets a shared-covariance mixture of `per_class_k` Gaussians
     fit in the projected space; no high-dimensional parameters are kept.
+    `seed` feeds the class starts only, class c's from
+    `SeedSequence([seed, c])`: the caller draws the map (the paper's is
+    `random_orthonormal(n, d, ...)`), and any other map, such as
+    `pca(data.points, d)`, goes through the same way.
     """
     per_class_k = _int_at_least(per_class_k, "per_class_k", 1)
     counts = _class_counts(data)
@@ -180,8 +187,7 @@ def train(data: LabeledDataset, d: int, per_class_k: int = 5, seed=0) -> ClassMi
     small = np.flatnonzero(counts < per_class_k)
     if small.size:
         raise ClassTooSmallError(f"class {small[0]} has {counts[small[0]]} points, needs {per_class_k}")
-    proj = random_orthonormal(data.dim, d, seed)
-    projected = project_data(proj, data.points)
+    projected = project_data(_of_type(proj, "proj", ProjectionMatrix), data.points)
     mixtures = []
     for cls in range(counts.size):
         fit = run_em(
@@ -199,6 +205,7 @@ def _class_scores(model: ClassMixtureModel, points):
     row of `points`. Each row maximum is taken over a Fortran-ordered copy of
     the log-joint, as `em._log_normalize` takes it: the same value, several
     times faster over rows of k entries."""
+    model = _of_type(model, "model", ClassMixtureModel)
     work = _Workspace(project_data(model.projection, points))
     scores = np.empty((len(work.points), len(model.per_class)))
     for cls, mix in enumerate(model.per_class):
@@ -213,6 +220,7 @@ def predict_batch(model: ClassMixtureModel, points) -> np.ndarray:
 
 
 def predict(model: ClassMixtureModel, x) -> int:
+    model = _of_type(model, "model", ClassMixtureModel)
     x = _as_float_array(x, "x")
     if x.shape != (model.projection.source_dim,):
         raise DimensionMismatchError(
@@ -224,6 +232,7 @@ def predict(model: ClassMixtureModel, x) -> int:
 def evaluate(model: ClassMixtureModel, test: LabeledDataset) -> float:
     """The share of `test`'s points that `predict_batch` labels correctly; a
     test set with no points raises NotEnoughDataError."""
+    model, test = _of_type(model, "model", ClassMixtureModel), _of_type(test, "test", LabeledDataset)
     if test.labels.size == 0:
         raise NotEnoughDataError("the test set has no points")
     return float(np.mean(predict_batch(model, test.points) == test.labels))

@@ -161,7 +161,8 @@ def _cmd_em(args):
     restriction = _RESTRICTIONS[args.restriction]
     lines = []
     if args.rp_dim:
-        fit, proj, fit_low = rp_em(data, args.k, args.rp_dim, restriction, args.seed)
+        proj = random_orthonormal(data.shape[1], args.rp_dim, args.seed)
+        fit, _, fit_low = rp_em(data, args.k, proj, restriction, args.seed)
         lines.append(f"low-dim EM: {fit_low.iterations} iterations, "
                      f"final train loglik {fit_low.loglik_trace[-1]:.6f}")
     else:
@@ -182,7 +183,8 @@ def _cmd_em(args):
 
 def _cmd_classify(args):
     train_set = ingest(args.train)
-    model = train(train_set, args.d, per_class_k=args.per_class_k, seed=args.seed)
+    proj = random_orthonormal(train_set.dim, args.d, args.seed)
+    model = train(train_set, proj, per_class_k=args.per_class_k, seed=args.seed)
     lines = [f"trained {len(model.per_class)}-class model at d={args.d}"]
     if args.test:
         test_set = ingest(args.test)

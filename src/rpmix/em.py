@@ -2,7 +2,8 @@
 
 Two covariance regimes are supported: every component owns a full
 covariance (FULL_DISTINCT), or all components share a single pooled full
-covariance (SHARED_FULL). The hybrid projects the data randomly, runs EM
+covariance (SHARED_FULL). The hybrid maps the data by the projection it is
+given (the caller draws it: a random one for the paper's hybrid), runs EM
 to convergence in low dimension, lifts the final responsibilities back to
 the original data, and performs exactly one high-dimensional EM step.
 
@@ -57,13 +58,14 @@ from .gaussians import (
     _int_at_least,
     _is_real,
     _log_normalizer,
+    _of_type,
     _quad_forms,
     _radii,
     _scaled_norm,
     _seed_sequence,
     _Workspace,
 )
-from .projection import project_data, random_orthonormal
+from .projection import ProjectionMatrix, project_data
 
 EMPTY_COMPONENT_FRACTION = 1e-10
 MAX_RESCUES = 2
@@ -84,8 +86,11 @@ class FitResult:
     converged: bool
 
 
-def _model_data(model: Mixture, data):
-    """`data`, an array already gated, checked to have the dimension of `model`."""
+def _model_data(model: Mixture, data, name):
+    """`data`, gated as `name`, checked to have the dimension of `model`, which
+    is gated as a Mixture first."""
+    model = _of_type(model, "model", Mixture)
+    data = _as_float_array(data, name, ndmin=2)
     if data.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data dimension {data.shape[1]} != model dimension {model.dim}"
@@ -290,8 +295,7 @@ def e_step(model: Mixture, data):
     log-density is -inf under every component has no responsibilities and
     raises NonFiniteError naming its row.
     """
-    data = _as_float_array(data, "data", ndmin=2)
-    return _e_step(model, _Workspace(_model_data(model, data)))
+    return _e_step(model, _Workspace(_model_data(model, data, "data")))
 
 
 def m_step(
@@ -379,22 +383,25 @@ def _fit(params, work, tol, max_iter, rescues) -> FitResult:
     return FitResult(params, len(trace) - 1, np.array(trace), converged)
 
 
-def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
-    """Random projection + EM hybrid.
+def rp_em(train, k: int, proj: ProjectionMatrix, restriction: CovarianceRestriction, seed):
+    """Random projection + EM hybrid, through the d x n map `proj` it is given.
 
-    1. Project the training data into a random d-dimensional subspace.
-    2. Run EM to convergence on the projected data.
+    1. Project the training data by `proj`.
+    2. Run EM to convergence on the projected data, from `run_em`'s start at
+       `seed`.
     3. Apply the final low-dimensional soft labels to the original data,
        giving high-dimensional weights, means, and covariances.
     4. Run one high-dimensional EM step.
 
-    Returns (high-dimensional FitResult, projection, low-dimensional FitResult).
+    `seed` feeds the low-dimensional start only: the caller draws the map
+    (the paper's is `random_orthonormal(n, d, ...)`), and any other map, such
+    as `pca(train, d)`, goes through the same way.
+
+    Returns (fit in Rⁿ, the map it was given, fit in R^d).
     """
     restriction = CovarianceRestriction(restriction)
     train = _as_float_array(train, "train", ndmin=2)
-    n = train.shape[1]
-    proj = random_orthonormal(n, d, seed)
-    low_data = project_data(proj, train)
+    low_data = project_data(_of_type(proj, "proj", ProjectionMatrix), train)
     fit_low = run_em(low_data, k, restriction, seed)
     resp, _ = e_step(fit_low.model, low_data)
     work = _Workspace(train, restriction is CovarianceRestriction.SHARED_FULL)
@@ -404,8 +411,7 @@ def rp_em(train, k: int, d: int, restriction: CovarianceRestriction, seed):
 def test_loglik(model: Mixture, test) -> float:
     """Log-likelihood of held-out data under the model (0 for no rows, -inf
     where a point's log-density is -inf under every component)."""
-    test = _as_float_array(test, "test", ndmin=2)
-    work = _Workspace(_model_data(model, test))
+    work = _Workspace(_model_data(model, test, "test"))
     return float(_log_normalize(_log_joint(model, work))[1].sum())
 
 
@@ -431,6 +437,7 @@ def centers_recovered(model: Mixture, truth: Mixture):
     Success requires every matched center to lie within a third of the true
     component's trace-radius. Returns (success, errors in truth order).
     """
+    model, truth = _of_type(model, "model", Mixture), _of_type(truth, "truth", Mixture)
     if model.k != truth.k or model.dim != truth.dim:
         raise ShapeMismatchError("mixtures differ in k or dimension")
     k = truth.k

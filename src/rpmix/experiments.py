@@ -341,7 +341,7 @@ def em_compare_trial(
         return fit.model, fit.iterations
 
     def hybrid():  # scored in R^n, its iterations counted in R^d
-        fit_high, _, fit_low = rp_em(train_data, k, d, restriction, s_fit)
+        fit_high, _, fit_low = rp_em(train_data, k, random_orthonormal(n, d, s_fit), restriction, s_fit)
         return fit_high.model, fit_low.iterations
 
     reg, rp = _scored_fit(plain, truth, test_data), _scored_fit(hybrid, truth, test_data)
@@ -568,7 +568,7 @@ def _digested_ingest(path):
 
 
 def _digit_trial(d, seed, train_set, test_set, per_class_k):
-    model = train(train_set, d, per_class_k=per_class_k, seed=seed)
+    model = train(train_set, random_orthonormal(train_set.dim, d, seed), per_class_k=per_class_k, seed=seed)
     return [{"d": d, "seed": seed, "accuracy": evaluate(model, test_set)}]
 
 

@@ -399,6 +399,14 @@ def _log_normalizer(chol):
     return -0.5 * chol.shape[0] * LOG_2PI - 0.5 * log_det
 
 
+def _of_type(value, name, cls):
+    """`value` if it is a `cls` (a Mixture, a ProjectionMatrix, ...);
+    InvalidParameterError naming `name` otherwise."""
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _one_component(g, name="g"):
     """`g` if it is a one-component Mixture (a Gaussian is one), whose
     component the layout holds at `means[0]`, `_covs[0]` and `_chols[0]`;
@@ -498,7 +506,7 @@ def pairwise_separation(g1: Gaussian, g2: Gaussian) -> float:
 
 def mixture_separation(m: Mixture) -> float:
     """Minimum pairwise separation over all component pairs."""
-    if m.k < 2:
+    if _of_type(m, "m", Mixture).k < 2:
         raise TooFewComponentsError("separation needs at least two components")
     return float(_separations(m.means, _radii(m))[np.triu_indices(m.k, 1)].min())
 
@@ -516,7 +524,7 @@ def _labelled_draw(m: Mixture, count: int, rng):
 
 def sample(m: Mixture, count: int, seed) -> np.ndarray:
     """Draw `count` i.i.d. points from the mixture; deterministic in `seed`."""
-    return _labelled_draw(m, count, np.random.default_rng(_seed_sequence(seed)))[1]
+    return _labelled_draw(_of_type(m, "m", Mixture), count, np.random.default_rng(_seed_sequence(seed)))[1]
 
 
 def norm_tail_bound(n: int, eps: float) -> float:
@@ -532,6 +540,7 @@ def norm_tail_bound(n: int, eps: float) -> float:
 # Serialization
 
 def mixture_to_dict(m: Mixture) -> dict:
+    m = _of_type(m, "m", Mixture)
     return {
         "weights": m.weights.tolist(),
         "means": m.means.tolist(),
@@ -561,8 +570,9 @@ def mixture_from_dict(doc: dict) -> Mixture:
 
 
 def save_mixture(m: Mixture, path):
+    doc = mixture_to_dict(m)
     with open(_file_name(path), "w") as f:
-        json.dump(mixture_to_dict(m), f)
+        json.dump(doc, f)
 
 
 def _load_document(path, from_dict):

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gaussians import (
     Gaussian, Mixture, _as_float_array, _checked_mixture, _file_name, _frozen, _is_int,
-    _load_document, _one_component, _seed_sequence,
+    _load_document, _of_type, _one_component, _seed_sequence,
 )
 
 ORTHONORMALITY_TOL = 1e-9
@@ -143,6 +143,7 @@ def project_data(p: ProjectionMatrix, data) -> np.ndarray:
     """The rows of `data` mapped by `p`. A point whose image lies past the
     double range raises NonFiniteError naming the point: no rescale can help,
     as the projected value itself is out of range."""
+    p = _of_type(p, "p", ProjectionMatrix)
     data = _as_float_array(data, "data", ndmin=2)
     if data.shape[1] != p.source_dim:
         raise DimensionMismatchError(
@@ -163,6 +164,7 @@ def project_gaussian(p: ProjectionMatrix, g: Gaussian) -> Gaussian:
 def project_mixture(p: ProjectionMatrix, m: Mixture) -> Mixture:
     """The image of `m` under `p`: each mean mapped on its own, and each
     distinct covariance mapped and factored once."""
+    p, m = _of_type(p, "p", ProjectionMatrix), _of_type(m, "m", Mixture)
     if m.dim != p.source_dim:
         raise DimensionMismatchError(
             f"mixture dimension {m.dim} != source dimension {p.source_dim}"
@@ -176,6 +178,7 @@ def project_mixture(p: ProjectionMatrix, m: Mixture) -> Mixture:
 # Serialization
 
 def projection_to_dict(p: ProjectionMatrix) -> dict:
+    p = _of_type(p, "p", ProjectionMatrix)
     return {
         "kind": p.kind.value,
         "source_dim": p.source_dim,
@@ -207,8 +210,9 @@ def projection_from_dict(doc: dict) -> ProjectionMatrix:
 
 
 def save_projection(p: ProjectionMatrix, path):
+    doc = projection_to_dict(p)
     with open(_file_name(path), "w") as f:
-        json.dump(projection_to_dict(p), f)
+        json.dump(doc, f)
 
 
 def load_projection(path) -> ProjectionMatrix:

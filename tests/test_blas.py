@@ -160,8 +160,8 @@ def test_nothing_found_runs_the_body_unchanged(monkeypatch):
 def test_trials_run_on_one_thread(monkeypatch, two_threads, threads):
     # Serial trials run inside the body's scope, and pool workers are forked
     # inside it; each trial records the largest count it sees.
-    monkeypatch.setattr(experiments, "surrogate_digit_data", lambda seed: (None, None))
-    monkeypatch.setattr(experiments, "train", lambda data, d, **kw: None)
+    monkeypatch.setattr(experiments, "surrogate_digit_data", lambda seed: (SimpleNamespace(dim=20), None))
+    monkeypatch.setattr(experiments, "train", lambda data, proj, **kw: None)
     monkeypatch.setattr(experiments, "evaluate", lambda model, test: float(max(thread_counts())))
     report = experiments.fig9_body(0, trials=2, d_values=(20,), threads=threads)
     assert [row["accuracy"] for row in report.rows] == [1.0, 1.0]

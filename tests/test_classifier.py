@@ -35,7 +35,7 @@ from rpmix.errors import (
     NonFiniteError,
     ParseError,
 )
-from rpmix.projection import ProjectionKind, ProjectionMatrix
+from rpmix.projection import ProjectionKind, ProjectionMatrix, pca, random_orthonormal
 
 
 def labeled_blobs(num_classes=2, per_class=100, n=10, dist=8.0, seed=0):
@@ -47,6 +47,12 @@ def labeled_blobs(num_classes=2, per_class=100, n=10, dist=8.0, seed=0):
         points.append(rng.standard_normal((per_class, n)) + center)
         labels.extend([cls] * per_class)
     return LabeledDataset(np.vstack(points), np.array(labels))
+
+
+def haar_map(data, d, seed):
+    """The Haar map of `data`'s space into R^d at `seed`: the classifier's
+    map as fig9 and the CLI draw it, from the seed of the class starts."""
+    return random_orthonormal(data.dim, d, seed)
 
 
 class TestLabeledDataset:
@@ -70,7 +76,7 @@ class TestLabeledDataset:
         labels[-1] = 10**12
         data = LabeledDataset(data.points, labels)
         with pytest.raises(ClassTooSmallError, match="class 2 has no points"):
-            cluster_analysis(data) if analyze else train(data, 2, per_class_k=1)
+            cluster_analysis(data) if analyze else train(data, haar_map(data, 2, 0), per_class_k=1)
 
 
 class TestIngest:
@@ -141,19 +147,19 @@ class TestIngest:
 class TestTrainPredict:
     def test_training_accuracy_on_separated_classes(self):
         data = labeled_blobs(num_classes=2, per_class=100, seed=2)
-        model = train(data, 5, per_class_k=2, seed=0)
+        model = train(data, haar_map(data, 5, 0), per_class_k=2, seed=0)
         assert evaluate(model, data) > 0.95
 
     def test_single_gaussian_per_class(self):
         data = labeled_blobs(num_classes=2, per_class=40, seed=3)
-        model = train(data, 4, per_class_k=1, seed=0)
+        model = train(data, haar_map(data, 4, 0), per_class_k=1, seed=0)
         assert all(mix.k == 1 for mix in model.per_class)
         assert evaluate(model, data) > 0.95
 
     def test_class_too_small(self):
         data = labeled_blobs(num_classes=2, per_class=3, seed=4)
         with pytest.raises(ClassTooSmallError):
-            train(data, 2, per_class_k=5, seed=0)
+            train(data, haar_map(data, 2, 0), per_class_k=5, seed=0)
 
     def test_class_too_small_raises_before_any_fit(self, monkeypatch):
         fits = []
@@ -165,12 +171,12 @@ class TestTrainPredict:
         monkeypatch.setattr(classifier, "run_em", counted)
         data = LabeledDataset(np.random.default_rng(4).standard_normal((23, 10)), [0] * 20 + [1] * 3)
         with pytest.raises(ClassTooSmallError, match="^class 1 has 3 points, needs 5$"):
-            train(data, 2, per_class_k=5, seed=0)
+            train(data, haar_map(data, 2, 0), per_class_k=5, seed=0)
         assert fits == []
 
     def test_shared_covariance_within_class(self):
         data = labeled_blobs(num_classes=2, per_class=80, seed=5)
-        model = train(data, 4, per_class_k=3, seed=1)
+        model = train(data, haar_map(data, 4, 1), per_class_k=3, seed=1)
         for mix in model.per_class:
             first = mix.components[0].covariance
             for g in mix.components[1:]:
@@ -180,21 +186,21 @@ class TestTrainPredict:
         data = labeled_blobs(num_classes=3, per_class=60, seed=6)
         probe = np.random.default_rng(7).standard_normal((20, 10))
         preds = [
-            predict_batch(train(data, 5, per_class_k=2, seed=11), probe)
+            predict_batch(train(data, haar_map(data, 5, 11), per_class_k=2, seed=11), probe)
             for _ in range(2)
         ]
         assert np.array_equal(preds[0], preds[1])
 
     def test_training_point_goes_to_own_class(self):
         data = labeled_blobs(num_classes=2, per_class=50, seed=8)
-        model = train(data, 5, per_class_k=2, seed=0)
+        model = train(data, haar_map(data, 5, 0), per_class_k=2, seed=0)
         assert predict(model, data.points[0]) == 0
         assert predict(model, data.points[-1]) == 1
 
     def test_each_class_fits_at_run_em_defaults(self):
         # One setting for every caller: tol 1e-5 and at most 500 iterations.
         data = labeled_blobs(num_classes=3, per_class=60, seed=4)
-        model = train(data, 4, per_class_k=2, seed=3)
+        model = train(data, haar_map(data, 4, 3), per_class_k=2, seed=3)
         projected = project_data(model.projection, data.points)
         for cls, mix in enumerate(model.per_class):
             want = run_em(
@@ -205,9 +211,16 @@ class TestTrainPredict:
             assert np.array_equal(mix.means, want.means)
             assert all(np.array_equal(a, b) for a, b in zip(mix._covs, want._covs))
 
+    def test_pca_map_goes_through_with_no_option(self):
+        data = labeled_blobs(num_classes=2, per_class=40, seed=3)
+        proj = pca(data.points, 4)
+        model = train(data, proj, per_class_k=2, seed=0)
+        assert model.projection is proj
+        assert evaluate(model, data) > 0.95
+
     def test_predict_dim_check(self):
         data = labeled_blobs(num_classes=2, per_class=30, seed=9)
-        model = train(data, 3, per_class_k=1, seed=0)
+        model = train(data, haar_map(data, 3, 0), per_class_k=1, seed=0)
         with pytest.raises(DimensionMismatchError):
             predict(model, np.zeros(4))
 
@@ -238,7 +251,7 @@ class TestDecisionRule:
 
     def test_argmax_invariant_under_score_doubling(self):
         data = labeled_blobs(num_classes=3, per_class=50, seed=10)
-        model = train(data, 4, per_class_k=2, seed=3)
+        model = train(data, haar_map(data, 4, 3), per_class_k=2, seed=3)
         probe = np.random.default_rng(11).standard_normal((25, 10))
         scores = _class_scores(model, probe)
         assert np.array_equal(
@@ -251,7 +264,8 @@ class TestDecisionRule:
             [rng.standard_normal((180, 4)), rng.standard_normal((20, 4)) + 1.0]
         )
         labels = np.array([0] * 180 + [1] * 20)
-        model = train(LabeledDataset(pts, labels), 4, per_class_k=1, seed=0)
+        data = LabeledDataset(pts, labels)
+        model = train(data, haar_map(data, 4, 0), per_class_k=1, seed=0)
         equal = ClassMixtureModel(model.projection, model.per_class, np.full(2, 0.5))
         probe = rng.standard_normal((200, 4)) + 0.5
         with_p = predict_batch(model, probe)
@@ -264,7 +278,8 @@ class TestDecisionRule:
             [rng.standard_normal((180, 4)), rng.standard_normal((20, 4)) + 1.0]
         )
         labels = np.array([0] * 180 + [1] * 20)
-        model = train(LabeledDataset(pts, labels), 4, per_class_k=1, seed=0)
+        data = LabeledDataset(pts, labels)
+        model = train(data, haar_map(data, 4, 0), per_class_k=1, seed=0)
         equal = ClassMixtureModel(model.projection, model.per_class, np.full(2, 0.5))
         probe = rng.standard_normal((50, 4))
         shift = _class_scores(model, probe) - _class_scores(equal, probe)
@@ -274,13 +289,13 @@ class TestDecisionRule:
 class TestEvaluate:
     def test_perfect_labels(self):
         data = labeled_blobs(num_classes=2, per_class=60, seed=13)
-        model = train(data, 5, per_class_k=1, seed=0)
+        model = train(data, haar_map(data, 5, 0), per_class_k=1, seed=0)
         preds = predict_batch(model, data.points)
         assert evaluate(model, LabeledDataset(data.points, preds)) == 1.0
 
     def test_shuffled_labels_score_near_chance(self):
         data = labeled_blobs(num_classes=4, per_class=80, seed=14)
-        model = train(data, 6, per_class_k=1, seed=0)
+        model = train(data, haar_map(data, 6, 0), per_class_k=1, seed=0)
         shuffled = np.random.default_rng(15).permutation(data.labels)
         acc = evaluate(model, LabeledDataset(data.points, shuffled))
         assert 0.1 <= acc <= 0.45  # chance level is 0.25
@@ -331,7 +346,6 @@ class TestClusterAnalysis:
         # Heavily eccentric high-dimensional classes become far rounder
         # after a random projection to d=40, in every class.
         from rpmix.experiments import surrogate_digit_data
-        from rpmix.projection import random_orthonormal
 
         train_set, _ = surrogate_digit_data(0)
         raw = cluster_analysis(train_set)

@@ -42,10 +42,16 @@ from rpmix.errors import (
 )
 from rpmix.experiments import em_compare_trial
 from rpmix.gaussians import CONDITION_LIMIT, _Workspace, log_density, log_density_batch, mahalanobis
-from rpmix.projection import project_data, random_orthonormal
+from rpmix.projection import ProjectionMatrix, pca, project_data, random_orthonormal
 
 FULL = CovarianceRestriction.FULL_DISTINCT
 SHARED = CovarianceRestriction.SHARED_FULL
+
+
+def haar_map(data, d, seed):
+    """The Haar map of `data`'s columns into R^d at `seed`: the hybrid's map
+    as the experiments and the CLI draw it, from the fit's own seed."""
+    return random_orthonormal(np.shape(data)[1], d, seed)
 
 
 def two_blob_data(m=100, dist=10.0, n=2, seed=0):
@@ -106,7 +112,7 @@ FITS_BY_RESTRICTION = {
         np.random.default_rng(0).dirichlet(np.ones(3), len(data)), data, r
     ),
     "run_em": lambda data, r: run_em(data, 3, r, 0).model,
-    "rp_em": lambda data, r: rp_em(data, 3, 2, r, 0)[0].model,
+    "rp_em": lambda data, r: rp_em(data, 3, haar_map(data, 2, 0), r, 0)[0].model,
 }
 
 
@@ -322,7 +328,7 @@ class TestMStep:
         data = np.repeat([[0.0, 0, 0, 0], [5, 5, 5, 5], [9, 0, 9, 0]], 10, axis=0)
         data += 1e-13 * np.random.default_rng(0).standard_normal((30, 4))
         with pytest.raises(EmptyComponentError) as err:
-            rp_em(data, 20, 2, FULL, 0)
+            rp_em(data, 20, haar_map(data, 2, 0), FULL, 0)
         for error in (err.value, pickle.loads(pickle.dumps(err.value))):
             assert str(error) == "empty component(s): (10, 12, 14, 18)"
             assert all(type(i) is int for i in error.indices)
@@ -407,7 +413,7 @@ class TestRunEm:
             with pytest.raises(NonFiniteError):
                 run_em(data, 2, restriction, 0)
         with pytest.raises(NonFiniteError):
-            rp_em(data, 2, 1, SHARED, 0)
+            rp_em(data, 2, haar_map(data, 1, 0), SHARED, 0)
 
     @staticmethod
     def _count_factor_calls(monkeypatch):
@@ -1039,7 +1045,7 @@ class TestReentrancy:
 class TestRpEm:
     def test_full_dimension_matches_plain_em_on_projected_data(self):
         data = two_blob_data(m=120, dist=9.0, n=4, seed=16)
-        fit_high, proj, fit_low = rp_em(data, 2, 4, FULL, 6)
+        fit_high, proj, fit_low = rp_em(data, 2, haar_map(data, 4, 6), FULL, 6)
         assert proj.target_dim == 4
         replay = run_em(project_data(proj, data), 2, FULL, 6)
         assert fit_low.loglik_trace[-1] == pytest.approx(
@@ -1048,17 +1054,16 @@ class TestRpEm:
 
     def test_exactly_one_high_dim_step(self):
         data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
-        fit_high, _, fit_low = rp_em(data, 2, 3, SHARED, 2)
+        fit_high, _, fit_low = rp_em(data, 2, haar_map(data, 3, 2), SHARED, 2)
         assert fit_high.iterations == 1
         assert len(fit_high.loglik_trace) == 2
         assert fit_high.loglik_trace[1] >= fit_high.loglik_trace[0] - 1e-7
         assert fit_low.iterations >= 1
 
     @staticmethod
-    def _lifted(data, k, d, restriction, seed):
+    def _lifted(data, k, proj, restriction, seed):
         """The hybrid's lifted state, built step by step, and a workspace on
         `data`: the low-dimensional fit's soft labels, one M-step up."""
-        proj = random_orthonormal(data.shape[1], d, seed)
         low = project_data(proj, data)
         resp, _ = em._e_step(run_em(low, k, restriction, seed).model, _Workspace(low))
         work = _Workspace(data, shared=restriction is SHARED)
@@ -1067,10 +1072,11 @@ class TestRpEm:
     @pytest.mark.parametrize("restriction", [SHARED, FULL])
     def test_high_dim_step_is_one_em_step_from_the_lift(self, restriction):
         data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
-        lifted, work = self._lifted(data, 2, 3, restriction, 2)
+        proj = haar_map(data, 3, 2)
+        lifted, work = self._lifted(data, 2, proj, restriction, 2)
         resp, ll = em._e_step(lifted, work)
         params = _m_step(resp, work, lifted)
-        fit = rp_em(data, 2, 3, restriction, 2)[0]
+        fit = rp_em(data, 2, proj, restriction, 2)[0]
         _assert_same_state(fit.model, params)
         assert np.array_equal(fit.loglik_trace, [ll, em._e_step(params, work)[1]])
         assert fit.iterations == 1 and fit.converged is False
@@ -1080,7 +1086,8 @@ class TestRpEm:
         self, monkeypatch, restriction
     ):
         data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
-        lifted, work = self._lifted(data, 2, 3, restriction, 2)
+        proj = haar_map(data, 3, 2)
+        lifted, work = self._lifted(data, 2, proj, restriction, 2)
         e_step, emptied = em._e_step, []
 
         def emptying(params, work):
@@ -1094,7 +1101,7 @@ class TestRpEm:
             return resp, ll
 
         monkeypatch.setattr(em, "_e_step", emptying)
-        fit = rp_em(data, 2, 3, restriction, 2)[0]
+        fit = rp_em(data, 2, proj, restriction, 2)[0]
         assert len(emptied) == 1 and fit.iterations == 1
         # Kept, not rescued: a rescue would move the mean to a data point and
         # keep the lifted weights.
@@ -1114,18 +1121,42 @@ class TestRpEm:
     def test_low_dim_fit_runs_at_run_em_defaults(self, restriction):
         # One setting for every caller: tol 1e-5 and at most 500 iterations.
         data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
-        _, proj, fit_low = rp_em(data, 2, 3, restriction, 2)
+        proj = haar_map(data, 3, 2)
+        fit_low = rp_em(data, 2, proj, restriction, 2)[2]
         want = run_em(project_data(proj, data), 2, restriction, 2, tol=1e-5, max_iter=500)
         assert fit_low.iterations == want.iterations
         assert fit_low.converged is want.converged
         assert np.array_equal(fit_low.loglik_trace, want.loglik_trace)
         _assert_same_state(fit_low.model, want.model)
 
+    @pytest.mark.parametrize("restriction", [SHARED, FULL])
+    def test_identity_map_gives_plain_em(self, restriction):
+        # ROADMAP item 19's metamorphic check: through the identity map of
+        # R^n the low-dimensional fit is plain EM, bit for bit.
+        data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
+        identity = ProjectionMatrix(np.eye(6), "orthonormal-rp")
+        fit_low = rp_em(data, 2, identity, restriction, 2)[2]
+        want = run_em(data, 2, restriction, 2)
+        assert fit_low.iterations == want.iterations
+        assert np.array_equal(fit_low.loglik_trace, want.loglik_trace)
+        _assert_same_state(fit_low.model, want.model)
+
+    @pytest.mark.parametrize("restriction", [SHARED, FULL])
+    def test_pca_map_goes_through_with_no_option(self, restriction):
+        data = two_blob_data(m=100, dist=9.0, n=6, seed=17)
+        proj = pca(data, 3)
+        _, given, fit_low = rp_em(data, 2, proj, restriction, 2)
+        want = run_em(project_data(proj, data), 2, restriction, 2)
+        assert given is proj
+        assert np.array_equal(fit_low.loglik_trace, want.loglik_trace)
+        _assert_same_state(fit_low.model, want.model)
+
     def test_deterministic(self):
         data = two_blob_data(m=90, dist=7.0, n=5, seed=18)
-        a_high, a_proj, a_low = rp_em(data, 2, 3, FULL, 8)
-        b_high, b_proj, b_low = rp_em(data, 2, 3, FULL, 8)
-        assert np.array_equal(a_proj.rows, b_proj.rows)
+        proj = haar_map(data, 3, 8)
+        a_high, a_proj, a_low = rp_em(data, 2, proj, FULL, 8)
+        b_high, b_proj, b_low = rp_em(data, 2, proj, FULL, 8)
+        assert a_proj is b_proj is proj
         assert np.array_equal(a_high.model.means, b_high.model.means)
         assert np.array_equal(a_low.loglik_trace, b_low.loglik_trace)
 
@@ -1281,8 +1312,8 @@ class TestEntryNearTheFloatLimit:
 
     @pytest.mark.parametrize("fit", [
         lambda x: run_em(x, 3, SHARED, 0),
-        lambda x: rp_em(x, 3, 2, SHARED, 0),
-        lambda x: train(LabeledDataset(x, np.arange(61) % 2), 2, per_class_k=2, seed=0),
+        lambda x: rp_em(x, 3, haar_map(x, 2, 0), SHARED, 0),
+        lambda x: train(LabeledDataset(x, np.arange(61) % 2), haar_map(x, 2, 0), per_class_k=2, seed=0),
     ], ids=["run_em", "rp_em", "train"])
     def test_shared_fit_ends_typed(self, fit):
         with pytest.raises(NonFiniteError, match="iteration 0: covariance overflows"):

@@ -37,22 +37,29 @@ from rpmix.experiments import (
     run,
     surrogate_digit_data,
 )
-from rpmix.em import CovarianceRestriction
+from rpmix.classifier import LabeledDataset, train
+from rpmix.em import CovarianceRestriction, rp_em
 from rpmix.gaussians import _seed_children
+from rpmix.projection import random_orthonormal
 from rpmix.synthesis import CovarianceMode, long_axis_mixture
+
+
+def stream_state(seed):
+    """`generate_state(4)` of the stream `np.random.default_rng(seed)` draws."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return tuple(ss.generate_state(4).tolist())
 
 
 def record_streams(monkeypatch):
     """The list that every later `np.random.default_rng` call appends its
-    stream's `generate_state(4)` to. States, not (entropy, spawn_key): the
-    keys of SeedSequence([7, 0]) and SeedSequence(7) differ, their streams
-    do not."""
+    stream's `stream_state` to. States, not (entropy, spawn_key): the keys
+    of SeedSequence([7, 0]) and SeedSequence(7) differ, their streams do
+    not."""
     seen = []
     real = np.random.default_rng
 
     def recording(seed=None):
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seen.append(tuple(ss.generate_state(4).tolist()))
+        seen.append(stream_state(seed))
         return real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", recording)
@@ -304,19 +311,38 @@ class TestPcaVsRp:
         assert len(seen) >= 3 + 5
         assert len(set(seen)) == len(seen)
         for role in _seed_children(4, 3)[1:]:  # the sample and the projection
-            assert tuple(role.generate_state(4).tolist()) in seen
+            assert stream_state(role) in seen
 
 
-# The four derivations that share a stream, pinned until ROADMAP item 3.
+class TestGivenAMap:
+    """Given its map, a fit draws only the start streams that its seed feeds."""
+
+    DATA = np.random.default_rng(0).standard_normal((90, 6)) + np.arange(90)[:, None] % 3
+    PROJ = random_orthonormal(6, 3, 5)
+
+    def test_rp_em_draws_only_its_low_dimensional_start(self, monkeypatch):
+        seen = record_streams(monkeypatch)
+        rp_em(self.DATA, 2, self.PROJ, CovarianceRestriction.SHARED_FULL, 7)
+        assert seen == [stream_state(7)]
+
+    def test_train_draws_only_its_class_starts(self, monkeypatch):
+        data = LabeledDataset(self.DATA, np.arange(90) % 3)
+        seen = record_streams(monkeypatch)
+        train(data, self.PROJ, per_class_k=2, seed=7)
+        assert seen == [stream_state(np.random.SeedSequence([7, cls])) for cls in range(3)]
+
+
+# The four derivations that share a stream, each made at a call site in
+# experiments.py, pinned until ROADMAP item 3.
 COLLIDE_EM = (
     "ROADMAP item 3: em_compare_trial seeds its truth with the trial seed, so the "
-    "first covariance's stream is the sample's, and rp_em gives one seed to both "
-    "its projection and its init, the stream of plain EM's init"
+    "first covariance's stream is the sample's, and it gives its fit seed to the "
+    "hybrid's map and to both fits' starts, so the map's stream is the starts'"
 )
 COLLIDE_DIGITS = (
-    "ROADMAP item 3: train's class-0 init stream, SeedSequence([seed, 0]), is its "
-    "projection stream SeedSequence(seed), and class 9's at the base seed is the "
-    "surrogate's SeedSequence([b, 9])"
+    "ROADMAP item 3: _digit_trial draws train's map from SeedSequence(seed), the "
+    "stream of class 0's start SeedSequence([seed, 0]), and class 9's start at the "
+    "base seed is the surrogate's SeedSequence([b, 9])"
 )
 
 # body -> one run at a small size, one grid point and two trials: the grid

@@ -48,6 +48,7 @@ from rpmix import (
     CovarianceRestriction,
     Gaussian,
     Mixture,
+    centers_recovered,
     cluster_analysis,
     e_step,
     evaluate,
@@ -58,6 +59,7 @@ from rpmix import (
     log_density,
     m_step,
     mahalanobis,
+    mixture_separation,
     norm_tail_bound,
     pairwise_separation,
     pca,
@@ -163,7 +165,7 @@ CASES = {
     "m_step-resp": ("resp", lambda b, tmp: m_step(poisoned(RESP, b), DATA, FULL)),
     "m_step-data": ("data", lambda b, tmp: m_step(RESP, poisoned(DATA, b), FULL)),
     "run_em": ("data", lambda b, tmp: run_em(poisoned(DATA, b), 2, FULL, 0)),
-    "rp_em": ("train", lambda b, tmp: rp_em(poisoned(DATA, b), 2, 2, FULL, 0)),
+    "rp_em": ("train", lambda b, tmp: rp_em(poisoned(DATA, b), 2, PROJ, FULL, 0)),
     "test_loglik": ("test", lambda b, tmp: held_out_loglik(MODEL, poisoned(DATA, b))),
     "pca": ("data", lambda b, tmp: pca(poisoned(DATA, b), 2)),
     "project_data": ("data", lambda b, tmp: project_data(PROJ, poisoned(DATA, b))),
@@ -244,9 +246,9 @@ SEEDED = {
     "mixing_weights": lambda seed: mixing_weights(3, seed),
     "init_params": lambda seed: init_params(DATA, 2, FULL, seed),
     "run_em": lambda seed: run_em(DATA, 2, FULL, seed),
-    "rp_em": lambda seed: rp_em(DATA, 2, 2, FULL, seed),
+    "rp_em": lambda seed: rp_em(DATA, 2, PROJ, FULL, seed),
     "long_axis_mixture": lambda seed: long_axis_mixture(100, 5, 0.5, 1000.0, 10, seed),
-    "train": lambda seed: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=2, seed=seed),
+    "train": lambda seed: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), PROJ, per_class_k=2, seed=seed),
 }
 BAD_SEEDS = (-1, "abc", 1.5)
 INVALID.update(
@@ -256,7 +258,7 @@ INVALID.update(
 # site -> (a valid value of the enum argument, call valid but for that argument)
 ENUM_ARGUMENTS = {
     "run_em-restriction": ("full-distinct", lambda v: run_em(DATA, 2, v, 0)),
-    "rp_em-restriction": ("shared-full", lambda v: rp_em(DATA, 2, 2, v, 0)),
+    "rp_em-restriction": ("shared-full", lambda v: rp_em(DATA, 2, PROJ, v, 0)),
     "MixtureSpec-covariance_mode": (
         "rotated-distinct", lambda v: MixtureSpec(n=5, k=2, c=1.0, covariance_mode=v)
     ),
@@ -622,7 +624,7 @@ NON_INTEGER = {
     "run_em-k-bool": ("k", lambda: run_em(DATA, True, FULL, 0)),
     "run_em-k-str": ("k", lambda: run_em(DATA, "2", FULL, 0)),
     "run_em-max_iter": ("max_iter", lambda: run_em(DATA, 2, FULL, 0, max_iter=2.5)),
-    "rp_em-d": ("d", lambda: rp_em(DATA, 2, 2.5, FULL, 0)),
+    "rp_em-k": ("k", lambda: rp_em(DATA, 2.5, PROJ, FULL, 0)),
     "random_orthonormal-d": ("d", lambda: random_orthonormal(4, 2.5, 0)),
     "random_orthonormal-n": ("n", lambda: random_orthonormal("4", 2, 0)),
     "pca-d": ("d", lambda: pca(DATA, 1.5)),
@@ -640,11 +642,11 @@ NON_INTEGER = {
 SIZES = {
     "run_em-k": ("k", lambda v: run_em(DATA, v, FULL, 0)),
     "run_em-max_iter": ("max_iter", lambda v: run_em(DATA, 2, FULL, 0, max_iter=v)),
-    "rp_em-d": ("d", lambda v: rp_em(DATA, 2, v, FULL, 0)),
+    "random_orthonormal-d": ("d", lambda v: random_orthonormal(4, v, 0)),
     "random_orthonormal-n": ("n", lambda v: random_orthonormal(v, 2, 0)),
     "sample-count": ("count", lambda v: sample(MODEL, v, 0)),
     "train-per_class_k": (
-        "per_class_k", lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=v)
+        "per_class_k", lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), PROJ, per_class_k=v)
     ),
 }
 NON_INTEGER.update(
@@ -666,7 +668,7 @@ INT_GATES = {
     "train-seed": ("seed", 0, InvalidParameterError, SEEDED["train"]),
     "train-per_class_k": (
         "per_class_k", 1, InvalidParameterError,
-        lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), 2, per_class_k=v),
+        lambda v: train(LabeledDataset(DATA, np.repeat([0, 1], 20)), PROJ, per_class_k=v),
     ),
     "surrogate_digit_data-base_seed": ("base_seed", 0, InvalidParameterError, surrogate_digit_data),
     "init_params-k": ("k", 1, InvalidParameterError, lambda v: init_params(DATA, v, FULL, 0)),
@@ -863,17 +865,23 @@ def _extreme_scales():
 EXTREME_SCALES = _extreme_scales()
 
 
+def _haar(x, d, seed=0):
+    """The Haar map of `x`'s columns into R^d, or R^n for n < d, at `seed`:
+    the hybrid's and the classifier's map as the experiments draw it."""
+    return random_orthonormal(x.shape[1], min(d, x.shape[1]), seed)
+
+
 def _run_em(restriction, **kw):
     return lambda x: [run_em(x, 3, restriction, 0, **kw).loglik_trace]
 
 
 def _rp_em(restriction, seed=0):
-    return lambda x: [fit.loglik_trace for fit in rp_em(x, 3, 2, restriction, seed)[::2]]
+    return lambda x: [fit.loglik_trace for fit in rp_em(x, 3, _haar(x, 2, seed), restriction, seed)[::2]]
 
 
 def _train(x, seed=0):
     # A classifier keeps no trace: it returns or raises.
-    train(LabeledDataset(x, np.arange(len(x)) % 2), 2, per_class_k=2, seed=seed)
+    train(LabeledDataset(x, np.arange(len(x)) % 2), _haar(x, 2, seed), per_class_k=2, seed=seed)
     return []
 
 
@@ -923,7 +931,8 @@ FAR_POINT = np.full(4, -1e308)
 ], ids=["project_data", "predict_batch", "predict"])
 def test_point_projected_past_the_double_range_is_named(call, point):
     x = np.random.default_rng(0).standard_normal((60, 4))
-    model = train(LabeledDataset(x, np.arange(60) % 2), 2, per_class_k=2, seed=6)
+    # Seed 6's map sends the far point past the double range.
+    model = train(LabeledDataset(x, np.arange(60) % 2), random_orthonormal(4, 2, 6), per_class_k=2, seed=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=f"^point {point} projects past the double range$"):
@@ -962,7 +971,7 @@ DEGENERATE_INPUTS = _degenerate_inputs()
 
 def _train_classes(x, k):
     # Two classes of m/2 points, each fit with k/2 components.
-    train(LabeledDataset(x, np.arange(len(x)) % 2), min(2, x.shape[1]), per_class_k=max(k // 2, 1), seed=0)
+    train(LabeledDataset(x, np.arange(len(x)) % 2), _haar(x, 2), per_class_k=max(k // 2, 1), seed=0)
     return []
 
 
@@ -970,7 +979,7 @@ def _train_classes(x, k):
 DEGENERATE_FITS = {
     **{f"run_em-{r.value}": lambda x, k, r=r: [run_em(x, k, r, 0).loglik_trace] for r in CovarianceRestriction},
     **{
-        f"rp_em-{r.value}": lambda x, k, r=r: [fit.loglik_trace for fit in rp_em(x, k, min(2, x.shape[1]), r, 0)[::2]]
+        f"rp_em-{r.value}": lambda x, k, r=r: [fit.loglik_trace for fit in rp_em(x, k, _haar(x, 2), r, 0)[::2]]
         for r in CovarianceRestriction
     },
     "train": _train_classes,
@@ -999,7 +1008,7 @@ NO_ROW_CALLS = {
     "test_loglik": (lambda: [held_out_loglik(MODEL, NO_ROWS)], True),
     "predict_batch": (lambda: [predict_batch(CLASSIFIER, NO_ROWS)], True),
     "evaluate": (lambda: [evaluate(CLASSIFIER, NO_POINTS)], False),
-    "train": (lambda: train(NO_POINTS, 2, per_class_k=1), False),
+    "train": (lambda: train(NO_POINTS, PROJ, per_class_k=1), False),
     "cluster_analysis": (lambda: cluster_analysis(NO_POINTS), False),
 }
 
@@ -1150,6 +1159,57 @@ def test_str_bytes_and_path_like_file_names_work(tmp_path, as_path):
     assert (tmp_path / "a.csv").read_text().startswith("class,0,1,eccentricity\n")
     REPORT.to_csv(name("r.csv"))
     assert (tmp_path / "r.csv").read_text().startswith("row_type,g,seed,v\ntrial,1,0,0.5\n")
+
+
+# site -> (argument name, call valid but for the map it is given, at a path)
+MAP_TAKERS = {
+    "project_data": ("p", lambda bad, path: project_data(bad, DATA)),
+    "project_mixture": ("p", lambda bad, path: project_mixture(bad, MODEL)),
+    "save_projection": ("p", lambda bad, path: save_projection(bad, path)),
+    "ClassMixtureModel": ("projection", lambda bad, path: ClassMixtureModel(bad, CLASSES, [0.5, 0.5])),
+    "rp_em": ("proj", lambda bad, path: rp_em(DATA, 2, bad, FULL, 0)),
+    "train": ("proj", lambda bad, path: train(LABELED, bad, per_class_k=2)),
+}
+
+
+@pytest.mark.parametrize("bad", [None, np.eye(3)[:2], "orthonormal-rp"], ids=["None", "rows", "str"])
+@pytest.mark.parametrize("site", MAP_TAKERS)
+def test_map_that_is_not_a_projection_matrix_is_an_invalid_parameter(tmp_path, site, bad):
+    name, call = MAP_TAKERS[site]
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be a ProjectionMatrix, got "):
+        call(bad, tmp_path / "p.json")
+    assert not (tmp_path / "p.json").exists()
+
+
+# site -> (argument name, call with an object of another type than it takes, at a path)
+WRONG_OBJECTS = {
+    "e_step": ("model", lambda path: e_step(None, DATA)),
+    "test_loglik": ("model", lambda path: held_out_loglik("a", DATA)),
+    "sample": ("m", lambda path: sample(None, 3, 0)),
+    "mixture_separation": ("m", lambda path: mixture_separation(None)),
+    "centers_recovered-model": ("model", lambda path: centers_recovered(None, MODEL)),
+    "centers_recovered-truth": ("truth", lambda path: centers_recovered(MODEL, None)),
+    "project_mixture": ("m", lambda path: project_mixture(PROJ, DATA)),
+    "save_mixture": ("m", lambda path: save_mixture(DATA, path)),
+    "ClassMixtureModel-per_class": (
+        r"per_class\[1\]", lambda path: ClassMixtureModel(PROJ, (CLASSES[0], None), [0.5, 0.5])
+    ),
+    "train": ("data", lambda path: train(DATA, PROJ, per_class_k=2)),
+    "cluster_analysis": ("data", lambda path: cluster_analysis(DATA)),
+    "save_labeled": ("data", lambda path: save_labeled(DATA, path)),
+    "evaluate-model": ("model", lambda path: evaluate(None, LABELED)),
+    "evaluate-test": ("test", lambda path: evaluate(CLASSIFIER, DATA)),
+    "predict": ("model", lambda path: predict(None, DATA[0])),
+    "predict_batch": ("model", lambda path: predict_batch(None, DATA)),
+}
+
+
+@pytest.mark.parametrize("site", WRONG_OBJECTS)
+def test_object_of_another_type_is_an_invalid_parameter(tmp_path, site):
+    name, call = WRONG_OBJECTS[site]
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be a \w+, got "):
+        call(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # reader -> call that reads the CSV file at its one argument
