@@ -73,7 +73,7 @@ class LabeledDataset:
         labels = _int_labels(self.labels)
         if labels.shape != (points.shape[0],):
             raise InvalidParameterError("one label per point required")
-        if labels.size and labels.min() < 0:
+        if labels.min(initial=0) < 0:
             raise InvalidParameterError("labels must be non-negative")
         object.__setattr__(self, "points", _frozen(points))
         object.__setattr__(self, "labels", _frozen(labels))
@@ -85,7 +85,7 @@ class LabeledDataset:
 
     @property
     def num_classes(self):
-        return int(self.labels.max()) + 1 if self.labels.size else 0
+        return int(self.labels.max(initial=-1)) + 1
 
     @property
     def dim(self):

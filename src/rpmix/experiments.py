@@ -131,7 +131,10 @@ def _fmt(v):
 def _sweep(group_columns, metric_columns, worker, points, base_seed, trials, threads=1, shared=()):
     """The report of `trials` trials at each of `points`: trial t at `point` is the
     call `worker(*point, base_seed + t, *shared)`, made through `_run_trials`, which
-    returns its rows. They keep task order, each with its row type, group columns, seed and metrics."""
+    returns its rows. They keep task order, each with its row type, group columns, seed and metrics.
+    A `base_seed` that is not an int >= 0, or `trials` not an int >= 1, raises
+    InvalidParameterError naming it before any trial runs, also when a body is called directly."""
+    base_seed, trials = _int_at_least(base_seed, "base_seed", 0), _int_at_least(trials, "trials", 1)
     tasks = [(*point, base_seed + t) for point in points for t in range(trials)]
     cols = (*group_columns, "seed", *metric_columns)
     results = _run_trials(worker, tasks, threads, shared)

@@ -143,11 +143,8 @@ class Mixture:
                 raise InvalidParameterError(f"component {i} is not a Gaussian: {g!r}")
         if any(g.dim != components[0].dim for g in components):
             raise DimensionMismatchError("components have differing dimensions")
-        weights = _checked_weights(weights, len(components))
-        firsts, owner = _distinct([g.covariance for g in components])
-        means = np.array([g.mean for g in components])
-        kept = [components[i] for i in firsts]
-        self._keep(weights, means, [g.covariance for g in kept], [g.chol for g in kept], owner)
+        m = _sharing_mixture(weights, [g.mean for g in components], [g.covariance for g in components])
+        self._keep(m.weights, m.means, m._covs, m._chols, m._owner)
 
     @classmethod
     def _of(cls, *layout):
@@ -228,20 +225,21 @@ def _checked_weights(weights, k):
     return w
 
 
-def _distinct(arrays):
-    """The index of the first of each distinct array (equal as by
-    `np.array_equal`), and for every array the position of its own among
-    them. Only arrays of one shape and sum are compared, not every pair."""
-    firsts, owner, seen = [], [], {}
-    for i, a in enumerate(arrays):
+def _sharing_mixture(weights, means, covs):
+    """The `_checked_mixture` of one covariance per component, in which equal
+    covariances (as by `np.array_equal`) share one factor. Only covariances
+    of one shape and sum are compared, not every pair."""
+    distinct, owner, seen = [], [], {}
+    for cov in covs:
+        cov = _as_float_array(cov, "covariance")
         with np.errstate(over="ignore", invalid="ignore"):
-            same = seen.setdefault((a.shape, float(a.sum())), [])
-        f = next((f for f in same if np.array_equal(arrays[firsts[f]], a)), len(firsts))
-        if f == len(firsts):
-            firsts.append(i)
+            same = seen.setdefault((cov.shape, float(cov.sum())), [])
+        f = next((f for f in same if np.array_equal(distinct[f], cov)), len(distinct))
+        if f == len(distinct):
+            distinct.append(cov)
             same.append(f)
         owner.append(f)
-    return firsts, np.array(owner)
+    return _checked_mixture(weights, means, distinct, owner)
 
 
 def _checked_mixture(weights, means, covs, owner):
@@ -564,9 +562,7 @@ def mixture_from_dict(doc: dict) -> Mixture:
     if len(set(lengths)) != 1:
         counts = ", ".join(f"{n} {key}" for n, key in zip(lengths, _MIXTURE_KEYS))
         raise ParseError(f"a mixture document has {counts}")
-    covs = [_as_float_array(cov, "covariance") for cov in doc["covariances"]]
-    firsts, owner = _distinct(covs)
-    return _checked_mixture(doc["weights"], doc["means"], [covs[i] for i in firsts], owner)
+    return _sharing_mixture(doc["weights"], doc["means"], doc["covariances"])
 
 
 def save_mixture(m: Mixture, path):

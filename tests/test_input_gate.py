@@ -725,6 +725,19 @@ def test_int_gate_keeps_its_type_and_message(site, value):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "argument, bad",
+    [("trials", bad) for bad in (0, -1, 2.5, True, "2")] + [("base_seed", bad) for bad in (-1, 2.5, True, "3")],
+)
+@pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+def test_body_called_directly_gates_trials_and_base_seed(experiment, argument, bad):
+    """A body's `trials` and `base_seed` are gated before any trial runs. fig6
+    gates its seed earlier, in its own words, so only `trials` is matched by name."""
+    body, _ = experiments.EXPERIMENTS[experiment]
+    with pytest.raises(InvalidParameterError, match=r"\btrials\b" if argument == "trials" else None):
+        body(**{"base_seed": 0, "trials": 1, argument: bad})
+
+
 def test_numpy_integer_sizes_are_accepted():
     fit = run_em(DATA, np.int64(2), FULL, 0, max_iter=np.int32(3))
     assert fit.iterations <= 3
