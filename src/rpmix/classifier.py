@@ -22,7 +22,7 @@ from .errors import (
     NotEnoughDataError,
     ParseError,
 )
-from .em import CovarianceRestriction, _log_joint, run_em
+from .em import CovarianceRestriction, _lockstep_fits, _log_joint, run_em
 from .gaussians import (
     Mixture, _as_float_array, _file_name, _frozen, _int_at_least, _of_type, _read_csv, _separations,
     _Workspace, save_dataset,
@@ -180,6 +180,12 @@ def train(data: LabeledDataset, proj: ProjectionMatrix, per_class_k: int = 5, se
     `SeedSequence([seed, c])`: the caller draws the map (the paper's is
     `random_orthonormal(n, d, ...)`), and any other map, such as
     `pca(data.points, d)`, goes through the same way.
+
+    Each class's model is `run_em`'s, bit for bit. The classes iterate
+    together (`em._lockstep_fits`); a class that leaves that common path (a
+    rescue, an exact condition check, a failure) is fit again by `run_em`,
+    in class order, so a failure raises the error of the lowest-numbered
+    class that fails, as fitting the classes one by one would.
     """
     per_class_k = _int_at_least(per_class_k, "per_class_k", 1)
     counts = _class_counts(data)
@@ -188,16 +194,14 @@ def train(data: LabeledDataset, proj: ProjectionMatrix, per_class_k: int = 5, se
     if small.size:
         raise ClassTooSmallError(f"class {small[0]} has {counts[small[0]]} points, needs {per_class_k}")
     projected = project_data(_of_type(proj, "proj", ProjectionMatrix), data.points)
-    mixtures = []
-    for cls in range(counts.size):
-        fit = run_em(
-            projected[data.labels == cls],
-            per_class_k,
-            CovarianceRestriction.SHARED_FULL,
-            np.random.SeedSequence([seed, cls]),
-        )
-        mixtures.append(fit.model)
-    return ClassMixtureModel(proj, tuple(mixtures), counts / data.points.shape[0])
+    datas = [projected[data.labels == cls] for cls in range(counts.size)]
+    seeds = [np.random.SeedSequence([seed, cls]) for cls in range(counts.size)]
+    fits = _lockstep_fits(datas, per_class_k, seeds)
+    mixtures = tuple(
+        (fit if fit is not None else run_em(points, per_class_k, CovarianceRestriction.SHARED_FULL, s)).model
+        for fit, points, s in zip(fits, datas, seeds)
+    )
+    return ClassMixtureModel(proj, mixtures, counts / data.points.shape[0])
 
 
 def _class_scores(model: ClassMixtureModel, points):

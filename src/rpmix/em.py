@@ -25,6 +25,10 @@ given (`rp_em`'s is on `train`). Every kernel reads its points from a
 workspace: `_log_joint`, `_e_step`, `_m_step` (which pools one covariance
 when the workspace keeps a Gram matrix) and `_fit`, the one EM loop of
 `run_em` and the hybrid's high-dimensional step.
+The classifier's class fits iterate together in `_lockstep_fits`, with one
+workspace per fit: each fit's model and trace are `run_em`'s, bit for bit,
+and a fit that needs a rescue, an exact condition check or an error leaves
+it for `run_em`. Both loops stop by `_stops`.
 Responsibilities below the smallest normal double are exactly 0
 (`_log_normalize`).
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg.lapack import dlauum
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -47,12 +51,14 @@ from .errors import (
     NonFiniteError,
     NotEnoughDataError,
     NotPositiveDefiniteError,
+    RpmixError,
     ShapeMismatchError,
     _ParameterEnum,
 )
 from .gaussians import (
     Mixture,
     _as_float_array,
+    _below_bound,
     _checked_inverse,
     _cholesky,
     _int_at_least,
@@ -69,6 +75,7 @@ from .projection import ProjectionMatrix, project_data
 
 EMPTY_COMPONENT_FRACTION = 1e-10
 MAX_RESCUES = 2
+_TOL, _MAX_ITER = 1e-5, 500  # `run_em`'s stopping rule, which the classifier's fits share
 TINY = np.finfo(float).tiny  # the smallest normal double
 LOWEST = -np.finfo(float).max  # the lowest finite double
 
@@ -186,11 +193,16 @@ def _shared_e_step(params: Mixture, work):
         scores = np.log(params.weights) - 0.5 * np.einsum("ji,ji->i", whitened, whitened)
         scores = scores + work.centered @ (inv.T @ whitened)
         resp, lse = _log_normalize(scores)
-        lower = dlauum(inv, lower=1)[0]
-        g = work.gram
-        trace = 2.0 * np.vdot(lower, g) - np.vdot(lower.diagonal(), g.diagonal())
+        trace = _gram_trace(inv, work.gram)
         m = work.centered.shape[0]
         return resp, float(lse.sum() + m * _log_normalizer(params._chols[0]) - 0.5 * trace)
+
+
+def _gram_trace(inv, gram):
+    """tr(Sigma^-1 G) for Sigma^-1 = L^-T L^-1 and a symmetric G, as
+    `_shared_e_step` forms it from `dlauum`'s lower triangle P of Sigma^-1."""
+    lower = dlauum(inv, lower=1)[0]
+    return 2.0 * np.vdot(lower, gram) - np.vdot(lower.diagonal(), gram.diagonal())
 
 
 def _m_step(resp, work, previous=None) -> Mixture:
@@ -335,8 +347,8 @@ def run_em(
     k: int,
     restriction: CovarianceRestriction,
     seed,
-    tol: float = 1e-5,
-    max_iter: int = 500,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> FitResult:
     """EM to convergence: stop when the relative log-likelihood gain < tol.
 
@@ -364,8 +376,8 @@ def _fit(params, work, tol, max_iter, rescues) -> FitResult:
     while True:
         resp, ll = _e_step(params, work)
         trace.append(ll)
-        converged = len(trace) > 1 and abs(ll - trace[-2]) < tol * abs(ll)
-        if converged or len(trace) > max_iter:
+        converged, stop = _stops(trace, tol, max_iter)
+        if stop:
             if not np.isfinite(ll):
                 raise NonFiniteError(f"iteration {len(trace) - 1}: log-likelihood is {ll}")
             break
@@ -381,6 +393,118 @@ def _fit(params, work, tol, max_iter, rescues) -> FitResult:
         except (IllConditionedError, NotPositiveDefiniteError, NonFiniteError) as exc:
             raise type(exc)(f"iteration {len(trace) - 1}: {exc}") from exc
     return FitResult(params, len(trace) - 1, np.array(trace), converged)
+
+
+def _stops(trace, tol, max_iter):
+    """The stopping rule of an EM loop whose log-likelihoods so far are
+    `trace`: whether the last gained less than `tol` relative to itself over
+    the one before (converged), and whether the loop stops there, converged
+    or past `max_iter` M-steps."""
+    converged = len(trace) > 1 and abs(trace[-1] - trace[-2]) < tol * abs(trace[-1])
+    return converged, converged or len(trace) > max_iter
+
+
+def _fortran_slices(stack):
+    """An empty stack of the shape of `stack` whose n x n slices are
+    Fortran-ordered, as LAPACK returns each factor: a product with a
+    C-ordered copy of L^-1 takes another gemm path and moves the last bits.
+    Indexing the stack on its first axis keeps that order."""
+    return np.empty_like(stack).transpose(0, 2, 1)
+
+
+def _lockstep_fits(datas, k, seeds):
+    """`run_em(data, k, SHARED_FULL, seed)` for each data set of `datas`, all
+    of one dimension, and its seed of `seeds`, the fits iterating together:
+    one FitResult per fit, with `run_em`'s bits, or None for a fit that left
+    the common path, which only `run_em` walks. A fit leaves where its start
+    raises, a component empties, a covariance or a log-likelihood is not
+    finite, `dpotrf` or `dtrtri` fails, or the condition bound is not below
+    its limit (`_below_bound`): there `run_em` rescues, checks exactly or
+    raises. No call raises.
+
+    Every product with a fit's points, every LAPACK call and every sum over
+    its points is made per fit, on arrays of the layout `run_em` gives them,
+    so each fit keeps its bits; the element-wise steps, the products of
+    equal-shape stacks and `_log_normalize` (over the fits' rows, stacked)
+    are made once for all. Arithmetic that overflows leaves a non-finite
+    covariance or log-likelihood, so its warnings are `run_em`'s to give.
+    """
+    fits, fitting, starts = [None] * len(datas), [], []
+    for c, (data, seed) in enumerate(zip(datas, seeds)):
+        try:
+            start = init_params(data, k, CovarianceRestriction.SHARED_FULL, seed)
+            start._invs  # a start given as a Mixture is checked at first use
+        except RpmixError:
+            continue
+        starts.append(start)
+        fitting.append((c, _Workspace(data, shared=True), []))  # (fit, its points, its trace)
+    if not fitting:
+        return fits
+    weights, means = np.stack([s.weights for s in starts]), np.stack([s.means for s in starts])
+    covs = np.stack([s._covs[0] for s in starts])
+    chols, invs = _fortran_slices(covs), _fortran_slices(covs)
+    for i, start in enumerate(starts):
+        chols[i], invs[i] = start._chols[0], start._invs[0]
+    works = [work for _, work, _ in fitting]
+    ms = np.array([len(work.points) for work in works], dtype=float)
+    centers, grams = np.stack([work.center for work in works]), np.stack([work.gram for work in works])
+    with np.errstate(all="ignore"):
+        while True:
+            # `_shared_e_step`, with the products and sums over points fit by fit.
+            sizes = [len(work.points) for work in works]
+            spans = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+            whitened = invs @ (means - centers[:, None]).transpose(0, 2, 1)
+            scores = np.log(weights) - 0.5 * np.einsum("cji,cji->ci", whitened, whitened)
+            joint = np.empty((spans[-1].stop, k))
+            for work, span, direction in zip(works, spans, invs.transpose(0, 2, 1) @ whitened):
+                np.matmul(work.centered, direction, out=joint[span])
+            joint += np.repeat(scores, sizes, axis=0)
+            resp, lse = _log_normalize(joint)
+            sums = np.array([lse[span].sum() for span in spans])
+            spreads = np.array([_gram_trace(inv, work.gram) for inv, work in zip(invs, works)])
+            lls = sums + ms * _log_normalizer(chols) - 0.5 * spreads
+            go = np.zeros(len(fitting), dtype=bool)
+            for i, ((c, _, trace), ll) in enumerate(zip(fitting, lls.tolist())):
+                trace.append(ll)
+                converged, stop = _stops(trace, _TOL, _MAX_ITER)
+                if stop and np.isfinite(ll):
+                    owner = np.zeros(k, dtype=int)
+                    model = Mixture._of(weights[i], means[i], (covs[i],), (chols[i],), owner, (invs[i],))
+                    fits[c] = FitResult(model, len(trace) - 1, np.array(trace), converged)
+                go[i] = not stop and np.isfinite(ll)
+            if not go.all():
+                fitting, works, spans = (
+                    [x for x, on in zip(seq, go) if on] for seq in (fitting, works, spans))
+                ms, centers, grams = ms[go], centers[go], grams[go]
+                if not fitting:
+                    return fits
+            # `_m_step` pooling one covariance, with the products and sums
+            # over points and the factorizations fit by fit.
+            counts = np.stack([resp[span].sum(axis=0) for span in spans])
+            totals = np.empty((len(works),) + means.shape[1:])
+            for work, span, total in zip(works, spans, totals):
+                np.matmul(resp[span].T, work.points, out=total)
+            means = totals / np.where(counts > 0, counts, 1.0)[:, :, None]
+            delta = means - centers[:, None]
+            pooled = (grams - (counts[:, :, None] * delta).transpose(0, 2, 1) @ delta) / ms[:, None, None]
+            covs = (pooled + pooled.transpose(0, 2, 1)) / 2.0
+            dead = (counts < EMPTY_COMPONENT_FRACTION * ms[:, None]).any(axis=1)
+            held = ~dead & np.isfinite(covs).all(axis=(1, 2))
+            chols, invs = _fortran_slices(covs), _fortran_slices(covs)
+            for i in np.flatnonzero(held):
+                chols[i], info = dpotrf(covs[i], lower=1, clean=1)
+                if info == 0:
+                    invs[i], info = dtrtri(chols[i], lower=1)
+                held[i] = info == 0
+            held &= _below_bound(covs, np.einsum("cij,cij->c", invs, invs))
+            weights = counts / ms[:, None]
+            weights = weights / weights.sum(axis=1, keepdims=True)
+            if not held.all():
+                weights, means, covs, chols, invs, ms, centers, grams = (
+                    a[held] for a in (weights, means, covs, chols, invs, ms, centers, grams))
+                fitting, works = ([x for x, on in zip(seq, held) if on] for seq in (fitting, works))
+                if not fitting:
+                    return fits
 
 
 def rp_em(train, k: int, proj: ProjectionMatrix, restriction: CovarianceRestriction, seed):

@@ -134,12 +134,19 @@ def _sweep(group_columns, metric_columns, worker, points, base_seed, trials, thr
     returns its rows. They keep task order, each with its row type, group columns, seed and metrics.
     A `base_seed` that is not an int >= 0, or `trials` not an int >= 1, raises
     InvalidParameterError naming it before any trial runs, also when a body is called directly."""
-    base_seed, trials = _int_at_least(base_seed, "base_seed", 0), _int_at_least(trials, "trials", 1)
+    base_seed, trials = _trial_args(base_seed, trials)
     tasks = [(*point, base_seed + t) for point in points for t in range(trials)]
     cols = (*group_columns, "seed", *metric_columns)
     results = _run_trials(worker, tasks, threads, shared)
     rows = tuple({"row_type": "trial", **{c: row[c] for c in cols}} for trial in results for row in trial)
     return ExperimentReport(tuple(group_columns), tuple(metric_columns), rows)
+
+
+def _trial_args(base_seed, trials):
+    """`base_seed` and `trials` as ints; InvalidParameterError names the first
+    that is not an int >= 0, or not an int >= 1, respectively. A body whose
+    set-up costs more than a check calls it first."""
+    return _int_at_least(base_seed, "base_seed", 0), _int_at_least(trials, "trials", 1)
 
 
 def _log_dim(k, n):
@@ -272,6 +279,7 @@ def pca_collapse_body(base_seed, trials=1, k=10, samples=10000):
     full-rank PCA keep all pairs separated. Each trial samples the
     arrangement with its own seed; the rows follow trial, then method.
     """
+    base_seed, trials = _trial_args(base_seed, trials)
     k = _int_at_least(k, "k", 1)
     if k % 2 != 0:
         raise BadDimsError("k must be even")
@@ -510,6 +518,7 @@ def fig9_body(
     then the d x trials points run, in `threads` worker processes, None for
     one per core (see `_run_trials`).
     """
+    base_seed, trials = _trial_args(base_seed, trials)
     if train_path is not None and test_path is not None:
         train_set, test_set = _read_datasets([train_path, test_path], threads)
     elif train_path is not None or test_path is not None:

@@ -319,9 +319,7 @@ def _checked_inverse(cov, chol):
     inv_sq = float(np.einsum("ij,ij->", inv, inv))
     if info != 0 or not math.isfinite(inv_sq):
         raise IllConditionedError("covariance inverse has a non-finite trace")
-    with np.errstate(over="ignore"):  # tr(Sigma) * tr(Sigma^-1)
-        bound = cov.trace() * inv_sq
-    if not bound < CONDITION_LIMIT / 10:
+    if not _below_bound(cov, inv_sq):
         lam = eigvalsh(cov)
         cond = lam[-1] / lam[0] if lam[0] > 0 else np.inf
         if cond >= CONDITION_LIMIT:
@@ -329,6 +327,15 @@ def _checked_inverse(cov, chol):
                 f"covariance condition number {cond:.3g} >= {CONDITION_LIMIT:g}"
             )
     return inv
+
+
+def _below_bound(covs, inv_sq):
+    """Whether tr(Sigma) ||L^-1||_F^2, `_checked_inverse`'s upper bound on
+    kappa_2(Sigma), lies below CONDITION_LIMIT / 10, where no exact check is
+    needed: for one covariance, or elementwise for a stack of them and their
+    ||L^-1||_F^2. A bound that overflows, or is NaN, is not below."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.trace(covs, axis1=-2, axis2=-1) * inv_sq < CONDITION_LIMIT / 10
 
 
 class _Workspace:
@@ -392,9 +399,10 @@ def _quad_forms(inv, means, work):
 
 def _log_normalizer(chol):
     """-(n log 2 pi + log det Sigma) / 2 for Sigma = L L^T, the log-density's
-    constant, evaluated as -n log(2 pi) / 2 - log det Sigma / 2."""
-    log_det = 2.0 * np.log(chol.diagonal()).sum()
-    return -0.5 * chol.shape[0] * LOG_2PI - 0.5 * log_det
+    constant, evaluated as -n log(2 pi) / 2 - log det Sigma / 2; one per
+    factor of a stack of them."""
+    log_det = 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return -0.5 * chol.shape[-1] * LOG_2PI - 0.5 * log_det
 
 
 def _of_type(value, name, cls):

@@ -17,7 +17,7 @@ from rpmix import (
     save_labeled,
     train,
 )
-from rpmix import classifier
+from rpmix import classifier, em
 from rpmix.classifier import (
     ClassMixtureModel,
     ClusterAnalysis,
@@ -34,6 +34,7 @@ from rpmix.errors import (
     InvalidParameterError,
     NonFiniteError,
     ParseError,
+    RpmixError,
 )
 from rpmix.projection import ProjectionKind, ProjectionMatrix, pca, random_orthonormal
 
@@ -223,6 +224,124 @@ class TestTrainPredict:
         model = train(data, haar_map(data, 3, 0), per_class_k=1, seed=0)
         with pytest.raises(DimensionMismatchError):
             predict(model, np.zeros(4))
+
+
+IDENTITY_3 = ProjectionMatrix(np.eye(3), ProjectionKind.ORTHONORMAL_RP)
+IDENTITY_16 = ProjectionMatrix(np.eye(16), ProjectionKind.ORTHONORMAL_RP)
+
+
+def shared_fit(points, k, seed, cls):
+    """`run_em` as `train` fits class `cls` at `seed`."""
+    return run_em(points, k, CovarianceRestriction.SHARED_FULL, np.random.SeedSequence([seed, cls]))
+
+
+def assert_same_fit(fit, want):
+    assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+    assert np.array_equal(fit.loglik_trace, want.loglik_trace)
+    assert_same_model(fit.model, want.model)
+
+
+def assert_same_model(model, want):
+    assert np.array_equal(model.weights, want.weights)
+    assert np.array_equal(model.means, want.means)
+    assert np.array_equal(model._owner, want._owner)
+    for got, expected in ((model._covs, want._covs), (model._chols, want._chols), (model._invs, want._invs)):
+        assert len(got) == len(expected) == 1
+        assert np.array_equal(got[0], expected[0])
+
+
+class TestLockstep:
+    """`train` fits its classes together through `em._lockstep_fits`, and each
+    class's fit is `run_em`'s, bit for bit; a class that leaves the common
+    path is fit by `run_em` itself."""
+
+    SEED = 0
+
+    def _classes(self):
+        """Three blobs in R^16, where a C-ordered copy of a stack of L^-1
+        moves bits (R^10 is too small to show it), and a class whose start
+        is its fit at k = 1: a symmetric star about its mean, which is the
+        point its start draws."""
+        rng = np.random.default_rng(12)
+        axes = np.eye(16)
+        classes = [rng.standard_normal((60, 16)) * rng.uniform(0.5, 2.0, 16) + 8.0 * axes[c] for c in range(3)]
+        star = np.vstack([np.zeros(16)] + [s * r * axes[i] for r in (1.0, 2.0) for i in range(16) for s in (1, -1)])
+        start_rng = np.random.default_rng(np.random.SeedSequence([self.SEED, 3]))
+        drawn = start_rng.choice(len(star), size=1, replace=False)[0]  # as `init_params` draws it
+        star[[0, drawn]] = star[[drawn, 0]]
+        return [*classes, star + 20.0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_class_is_run_em_bit_for_bit(self, monkeypatch, k):
+        classes = self._classes()
+        fits = em._lockstep_fits(classes, k, [np.random.SeedSequence([self.SEED, c]) for c in range(len(classes))])
+        wants = [shared_fit(points, k, self.SEED, c) for c, points in enumerate(classes)]
+        assert len({want.iterations for want in wants}) >= 2
+        for fit, want in zip(fits, wants):
+            assert_same_fit(fit, want)
+
+        refits = []
+        monkeypatch.setattr(classifier, "run_em", lambda *args: refits.append(args))
+        labels = np.repeat(np.arange(len(classes)), [len(points) for points in classes])
+        model = train(LabeledDataset(np.vstack(classes), labels), IDENTITY_16, per_class_k=k, seed=self.SEED)
+        assert refits == []
+        for mix, want in zip(model.per_class, wants):
+            assert_same_model(mix, want.model)
+
+    def test_a_class_that_leaves_the_common_path_is_run_em(self, monkeypatch):
+        # Class 1 starts with a far component that empties at the first
+        # M-step, so its fit takes `run_em`'s rescue.
+        rng = np.random.default_rng(61)
+        blob = rng.standard_normal((40, 3))
+        pair = np.vstack([rng.standard_normal((30, 3)), rng.standard_normal((30, 3)) + [8.0, 0.0, 0.0]])
+        means = [pair[:30].mean(axis=0), pair[30:].mean(axis=0), [500.0, -500.0, 0.0]]
+        start = Mixture([Gaussian(mu, np.eye(3)) for mu in means], [1 / 3] * 3)
+        paper_start = em.init_params
+        monkeypatch.setattr(
+            em, "init_params",
+            lambda data, *args: start if np.array_equal(data, pair) else paper_start(data, *args))
+        seeds = [np.random.SeedSequence([self.SEED, c]) for c in range(2)]
+        fits = em._lockstep_fits([blob, pair], 3, seeds)
+        assert fits[1] is None
+        wants = [shared_fit(points, 3, self.SEED, c) for c, points in enumerate((blob, pair))]
+        assert_same_fit(fits[0], wants[0])
+
+        data = LabeledDataset(np.vstack([blob, pair]), [0] * 40 + [1] * 60)
+        model = train(data, IDENTITY_3, per_class_k=3, seed=self.SEED)
+        assert np.array_equal(model.per_class[1].means[2], wants[1].model.means[2])
+        for mix, want in zip(model.per_class, wants):
+            assert_same_model(mix, want.model)
+
+    def test_the_lowest_failing_class_raises_run_ems_error(self):
+        # Class 1's points lie on a line, so its pooled covariance is
+        # singular at its first M-step; class 2's coincide, so its start
+        # raises first. `train` raises class 1's error, as a loop would.
+        rng = np.random.default_rng(3)
+        line = np.outer(rng.standard_normal(30), [1.0, 2.0, -1.0])
+        classes = [rng.standard_normal((30, 3)), line, np.ones((30, 3))]
+        with pytest.raises(DuplicatePointsError):
+            shared_fit(classes[2], 2, self.SEED, 2)
+        with pytest.raises(RpmixError) as want:
+            shared_fit(classes[1], 2, self.SEED, 1)
+        assert str(want.value).startswith("iteration 0: ")
+
+        data = LabeledDataset(np.vstack(classes), np.repeat([0, 1, 2], 30))
+        with pytest.raises(type(want.value)) as got:
+            train(data, IDENTITY_3, per_class_k=2, seed=self.SEED)
+        assert str(got.value) == str(want.value)
+
+    def test_separated_blobs_need_no_run_em(self, monkeypatch):
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return run_em(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "run_em", counted)
+        data = labeled_blobs(num_classes=3, per_class=60, seed=4)
+        model = train(data, haar_map(data, 4, 3), per_class_k=2, seed=3)
+        assert fits == []
+        assert len(model.per_class) == 3
 
 
 class TestDecisionRule:

@@ -377,6 +377,31 @@ def test_every_stream_of_a_body_run_is_distinct(monkeypatch, body):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize(
+    "arg, value, low",
+    [("trials", 0, 1), ("trials", -1, 1), ("trials", 2.0, 1), ("trials", True, 1), ("base_seed", -1, 0)],
+)
+@pytest.mark.parametrize(
+    "body",
+    [
+        lambda **bad: fig9_body(**{"base_seed": 0, **bad}, d_values=(5,)),
+        lambda **bad: fig9_body(**{"base_seed": 0, **bad}, d_values=(5,), train_path="a.csv", test_path="b.csv"),
+        lambda **bad: pca_collapse_body(**{"base_seed": 0, **bad}, k=4),
+    ],
+    ids=["fig9-surrogate", "fig9-files", "pca-collapse"],
+)
+def test_bad_trial_arguments_raise_before_any_set_up(monkeypatch, body, arg, value, low):
+    # The surrogate data, the files and pca-collapse's mixture are each built
+    # only after `base_seed` and `trials` pass, with `_sweep`'s messages.
+    def never(*args, **kwargs):
+        raise AssertionError("set-up ran before the trial arguments were checked")
+
+    for name in ("surrogate_digit_data", "_read_datasets", "_checked_mixture"):
+        monkeypatch.setattr(experiments, name, never)
+    with pytest.raises(InvalidParameterError, match=rf"^{arg} must be an int >= {low}, got {value!r}$"):
+        body(**{arg: value})
+
+
 class TestPcaCollapse:
     def test_odd_or_degenerate_k_rejected(self):
         with pytest.raises(BadDimsError):
